@@ -14,8 +14,7 @@ Public API
 It covers one-shot runs, local cached sweeps, submission to a running
 sweep service (``python -m repro serve`` — see ``docs/SERVICE.md``),
 warm-starting, and result diffing.  The names below remain importable
-from ``repro`` for compatibility; ``run_simulation`` is a deprecated
-shim for :func:`repro.api.run`.
+from ``repro`` for compatibility.
 
 :class:`~repro.telemetry.Telemetry` / :func:`build_system_from_spec`
     The observability layer: attach event sinks (ring buffer, JSONL,
@@ -35,7 +34,6 @@ from repro.core.simulator import (
     build_system_from_spec,
     compare_scenarios,
     make_run_spec,
-    run_simulation,
     run_spec,
 )
 from repro.telemetry import MetricsRegistry, Telemetry
@@ -44,11 +42,10 @@ from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_mix
 from repro import api
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "api",
-    "run_simulation",
     "run_spec",
     "make_run_spec",
     "RunSpec",

@@ -39,9 +39,6 @@ its extension.
 ``<spec-hash>.json`` entry per cell — the directory format
 ``python -m repro.obs diff DIR_A DIR_B`` compares.
 
-The original flag-only invocation (``python -m repro WL-6 codesign``)
-keeps working as a deprecated alias for the ``run`` subcommand.
-
 Exit codes with ``--monitors``: 0 clean, 1 violations collected,
 2 strict-mode fail-fast.
 """
@@ -50,7 +47,6 @@ from __future__ import annotations
 
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import argparse
@@ -59,10 +55,6 @@ from repro import available_scenarios, available_workloads
 from repro.core.simulator import build_system_from_spec, make_run_spec, sweep_specs
 from repro.telemetry import ChromeTraceSink, JsonlSink, Telemetry
 from repro.units import ms
-
-#: First-positional names that select a subcommand; anything else is the
-#: deprecated flag-only alias for ``run``.
-SUBCOMMANDS = ("run", "sweep", "serve", "submit")
 
 
 def result_to_dict(result) -> dict:
@@ -794,21 +786,7 @@ def _cmd_submit(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    if argv and argv[0] not in SUBCOMMANDS and argv[0] not in ("-h", "--help"):
-        # Deprecated alias: `python -m repro WL-6 codesign ...` predates
-        # the subcommands and keeps working as an implicit `run`.
-        warnings.warn(
-            "flag-only `python -m repro WORKLOAD SCENARIO` is deprecated; "
-            "use `python -m repro run WORKLOAD SCENARIO`",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        argv = ["run", *argv]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

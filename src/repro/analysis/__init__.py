@@ -11,14 +11,13 @@ machine-checked.
 Entry points
 ------------
 
-``python -m repro.analysis [paths] [--format json|sarif] [--cache]
-[--changed-only] [--baseline ...]``
+``python -m repro.analysis [paths] [--format json|sarif] [--baseline ...]``
     CLI used by CI and developers (see :mod:`repro.analysis.cli`).
 :func:`analyze_paths`
     Library API: run every registered rule over a set of files/dirs.
 :func:`analyze_project`
-    Same, but returns the full :class:`AnalysisReport` (stats, analyzed
-    paths) and accepts the incremental cache.
+    Same, but returns the full :class:`AnalysisReport` (findings and
+    run statistics).
 
 The rule catalog (``RPR001`` .. ``RPR015``) lives in
 :mod:`repro.analysis.rules`; per-file rules see one AST at a time while

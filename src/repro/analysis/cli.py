@@ -1,14 +1,12 @@
 """Command-line interface: ``python -m repro.analysis [paths] ...``.
 
 Exit codes: ``0`` clean, ``1`` findings reported, ``2`` usage or
-environment error (unreadable baseline, unknown rule code, git failure
-under ``--changed-only``).
+environment error (unreadable baseline, unknown rule code).
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,11 +19,6 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import analyze_project
-from repro.analysis.model.cache import (
-    DEFAULT_CACHE,
-    AnalysisCache,
-    analysis_signature,
-)
 from repro.analysis.registry import all_rules
 from repro.errors import ConfigError
 
@@ -77,32 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to run (e.g. RPR001,RPR004)",
     )
     parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=str(DEFAULT_CACHE),
-        default=None,
-        metavar="PATH",
-        help=(
-            "reuse per-file summaries and findings keyed by content hash "
-            f"(default path when given bare: {DEFAULT_CACHE})"
-        ),
-    )
-    parser.add_argument(
-        "--changed-only",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help=(
-            "treat files changed vs. REF (git diff + untracked; default "
-            "HEAD) as dirty; with --cache, only their reverse import "
-            "closure is re-analyzed — the report still covers everything"
-        ),
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print a run-summary line (rules, files, cache hits) to stderr",
+        help="print a run-summary line (rules, files, wall time) to stderr",
     )
     parser.add_argument(
         "--list-rules",
@@ -110,27 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered rules and exit",
     )
     return parser
-
-
-def _git_changed_files(ref: str) -> list[str]:
-    """Changed-vs-*ref* plus untracked paths; raises ConfigError on git failure."""
-    out: list[str] = []
-    for cmd in (
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            raise ConfigError(
-                f"--changed-only needs a working git ({' '.join(cmd)}): "
-                f"{detail.strip()}"
-            ) from None
-        out.extend(line for line in proc.stdout.splitlines() if line.strip())
-    return out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -162,25 +111,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_ERROR
 
-    changed_paths = None
-    if args.changed_only is not None:
-        try:
-            changed_paths = _git_changed_files(args.changed_only)
-        except ConfigError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_ERROR
-
-    cache = None
-    if args.cache is not None:
-        signature = analysis_signature(config, [r.code for r in rules])
-        cache = AnalysisCache.load(Path(args.cache), signature)
-
     report = analyze_project(
         [Path(p) for p in args.paths],
         config,
         rules=rules,
-        cache=cache,
-        changed_paths=changed_paths,
         baseline_entries=baseline_entries,
         baseline_path=args.baseline,
     )

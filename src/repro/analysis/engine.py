@@ -39,19 +39,6 @@ class Finding:
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.code)
 
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(**data)
-
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
@@ -242,34 +229,22 @@ class AnalysisStats:
     """Run-level accounting for the ``--stats`` line and tests."""
 
     files_total: int = 0
-    files_parsed: int = 0
-    files_reanalyzed: int = 0
-    cache_hits: int = 0
     rules_run: int = 0
     wall_time_s: float = 0.0
-    cache_enabled: bool = False
 
     def render(self) -> str:
-        cached = (
-            f", {self.cache_hits} from cache" if self.cache_enabled else ""
-        )
         return (
             f"stats: {self.rules_run} rule(s) over {self.files_total} "
-            f"file(s) ({self.files_parsed} parsed{cached}, "
-            f"{self.files_reanalyzed} re-analyzed) in "
-            f"{self.wall_time_s:.2f}s"
+            f"file(s) in {self.wall_time_s:.2f}s"
         )
 
 
 @dataclass
 class AnalysisReport:
-    """Findings plus the incremental-run metadata behind them."""
+    """Findings plus the run statistics behind them."""
 
     findings: list[Finding]
     stats: AnalysisStats
-    #: Display paths in the dirty set's reverse import closure — the
-    #: files whose findings could have changed this run.
-    analyzed_paths: list[str]
 
 
 def _parse(path: Path, display: str):
@@ -380,25 +355,14 @@ def analyze_project(
     paths: Iterable[Path],
     config,
     rules: Optional[Iterable[Rule]] = None,
-    cache=None,
-    changed_paths: Optional[Iterable[str]] = None,
     baseline_entries: Optional[dict] = None,
     baseline_path: Optional[str] = None,
 ) -> AnalysisReport:
-    """Whole-program analysis with optional incremental cache.
+    """Whole-program analysis of every ``.py`` file under *paths*.
 
-    Per-file rules run (and re-run) only for files whose content hash
-    missed *cache*; unchanged files contribute their cached summary and
-    raw findings.  Project rules then run once over the assembled
-    model — their inputs are summaries, so no re-parse is needed — and
-    the report's ``analyzed_paths`` records the dirty set's reverse
-    import closure: the only files whose findings can differ from the
-    previous run.  *changed_paths* (the ``--changed-only`` git set)
-    widens the dirty set so a cache carried across commits still
-    re-analyzes everything the diff touches.
-
-    Findings are identical to a cold full run by construction: caching
-    changes what is recomputed, never what is reported.
+    Per-file rules run on each parsed file; project rules then run once
+    over the model assembled from every file's summary, and the audit
+    rules last, over the raw finding set.
     """
     t0 = perf_counter()
     rules_list, file_rules, project_rules, audit_rules = _split_rules(rules)
@@ -411,62 +375,25 @@ def analyze_project(
     files = discover_files(paths, config)
     summaries: dict[str, "ModuleSummary"] = {}
     raw_by_file: dict[str, list[Finding]] = {}
-    resolved_of: dict[str, str] = {}
-    parsed: set[str] = set()
-
     for path in files:
         display = str(path)
-        resolved_of[display] = str(path.resolve())
-        digest = None
-        if cache is not None:
-            try:
-                digest = _hash_bytes(path.read_bytes())
-            except OSError:
-                digest = None
-            if digest is not None:
-                hit = cache.lookup(display, digest)
-                if hit is not None:
-                    summaries[display], raw_by_file[display] = hit
-                    continue
         parsed_file, errors = _parse(path, display)
-        parsed.add(display)
         if parsed_file is None:
             summaries[display] = ModuleSummary.empty(
                 _derive_module_name(path), display
             )
             raw_by_file[display] = errors
-        else:
-            source, tree = parsed_file
-            ctx = FileContext(path, source, tree, config, display_path=display)
-            raw: list[Finding] = []
-            for rule in file_rules:
-                if config.rule_enabled(rule.code):
-                    raw.extend(rule.check(ctx))
-            raw.sort(key=Finding.sort_key)
-            summaries[display] = extract_summary(ctx)
-            raw_by_file[display] = raw
-        if cache is not None and digest is not None:
-            cache.store(
-                display, digest, summaries[display], raw_by_file[display]
-            )
+            continue
+        source, tree = parsed_file
+        ctx = FileContext(path, source, tree, config, display_path=display)
+        raw: list[Finding] = []
+        for rule in file_rules:
+            if config.rule_enabled(rule.code):
+                raw.extend(rule.check(ctx))
+        summaries[display] = extract_summary(ctx)
+        raw_by_file[display] = raw
 
     model = ProjectModel(summaries.values())
-
-    # Dirty set: everything re-parsed this run plus everything the VCS
-    # diff names; its reverse import closure is the re-analysis scope.
-    dirty_displays = set(parsed)
-    if changed_paths is not None:
-        changed_resolved = {str(Path(p).resolve()) for p in changed_paths}
-        for display in sorted(summaries):
-            if resolved_of.get(display) in changed_resolved:
-                dirty_displays.add(display)
-    dirty_modules = {summaries[d].module for d in dirty_displays}
-    closure = model.reverse_closure(sorted(dirty_modules))
-    analyzed_paths = sorted(
-        display
-        for display, summary in summaries.items()
-        if summary.module in closure
-    )
 
     pctx = ProjectContext(model, config, known_codes=known_codes)
     project_raw: list[Finding] = []
@@ -512,28 +439,12 @@ def analyze_project(
         key=Finding.sort_key,
     )
 
-    if cache is not None:
-        cache.prune(set(summaries))
-        cache.save()
-
     stats = AnalysisStats(
         files_total=len(files),
-        files_parsed=len(parsed),
-        files_reanalyzed=len(analyzed_paths),
-        cache_hits=getattr(cache, "hits", 0) if cache is not None else 0,
         rules_run=len(enabled),
         wall_time_s=perf_counter() - t0,
-        cache_enabled=cache is not None,
     )
-    return AnalysisReport(
-        findings=findings, stats=stats, analyzed_paths=analyzed_paths
-    )
-
-
-def _hash_bytes(data: bytes) -> str:
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
+    return AnalysisReport(findings=findings, stats=stats)
 
 
 def analyze_paths(

@@ -11,25 +11,17 @@ of the whole program:
   file contributes to the model (classes with their attribute
   assignment sites and snapshot/serialization key sets, functions with
   their resolved outgoing calls, ``engine.schedule*`` call sites, noqa
-  comments), fully JSON-serializable so the incremental cache can
-  reuse it without re-parsing.
+  comments).
 * :class:`~repro.analysis.model.project.ProjectModel` — the summaries
-  assembled into a module import graph, a class inventory with base
-  resolution, and a name-resolved call graph, built in one pass and
-  shared by every project rule.
-* :class:`~repro.analysis.model.cache.AnalysisCache` — per-file
-  content-hash keyed storage of summaries + raw per-file findings, so
-  a warm run re-parses only changed files and re-analyzes only their
-  reverse import closure.
+  assembled into a class inventory with base resolution and a
+  name-resolved call graph, built in one pass and shared by every
+  project rule.
 """
 
-from repro.analysis.model.cache import AnalysisCache, DEFAULT_CACHE
 from repro.analysis.model.project import ProjectModel
 from repro.analysis.model.summary import ModuleSummary, extract_summary
 
 __all__ = [
-    "AnalysisCache",
-    "DEFAULT_CACHE",
     "ModuleSummary",
     "ProjectModel",
     "extract_summary",

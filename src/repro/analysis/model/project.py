@@ -1,11 +1,8 @@
 """The assembled whole-program model shared by project rules.
 
 Built in one pass from per-file :class:`ModuleSummary` objects, the
-model offers the three views the interprocedural rules need:
+model offers the two views the interprocedural rules need:
 
-* **module graph** — who imports whom, restricted to modules actually
-  in the analyzed set, with reverse-closure queries driving the
-  incremental re-analysis scope;
 * **class inventory** — every class keyed ``module.Class`` with base
   resolution across modules, so snapshot/serialization key sets and
   attribute inventories compose along inheritance chains;
@@ -37,26 +34,10 @@ class ProjectModel:
         for summary in sorted(summaries, key=lambda s: (s.module, s.path)):
             self.modules[summary.module] = summary
 
-        #: module -> display path (and back) for finding locations.
+        #: module -> display path, for finding locations.
         self.path_of: dict[str, str] = {
             name: s.path for name, s in self.modules.items()
         }
-
-        # -- module graph ----------------------------------------------------------
-        self._imports: dict[str, tuple[str, ...]] = {}
-        self._importers: dict[str, list[str]] = {name: [] for name in self.modules}
-        for name, summary in self.modules.items():
-            resolved = []
-            for candidate in summary.imported_modules:
-                target = self._known_module(candidate)
-                if target is not None and target != name:
-                    resolved.append(target)
-            deduped = tuple(sorted(set(resolved)))
-            self._imports[name] = deduped
-            for target in deduped:
-                self._importers[target].append(name)
-        for name in self._importers:
-            self._importers[name].sort()
 
         # -- class inventory -------------------------------------------------------
         self.classes: dict[str, tuple[str, ClassSummary]] = {}
@@ -73,7 +54,7 @@ class ProjectModel:
                 self.functions[key] = fn
                 self._function_module[key] = name
 
-    # -- module graph --------------------------------------------------------------
+    # -- module lookup -------------------------------------------------------------
 
     def _known_module(self, candidate: str) -> Optional[str]:
         """Longest known module matching an import candidate, if any."""
@@ -83,40 +64,6 @@ class ProjectModel:
             if name in self.modules:
                 return name
             parts.pop()
-        return None
-
-    def imports_of(self, module: str) -> tuple[str, ...]:
-        return self._imports.get(module, ())
-
-    def importers_of(self, module: str) -> tuple[str, ...]:
-        return tuple(self._importers.get(module, ()))
-
-    def reverse_closure(self, modules: Iterable[str]) -> set[str]:
-        """*modules* plus every module transitively importing one of them.
-
-        This is the set whose findings can change when *modules* change:
-        per-file findings are content-local, and every interprocedural
-        edge (base-class key sets, call-graph taint, signature unit
-        flow) follows an import, so dependents are always importers.
-        """
-        closure: set[str] = set()
-        stack = sorted(m for m in modules if m in self.modules)
-        while stack:
-            module = stack.pop()
-            if module in closure:
-                continue
-            closure.add(module)
-            stack.extend(
-                importer
-                for importer in self._importers.get(module, ())
-                if importer not in closure
-            )
-        return closure
-
-    def module_of_path(self, display_path: str) -> Optional[str]:
-        for name, path in sorted(self.path_of.items()):
-            if path == display_path:
-                return name
         return None
 
     # -- class inventory -----------------------------------------------------------

@@ -1,9 +1,7 @@
 """Per-file model extraction: everything one file contributes.
 
-A :class:`ModuleSummary` is extracted from a parsed file once and is
-fully JSON-serializable, so the incremental cache can rebuild the
-project model for unchanged files without re-parsing them.  Summaries
-are config-independent: they record *sites* (every ``self.X``
+A :class:`ModuleSummary` is extracted from a parsed file once.
+Summaries are config-independent: they record *sites* (every ``self.X``
 assignment, every resolved call, every ``engine.schedule*``), and the
 rules decide later which sites matter under the active configuration.
 """
@@ -18,8 +16,6 @@ from typing import Iterator, Optional
 from repro.analysis.engine import FileContext, _NOQA_RE
 from repro.analysis.rules.determinism import _BANNED_CALLS, _RANDOM_ALLOWED
 from repro.analysis.rules.units import _suffix_of, _unit_leaves
-
-SUMMARY_VERSION = 1
 
 #: Engine scheduling entry points (see ``repro.core.engine.Engine``).
 SCHEDULE_METHODS = ("schedule", "schedule_at", "schedule_event")
@@ -40,18 +36,6 @@ class CallArg:
     unit_suffix: Optional[str]
     display: str
 
-    def to_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "keyword": self.keyword,
-            "unit_suffix": self.unit_suffix,
-            "display": self.display,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallArg":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -69,25 +53,6 @@ class CallSite:
     col: int
     args: tuple[CallArg, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "callee": self.callee,
-            "is_self_call": self.is_self_call,
-            "line": self.line,
-            "col": self.col,
-            "args": [a.to_dict() for a in self.args],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallSite":
-        return cls(
-            callee=data["callee"],
-            is_self_call=data["is_self_call"],
-            line=data["line"],
-            col=data["col"],
-            args=tuple(CallArg.from_dict(a) for a in data["args"]),
-        )
-
 
 @dataclass(frozen=True)
 class ScheduleSite:
@@ -101,21 +66,6 @@ class ScheduleSite:
     has_order_comment: bool
     owner: str
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "line": self.line,
-            "col": self.col,
-            "same_cycle": self.same_cycle,
-            "callback_self_method": self.callback_self_method,
-            "has_order_comment": self.has_order_comment,
-            "owner": self.owner,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScheduleSite":
-        return cls(**data)
-
 
 @dataclass
 class FunctionSummary:
@@ -128,29 +78,6 @@ class FunctionSummary:
     has_varargs: bool
     calls: tuple[CallSite, ...]
     banned_calls: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "params": list(self.params),
-            "kwonly": list(self.kwonly),
-            "has_varargs": self.has_varargs,
-            "calls": [c.to_dict() for c in self.calls],
-            "banned_calls": list(self.banned_calls),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionSummary":
-        return cls(
-            name=data["name"],
-            line=data["line"],
-            params=tuple(data["params"]),
-            kwonly=tuple(data["kwonly"]),
-            has_varargs=data["has_varargs"],
-            calls=tuple(CallSite.from_dict(c) for c in data["calls"]),
-            banned_calls=tuple(data["banned_calls"]),
-        )
 
 
 @dataclass
@@ -181,59 +108,6 @@ class ClassSummary:
     serial_complete: bool
     serial_calls_super: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "fields": list(self.fields),
-            "slots": list(self.slots),
-            "methods": list(self.methods),
-            "attr_sites": {
-                attr: [list(site) for site in sites]
-                for attr, sites in sorted(self.attr_sites.items())
-            },
-            "snapshot_keys": (
-                None if self.snapshot_keys is None else list(self.snapshot_keys)
-            ),
-            "snapshot_complete": self.snapshot_complete,
-            "snapshot_calls_super": self.snapshot_calls_super,
-            "snapshot_line": self.snapshot_line,
-            "serial_keys": (
-                None if self.serial_keys is None else list(self.serial_keys)
-            ),
-            "serial_complete": self.serial_complete,
-            "serial_calls_super": self.serial_calls_super,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassSummary":
-        return cls(
-            name=data["name"],
-            line=data["line"],
-            bases=tuple(data["bases"]),
-            fields=tuple(data["fields"]),
-            slots=tuple(data["slots"]),
-            methods=tuple(data["methods"]),
-            attr_sites={
-                attr: tuple((m, ln) for m, ln in sites)
-                for attr, sites in data["attr_sites"].items()
-            },
-            snapshot_keys=(
-                None
-                if data["snapshot_keys"] is None
-                else tuple(data["snapshot_keys"])
-            ),
-            snapshot_complete=data["snapshot_complete"],
-            snapshot_calls_super=data["snapshot_calls_super"],
-            snapshot_line=data["snapshot_line"],
-            serial_keys=(
-                None if data["serial_keys"] is None else tuple(data["serial_keys"])
-            ),
-            serial_complete=data["serial_complete"],
-            serial_calls_super=data["serial_calls_super"],
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -241,7 +115,6 @@ class ModuleSummary:
 
     module: str
     path: str
-    imported_modules: tuple[str, ...]
     classes: tuple[ClassSummary, ...]
     functions: tuple[FunctionSummary, ...]
     schedule_sites: tuple[ScheduleSite, ...]
@@ -249,46 +122,12 @@ class ModuleSummary:
         default=()
     )
 
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "imported_modules": list(self.imported_modules),
-            "classes": [c.to_dict() for c in self.classes],
-            "functions": [f.to_dict() for f in self.functions],
-            "schedule_sites": [s.to_dict() for s in self.schedule_sites],
-            "noqa": [
-                [line, None if codes is None else list(codes)]
-                for line, codes in self.noqa
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            imported_modules=tuple(data["imported_modules"]),
-            classes=tuple(ClassSummary.from_dict(c) for c in data["classes"]),
-            functions=tuple(
-                FunctionSummary.from_dict(f) for f in data["functions"]
-            ),
-            schedule_sites=tuple(
-                ScheduleSite.from_dict(s) for s in data["schedule_sites"]
-            ),
-            noqa=tuple(
-                (line, None if codes is None else tuple(codes))
-                for line, codes in data["noqa"]
-            ),
-        )
-
     @classmethod
     def empty(cls, module: str, path: str) -> "ModuleSummary":
         """Placeholder for unparseable files so the model stays total."""
         return cls(
             module=module,
             path=path,
-            imported_modules=(),
             classes=(),
             functions=(),
             schedule_sites=(),
@@ -472,49 +311,13 @@ class _Extractor:
         return ModuleSummary(
             module=self.ctx.module_name,
             path=self.ctx.display_path,
-            imported_modules=self._imported_modules(),
             classes=tuple(self.classes),
             functions=tuple(self.functions),
             schedule_sites=tuple(self.schedule_sites),
             noqa=self._noqa_comments(),
         )
 
-    # -- imports -------------------------------------------------------------------
-
-    def _imported_modules(self) -> tuple[str, ...]:
-        """Candidate project-module imports (the model prunes to known)."""
-        candidates: list[str] = []
-        seen: set[str] = set()
-
-        def add(name: str) -> None:
-            if name and name not in seen:
-                seen.add(name)
-                candidates.append(name)
-
-        own_parts = self.ctx.module_name.split(".")
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    add(alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    # Relative import: anchor at the enclosing package.
-                    base_parts = own_parts[: len(own_parts) - node.level]
-                    base = ".".join(base_parts)
-                    module = (
-                        f"{base}.{node.module}" if node.module else base
-                    )
-                else:
-                    module = node.module or ""
-                if not module:
-                    continue
-                add(module)
-                for alias in node.names:
-                    if alias.name != "*":
-                        add(f"{module}.{alias.name}")
-        return tuple(candidates)
-
-    # -- noqa ----------------------------------------------------------------------
+    # -- suppressions --------------------------------------------------------------
 
     def _noqa_comments(
         self,

@@ -9,6 +9,7 @@ runs over the same tree are byte-identical.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Iterable, Optional
 
 from repro.analysis.engine import Finding, Rule
@@ -36,7 +37,7 @@ def render_json(findings: Iterable[Finding], suppressed_count: int = 0) -> str:
     findings = sorted(findings, key=Finding.sort_key)
     return json.dumps(
         {
-            "findings": [f.to_dict() for f in findings],
+            "findings": [asdict(f) for f in findings],
             "count": len(findings),
             "baselined": suppressed_count,
         },

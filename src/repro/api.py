@@ -24,10 +24,6 @@ Call                       Does
 Spec construction (:func:`make_run_spec`) and direct execution
 (:func:`run_spec`) are re-exported for callers that build sweeps
 programmatically.
-
-The old scattered entry points (``repro.core.simulator.run_simulation``
-and friends) keep working behind thin :class:`DeprecationWarning` shims;
-migrate to this module.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import (
-    _run_simulation,
     available_scenarios,
     available_workloads,
     make_run_spec,
@@ -52,6 +47,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.diff import DiffResult, ToleranceRule
     from repro.obs.sweepdiff import SweepDiffResult
     from repro.service.client import SweepOutcome
+
+#: The figure modules under :mod:`repro.experiments` that :func:`figure`
+#: runs.
+_FIGURE_MODULES = frozenset(
+    {f"figure{n}" for n in (3, 4, 5, 9, 10, 11, 12, 13, 14, 15)}
+    | {"ablations"}
+)
 
 __all__ = [
     "RunResult",
@@ -91,7 +93,7 @@ def run(
     ``seed``, ...) are applied on top of ``config``.  Returns a
     :class:`~repro.core.results.RunResult`.
     """
-    return _run_simulation(
+    spec = make_run_spec(
         workload,
         scenario,
         config,
@@ -99,9 +101,9 @@ def run(
         warmup_windows=warmup_windows,
         banks_per_task=banks_per_task,
         sample_windows=sample_windows,
-        telemetry=telemetry,
         **config_overrides,
     )
+    return run_spec(spec, telemetry=telemetry)
 
 
 def sweep(
@@ -184,8 +186,7 @@ def figure(name: int | str, **kwargs):
 
     ``name`` is the figure number (``9``, ``"9"`` or ``"figure9"``) or
     ``"ablations"``; keyword arguments forward to the figure module's
-    ``run()`` entry point.  This replaces the deprecated ad-hoc
-    ``from repro.experiments import figureN`` imports.
+    ``run()`` entry point.
     """
     import importlib
 
@@ -195,8 +196,6 @@ def figure(name: int | str, **kwargs):
         if label.startswith("figure") or label == "ablations"
         else f"figure{label}"
     )
-    from repro.experiments import _FIGURE_MODULES
-
     if module_name not in _FIGURE_MODULES:
         raise ValueError(
             f"unknown figure {name!r}; known: "

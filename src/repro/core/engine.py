@@ -18,11 +18,10 @@ Hot-path design (see docs/PERFORMANCE.md):
   (no stale entries); ``_head_time`` is smaller than every heap time.
 * **Fire-and-forget entries are bare callables.**  :meth:`Engine.schedule`
   stores the callback itself in the bucket — no per-event object at all —
-  and returns ``None``.  The drain loop is a uniform ``entry()`` call.
-  When a caller needs to cancel, it asks for a handle explicitly with
-  :meth:`Engine.schedule_event`; arg-bearing callbacks are wrapped in a
-  pooled :class:`Event` whose ``__call__`` does the bookkeeping.  This
-  split keeps the dominant path allocation-free and branch-free.
+  and returns ``None``.  When a caller needs to cancel, it asks for a
+  handle explicitly with :meth:`Engine.schedule_event`; arg-bearing
+  callbacks are wrapped in a pooled :class:`Event`, which the drain loop
+  unwraps inline.  This split keeps the dominant path allocation-free.
 * **Event free-list pool.**  Fired internal arg-carrier :class:`Event`
   wrappers are recycled through ``_pool`` instead of becoming garbage.
   Only events the engine creates for itself (arg-bearing
@@ -39,12 +38,16 @@ Hot-path design (see docs/PERFORMANCE.md):
   ``peek_time`` test this single field, so cancelled stubs can linger in
   buckets without skewing any observable until :meth:`Engine._compact`
   sweeps them out.  Compaction mutates ``_buckets``/``_times`` strictly
-  in place, so it is safe to trigger from a callback while a run loop
-  holds local aliases to both.
-* **Batched counters.**  The run loops count processed events per bucket
-  and flush once on exit, so ``events_processed`` is only guaranteed
-  current between :meth:`run`/:meth:`run_until` calls (``step`` updates
-  it per event).
+  in place, so it is safe to trigger from a callback while the drain
+  loop holds local aliases to both.
+* **One drain loop.**  :meth:`Engine.run` and :meth:`Engine.run_until`
+  share :meth:`Engine._drain`, which differs between them only in the
+  per-bucket horizon test.  An installed dispatch profiler is a branch
+  inside that loop, tested once per event.
+* **Batched counters.**  The drain loop counts processed events per
+  bucket and flushes once on exit, so ``events_processed`` is only
+  guaranteed current between :meth:`run`/:meth:`run_until` calls
+  (``step`` updates it per event).
 
 The engine is not re-entrant: callbacks must not call :meth:`run`,
 :meth:`run_until` or :meth:`step` (rule RPR008 enforces this for library
@@ -74,8 +77,8 @@ class Event:
 
     Only the engine constructs these (via :meth:`Engine.schedule_event`
     or an arg-bearing :meth:`Engine.schedule`); buckets store either an
-    Event or the bare callback itself, and the drain loop just calls the
-    entry — :meth:`__call__` unwraps and does the pool bookkeeping.
+    Event or the bare callback itself, and the drain loop unwraps an
+    Event inline and does its pool bookkeeping.
 
     Events handed out by :meth:`Engine.schedule_event` are never recycled
     (``recyclable`` is False), so a retained handle stays a safe no-op
@@ -97,33 +100,6 @@ class Event:
         self.arg = arg
         self.cancelled = False
         self.recyclable = recyclable
-
-    def __call__(self) -> None:
-        """Fire (run-loop internal).  The run loops count every drained
-        entry optimistically; a cancelled stub undoes its own count."""
-        fn = self.fn
-        if fn is None:
-            engine = self.engine
-            engine._events_processed -= 1
-            if self.cancelled:
-                self.cancelled = False
-                engine._cancelled -= 1
-                if self.recyclable:
-                    pool = engine._pool
-                    if len(pool) < _POOL_MAX:
-                        pool.append(self)
-            return
-        arg = self.arg
-        self.fn = None
-        if self.recyclable:
-            pool = self.engine._pool
-            if len(pool) < _POOL_MAX:
-                pool.append(self)
-        if arg is None:
-            fn()
-        else:
-            self.arg = None
-            fn(arg)
 
     def cancel(self) -> None:
         """Prevent this event's callback from running.
@@ -192,14 +168,13 @@ class Engine:
         self._pool: list[Event] = []
         # Bucket currently being drained (already detached) + resume index
         # and its time (maintained by step() and by an exception unwind;
-        # the run loops resume from and reset them).
+        # the drain loop resumes from and resets them).
         self._run_list: Optional[list[Callable]] = None
         self._run_index: int = 0
         self._run_time: int = 0
         self._spare: Optional[list[Callable]] = None
-        # Dispatch profiler (repro.obs.profiler) or None.  The run loops
-        # test this once per call, so the unprofiled hot path pays a
-        # single attribute read.
+        # Dispatch profiler (repro.obs.profiler) or None.  The drain loop
+        # reads it once per call and tests the local once per event.
         self._profiler = None
 
     # -- scheduling ---------------------------------------------------------
@@ -213,8 +188,9 @@ class Engine:
         to pass a bound method plus its argument instead of allocating a
         closure per event.
         """
-        # Mirrors _insert, inlined: this is the hottest function in the
-        # simulator and a second call frame is measurable.
+        # The insert branch is inlined (as in schedule_at): this is the
+        # hottest function in the simulator and a second call frame is
+        # measurable.
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
@@ -272,7 +248,7 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         event = Event(fn, arg, self, recyclable=False)
-        self._insert(self.now + int(delay), event)
+        self.schedule_at(self.now + int(delay), event)
         return event
 
     def schedule_at(self, time: int, fn: Callable, arg: Any = None) -> None:
@@ -293,8 +269,9 @@ class Engine:
             else:
                 event = Event(fn, arg, self)
             fn = event
-        # Mirrors _insert, inlined: schedule_at is the controller hot
-        # path's scheduling call and a second frame is measurable.
+        # Same insert branch as schedule(), inlined: schedule_at is the
+        # controller hot path's scheduling call and a second frame is
+        # measurable.
         head_time = self._head_time
         if head_time is None:
             times = self._times
@@ -323,37 +300,6 @@ class Engine:
             self._head = [fn]
             self._head_time = time
 
-    def _insert(self, time: int, entry: Callable) -> None:
-        """Append *entry* to the bucket for absolute *time* (cold mirror
-        of the install branch inlined in :meth:`schedule`)."""
-        head_time = self._head_time
-        if head_time is None:
-            times = self._times
-            if not times or time < times[0]:
-                self._head_time = time
-                self._head.append(entry)
-            else:
-                bucket = self._buckets.get(time)
-                if bucket is None:
-                    self._buckets[time] = [entry]
-                    heappush(times, time)  # repro: noqa[RPR004] int keys are totally ordered; ties merge into one bucket
-                else:
-                    bucket.append(entry)
-        elif time == head_time:
-            self._head.append(entry)
-        elif time > head_time:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [entry]
-                heappush(self._times, time)  # repro: noqa[RPR004] int keys are totally ordered; ties merge into one bucket
-            else:
-                bucket.append(entry)
-        else:
-            self._buckets[head_time] = self._head
-            heappush(self._times, head_time)  # repro: noqa[RPR004] int keys are totally ordered; ties merge into one bucket
-            self._head = [entry]
-            self._head_time = time
-
     # -- execution ----------------------------------------------------------
 
     def _take_next_bucket(self) -> Optional[list[Callable]]:
@@ -379,8 +325,8 @@ class Engine:
     def _retire_run_list(self) -> None:
         """Recycle a fully drained bucket (cold path: step/peek_time).
 
-        Fired Events pooled themselves in ``__call__``; only cancelled
-        stubs that were never drained still need reclaiming here."""
+        Fired Events were pooled as they fired; only cancelled stubs
+        that were never drained still need reclaiming here."""
         run_list = self._run_list
         pool = self._pool
         for entry in run_list:
@@ -486,90 +432,45 @@ class Engine:
         injected so this module never reads wall time itself) and
         ``record(fn, elapsed)``; see
         :class:`repro.obs.profiler.EngineProfiler`.  While installed,
-        :meth:`run` and :meth:`run_until` divert to an instrumented
-        drain loop; event order, times and counts are identical.
+        the drain loop times every callback through it (two clock reads
+        per event); event order, times and counts are identical.  A
+        profiler installed from inside a callback takes effect on the
+        next run call.
         """
         self._profiler = profiler  # repro: noqa[RPR011] runtime observer, not simulator state; reattached by the host
-
-    def _run_profiled(self, end_time: Optional[int]) -> None:
-        """Instrumented drain loop used while a profiler is installed.
-
-        Mirrors :meth:`run` / :meth:`run_until` (``end_time=None`` means
-        drain everything) but times every callback through the injected
-        profiler clock.  Slower than the plain loops (per-entry state
-        writes, two clock reads per event) — only ever active for
-        explicitly profiled runs.
-        """
-        profiler = self._profiler
-        clock = profiler.clock
-        record = profiler.record
-        pool = self._pool
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or (end_time is not None and next_time > end_time):
-                break
-            run_list = self._run_list
-            if run_list is None:
-                run_list = self._take_next_bucket()
-                self._run_list = run_list
-                self._run_index = 0
-            index = self._run_index
-            n = len(run_list)
-            time = self._run_time
-            while index < n:
-                entry = run_list[index]
-                index += 1
-                # Keep the resume state exact per entry so an exception
-                # unwinds to the same place the plain loops would.
-                self._run_index = index
-                if entry.__class__ is Event:
-                    fn = entry.fn
-                    if fn is None:
-                        if entry.cancelled:
-                            entry.cancelled = False
-                            self._cancelled -= 1
-                            if entry.recyclable and len(pool) < _POOL_MAX:
-                                pool.append(entry)
-                        continue
-                    self.now = time
-                    self._events_processed += 1
-                    arg = entry.arg
-                    entry.fn = None
-                    if entry.recyclable and len(pool) < _POOL_MAX:
-                        pool.append(entry)
-                    start = clock()
-                    if arg is None:
-                        fn()
-                    else:
-                        entry.arg = None
-                        fn(arg)
-                    record(fn, clock() - start)
-                else:
-                    self.now = time
-                    self._events_processed += 1
-                    start = clock()
-                    entry()
-                    record(entry, clock() - start)
-            self._retire_run_list()
-        if end_time is not None and end_time > self.now:
-            self.now = end_time
 
     def run_until(self, end_time: int) -> None:
         """Run every event scheduled strictly before or at *end_time*, then
         advance the clock to *end_time*."""
-        if self._profiler is not None:
-            self._run_profiled(end_time)
-            return
+        self._drain(end_time)
+        if end_time > self.now:
+            self.now = end_time
+
+    def run(self) -> None:
+        """Run until the event queue drains."""
+        self._drain(None)
+
+    def _drain(self, end_time: Optional[int]) -> None:
+        """The drain loop behind :meth:`run` (``end_time=None``: no
+        horizon) and :meth:`run_until`.
+
+        Resumes a bucket left partially drained by :meth:`step` or by a
+        raising callback, then detaches buckets in time order until the
+        queue is empty or the next bucket lies past *end_time*.  On an
+        exception the rest of the bucket is kept as the resume point.
+        """
         buckets = self._buckets
         times = self._times
         run_list = self._run_list
         index = self._run_index
         if run_list is not None:
-            if index < len(run_list) and self._run_time > end_time:
+            if (
+                end_time is not None
+                and index < len(run_list)
+                and self._run_time > end_time
+            ):
                 # A bucket detached by step() extends past the horizon;
                 # leave it pending.
-                if end_time > self.now:
-                    self.now = end_time
                 return
             self._run_list = None
             self._run_index = 0
@@ -578,15 +479,19 @@ class Engine:
         n = len(run_list)
         processed = n - index
         pool = self._pool
+        profiler = self._profiler
+        clock = record = None
+        if profiler is not None:
+            clock = profiler.clock
+            record = profiler.record
         try:
             while True:
                 while index < n:
                     entry = run_list[index]
                     index += 1
-                    # Inlined Event.__call__ (the arg-carrier unwrap is
-                    # the hottest indirection in a full-system run; the
-                    # bookkeeping order — pool before fire — must match
-                    # Event.__call__ exactly so exception unwinds agree).
+                    # Unwrap an Event inline (the arg-carrier unwrap is the
+                    # hottest indirection in a full-system run).  Pool
+                    # before fire, as in step(), so exception unwinds agree.
                     if entry.__class__ is Event:
                         fn = entry.fn
                         if fn is None:
@@ -601,99 +506,40 @@ class Engine:
                         entry.fn = None
                         if entry.recyclable and len(pool) < _POOL_MAX:
                             pool.append(entry)
-                        if arg is None:
-                            fn()
-                        else:
-                            entry.arg = None
-                            fn(arg)
-                    else:
+                        if profiler is None:
+                            if arg is None:
+                                fn()
+                            else:
+                                entry.arg = None
+                                fn(arg)
+                            continue
+                        entry.arg = None
+                    elif profiler is None:
                         entry()
+                        continue
+                    else:
+                        fn = entry
+                        arg = None
+                    # Profiled dispatch: time the callback.
+                    start = clock()
+                    if arg is None:
+                        fn()
+                    else:
+                        fn(arg)
+                    record(fn, clock() - start)
                 run_list.clear()
                 index = 0
                 n = 0
                 head_time = self._head_time
                 if head_time is not None:
-                    if head_time > end_time:
+                    if end_time is not None and head_time > end_time:
                         break
                     self._head_time = None
                     nxt = self._head
                     self._head = run_list
                     run_list = nxt
                     self.now = head_time
-                elif times and times[0] <= end_time:
-                    time = heappop(times)
-                    self._spare = run_list
-                    run_list = buckets.pop(time)
-                    self.now = time
-                else:
-                    break
-                n = len(run_list)
-                processed += n
-        finally:
-            self._events_processed += processed - (n - index)
-            if index < n:
-                self._run_list = run_list
-                self._run_index = index
-                self._run_time = self.now
-        if end_time > self.now:
-            self.now = end_time
-
-    def run(self) -> None:
-        """Run until the event queue drains."""
-        if self._profiler is not None:
-            self._run_profiled(None)
-            return
-        buckets = self._buckets
-        times = self._times
-        run_list = self._run_list
-        index = self._run_index
-        if run_list is None:
-            run_list = []
-        else:
-            self._run_list = None
-            self._run_index = 0
-        n = len(run_list)
-        processed = n - index
-        pool = self._pool
-        try:
-            while True:
-                while index < n:
-                    entry = run_list[index]
-                    index += 1
-                    # Inlined Event.__call__; see run_until for why the
-                    # bookkeeping order must match it exactly.
-                    if entry.__class__ is Event:
-                        fn = entry.fn
-                        if fn is None:
-                            processed -= 1
-                            if entry.cancelled:
-                                entry.cancelled = False
-                                self._cancelled -= 1
-                                if entry.recyclable and len(pool) < _POOL_MAX:
-                                    pool.append(entry)
-                            continue
-                        arg = entry.arg
-                        entry.fn = None
-                        if entry.recyclable and len(pool) < _POOL_MAX:
-                            pool.append(entry)
-                        if arg is None:
-                            fn()
-                        else:
-                            entry.arg = None
-                            fn(arg)
-                    else:
-                        entry()
-                run_list.clear()
-                index = 0
-                n = 0
-                head_time = self._head_time
-                if head_time is not None:
-                    self._head_time = None
-                    nxt = self._head
-                    self._head = run_list
-                    run_list = nxt
-                    self.now = head_time
-                elif times:
+                elif times and (end_time is None or times[0] <= end_time):
                     time = heappop(times)
                     self._spare = run_list
                     run_list = buckets.pop(time)
@@ -774,12 +620,8 @@ class Engine:
                 )
             for descriptor in entries:
                 decoded = decode_entry(descriptor)
-                if decoded is None:
-                    continue
-                fn, arg = decoded
-                if arg is not None:
-                    fn = Event(fn, arg, self)
-                self._insert(time, fn)
+                if decoded is not None:
+                    self.schedule_at(time, *decoded)
 
     # -- maintenance --------------------------------------------------------
 
@@ -822,7 +664,7 @@ class Engine:
                 buckets[time] = live
             else:
                 del buckets[time]
-        # Rebuild the heap *in place*: run()/run_until() hold a local alias
+        # Rebuild the heap *in place*: the drain loop holds a local alias
         # to this exact list (and to _buckets), and cancel() can trigger a
         # compaction from inside a callback mid-run.  Rebinding self._times
         # would desynchronise the alias from the bucket dict.

@@ -1,22 +1,14 @@
-"""Top-level simulation API.
+"""Top-level simulation API behind :mod:`repro.api`.
 
-:func:`run_simulation` is the one-call entry point used by the examples and
-the benchmark harness:
-
->>> from repro import run_simulation
->>> result = run_simulation(workload="WL-6", scenario="codesign")
->>> result.hmean_ipc > 0
-True
-
-Internally a run is a pure function of a serializable
+A run is a pure function of a serializable
 :class:`~repro.core.runspec.RunSpec`: :func:`make_run_spec` resolves
 workload/scenario/config into a spec, :func:`run_spec` executes it.  The
-experiment layer builds specs in bulk and fans them out across processes.
+experiment layer builds specs in bulk and fans them out across processes;
+:func:`repro.api.run` is the one-call entry point for a single run.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Sequence
 
 from repro.config.system_configs import SystemConfig, default_system_config
@@ -75,7 +67,7 @@ def make_run_spec(
 ) -> RunSpec:
     """Resolve workload/scenario/config into a serializable :class:`RunSpec`.
 
-    The same arguments :func:`run_simulation` accepts; the returned spec
+    The same arguments :func:`repro.api.run` accepts; the returned spec
     fully determines the run (mix names are expanded to explicit
     :class:`BenchmarkSpec` tuples, the config is fully resolved).
     """
@@ -201,66 +193,6 @@ def run_spec(
     )
 
 
-def _run_simulation(
-    workload: str | Sequence[BenchmarkSpec] = "WL-6",
-    scenario: str | Scenario = "codesign",
-    config: Optional[SystemConfig] = None,
-    num_windows: float = 2.0,
-    warmup_windows: float = 0.25,
-    banks_per_task: int | None = None,
-    sample_windows: int | None = None,
-    telemetry: Optional[Telemetry] = None,
-    **config_overrides,
-) -> RunResult:
-    """Simulate one workload under one scenario.
-
-    Parameters
-    ----------
-    workload:
-        A Table 2 mix name (``"WL-1"`` .. ``"WL-10"``) or an explicit list
-        of :class:`BenchmarkSpec` (one task per entry).
-    scenario:
-        A scenario name from :data:`repro.core.system.SCENARIOS` —
-        ``"all_bank"``, ``"per_bank"``, ``"codesign"``, ... — or a
-        :class:`Scenario`.
-    config:
-        Optional :class:`SystemConfig`; keyword overrides (``density_gbit``,
-        ``trefw_ps``, ``refresh_scale``, ...) are applied on top.
-    num_windows / warmup_windows:
-        Measured and warm-up duration in (scaled) retention windows.
-    """
-    return run_spec(
-        make_run_spec(
-            workload,
-            scenario,
-            config,
-            num_windows=num_windows,
-            warmup_windows=warmup_windows,
-            banks_per_task=banks_per_task,
-            sample_windows=sample_windows,
-            **config_overrides,
-        ),
-        telemetry=telemetry,
-    )
-
-
-def run_simulation(*args, **kwargs) -> RunResult:
-    """Deprecated alias of the one-call entry point.
-
-    .. deprecated::
-        Import :func:`repro.api.run` instead — :mod:`repro.api` is the
-        single supported public surface.  This shim forwards unchanged
-        and will be removed after a deprecation cycle.
-    """
-    warnings.warn(
-        "repro.core.simulator.run_simulation() is deprecated; "
-        "use repro.api.run() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_simulation(*args, **kwargs)
-
-
 def sweep_specs(
     workloads: Sequence[str | Sequence[BenchmarkSpec]],
     scenarios: Sequence[str | Scenario],
@@ -319,13 +251,15 @@ def compare_scenarios(
 ) -> dict[str, RunResult]:
     """Run the same workload under several scenarios (same seed/config)."""
     return {
-        name: _run_simulation(
-            workload,
-            name,
-            config,
-            num_windows=num_windows,
-            warmup_windows=warmup_windows,
-            **config_overrides,
+        name: run_spec(
+            make_run_spec(
+                workload,
+                name,
+                config,
+                num_windows=num_windows,
+                warmup_windows=warmup_windows,
+                **config_overrides,
+            )
         )
         for name in scenarios
     }

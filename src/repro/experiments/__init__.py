@@ -1,14 +1,9 @@
 """Experiment harness: one module per paper figure (see DESIGN.md §4).
 
-Importing figure modules ad hoc (``from repro.experiments import
-figure9``) is deprecated: go through :func:`repro.api.figure` (or the
-``python -m repro.experiments`` CLI), which resolve the module and call
-its ``run()`` entry point for you.  The old imports keep working behind
-a :class:`DeprecationWarning` shim below.
+Run a figure through :func:`repro.api.figure` (or the ``python -m
+repro.experiments`` CLI), which resolve the module and call its
+``run()`` entry point for you.
 """
-
-import importlib
-import warnings
 
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.runner import (
@@ -30,33 +25,3 @@ __all__ = [
     "default_cache_dir",
     "SweepRunner",
 ]
-
-#: Figure modules reachable through the deprecated attribute shim.
-_FIGURE_MODULES = frozenset(
-    {f"figure{n}" for n in (3, 4, 5, 9, 10, 11, 12, 13, 14, 15)}
-    | {"ablations"}
-)
-
-
-def __getattr__(name: str):
-    """Deprecated ad-hoc figure imports (PEP 562).
-
-    ``from repro.experiments import figure9`` still works, but warns and
-    points at :func:`repro.api.figure`.  A direct ``import
-    repro.experiments.figure9`` (what the experiments CLI does) binds
-    the submodule attribute without passing through here.
-    """
-    if name in _FIGURE_MODULES:
-        warnings.warn(
-            f"importing repro.experiments.{name} directly is deprecated; "
-            f"use repro.api.figure({name.removeprefix('figure')!r}) or "
-            "the `python -m repro.experiments` CLI",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        module = importlib.import_module(f"repro.experiments.{name}")
-        globals()[name] = module
-        return module
-    raise AttributeError(
-        f"module 'repro.experiments' has no attribute {name!r}"
-    )

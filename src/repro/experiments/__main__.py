@@ -21,9 +21,6 @@ import argparse
 import sys
 import time
 
-# Direct submodule imports: the deprecated attribute shim in
-# repro.experiments.__init__ only intercepts `from repro.experiments
-# import figureN` style access.
 import repro.experiments.ablations as ablations
 import repro.experiments.figure3 as figure3
 import repro.experiments.figure4 as figure4

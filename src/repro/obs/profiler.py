@@ -15,7 +15,7 @@ Two kinds of numbers come out:
   reported for human eyes only and never part of any determinism check.
 
 The engine stays wall-clock-free (``repro.core`` is a pure package): the
-profiler *injects* its clock into the instrumented dispatch loop via
+profiler *injects* its clock into the engine's drain loop via
 ``Engine.set_profiler``.
 """
 

@@ -7,9 +7,8 @@ unique spec no matter how many clients ask:
 
 :mod:`repro.service.backends`
     The :class:`WorkerBackend` execution seam — inline (tests), thread
-    pool, process pool (generalizing the
-    :class:`~repro.experiments.runner.SweepRunner` fan-out), and a
-    remote stub for multi-host dispatch later.
+    pool, and process pool (generalizing the
+    :class:`~repro.experiments.runner.SweepRunner` fan-out).
 :mod:`repro.service.server`
     :class:`SweepService` (job table, future-per-hash in-flight dedup,
     memo + disk-cache tiers, warm-start via the PR 6
@@ -32,7 +31,6 @@ from repro.service.backends import (
     BACKENDS,
     InlineBackend,
     ProcessPoolBackend,
-    RemoteBackend,
     ThreadBackend,
     WorkerBackend,
     make_backend,
@@ -45,7 +43,6 @@ __all__ = [
     "BACKENDS",
     "InlineBackend",
     "ProcessPoolBackend",
-    "RemoteBackend",
     "ServiceClient",
     "ServiceMetrics",
     "ServiceServer",

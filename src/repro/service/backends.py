@@ -3,8 +3,8 @@
 The :class:`SweepService` decides *whether* a spec needs to run (dedup,
 memo, disk cache); a :class:`WorkerBackend` decides *where*.  The
 contract is deliberately tiny — ``submit(spec) -> Future[RunResult]`` —
-so backends can range from "call it right here" to "ship it to another
-host" without the service caring:
+so a backend can run a spec right here, on a thread or in a process
+pool without the service caring:
 
 ================================  ==========================================
 Backend                           Use case
@@ -22,10 +22,6 @@ Backend                           Use case
                                   ``ProcessPoolExecutor`` path to service
                                   jobs.  Specs and results cross the
                                   process boundary by serialization.
-:class:`RemoteBackend`            Seam for multi-host dispatch.  Not yet
-                                  implemented: constructing it records the
-                                  target, submitting raises
-                                  :class:`~repro.errors.ServiceError`.
 ================================  ==========================================
 
 Every backend is constructed with an optional
@@ -235,39 +231,6 @@ class ProcessPoolBackend(WorkerBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class RemoteBackend(WorkerBackend):
-    """Multi-host dispatch seam (not yet implemented).
-
-    The constructor accepts and records the remote target so deployment
-    wiring can be written and tested today; ``submit`` raises
-    :class:`~repro.errors.ServiceError` until a remote executor lands.
-    The intended contract is unchanged from the local backends: ship the
-    spec's canonical dict, get back the result's canonical dict —
-    content hashes make the exchange verifiable end-to-end.
-    """
-
-    name = "remote"
-
-    def __init__(
-        self,
-        target: str,
-        checkpoint_store: Optional[CheckpointStore] = None,
-    ):
-        super().__init__(checkpoint_store)
-        self.target = target
-
-    def submit(
-        self,
-        spec: RunSpec,
-        trace: Optional[JobTrace] = None,
-        parent: Optional[int] = None,
-    ) -> "Future[RunResult]":
-        raise ServiceError(
-            f"RemoteBackend({self.target!r}): multi-host dispatch is not "
-            "implemented yet; use the 'thread' or 'process' backend"
-        )
 
 
 #: Name -> constructor for the ``serve --backend`` CLI flag.

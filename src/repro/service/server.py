@@ -83,7 +83,7 @@ from repro.service.metrics import ServiceMetrics
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.wire import (
-    SUPPORTED_WIRE_SCHEMAS,
+    MAX_FRAME_BYTES,
     WIRE_SCHEMA,
     WireSink,
     decode_frame,
@@ -472,8 +472,6 @@ class ServiceServer:
     :mod:`repro.telemetry.wire` and ``docs/SERVICE.md``).  Request
     frames carry ``op`` + client-chosen ``id``; every response frame
     echoes the ``id``, so one connection can pipeline requests.
-    Responses are encoded in the wire-schema version the request
-    carried, so v1 clients interoperate with a v2 server.
     """
 
     def __init__(
@@ -493,7 +491,8 @@ class ServiceServer:
     async def start(self) -> None:
         """Bind the listening socket; ``self.port`` is the bound port."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_FRAME_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.service.log is not None:
@@ -517,15 +516,22 @@ class ServiceServer:
     async def _handle_connection(self, reader, writer) -> None:
         send_lock = asyncio.Lock()
 
-        async def send(frame: dict, version: int = WIRE_SCHEMA) -> None:
+        async def send(frame: dict) -> None:
             async with send_lock:
-                writer.write(encode_frame(frame, version=version))
+                writer.write(encode_frame(frame))
                 await writer.drain()
 
         pending: set[asyncio.Task] = set()
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    await send({
+                        "type": "error",
+                        "id": None,
+                        "error": f"frame exceeds {MAX_FRAME_BYTES} bytes",
+                    })
+                    continue
                 if not line:
                     break
                 try:
@@ -535,12 +541,7 @@ class ServiceServer:
                         {"type": "error", "id": None, "error": str(exc)}
                     )
                     continue
-                version = frame.get("v", WIRE_SCHEMA)
-
-                async def reply(out: dict, _v: int = version) -> None:
-                    await send(out, version=_v)
-
-                task = asyncio.create_task(self._dispatch(frame, reply))
+                task = asyncio.create_task(self._dispatch(frame, send))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
                 if frame.get("op") == "shutdown":
@@ -597,7 +598,6 @@ class ServiceServer:
             "type": "pong",
             "id": rid,
             "wire": WIRE_SCHEMA,
-            "wire_supported": list(SUPPORTED_WIRE_SCHEMAS),
             "spec_schema": SPEC_SCHEMA,
             "result_schema": RESULT_SCHEMA,
             "version": __version__,
@@ -781,6 +781,27 @@ class ServiceServer:
         if trace_id is not None:
             done["trace"] = trace_id
         await send(done)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at EOF), or ``None`` for a line
+    over the reader's limit: that line is read through its newline and
+    dropped, so the connection stays in step for the next request."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 async def _serve(service, host, port, ready=None) -> ServiceServer:

@@ -43,7 +43,6 @@ from repro.telemetry.timeseries import (
     TimeseriesSampler,
 )
 from repro.telemetry.wire import (
-    SUPPORTED_WIRE_SCHEMAS,
     WIRE_SCHEMA,
     WireSink,
     decode_frame,
@@ -68,7 +67,6 @@ __all__ = [
     "RefreshStretchBeginEvent",
     "RefreshStretchEndEvent",
     "RingBufferSink",
-    "SUPPORTED_WIRE_SCHEMAS",
     "SchedulerPickEvent",
     "SpanEvent",
     "StatsBase",

@@ -11,18 +11,9 @@ transport layer.
 it: spec and result payloads carry their own schema versions
 (``SPEC_SCHEMA``/``RESULT_SCHEMA``) and telemetry events their ``kind``
 tags.  A server answers a ``pong`` hello frame on ``ping`` so clients
-can check compatibility before submitting work.
-
-Version negotiation
--------------------
-v2 added trace-context propagation (a ``trace`` key on request frames,
-``span`` frames streamed back) and the ``metrics`` op.  Both sides of a
-connection accept every version in :data:`SUPPORTED_WIRE_SCHEMAS`, and
-the server replies to each request *in the version the request carried*
-(``encode_frame(..., version=...)``), so a v1 client keeps working
-against a v2 server: it never sends the v2-only keys, and every frame it
-receives is tagged ``v=1``.  Only a frame from outside the supported
-range is rejected with a ``WireError``.
+can check compatibility before submitting work.  Both sides speak
+exactly one version: a frame tagged with any other is rejected with a
+``WireError`` (the server answers it with an ``error`` frame).
 
 :class:`WireSink` is the bridge from the in-process event stream to the
 wire: an :class:`~repro.telemetry.sinks.EventSink` (the PR 3 sink
@@ -43,35 +34,20 @@ from repro.telemetry.events import TraceEvent
 from repro.telemetry.sinks import EventSink
 
 #: Version tag of the line-oriented frame layout.  Bump on incompatible
-#: changes to frame structure; v2 added trace/span context and the
-#: ``metrics`` op (all additive — see SUPPORTED_WIRE_SCHEMAS).
+#: changes to frame structure; v2 added trace/span context (a ``trace``
+#: key on request frames, ``span`` frames streamed back) and the
+#: ``metrics`` op.
 WIRE_SCHEMA = 2
-
-#: Frame versions this side decodes.  The server replies in the sender's
-#: version, so old clients interoperate for as long as their version
-#: stays in this tuple.
-SUPPORTED_WIRE_SCHEMAS = (1, 2)
 
 #: Hard cap on one encoded frame (guards the server against unbounded
 #: lines from a confused client; generous for any real spec or result).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
-def encode_frame(frame: dict, version: Optional[int] = None) -> bytes:
-    """Canonical single-line encoding of *frame* (adds the ``v`` tag).
-
-    ``version`` selects the tag for peers negotiated down to an older
-    schema; the default is this side's :data:`WIRE_SCHEMA`.
-    """
+def encode_frame(frame: dict) -> bytes:
+    """Canonical single-line encoding of *frame* (adds the ``v`` tag)."""
     if "v" not in frame:
-        if version is None:
-            version = WIRE_SCHEMA
-        if version not in SUPPORTED_WIRE_SCHEMAS:
-            raise WireError(
-                f"cannot encode wire schema v={version!r}; "
-                f"supported: {SUPPORTED_WIRE_SCHEMAS}"
-            )
-        frame = {"v": version, **frame}
+        frame = {"v": WIRE_SCHEMA, **frame}
     text = json.dumps(frame, sort_keys=True, separators=(",", ":"))
     return text.encode("utf-8") + b"\n"
 
@@ -80,8 +56,7 @@ def decode_frame(line: bytes | str) -> dict:
     """Parse one received line into a frame dict.
 
     Raises :class:`~repro.errors.WireError` on anything that is not a
-    single JSON object of a supported wire-schema version.  The decoded
-    frame keeps its ``v`` tag so the receiver can reply in kind.
+    single JSON object tagged with this side's :data:`WIRE_SCHEMA`.
     """
     if isinstance(line, bytes):
         if len(line) > MAX_FRAME_BYTES:
@@ -99,10 +74,10 @@ def decode_frame(line: bytes | str) -> dict:
             f"frame must be a JSON object, got {type(frame).__name__}"
         )
     version = frame.get("v")
-    if version not in SUPPORTED_WIRE_SCHEMAS:
+    if version != WIRE_SCHEMA:
         raise WireError(
             f"wire schema mismatch: got v={version!r}, "
-            f"this side speaks v={SUPPORTED_WIRE_SCHEMAS}"
+            f"this side speaks v={WIRE_SCHEMA}"
         )
     return frame
 
@@ -110,8 +85,7 @@ def decode_frame(line: bytes | str) -> dict:
 def telemetry_frame(event: TraceEvent, job: Optional[str] = None) -> dict:
     """The ``telemetry`` frame carrying one typed event.
 
-    The ``v`` tag is added at encode time (by the sending side, in the
-    peer's negotiated version), not here.
+    The ``v`` tag is added at encode time, not here.
     """
     frame = {"type": "telemetry", "event": event.to_dict()}
     if job is not None:
@@ -127,7 +101,7 @@ def event_from_frame(frame: dict) -> TraceEvent:
 
 
 def span_frame(event: TraceEvent, job: Optional[str] = None) -> dict:
-    """The v2 ``span`` frame carrying one closed tracing span."""
+    """The ``span`` frame carrying one closed tracing span."""
     frame = {"type": "span", "span": event.to_dict()}
     if job is not None:
         frame["job"] = job

@@ -26,15 +26,13 @@ class StructuredLog:
     """Thread-safe JSONL logger carrying optional trace/job context.
 
     ``stream`` takes precedence over ``path``; with neither, records
-    are kept in ``self.records`` only (handy for tests and for the
-    server's in-memory tail).  ``clock`` is injectable for
+    are only returned to the caller.  ``clock`` is injectable for
     deterministic tests and must return microseconds.
     """
 
     def __init__(self, path: Optional[str] = None,
                  stream: Optional[TextIO] = None,
-                 clock: Callable[[], int] = monotonic_us,
-                 keep: int = 256):
+                 clock: Callable[[], int] = monotonic_us):
         self._lock = threading.Lock()
         self._clock = clock
         self._stream = stream
@@ -42,8 +40,6 @@ class StructuredLog:
         if stream is None and path is not None:
             self._stream = open(path, "a", encoding="utf-8")
             self._owns_stream = True
-        self._keep = keep
-        self.records: list[dict] = []
 
     def _write(self, level: str, msg: str, trace: Optional[str],
                job: Optional[str], fields: dict) -> dict:
@@ -56,9 +52,6 @@ class StructuredLog:
             record[key] = fields[key]
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self._lock:
-            self.records.append(record)
-            if len(self.records) > self._keep:
-                del self.records[: len(self.records) - self._keep]
             if self._stream is not None:
                 self._stream.write(line + "\n")
                 self._stream.flush()

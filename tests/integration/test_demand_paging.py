@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import run_simulation
+from repro import api
 from repro.config.system_configs import OsConfig
 from repro.core.simulator import build_system
 
@@ -36,8 +36,8 @@ def test_prefault_makes_warm_start_fault_free():
 
 def test_demand_paging_matches_preallocation_when_warm():
     slow = dict(num_windows=1.0, warmup_windows=0.25, refresh_scale=512)
-    pre = run_simulation("WL-9", "per_bank", **slow)
-    demand = run_simulation(
+    pre = api.run("WL-9", "per_bank", **slow)
+    demand = api.run(
         "WL-9", "per_bank", os=OsConfig(demand_paging=True), **slow
     )
     # Warm-start demand paging behaves like preallocation.
@@ -91,7 +91,7 @@ def test_hard_partition_thrashing_is_catastrophic():
 
 
 def test_codesign_with_demand_paging_still_avoids_refresh_stalls():
-    result = run_simulation(
+    result = api.run(
         "WL-6", "codesign", os=OsConfig(demand_paging=True),
         num_windows=1.0, warmup_windows=0.25, refresh_scale=512,
     )

@@ -6,7 +6,7 @@ configuration (refresh_scale=512) so the suite stays fast.
 
 import pytest
 
-from repro import compare_scenarios, run_simulation
+from repro import api, compare_scenarios
 from repro.units import ms
 
 FAST = dict(num_windows=1.0, warmup_windows=0.25, refresh_scale=512)
@@ -151,12 +151,12 @@ class TestAccountingConsistency:
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        a = run_simulation("WL-8", "codesign", **FAST)
-        b = run_simulation("WL-8", "codesign", **FAST)
+        a = api.run("WL-8", "codesign", **FAST)
+        b = api.run("WL-8", "codesign", **FAST)
         assert a.hmean_ipc == b.hmean_ipc
         assert a.reads_completed == b.reads_completed
 
     def test_different_seed_different_result(self):
-        a = run_simulation("WL-8", "codesign", seed=1, **FAST)
-        b = run_simulation("WL-8", "codesign", seed=2, **FAST)
+        a = api.run("WL-8", "codesign", seed=1, **FAST)
+        b = api.run("WL-8", "codesign", seed=2, **FAST)
         assert a.hmean_ipc != b.hmean_ipc

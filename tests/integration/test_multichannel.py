@@ -1,7 +1,7 @@
 """Integration tests for multi-channel configurations."""
 
 
-from repro import run_simulation
+from repro import api
 from repro.config.dram_configs import DramOrganization
 from repro.core.simulator import build_system
 
@@ -10,7 +10,7 @@ TWO_CHANNEL = DramOrganization(channels=2)
 
 
 def test_two_channel_system_runs():
-    result = run_simulation(
+    result = api.run(
         "WL-6", "per_bank", organization=TWO_CHANNEL, **FAST
     )
     assert result.hmean_ipc > 0
@@ -18,8 +18,8 @@ def test_two_channel_system_runs():
 
 
 def test_two_channels_give_more_bandwidth():
-    one = run_simulation("WL-1", "no_refresh", **FAST)
-    two = run_simulation(
+    one = api.run("WL-1", "no_refresh", **FAST)
+    two = api.run(
         "WL-1", "no_refresh", organization=TWO_CHANNEL, **FAST
     )
     # 8x mcf is memory-bound: doubling channels/banks must help.
@@ -47,10 +47,10 @@ def test_codesign_on_two_channels():
 
 
 def test_two_channel_codesign_vs_all_bank():
-    ab = run_simulation(
+    ab = api.run(
         "WL-6", "all_bank", organization=TWO_CHANNEL, **FAST
     )
-    cd = run_simulation(
+    cd = api.run(
         "WL-6", "codesign", organization=TWO_CHANNEL, **FAST
     )
     assert cd.hmean_ipc > ab.hmean_ipc

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro import run_simulation
+from repro import api
 
 FAST = dict(num_windows=0.5, warmup_windows=0.1, refresh_scale=512)
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_simulation("WL-6", "codesign", **FAST)
+    return api.run("WL-6", "codesign", **FAST)
 
 
 def test_simulated_cycles_matches_request(result):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SCENARIOS, available_scenarios, available_workloads, run_simulation
+from repro import SCENARIOS, api, available_scenarios, available_workloads
 from repro.config.dram_configs import DDR4_1600, FgrMode
 from repro.core.simulator import build_system, compare_scenarios
 from repro.errors import ConfigError
@@ -14,24 +14,24 @@ FAST = dict(num_windows=0.5, warmup_windows=0.1, refresh_scale=512)
 
 def test_every_registered_scenario_runs():
     for name in available_scenarios():
-        result = run_simulation("WL-9", name, **FAST)
+        result = api.run("WL-9", name, **FAST)
         assert result.hmean_ipc > 0, name
         assert result.scenario == name
 
 
 def test_available_workloads_all_run():
     for name in available_workloads():
-        result = run_simulation(name, "per_bank", **FAST)
+        result = api.run(name, "per_bank", **FAST)
         assert result.hmean_ipc > 0, name
 
 
 def test_unknown_scenario_and_workload_raise():
     with pytest.raises(ConfigError):
-        run_simulation("WL-1", "warp_drive", **FAST)
+        api.run("WL-1", "warp_drive", **FAST)
     with pytest.raises(ConfigError):
-        run_simulation("WL-0", "all_bank", **FAST)
+        api.run("WL-0", "all_bank", **FAST)
     with pytest.raises(ConfigError):
-        run_simulation([], "all_bank", **FAST)
+        api.run([], "all_bank", **FAST)
 
 
 def test_custom_spec_list_workload():
@@ -39,7 +39,7 @@ def test_custom_spec_list_workload():
         BenchmarkSpec("custom_hot", mpki=20.0, footprint_bytes=64 * MB, mlp=4),
         BenchmarkSpec("custom_cold", mpki=0.2, footprint_bytes=8 * MB),
     ] * 2
-    result = run_simulation(specs, "codesign", **FAST)
+    result = api.run(specs, "codesign", **FAST)
     assert result.workload == "custom"
     assert {t.name for t in result.tasks} == {"custom_hot", "custom_cold"}
     assert result.hmean_ipc > 0
@@ -54,7 +54,7 @@ def test_ddr4_fgr_modes_order():
     """Section 6.3: 2x/4x modes are worse than 1x for all-bank refresh."""
     ipc = {}
     for mode in (FgrMode.X1, FgrMode.X4):
-        result = run_simulation(
+        result = api.run(
             "WL-1", "all_bank", dram_timing=DDR4_1600, fgr_mode=mode, **FAST
         )
         ipc[mode] = result.hmean_ipc
@@ -62,7 +62,7 @@ def test_ddr4_fgr_modes_order():
 
 
 def test_codesign_hard_partition_runs():
-    result = run_simulation("WL-9", "codesign_hard", **FAST)
+    result = api.run("WL-9", "codesign_hard", **FAST)
     assert result.hmean_ipc > 0
 
 
@@ -70,7 +70,7 @@ def test_best_effort_handles_spilling_footprints():
     """Section 5.4.1: footprints exceeding the partition spill; the
     best-effort scheduler still runs and degrades gracefully."""
     # Tiny memory so mcf's footprint spills outside its 6-bank partition.
-    result = run_simulation(
+    result = api.run(
         "WL-1", "codesign_best_effort", capacity_scale=2048, **FAST
     )
     assert result.hmean_ipc > 0
@@ -79,8 +79,8 @@ def test_best_effort_handles_spilling_footprints():
 
 
 def test_banks_per_task_override():
-    narrow = run_simulation("WL-6", "codesign", banks_per_task=2, **FAST)
-    wide = run_simulation("WL-6", "codesign", banks_per_task=6, **FAST)
+    narrow = api.run("WL-6", "codesign", banks_per_task=2, **FAST)
+    wide = api.run("WL-6", "codesign", banks_per_task=6, **FAST)
     # Paper footnote 11: 6 banks beats 2 banks at 1:4 consolidation.
     assert wide.hmean_ipc > narrow.hmean_ipc
 
@@ -91,7 +91,7 @@ def test_quad_core_system_runs():
     from repro.workloads.mixes import scaled_mix
 
     specs = scaled_mix("WL-6", 16)
-    result = run_simulation(
+    result = api.run(
         specs,
         "codesign",
         cores=CoreConfig(num_cores=4),

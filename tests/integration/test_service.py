@@ -17,7 +17,9 @@ import threading
 
 import pytest
 
+import repro
 from repro.core.simulator import make_run_spec, run_spec, sweep_specs
+from repro.errors import ServiceError
 from repro.service import (
     InlineBackend,
     ServiceClient,
@@ -25,6 +27,8 @@ from repro.service import (
     ThreadBackend,
     serve_in_thread,
 )
+from repro.service import server as server_module
+from repro.telemetry.wire import encode_frame
 
 FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
 
@@ -266,7 +270,7 @@ def test_ping_and_status_frames(live):
     with ServiceClient(port=server.port) as client:
         hello = client.ping()
         assert hello["wire"] == 2
-        assert 1 in hello["wire_supported"]
+        assert hello["version"] == repro.__version__
         assert hello["backend"] == "thread"
         counters = client.status()
     assert counters["runs_executed"] == 0
@@ -286,6 +290,46 @@ def test_server_side_matrix_decomposition(live):
     assert outcome.ok
     specs = sweep_specs(["WL-9"], ["all_bank", "per_bank"], **FAST)
     assert outcome.jobs == [spec.content_hash() for spec in specs]
+
+
+def test_sweep_frame_over_64_kib_is_answered_in_full(tmp_path):
+    """A request line past asyncio's default 64 KiB reader limit (but
+    within the wire's frame cap) is read and answered."""
+    specs = sweep_specs(
+        [f"WL-{n}" for n in range(1, 11)],
+        ["all_bank", "per_bank", "codesign"],
+        num_windows=0.02, warmup_windows=0.01, refresh_scale=1024,
+    )
+    request = {"op": "sweep", "specs": [spec.to_dict() for spec in specs]}
+    assert len(encode_frame(request)) > 64 * 1024
+    service = SweepService(backend=InlineBackend(), cache_dir=tmp_path)
+    server, thread = serve_in_thread(service)
+    try:
+        with ServiceClient(port=server.port) as client:
+            outcome = client.sweep(specs=specs)
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+    assert outcome.ok
+    assert outcome.jobs == [spec.content_hash() for spec in specs]
+    assert sorted(outcome.results) == sorted(outcome.jobs)
+
+
+def test_line_over_frame_limit_is_a_service_error(tmp_path, monkeypatch):
+    """An oversized line is answered with an error frame, and the
+    connection stays usable for the next request."""
+    monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 4096)
+    service = SweepService(backend=InlineBackend(), cache_dir=tmp_path)
+    server, thread = serve_in_thread(service)
+    try:
+        with ServiceClient(port=server.port) as client:
+            spec = _spec()
+            with pytest.raises(ServiceError, match="exceeds 4096 bytes"):
+                client.sweep(specs=[spec] * 8)
+            assert client.ping()["type"] == "pong"
+    finally:
+        server.stop()
+        thread.join(timeout=10)
 
 
 def test_shutdown_via_client(tmp_path):

@@ -102,7 +102,7 @@ def test_cli_trace_flags_write_all_outputs(tmp_path, capsys):
     jsonl = tmp_path / "events.jsonl"
     metrics = tmp_path / "metrics.json"
     assert main([
-        "WL-6", "codesign", *CLI_FAST,
+        "run", "WL-6", "codesign", *CLI_FAST,
         "--trace", str(trace),
         "--trace-jsonl", str(jsonl),
         "--metrics-out", str(metrics),
@@ -125,7 +125,7 @@ def test_cli_trace_flags_write_all_outputs(tmp_path, capsys):
 def test_cli_multi_scenario_suffixes_trace_files(tmp_path, capsys):
     trace = tmp_path / "trace.json"
     assert main([
-        "WL-6", "all_bank,codesign", *CLI_FAST, "--trace", str(trace),
+        "run", "WL-6", "all_bank,codesign", *CLI_FAST, "--trace", str(trace),
     ]) == 0
     assert (tmp_path / "trace.all_bank.json").exists()
     assert (tmp_path / "trace.codesign.json").exists()

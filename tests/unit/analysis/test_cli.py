@@ -98,25 +98,6 @@ def test_sarif_format_round_trips(tmp_path, capsys):
     assert result["ruleId"] == "RPR002"
 
 
-def test_cache_flag_caches_across_invocations(tmp_path, capsys):
-    path = write_fixture(tmp_path, CLEAN)
-    cache = tmp_path / "cache.json"
-    assert main([str(path), "--cache", str(cache), "--stats"]) == EXIT_CLEAN
-    assert "1 parsed" in capsys.readouterr().err
-    assert cache.exists()
-    assert main([str(path), "--cache", str(cache), "--stats"]) == EXIT_CLEAN
-    err = capsys.readouterr().err
-    assert "0 parsed" in err and "1 from cache" in err
-
-
-def test_changed_only_without_git_repo_is_usage_error(tmp_path, capsys, monkeypatch):
-    path = write_fixture(tmp_path, CLEAN)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("GIT_DIR", str(tmp_path / "definitely-not-a-repo"))
-    assert main([str(path), "--changed-only"]) == EXIT_ERROR
-    assert "changed-only" in capsys.readouterr().err
-
-
 def test_directory_discovery_and_blanket_noqa(tmp_path, capsys):
     write_fixture(tmp_path, DIRTY, name="repro/core/a.py")
     write_fixture(

@@ -1,4 +1,4 @@
-"""Project model: import graph, reverse closure, state keys, call edges."""
+"""Project model: state keys and call edges."""
 
 import textwrap
 
@@ -6,7 +6,7 @@ import ast
 
 from repro.analysis import AnalysisConfig
 from repro.analysis.engine import FileContext
-from repro.analysis.model import ModuleSummary, ProjectModel, extract_summary
+from repro.analysis.model import ProjectModel, extract_summary
 
 
 def _summary(tmp_path, rel, source):
@@ -22,23 +22,6 @@ def _model(tmp_path, files):
     return ProjectModel(
         _summary(tmp_path, rel, source) for rel, source in files.items()
     )
-
-
-def test_import_graph_and_reverse_closure(tmp_path):
-    model = _model(
-        tmp_path,
-        {
-            "repro/core/a.py": "X = 1\n",
-            "repro/core/b.py": "from repro.core.a import X\n",
-            "repro/core/c.py": "import repro.core.b\n",
-            "repro/core/d.py": "Y = 2\n",
-        },
-    )
-    assert model.importers_of("repro.core.a") == ("repro.core.b",)
-    # Editing a must re-analyze b (direct importer) and c (transitive).
-    closure = model.reverse_closure(["repro.core.a"])
-    assert closure == {"repro.core.a", "repro.core.b", "repro.core.c"}
-    assert "repro.core.d" not in closure
 
 
 def test_effective_state_keys_union_along_mro(tmp_path):
@@ -107,29 +90,3 @@ def test_resolve_self_call_through_base(tmp_path):
     (site,) = [s for s in fn.calls if s.is_self_call]
     resolved = model.resolve_call("repro.core.child.Child.go", site)
     assert resolved == "repro.core.base.Base.helper"
-
-
-def test_summary_round_trips_through_json(tmp_path):
-    summary = _summary(
-        tmp_path,
-        "repro/core/rt.py",
-        """
-        import repro.dram.controller
-
-        class Thing:
-            def __init__(self):
-                self._x = 0
-
-            def bump(self, delta_ns):
-                self._x += delta_ns
-                self.engine.schedule(0, self._fire)
-
-            def snapshot_state(self):
-                return {"_x": self._x}
-
-            def _fire(self):
-                pass
-        """,
-    )
-    clone = ModuleSummary.from_dict(summary.to_dict())
-    assert clone == summary

@@ -9,7 +9,6 @@ from repro.errors import ServiceError
 from repro.service.backends import (
     BACKENDS,
     InlineBackend,
-    RemoteBackend,
     ThreadBackend,
     make_backend,
 )
@@ -59,10 +58,3 @@ def test_thread_backend_rejects_bad_job_count():
 def test_make_backend_rejects_unknown_name():
     with pytest.raises(ServiceError, match="unknown backend"):
         make_backend("quantum")
-
-
-def test_remote_backend_is_a_stub():
-    backend = RemoteBackend("tcp://elsewhere:7341")
-    assert backend.target == "tcp://elsewhere:7341"
-    with pytest.raises(ServiceError, match="not\\s+implemented"):
-        backend.submit(_spec())

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import WireError
 from repro.telemetry.events import DramCommandEvent, SpanEvent
 from repro.telemetry.wire import (
-    SUPPORTED_WIRE_SCHEMAS,
     WIRE_SCHEMA,
     WireSink,
     decode_frame,
@@ -42,19 +41,12 @@ def test_encode_is_canonical_single_line():
     assert text == '{"a":{"y":3,"z":2},"b":1,"v":2}\n'
 
 
-def test_encode_can_downgrade_for_old_peers():
-    """The server replies to a v1 request in v1 (version negotiation)."""
-    line = encode_frame({"type": "pong"}, version=1)
-    assert decode_frame(line) == {"v": 1, "type": "pong"}
-    with pytest.raises(WireError, match="cannot encode"):
-        encode_frame({"type": "pong"}, version=99)
-
-
 def test_decode_accepts_every_supported_version():
-    assert WIRE_SCHEMA in SUPPORTED_WIRE_SCHEMAS
-    for version in SUPPORTED_WIRE_SCHEMAS:
-        frame = decode_frame(encode_frame({"type": "ping"}, version=version))
-        assert frame["v"] == version
+    """One version is supported: frames of the old v1 are refused."""
+    assert decode_frame(encode_frame({"type": "ping"}))["v"] == WIRE_SCHEMA
+    line = json.dumps({"v": 1, "type": "ping"}).encode("utf-8")
+    with pytest.raises(WireError, match="wire schema mismatch"):
+        decode_frame(line)
 
 
 def test_decode_rejects_wrong_version():

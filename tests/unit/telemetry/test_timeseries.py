@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.core.results import RunResult
-from repro.core.simulator import make_run_spec, run_simulation
+from repro import api
+from repro.core.simulator import make_run_spec
 from repro.errors import ConfigError
 from repro.telemetry import Timeseries, TimeseriesSample
 
@@ -14,7 +15,7 @@ FAST = dict(refresh_scale=1024, num_windows=0.5, warmup_windows=0.0)
 
 @pytest.fixture(scope="module")
 def sampled_result():
-    return run_simulation("WL-6", "all_bank", sample_windows=8, **FAST)
+    return api.run("WL-6", "all_bank", sample_windows=8, **FAST)
 
 
 def test_sampler_attaches_timeseries(sampled_result):
@@ -45,7 +46,7 @@ def test_run_result_round_trips_timeseries(sampled_result):
 
 
 def test_unsampled_run_has_no_timeseries():
-    result = run_simulation("WL-6", "all_bank", **FAST)
+    result = api.run("WL-6", "all_bank", **FAST)
     assert result.timeseries is None
     reloaded = RunResult.from_dict(result.to_dict())
     assert reloaded.timeseries is None

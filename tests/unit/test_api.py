@@ -1,4 +1,4 @@
-"""Unit tests for the repro.api facade and its deprecation shims."""
+"""Unit tests for the repro.api facade."""
 
 import json
 import warnings
@@ -33,31 +33,16 @@ def test_api_run_is_warning_free():
     assert result.hmean_ipc > 0
 
 
-def test_run_simulation_shim_warns_but_matches():
-    from repro.core.simulator import run_simulation
-
-    with pytest.warns(DeprecationWarning, match="repro.api.run"):
-        old = run_simulation("WL-9", "per_bank", **FAST)
-    new = api.run("WL-9", "per_bank", **FAST)
-    assert _canon(old) == _canon(new)
-
-
-def test_package_level_run_simulation_also_warns():
-    import repro
-
-    with pytest.warns(DeprecationWarning):
-        repro.run_simulation("WL-9", "per_bank", **FAST)
-
-
-def test_figure_module_import_shim_warns():
+def test_figure_module_import_is_a_plain_submodule():
     import repro.experiments
     import sys
 
-    # Force the shim path even if another test already bound the module.
     repro.experiments.__dict__.pop("figure9", None)
     sys.modules.pop("repro.experiments.figure9", None)
-    with pytest.warns(DeprecationWarning, match="repro.api.figure"):
-        from repro.experiments import figure9  # noqa: F401
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        from repro.experiments import figure9
+    assert figure9 is sys.modules["repro.experiments.figure9"]
 
 
 def test_figure_rejects_unknown_name():

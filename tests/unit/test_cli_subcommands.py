@@ -1,9 +1,4 @@
-"""Unit tests for the python -m repro subcommand CLI.
-
-The legacy flag-only invocation (no subcommand) is pinned here as a
-deprecated alias: it must keep behaving exactly like `run` while
-emitting a DeprecationWarning.
-"""
+"""Unit tests for the python -m repro subcommand CLI."""
 
 import json
 
@@ -17,24 +12,14 @@ FAST = [
 ]
 
 
-# -- legacy alias --------------------------------------------------------------
+def test_flag_only_invocation_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["WL-9", "per_bank", *FAST])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
-def test_legacy_invocation_warns_and_runs(capsys):
-    with pytest.warns(DeprecationWarning, match="python -m repro run"):
-        assert main(["WL-9", "per_bank", *FAST]) == 0
-    assert "hmean IPC" in capsys.readouterr().out
-
-
-def test_legacy_and_run_subcommand_print_identically(capsys):
-    with pytest.warns(DeprecationWarning):
-        assert main(["WL-9", "all_bank", *FAST]) == 0
-    legacy = capsys.readouterr().out
-    assert main(["run", "WL-9", "all_bank", *FAST]) == 0
-    assert capsys.readouterr().out == legacy
-
-
-def test_legacy_resume_flag_still_routes_to_run(tmp_path, capsys):
+def test_resume_flag_continues_a_checkpoint(tmp_path, capsys):
     ckpt_dir = tmp_path / "ckpts"
     assert main([
         "run", "WL-9", "per_bank", *FAST,
@@ -43,9 +28,7 @@ def test_legacy_resume_flag_still_routes_to_run(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     (ckpt,) = ckpt_dir.glob("ckpt-*.json")
-    # `--resume` with no subcommand predates the restructure.
-    with pytest.warns(DeprecationWarning):
-        assert main(["--resume", str(ckpt), *FAST]) == 0
+    assert main(["run", "--resume", str(ckpt), *FAST]) == 0
     assert "resuming" in capsys.readouterr().out
 
 

@@ -165,6 +165,71 @@ def test_cancel_is_idempotent_and_safe_after_fire_time():
     assert eng.events_processed == 1
 
 
+class _Boom(Exception):
+    pass
+
+
+class _TickClock:
+    """Profiler stand-in: a clock that ticks once per read."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def clock(self):
+        self.t += 1.0
+        return self.t
+
+    def record(self, fn, elapsed):
+        pass
+
+
+def _drive_run(eng):
+    eng.run()
+
+
+def _drive_run_until(eng):
+    eng.run_until(20)
+
+
+def _drive_profiled(eng):
+    eng.set_profiler(_TickClock())
+    eng.run()
+
+
+@pytest.mark.parametrize(
+    "drive, final_now",
+    [(_drive_run, 9), (_drive_run_until, 20), (_drive_profiled, 9)],
+    ids=["run", "run_until", "profiled"],
+)
+def test_raising_callback_resumes_rest_of_bucket_in_order(drive, final_now):
+    """A callback that raises propagates; the rest of its same-cycle
+    bucket stays queued and resumes in order on the next run call."""
+    eng = Engine()
+    order = []
+
+    def boom():
+        order.append("boom")
+        raise _Boom
+
+    eng.schedule(5, lambda: order.append("a"))
+    eng.schedule(5, order.append, "b")
+    eng.schedule(5, boom)
+    eng.schedule(5, order.append, "c")
+    eng.schedule(5, lambda: order.append("d"))
+    eng.schedule(9, order.append, "late")
+    with pytest.raises(_Boom):
+        drive(eng)
+    assert order == ["a", "b", "boom"]
+    assert eng.events_processed == 3
+    assert eng.now == 5
+    assert eng.pending_events == 3
+    drive(eng)
+    assert order == ["a", "b", "boom", "c", "d", "late"]
+    assert eng.events_processed == 6
+    assert eng.now == final_now
+    assert eng.pending_events == 0
+
+
 def test_run_until_advances_clock_with_empty_queue():
     eng = Engine()
     eng.run_until(123)

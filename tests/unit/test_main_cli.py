@@ -13,7 +13,7 @@ FAST = [
 
 
 def test_basic_run_prints_summary(capsys):
-    assert main(["WL-9", "per_bank", *FAST]) == 0
+    assert main(["run", "WL-9", "per_bank", *FAST]) == 0
     out = capsys.readouterr().out
     assert "hmean IPC" in out
     assert "WL-9" in out
@@ -22,7 +22,7 @@ def test_basic_run_prints_summary(capsys):
 
 def test_json_export(tmp_path, capsys):
     path = tmp_path / "result.json"
-    assert main(["WL-9", "all_bank", "--json", str(path), *FAST]) == 0
+    assert main(["run", "WL-9", "all_bank", "--json", str(path), *FAST]) == 0
     data = json.loads(path.read_text())
     assert data["workload"] == "WL-9"
     assert data["scenario"] == "all_bank"
@@ -33,7 +33,7 @@ def test_json_export(tmp_path, capsys):
 
 def test_density_and_retention_flags(capsys):
     assert main(
-        ["WL-9", "all_bank", "--density", "16", "--trefw-ms", "32", *FAST]
+        ["run", "WL-9", "all_bank", "--density", "16", "--trefw-ms", "32", *FAST]
     ) == 0
     out = capsys.readouterr().out
     assert "16Gb" in out
@@ -42,18 +42,18 @@ def test_density_and_retention_flags(capsys):
 
 def test_unknown_workload_errors():
     with pytest.raises(SystemExit):
-        main(["WL-99", "all_bank", *FAST])
+        main(["run", "WL-99", "all_bank", *FAST])
 
 
 def test_unknown_scenario_errors():
     with pytest.raises(SystemExit):
-        main(["WL-1", "quantum_refresh", *FAST])
+        main(["run", "WL-1", "quantum_refresh", *FAST])
 
 
 def test_multi_scenario_fanout(tmp_path, capsys):
     path = tmp_path / "results.json"
     args = [
-        "WL-9", "all_bank,codesign",
+        "run", "WL-9", "all_bank,codesign",
         "--windows", "0.25", "--warmup", "0.05", "--refresh-scale", "1024",
         "--cache-dir", str(tmp_path / "cache"), "--jobs", "1",
         "--json", str(path),
@@ -68,7 +68,7 @@ def test_multi_scenario_fanout(tmp_path, capsys):
 def test_cli_uses_disk_cache(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = [
-        "WL-9", "per_bank",
+        "run", "WL-9", "per_bank",
         "--windows", "0.25", "--warmup", "0.05", "--refresh-scale", "1024",
         "--cache-dir", str(cache),
     ]
@@ -80,9 +80,9 @@ def test_cli_uses_disk_cache(tmp_path, capsys):
 
 
 def test_result_to_dict_roundtrips_through_json():
-    from repro import run_simulation
+    from repro import api
 
-    result = run_simulation(
+    result = api.run(
         "WL-9", "codesign", num_windows=0.25, warmup_windows=0.05,
         refresh_scale=1024,
     )
@@ -94,7 +94,7 @@ def test_result_to_dict_roundtrips_through_json():
 def test_monitors_flag_clean_run_exits_zero(tmp_path, capsys):
     path = tmp_path / "result.json"
     assert main(
-        ["WL-9", "codesign", "--monitors", "--json", str(path), *FAST]
+        ["run", "WL-9", "codesign", "--monitors", "--json", str(path), *FAST]
     ) == 0
     out = capsys.readouterr().out
     assert "monitors" in out
@@ -111,7 +111,7 @@ def test_monitors_flag_collect_exits_one_on_violations(capsys, monkeypatch):
     monkeypatch.setattr(
         RefreshAwareScheduler, "pick_next_task", CfsScheduler.pick_next_task
     )
-    assert main(["WL-9", "codesign", "--monitors", *FAST]) == 1
+    assert main(["run", "WL-9", "codesign", "--monitors", *FAST]) == 1
     assert "VIOLATION" in capsys.readouterr().out
 
 
@@ -122,13 +122,13 @@ def test_monitors_strict_exits_two_on_violations(capsys, monkeypatch):
     monkeypatch.setattr(
         RefreshAwareScheduler, "pick_next_task", CfsScheduler.pick_next_task
     )
-    assert main(["WL-9", "codesign", "--monitors=strict", *FAST]) == 2
+    assert main(["run", "WL-9", "codesign", "--monitors=strict", *FAST]) == 2
     assert "monitor violation" in capsys.readouterr().err
 
 
 def test_profile_flag_writes_report(tmp_path, capsys):
     path = tmp_path / "profile.json"
-    assert main(["WL-9", "per_bank", "--profile", str(path), *FAST]) == 0
+    assert main(["run", "WL-9", "per_bank", "--profile", str(path), *FAST]) == 0
     report = json.loads(path.read_text())
     assert report["events_total"] > 0
     assert report["subsystems"]
@@ -139,5 +139,5 @@ def test_profile_flag_writes_report(tmp_path, capsys):
 
 def test_unmonitored_json_has_no_violation_key(tmp_path):
     path = tmp_path / "result.json"
-    assert main(["WL-9", "per_bank", "--json", str(path), *FAST]) == 0
+    assert main(["run", "WL-9", "per_bank", "--json", str(path), *FAST]) == 0
     assert "monitor_violations" not in json.loads(path.read_text())

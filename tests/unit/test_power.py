@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import run_simulation
+from repro import api
 from repro.dram.power import DramEnergyParams, EnergyBreakdown
 
 FAST = dict(num_windows=0.5, warmup_windows=0.1, refresh_scale=512)
@@ -33,7 +33,7 @@ def test_params_cycle_conversion():
 
 
 def test_run_result_carries_energy():
-    result = run_simulation("WL-9", "all_bank", **FAST)
+    result = api.run("WL-9", "all_bank", **FAST)
     assert result.energy is not None
     assert result.energy.total_mj > 0
     assert result.energy.refresh_mj > 0
@@ -41,7 +41,7 @@ def test_run_result_carries_energy():
 
 
 def test_no_refresh_has_zero_refresh_energy():
-    result = run_simulation("WL-9", "no_refresh", **FAST)
+    result = api.run("WL-9", "no_refresh", **FAST)
     assert result.energy.refresh_mj == 0
 
 
@@ -49,20 +49,20 @@ def test_refresh_energy_similar_across_refresh_schemes():
     """Per-bank and all-bank do the same refresh work; the co-design
     reschedules it.  Energy should differ only via the tRFC_pb/tRFC_ab
     packing (per-bank spends 16 x tRFC_pb vs 2 x 8-bank tRFC_ab)."""
-    ab = run_simulation("WL-9", "all_bank", **FAST).energy.refresh_mj
-    pb = run_simulation("WL-9", "per_bank", **FAST).energy.refresh_mj
-    cd = run_simulation("WL-9", "codesign", **FAST).energy.refresh_mj
+    ab = api.run("WL-9", "all_bank", **FAST).energy.refresh_mj
+    pb = api.run("WL-9", "per_bank", **FAST).energy.refresh_mj
+    cd = api.run("WL-9", "codesign", **FAST).energy.refresh_mj
     assert pb == pytest.approx(cd, rel=0.1)
     assert ab > 0 and pb > 0
 
 
 def test_higher_density_costs_more_refresh_energy():
-    low = run_simulation("WL-9", "all_bank", density_gbit=16, **FAST)
-    high = run_simulation("WL-9", "all_bank", density_gbit=32, **FAST)
+    low = api.run("WL-9", "all_bank", density_gbit=16, **FAST)
+    high = api.run("WL-9", "all_bank", density_gbit=32, **FAST)
     assert high.energy.refresh_mj > low.energy.refresh_mj
 
 
 def test_memory_intensive_workload_costs_more_dynamic_energy():
-    hot = run_simulation("WL-1", "all_bank", **FAST).energy
-    cold = run_simulation("WL-2", "all_bank", **FAST).energy
+    hot = api.run("WL-1", "all_bank", **FAST).energy
+    cold = api.run("WL-2", "all_bank", **FAST).energy
     assert hot.activate_mj + hot.read_mj > cold.activate_mj + cold.read_mj

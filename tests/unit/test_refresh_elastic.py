@@ -100,9 +100,9 @@ def test_coverage_maintained_under_load():
 
 
 def test_elastic_scenario_runs_end_to_end():
-    from repro import run_simulation
+    from repro import api
 
-    result = run_simulation(
+    result = api.run(
         "WL-9", "elastic", num_windows=0.5, warmup_windows=0.1,
         refresh_scale=512,
     )

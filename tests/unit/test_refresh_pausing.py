@@ -81,10 +81,10 @@ def test_refresh_work_completes_despite_pauses():
 
 
 def test_pausing_between_allbank_and_norefresh_end_to_end():
-    from repro import run_simulation
+    from repro import api
 
     common = dict(num_windows=1.0, warmup_windows=0.25, refresh_scale=512)
-    pausing = run_simulation("WL-6", "pausing", **common).hmean_ipc
-    all_bank = run_simulation("WL-6", "all_bank", **common).hmean_ipc
-    ideal = run_simulation("WL-6", "no_refresh", **common).hmean_ipc
+    pausing = api.run("WL-6", "pausing", **common).hmean_ipc
+    all_bank = api.run("WL-6", "all_bank", **common).hmean_ipc
+    ideal = api.run("WL-6", "no_refresh", **common).hmean_ipc
     assert all_bank - 0.005 <= pausing <= ideal

@@ -89,11 +89,11 @@ def test_closed_policy_next_access_pays_act_not_pre():
 
 
 def test_end_to_end_open_beats_closed_for_local_workload():
-    from repro import run_simulation
+    from repro import api
 
     common = dict(num_windows=0.5, warmup_windows=0.1, refresh_scale=512)
-    open_row = run_simulation("WL-7", "per_bank", row_policy="open", **common)
-    closed = run_simulation("WL-7", "per_bank", row_policy="closed", **common)
+    open_row = api.run("WL-7", "per_bank", row_policy="open", **common)
+    closed = api.run("WL-7", "per_bank", row_policy="closed", **common)
     # WL-7 (stream) has 90% row locality: the open policy must win.
     assert open_row.hmean_ipc > closed.hmean_ipc
     assert open_row.row_hit_rate > 0.5

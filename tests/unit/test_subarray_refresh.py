@@ -118,11 +118,11 @@ class TestSchedulerIntegration:
         assert seen == set(range(8))
 
     def test_subarray_mode_reduces_refresh_stalls_end_to_end(self):
-        from repro import run_simulation
+        from repro import api
 
         common = dict(num_windows=1.0, warmup_windows=0.25, refresh_scale=512)
-        plain = run_simulation("WL-1", "per_bank", **common)
-        salp = run_simulation(
+        plain = api.run("WL-1", "per_bank", **common)
+        salp = api.run(
             "WL-1",
             "per_bank",
             organization=DramOrganization(subarrays_per_bank=8),

@@ -52,10 +52,3 @@ def test_path_logging_appends_jsonl(tmp_path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["msg"] for r in records] == ["one", "two"]
     assert records[0]["ts"] < records[1]["ts"]
-
-
-def test_in_memory_ring_keeps_the_tail():
-    log = StructuredLog(clock=_clock(), keep=3)
-    for i in range(7):
-        log.info(f"m{i}")
-    assert [r["msg"] for r in log.records] == ["m4", "m5", "m6"]
