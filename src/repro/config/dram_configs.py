@@ -9,9 +9,10 @@ refresh parameters) and converted to CPU cycles by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.serialize import dataclass_from_dict, dataclass_to_dict
 from repro.units import KB
 
 
@@ -65,14 +66,10 @@ class DramTimingSpec:
         return self.tRAS + self.tRP
 
     def to_dict(self) -> dict:
-        from repro.serialize import to_jsonable
-
-        return {f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)}
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DramTimingSpec":
-        from repro.serialize import dataclass_from_dict
-
         return dataclass_from_dict(cls, data)
 
     def validate(self) -> None:
@@ -174,14 +171,10 @@ class DramOrganization:
         return self.row_size_bytes // self.cacheline_bytes
 
     def to_dict(self) -> dict:
-        from repro.serialize import to_jsonable
-
-        return {f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)}
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DramOrganization":
-        from repro.serialize import dataclass_from_dict
-
         return dataclass_from_dict(cls, data)
 
     def validate(self) -> None:

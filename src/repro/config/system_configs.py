@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from repro.config.dram_configs import (
     DensityConfig,
@@ -13,6 +13,7 @@ from repro.config.dram_configs import (
     density,
 )
 from repro.errors import ConfigError
+from repro.serialize import content_hash, dataclass_from_dict, dataclass_to_dict
 from repro.units import KB, MB, ms
 
 
@@ -35,14 +36,10 @@ class CoreConfig:
             raise ConfigError("core count and frequency must be positive")
 
     def to_dict(self) -> dict:
-        from repro.serialize import to_jsonable
-
-        return {f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)}
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoreConfig":
-        from repro.serialize import dataclass_from_dict
-
         return dataclass_from_dict(cls, data)
 
 
@@ -64,14 +61,10 @@ class CacheConfig:
                 raise ConfigError(f"{name} must be positive")
 
     def to_dict(self) -> dict:
-        from repro.serialize import to_jsonable
-
-        return {f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)}
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CacheConfig":
-        from repro.serialize import dataclass_from_dict
-
         return dataclass_from_dict(cls, data)
 
 
@@ -115,14 +108,10 @@ class OsConfig:
             raise ConfigError("eta_thresh must be >= 1")
 
     def to_dict(self) -> dict:
-        from repro.serialize import to_jsonable
-
-        return {f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)}
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "OsConfig":
-        from repro.serialize import dataclass_from_dict
-
         return dataclass_from_dict(cls, data)
 
 
@@ -205,15 +194,11 @@ class SystemConfig:
 
     def to_dict(self) -> dict:
         """Canonical JSON-able view (inverse of :meth:`from_dict`)."""
-        from repro.serialize import to_jsonable
-
-        return {f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)}
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
         """Rebuild a validated config from :meth:`to_dict` output."""
-        from repro.serialize import dataclass_from_dict
-
         if not isinstance(data, dict):
             raise ConfigError(
                 f"SystemConfig: expected a dict, got {type(data).__name__}"
@@ -234,9 +219,7 @@ class SystemConfig:
 
     def content_hash(self) -> str:
         """Stable content hash over every resolved field."""
-        from repro.serialize import content_hash
-
-        return content_hash(self.to_dict())
+        return content_hash(self)
 
     def validate(self) -> None:
         self.cores.validate()

@@ -121,6 +121,8 @@ class CheckpointStore:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("entry is not a JSON object")
             if data.get("schema") != SCHEMA_TAG:
                 raise ValueError(f"stale schema {data.get('schema')!r}")
             state = data["state"]

@@ -8,11 +8,12 @@ cache and cross process boundaries; equality after a round trip is exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.core.metrics import harmonic_mean
 from repro.dram.power import EnergyBreakdown
 from repro.errors import ConfigError
+from repro.serialize import dataclass_from_dict, field_names
 from repro.telemetry.timeseries import Timeseries
 
 #: Version tag for the serialized result layout.  Bump whenever a field is
@@ -40,12 +41,10 @@ class TaskResult:
         return self.instructions / self.scheduled_cycles
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in field_names(TaskResult)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TaskResult":
-        from repro.serialize import dataclass_from_dict
-
         return dataclass_from_dict(cls, data)
 
 
@@ -111,13 +110,7 @@ class RunResult:
 
     def to_dict(self) -> dict:
         """Canonical JSON-able view (inverse of :meth:`from_dict`)."""
-        data = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name
-            not in ("tasks", "energy", "timeseries", "monitor_violations",
-                    "trace_id")
-        }
+        data = {name: getattr(self, name) for name in _SCALAR_FIELDS}
         data["tasks"] = [t.to_dict() for t in self.tasks]
         data["energy"] = self.energy.to_dict() if self.energy is not None else None
         data["timeseries"] = (
@@ -133,8 +126,6 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
-        from repro.serialize import dataclass_from_dict
-
         if not isinstance(data, dict):
             raise ConfigError(
                 f"RunResult: expected a dict, got {type(data).__name__}"
@@ -173,3 +164,12 @@ class RunResult:
             f"({self.refresh_stall_fraction:.2%})",
         ]
         return "\n".join(lines)
+
+
+#: The RunResult fields ``to_dict`` copies as they are, in declaration
+#: order; the nested and optional ones after them are converted by hand.
+_SCALAR_FIELDS = tuple(
+    name
+    for name in field_names(RunResult)
+    if name not in ("tasks", "energy", "timeseries", "monitor_violations", "trace_id")
+)

@@ -8,7 +8,8 @@ and the measurement windows — so that executing a run is a pure function
 Because the spec is pure data it can be:
 
 * hashed — :meth:`RunSpec.content_hash` is the key for both the
-  in-memory memo and the on-disk result cache;
+  in-memory memo and the on-disk result cache, computed once per
+  instance (the spec is deeply immutable, so the hash cannot go stale);
 * shipped across process boundaries — the parallel
   :class:`~repro.experiments.runner.SweepRunner` fans specs out over a
   ``ProcessPoolExecutor``;
@@ -58,6 +59,12 @@ class RunSpec:
     #: the resume pipeline so a continuation never aliases a cold run in
     #: the result cache.
     resume_from: str | None = None
+
+    def __post_init__(self):
+        # The task list must stay a tuple: a list could change after
+        # content_hash() has stored the hash of its old contents.
+        if not isinstance(self.specs, tuple):
+            object.__setattr__(self, "specs", tuple(self.specs))
 
     def validate(self) -> None:
         if not self.specs:
@@ -133,11 +140,19 @@ class RunSpec:
         return spec
 
     def content_hash(self) -> str:
-        """Stable content hash over the complete spec.
+        """Stable content hash over the complete spec, computed on the
+        first call and stored on the instance.
 
-        Raises :class:`ConfigError` when any embedded value is not
-        serializable (rather than a bare ``TypeError`` from ``json``).
+        ``with_``, ``dataclasses.replace`` and ``from_dict`` build new
+        instances, which compute their own; a pickled spec carries its
+        hash along.  Raises :class:`ConfigError` when any embedded value
+        is not serializable (rather than a bare ``TypeError`` from
+        ``json``).
         """
-        from repro.serialize import content_hash
+        key = self.__dict__.get("_content_hash")
+        if key is None:
+            from repro.serialize import content_hash
 
-        return content_hash(self.to_dict())
+            key = content_hash(self)
+            object.__setattr__(self, "_content_hash", key)
+        return key

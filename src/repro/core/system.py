@@ -74,7 +74,7 @@ class Scenario:
         differently configured scenarios that share a name never alias."""
         from repro.serialize import content_hash
 
-        return content_hash(self.to_dict())
+        return content_hash(self)
 
 
 #: The scenarios evaluated in the paper (Section 6) plus ablations.

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dram.controller import MemoryController
+from repro.serialize import dataclass_from_dict, field_names
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,10 @@ class EnergyBreakdown:
         )
 
     def to_dict(self) -> dict:
-        from dataclasses import fields
-
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in field_names(EnergyBreakdown)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnergyBreakdown":
-        from repro.serialize import dataclass_from_dict
-
         return dataclass_from_dict(cls, data)
 
 

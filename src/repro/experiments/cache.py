@@ -11,10 +11,11 @@ Layout (all JSON, one file per run)::
 * The ``v<SCHEMA>`` directory namespaces the serialization layout: any
   schema bump simply leaves old entries unread (and re-computable) —
   there is no in-place migration.
-* Corruption tolerance: a truncated, garbled or stale entry is treated
-  as a miss and recomputed; the cache never crashes a sweep.  Writes are
-  atomic (temp file + ``os.replace``) so a killed run cannot leave a
-  half-written entry behind.
+* Corruption tolerance: a truncated, garbled or stale entry, or one
+  that is not a JSON object, is treated as a miss and recomputed; the
+  cache never crashes a sweep.  Writes are atomic (temp file +
+  ``os.replace``) so a killed run cannot leave a half-written entry
+  behind.
 * Eviction: none automatic.  Entries are small (a few KB); deleting the
   cache directory (or any subset of it) at any time is always safe.
 """
@@ -103,6 +104,8 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("entry is not a JSON object")
             if data.get("schema") != CACHE_SCHEMA:
                 raise ValueError(f"stale schema {data.get('schema')!r}")
             result = RunResult.from_dict(data["result"])

@@ -9,6 +9,9 @@ provides the shared machinery:
     object's own ``to_dict``.  Raises :class:`~repro.errors.ConfigError`
     for values that cannot be represented (the clear failure the sweep
     cache needs instead of a bare ``TypeError`` deep inside ``json``).
+:func:`field_names` / :func:`dataclass_to_dict`
+    The per-class field table and the ``to_dict`` body shared by the
+    flat config dataclasses.
 :func:`canonical_json`
     Deterministic JSON text (sorted keys, no whitespace) — the hashing
     pre-image.
@@ -19,12 +22,17 @@ provides the shared machinery:
     Strict flat-dataclass reconstruction (unknown keys are a
     :class:`~repro.errors.ConfigError`, so stale cache entries fail
     loudly enough to be recomputed rather than mis-parsed).
+
+Each value is walked once on the way to its hash: a ``to_dict`` returns
+JSON-able primitives (built with :func:`to_jsonable` where a field may
+hold anything else), so its output is used as is, never walked again.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 
@@ -35,19 +43,33 @@ from repro.errors import ConfigError
 HASH_LEN = 16
 
 
+@functools.cache
+def field_names(cls) -> tuple[str, ...]:
+    """The field table of dataclass *cls*: its field names in
+    declaration order, scanned once per class."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def dataclass_to_dict(obj) -> dict:
+    """Field-by-field JSON-able view of a dataclass, in declaration
+    order."""
+    return {name: to_jsonable(getattr(obj, name)) for name in field_names(type(obj))}
+
+
 def to_jsonable(value):
     """Convert *value* to JSON-able primitives (dict/list/str/num/bool/None).
 
-    Objects exposing ``to_dict`` serialize themselves; enums serialize to
-    their ``value``; other dataclasses are converted field-by-field.
-    Anything else raises :class:`ConfigError`.
+    Objects exposing ``to_dict`` serialize themselves (and return
+    JSON-able primitives); enums serialize to their ``value``; other
+    dataclasses are converted field-by-field.  Anything else raises
+    :class:`ConfigError`.
     """
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     if isinstance(value, enum.Enum):
         return value.value
     if hasattr(value, "to_dict"):
-        return to_jsonable(value.to_dict())
+        return value.to_dict()
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -60,10 +82,7 @@ def to_jsonable(value):
             out[key] = to_jsonable(v)
         return out
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: to_jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+        return dataclass_to_dict(value)
     raise ConfigError(
         f"value {value!r} of type {type(value).__name__} is not "
         "JSON-serializable; config overrides must be primitives, enums, "
@@ -73,9 +92,12 @@ def to_jsonable(value):
 
 def canonical_json(value) -> str:
     """Deterministic JSON text for *value* (the content-hash pre-image)."""
-    return json.dumps(
-        to_jsonable(value), sort_keys=True, separators=(",", ":")
-    )
+    data = to_jsonable(value)
+    try:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    except TypeError as exc:
+        # A to_dict that copies a field as is passes a stray value on.
+        raise ConfigError(f"value is not JSON-serializable: {exc}") from None
 
 
 def content_hash(value) -> str:
@@ -88,8 +110,7 @@ def dataclass_from_dict(cls, data: dict):
     """Reconstruct a flat dataclass from *data*, rejecting unknown keys."""
     if not isinstance(data, dict):
         raise ConfigError(f"{cls.__name__}: expected a dict, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    unknown = set(data).difference(field_names(cls))
     if unknown:
         raise ConfigError(
             f"{cls.__name__}: unknown field(s) {sorted(unknown)}"

@@ -77,7 +77,7 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import run_spec as execute_run_spec, sweep_specs
-from repro.errors import ConfigError, MonitorError, ReproError, ServiceError
+from repro.errors import MonitorError, ReproError, ServiceError
 from repro.experiments.cache import ResultCache
 from repro.service.metrics import ServiceMetrics
 from repro.telemetry.events import SpanEvent
@@ -660,8 +660,8 @@ class ServiceServer:
     async def _op_submit(self, frame: dict, rid, send) -> None:
         try:
             specs = self._specs_from_frame(frame)
-        except (ConfigError, ServiceError, ReproError) as exc:
-            await send({"type": "error", "id": rid, "error": str(exc)})
+        except Exception as exc:
+            await send({"type": "error", "id": rid, "error": _error_text(exc)})
             return
         monitors = frame.get("monitors")
         stream = bool(frame.get("stream"))
@@ -731,39 +731,35 @@ class ServiceServer:
                     event_cb=event_cb if stream else None,
                     trace=make_trace(job),
                 )
+                reply = {
+                    "type": "result",
+                    "id": rid,
+                    "job": job,
+                    "source": source,
+                    "spec": spec.to_dict(),
+                    "result": result.to_dict(),
+                }
             except MonitorError as exc:
-                sources[job] = "monitor_error"
-                await send(
-                    {
-                        "type": "error",
-                        "id": rid,
-                        "job": job,
-                        "code": "monitor",
-                        "error": str(exc),
-                    }
-                )
-                return
-            except (ReproError, ServiceError) as exc:
-                sources[job] = "error"
-                await send(
-                    {
-                        "type": "error",
-                        "id": rid,
-                        "job": job,
-                        "error": str(exc),
-                    }
-                )
-                return
+                source = "monitor_error"
+                reply = {
+                    "type": "error",
+                    "id": rid,
+                    "job": job,
+                    "code": "monitor",
+                    "error": str(exc),
+                }
+            except Exception as exc:
+                # Whatever a job raises (a backend bug included) answers
+                # that job alone: the other jobs and ``done`` still follow.
+                source = "error"
+                reply = {
+                    "type": "error",
+                    "id": rid,
+                    "job": job,
+                    "error": _error_text(exc),
+                }
             sources[job] = source
-            payload = {
-                "type": "result",
-                "id": rid,
-                "job": job,
-                "source": source,
-                "spec": spec.to_dict(),
-                "result": result.to_dict(),
-            }
-            await send(payload)
+            await send(reply)
 
         try:
             await asyncio.gather(*(one(spec) for spec in specs))
@@ -781,6 +777,14 @@ class ServiceServer:
         if trace_id is not None:
             done["trace"] = trace_id
         await send(done)
+
+
+def _error_text(exc: Exception) -> str:
+    """The ``error`` text of a failed request or job; an exception from
+    outside the package names its type, since its text alone may not."""
+    if isinstance(exc, ReproError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
+from repro.serialize import dataclass_from_dict, dataclass_to_dict
 
 
 class MpkiClass(enum.Enum):
@@ -84,16 +85,10 @@ class BenchmarkSpec:
         return 1000.0 / self.mpki
 
     def to_dict(self) -> dict:
-        from dataclasses import fields
-
-        from repro.serialize import to_jsonable
-
-        return {f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)}
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkSpec":
-        from repro.serialize import dataclass_from_dict
-
         data = dict(data)
         try:
             data["pattern"] = AccessPattern(data["pattern"])

@@ -41,3 +41,20 @@ def engine():
 @pytest.fixture
 def controller(engine, timing, organization, mapping):
     return MemoryController(engine, timing, organization, mapping)
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Every ``repro.serialize.content_hash`` computation made while the
+    test runs (the values hashed, in call order)."""
+    import repro.serialize
+
+    calls = []
+    original = repro.serialize.content_hash
+
+    def counting(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(repro.serialize, "content_hash", counting)
+    return calls

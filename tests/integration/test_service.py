@@ -14,12 +14,14 @@ The acceptance bar for the service layer:
 import asyncio
 import json
 import threading
+from concurrent.futures import Future
 
 import pytest
 
 import repro
 from repro.core.simulator import make_run_spec, run_spec, sweep_specs
 from repro.errors import ServiceError
+from repro.experiments.cache import ResultCache
 from repro.service import (
     InlineBackend,
     ServiceClient,
@@ -339,3 +341,120 @@ def test_shutdown_via_client(tmp_path):
         client.shutdown()
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+# -- one hash per received spec ------------------------------------------------
+
+
+def _serve(cache_dir):
+    service = SweepService(backend=InlineBackend(), cache_dir=cache_dir)
+    server, thread = serve_in_thread(service)
+    return server, thread
+
+
+def test_server_hashes_each_received_spec_once(tmp_path, hash_calls):
+    """A cold run, a memo submit and a restart-sweep run each compute
+    the content hash of the spec they serve exactly once."""
+    workloads, scenarios = ["WL-9"], ["all_bank", "per_bank"]
+    server, thread = _serve(tmp_path)
+    try:
+        with ServiceClient(port=server.port, timeout=60) as client:
+            hash_calls.clear()
+            cold = client.sweep(
+                workloads=workloads, scenarios=scenarios, options=FAST
+            )
+            assert set(cold.sources.values()) == {"executed"}
+            assert len(hash_calls) == 2  # one per cold run
+
+            spec = _spec("all_bank")
+            hash_calls.clear()
+            for _ in range(3):
+                assert client.submit(spec)[1] == "memo"
+            assert len(hash_calls) == 3  # one per memo submit
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+
+    server, thread = _serve(tmp_path)
+    try:
+        with ServiceClient(port=server.port, timeout=60) as client:
+            hash_calls.clear()
+            restart = client.sweep(
+                workloads=workloads, scenarios=scenarios, options=FAST
+            )
+            assert set(restart.sources.values()) == {"cache"}
+            assert len(hash_calls) == 2  # one per restart-sweep run
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+    assert restart.jobs == cold.jobs
+
+
+# -- job and request failures --------------------------------------------------
+
+
+class _FailingBackend(InlineBackend):
+    """Runs every spec except ``all_bank`` ones, whose future raises a
+    plain ``RuntimeError`` (not a ``ReproError``)."""
+
+    def submit(self, spec, trace=None, parent=None):
+        if spec.scenario.name != "all_bank":
+            return super().submit(spec, trace=trace, parent=parent)
+        future = Future()
+        future.set_exception(RuntimeError("backend exploded"))
+        return future
+
+
+def test_job_raising_a_non_repro_error_is_answered(tmp_path):
+    """The failing job gets its error frame, the other job its result,
+    and the sweep its done frame: the client never waits it out."""
+    specs = sweep_specs(["WL-9"], ["all_bank", "per_bank"], **FAST)
+    service = SweepService(backend=_FailingBackend(), cache_dir=tmp_path)
+    server, thread = serve_in_thread(service)
+    try:
+        with ServiceClient(port=server.port, timeout=5) as client:
+            outcome = client.sweep(specs=specs)
+            failed, served = (spec.content_hash() for spec in specs)
+            assert outcome.errors == {failed: "RuntimeError: backend exploded"}
+            assert outcome.sources == {failed: "error", served: "executed"}
+            assert _canon(outcome.results[served]) == _canon(run_spec(specs[1]))
+            with pytest.raises(ServiceError, match="backend exploded"):
+                client.submit(specs[0])
+            # The failure was not memoized: the service retries it.
+            assert service.runs_executed == 3
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+
+
+def test_non_object_cache_entry_is_recomputed_by_a_restart(tmp_path):
+    """A disk-cache entry holding ``[]`` is a miss, not a hung sweep."""
+    spec = _spec()
+    asyncio.run(SweepService(cache_dir=tmp_path).resolve(spec))
+    path = ResultCache(tmp_path).path(spec.content_hash())
+    path.write_text("[]")
+    server, thread = _serve(tmp_path)
+    try:
+        with ServiceClient(port=server.port, timeout=5) as client:
+            outcome = client.sweep(specs=[spec])
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+    assert outcome.ok
+    assert outcome.sources == {spec.content_hash(): "executed"}
+    assert json.loads(path.read_text())["spec"] == spec.to_dict()
+
+
+def test_request_that_cannot_be_decomposed_is_a_service_error(tmp_path):
+    server, thread = _serve(tmp_path)
+    try:
+        with ServiceClient(port=server.port, timeout=5) as client:
+            with pytest.raises(ServiceError, match="TypeError"):
+                client.sweep(
+                    workloads=["WL-9"], scenarios=["per_bank"],
+                    options={**FAST, "num_windows": "two"},
+                )
+            assert client.ping()["type"] == "pong"
+    finally:
+        server.stop()
+        thread.join(timeout=10)

@@ -74,6 +74,34 @@ def test_stale_schema_entry_is_recomputed(tmp_path):
     assert second.runs_executed == 1
 
 
+#: JSON documents that parse but are not an entry object.
+NOT_OBJECTS = ["[]", "123", '"x"', "null"]
+
+
+@pytest.mark.parametrize("text", NOT_OBJECTS)
+def test_result_cache_entry_not_an_object_is_a_miss(tmp_path, text):
+    cache = ResultCache(tmp_path)
+    path = cache.path("abcdef0123456789")
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert cache.get("abcdef0123456789") is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert not path.exists()  # discarded, to be recomputed
+
+
+@pytest.mark.parametrize("text", NOT_OBJECTS)
+def test_checkpoint_entry_not_an_object_is_a_miss(tmp_path, text):
+    from repro.core.checkpoint import CheckpointStore
+
+    store = CheckpointStore(tmp_path)
+    path = store.path("abcdef0123456789", 1000)
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert store.get("abcdef0123456789", 1000) is None
+    assert (store.hits, store.misses) == (0, 1)
+    assert not path.exists()
+
+
 def test_cache_layout_is_schema_versioned(tmp_path):
     cache = ResultCache(tmp_path)
     from repro.experiments.cache import CACHE_SCHEMA

@@ -129,6 +129,14 @@ def test_unserializable_config_value_raises_config_error():
         spec.content_hash()
 
 
+def test_unserializable_spec_field_raises_config_error():
+    from decimal import Decimal
+
+    spec = make_run_spec("WL-6", "all_bank", num_windows=Decimal("1"))
+    with pytest.raises(ConfigError, match="not JSON-serializable"):
+        spec.content_hash()
+
+
 # -- RunResult ------------------------------------------------------------------
 
 
@@ -209,3 +217,114 @@ def test_canonical_json_is_stable():
 def test_to_jsonable_rejects_non_string_keys():
     with pytest.raises(ConfigError, match="keys must be strings"):
         to_jsonable({1: "x"})
+
+
+# -- RunSpec identity: the content hash, computed once per instance --------------
+
+
+#: Content hashes recorded before the hash was memoized and the
+#: serializer walked each value once; they pin the canonical JSON of
+#: four representative specs byte for byte (every disk-cache and
+#: checkpoint key is derived from it).
+GOLDEN_HASHES = {
+    "wl6_codesign": "a7a249b0b4d58ff3",
+    "fig10_cell": "337b3ac957d88267",
+    "warm_start": "c695e141165940d8",
+    "sampled": "706fc5191c694fd1",
+}
+
+
+def golden_specs():
+    from repro.core.simulator import sweep_specs
+
+    (warm,) = sweep_specs(
+        ["WL-6"], ["codesign"], refresh_scale=1024, num_windows=1.0,
+        warmup_windows=1.5, warmup_scenario="per_bank",
+    )
+    return {
+        "wl6_codesign": make_run_spec("WL-6", "codesign", refresh_scale=64),
+        "fig10_cell": make_run_spec(
+            "WL-1", "per_bank", density_gbit=24, refresh_scale=1024,
+            num_windows=1.0, warmup_windows=0.25,
+        ),
+        "warm_start": warm,
+        "sampled": make_run_spec(
+            "WL-9", "all_bank", refresh_scale=1024, num_windows=0.5,
+            warmup_windows=0.1, sample_windows=4,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_HASHES))
+def test_content_hash_matches_golden(name):
+    spec = golden_specs()[name]
+    assert spec.content_hash() == GOLDEN_HASHES[name]
+    assert content_hash(spec.to_dict()) == GOLDEN_HASHES[name]
+    rebuilt = RunSpec.from_dict(json_roundtrip(spec.to_dict()))
+    assert rebuilt.content_hash() == GOLDEN_HASHES[name]
+
+
+def test_content_hash_is_computed_once_per_instance(hash_calls):
+    spec = make_run_spec("WL-6", "codesign", refresh_scale=1024)
+    first = spec.content_hash()
+    assert spec.content_hash() == first
+    assert len(hash_calls) == 1
+
+
+def test_with_and_from_dict_compute_fresh_hashes():
+    import dataclasses
+
+    spec = make_run_spec("WL-6", "codesign", refresh_scale=1024)
+    key = spec.content_hash()
+    for changed in (
+        spec.with_(num_windows=1.0),
+        dataclasses.replace(spec, num_windows=1.0),
+    ):
+        assert "_content_hash" not in vars(changed)
+        assert changed.content_hash() == content_hash(changed.to_dict())
+        assert changed.content_hash() != key
+    same = spec.with_()
+    assert "_content_hash" not in vars(same)
+    assert same.content_hash() == key
+    rebuilt = RunSpec.from_dict(spec.to_dict())
+    assert "_content_hash" not in vars(rebuilt)
+    assert rebuilt.content_hash() == key
+    assert rebuilt == spec
+
+
+def _stored_hash(spec):
+    """Runs in a pool worker: the hash the unpickled spec arrived with."""
+    return vars(spec).get("_content_hash")
+
+
+def test_pickled_spec_keeps_its_hash_across_the_process_pool():
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+
+    spec = make_run_spec("WL-6", "codesign", refresh_scale=1024)
+    key = spec.content_hash()
+    copy = pickle.loads(pickle.dumps(spec))
+    assert vars(copy)["_content_hash"] == key
+    assert copy == spec
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(_stored_hash, spec).result() == key
+
+
+def test_task_list_is_always_a_tuple():
+    spec = make_run_spec("WL-6", "codesign", refresh_scale=1024)
+    tasks = list(spec.specs)
+    direct = RunSpec(
+        workload_name=spec.workload_name,
+        specs=tasks,
+        scenario=spec.scenario,
+        config=spec.config,
+    )
+    replaced = spec.with_(specs=tasks)
+    for built in (direct, replaced):
+        assert isinstance(built.specs, tuple)
+        key = built.content_hash()
+        tasks.clear()  # the caller's list no longer reaches the spec
+        assert len(built.specs) == 8
+        assert built.content_hash() == key == content_hash(built.to_dict())
+        tasks.extend(spec.specs)
+    assert replaced.content_hash() == spec.content_hash()
