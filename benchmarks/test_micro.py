@@ -87,7 +87,9 @@ def test_partition_allocator_throughput(benchmark):
     def churn():
         memory = PhysicalMemory(mapping)
         allocator = PartitioningAllocator(memory, PartitionPolicy.SOFT)
-        task = Task("bench", None, possible_banks=frozenset(range(0, 16, 2)))
+        task = Task(
+            "bench", None, possible_banks=frozenset(range(0, 16, 2)), task_id=0
+        )
         allocated = allocator.alloc_footprint(task, 2000)
         allocator.free_task(task)
         return allocated
@@ -96,7 +98,7 @@ def test_partition_allocator_throughput(benchmark):
 
 
 def test_engine_handle_churn_throughput(benchmark):
-    """Cancellable handles: event pool reuse + stub compaction."""
+    """Cancellable handles: handle allocation + stub compaction."""
     assert benchmark(kernels.engine_handle_churn) == 2500
 
 
@@ -118,6 +120,16 @@ def test_refresh_all_bank_tick_rate(benchmark):
 def test_core_compute_fast_forward_rate(benchmark):
     """Compute-gap issue loop: folded gap chains, one event per chain."""
     assert benchmark(kernels.core_compute_fast_forward) > 0
+
+
+def test_workload_access_stream_rate(benchmark):
+    """Per-miss generator: seeded draws from one WL-6 task on a frame list."""
+    assert benchmark(kernels.workload_access_stream) == 20_000
+
+
+def test_system_build_rate(benchmark):
+    """One cold Figure-10 cell build, footprint allocation included."""
+    assert benchmark(kernels.system_build) > 0
 
 
 def test_full_quantum_simulation_rate(benchmark):

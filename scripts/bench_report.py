@@ -36,6 +36,7 @@ from repro.bench import (  # noqa: E402
     run_kernel,
     service_tier_histograms,
     wl6_codesign_end_to_end,
+    workload_stream_digests,
 )
 
 
@@ -64,6 +65,9 @@ def collect(repeat: int, quick: bool) -> dict:
         # Dispatch-work counters from one extra (untimed) run of each
         # controller kernel — all pure functions of the kernel arguments.
         "cost_model": controller_cost_models(),
+        # Digests of seeded generator streams (one extra, untimed run);
+        # exact-gated like the operation counts.
+        "streams": workload_stream_digests(),
         # Per-tier service latency-histogram snapshots (deterministic half
         # only).  Informational: bench_trend.py renders them but the
         # determinism signature deliberately excludes them.
@@ -87,13 +91,15 @@ COST_MODEL_PINNED_FIELDS = (
 
 
 def determinism_signature(report: dict) -> dict:
-    """The gated subset: operation counts, result digests and the
-    externally pinned cost-model fields (mirrored in bench_trend.py)."""
+    """The gated subset: operation counts, result and stream digests and
+    the externally pinned cost-model fields (mirrored in bench_trend.py)."""
     sig = {k["name"]: k["ops"] for k in report["kernels"]}
     end = report.get("end_to_end")
     if end is not None:
         sig["end_to_end.events_processed"] = end["events_processed"]
         sig["end_to_end.result_sha256"] = end["result_sha256"]
+    for name, digest in sorted((report.get("streams") or {}).items()):
+        sig[f"streams.{name}.sha256"] = digest
     for name, model in sorted((report.get("cost_model") or {}).items()):
         for field in COST_MODEL_PINNED_FIELDS:
             if field in model:

@@ -12,8 +12,9 @@ Usage::
     python scripts/bench_trend.py --gate --fresh /tmp/out/BENCH_*.json
 
 The gate compares the *determinism signature* — per-kernel operation
-counts, the end-to-end ``events_processed``, the result digest and the
-externally pinned dispatch cost-model fields.  Those are pure functions
+counts, the end-to-end ``events_processed``, the result digest, the
+seeded workload-stream digest and the externally pinned dispatch
+cost-model fields.  Those are pure functions
 of the code and must match exactly; any drift means an unintended
 behavior change (or a forgotten re-baseline).  Signature keys the
 baseline predates (new kernels, new cost-model fields) are informational
@@ -62,8 +63,8 @@ COST_MODEL_RATIO_GATES = (
 
 
 def determinism_signature(report: dict) -> dict:
-    """Gated subset: operation counts, result digests and the externally
-    pinned cost-model fields.
+    """Gated subset: operation counts, result and stream digests and the
+    externally pinned cost-model fields.
 
     Mirrors ``scripts/bench_report.py`` (scripts are not a package, so
     these lines are repeated rather than imported).
@@ -73,6 +74,8 @@ def determinism_signature(report: dict) -> dict:
     if end is not None:
         sig["end_to_end.events_processed"] = end["events_processed"]
         sig["end_to_end.result_sha256"] = end["result_sha256"]
+    for name, digest in sorted((report.get("streams") or {}).items()):
+        sig[f"streams.{name}.sha256"] = digest
     for name, model in sorted((report.get("cost_model") or {}).items()):
         for field in COST_MODEL_PINNED_FIELDS:
             if field in model:

@@ -1,8 +1,8 @@
 """Reusable performance kernels for the simulator's hot paths.
 
 Each kernel is a deterministic workload over one hot component (engine,
-core, controller, refresh scheduler, address decode) returning an
-operation count; :mod:`repro.bench.kernels` also provides the timing
+core, workload generator, controller, refresh scheduler, address decode,
+system build) returning an operation count; :mod:`repro.bench.kernels` also provides the timing
 wrapper.  The kernels are shared by ``benchmarks/test_micro.py``
 (pytest-benchmark tracking) and ``scripts/bench_report.py`` (the
 ``BENCH_<date>.json`` perf-trajectory reports recorded by CI).
@@ -20,6 +20,7 @@ from repro.bench.kernels import (
     run_kernel,
     service_tier_histograms,
     wl6_codesign_end_to_end,
+    workload_stream_digests,
 )
 
 __all__ = [
@@ -29,4 +30,5 @@ __all__ = [
     "run_kernel",
     "service_tier_histograms",
     "wl6_codesign_end_to_end",
+    "workload_stream_digests",
 ]

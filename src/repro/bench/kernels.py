@@ -302,6 +302,59 @@ def core_compute_fast_forward(gaps: int = 20_000) -> int:
     return task.stats.instructions
 
 
+# -- workload and system build ---------------------------------------------
+
+
+def _access_stream(draws: int) -> list:
+    """Body of :func:`workload_access_stream`: the accesses themselves."""
+    from repro.os.task import Task
+    from repro.workloads.benchmark import StatisticalWorkload
+    from repro.workloads.mixes import workload_mix
+
+    _, _, _, mapping = _dram_fixture()
+    spec = workload_mix("WL-6")[0]
+    workload = StatisticalWorkload(spec, mapping)
+    task = Task(spec.name, workload, task_id=0)
+    task.rng = random.Random(7)
+    for frame in range(0, mapping.total_frames, 3):
+        task.add_frame(frame, mapping.frame_to_bank_index(frame))
+    next_access = workload.next_access
+    return [next_access(task) for _ in range(draws)]
+
+
+def workload_access_stream(draws: int = 20_000) -> int:
+    """Per-miss generator: *draws* accesses from one WL-6 task (mcf) on a
+    frame list."""
+    return len(_access_stream(draws))
+
+
+def workload_stream_digests() -> dict[str, str]:
+    """sha256 of :func:`workload_access_stream`'s accesses, from one extra
+    (untimed) run, keyed by kernel name.  The stream is a pure function of
+    the seed, so the digest joins the determinism signature: it changes
+    if any draw of the per-miss generator does."""
+    stream = [list(access) for access in _access_stream(20_000)]
+    digest = hashlib.sha256(json.dumps(stream).encode()).hexdigest()
+    return {"workload_access_stream": digest}
+
+
+def system_build() -> int:
+    """One cold Figure-10 cell build (WL-6 codesign at 32 Gb), footprint
+    allocation included; returns the pages allocated."""
+    from repro.core.simulator import build_system_from_spec, make_run_spec
+
+    spec = make_run_spec(
+        "WL-6",
+        "codesign",
+        num_windows=1.0,
+        warmup_windows=0.25,
+        refresh_scale=1024,
+        density_gbit=32,
+    )
+    system = build_system_from_spec(spec)
+    return sum(len(task.frames) for task in system.tasks)
+
+
 # -- checkpoint --------------------------------------------------------------
 
 
@@ -505,6 +558,8 @@ KERNELS: dict[str, Callable[[], int]] = {
     "refresh_all_bank_ticks": refresh_schedule_ticks,
     "refresh_same_bank_ticks": lambda: refresh_schedule_ticks("same_bank"),
     "core_compute_fast_forward": core_compute_fast_forward,
+    "workload_access_stream": workload_access_stream,
+    "system_build": system_build,
     "checkpoint_roundtrip": checkpoint_roundtrip,
     "service_roundtrip": service_roundtrip,
 }

@@ -16,28 +16,25 @@ Hot-path design (see docs/PERFORMANCE.md):
   touches the dict or heap at all.  Invariants: every scheduled time has
   exactly one bucket; ``_times`` holds exactly the keys of ``_buckets``
   (no stale entries); ``_head_time`` is smaller than every heap time.
-* **Fire-and-forget entries are bare callables.**  :meth:`Engine.schedule`
-  stores the callback itself in the bucket — no per-event object at all —
-  and returns ``None``.  When a caller needs to cancel, it asks for a
-  handle explicitly with :meth:`Engine.schedule_event`; arg-bearing
-  callbacks are wrapped in a pooled :class:`Event`, which the drain loop
-  unwraps inline.  This split keeps the dominant path allocation-free.
-* **Event free-list pool.**  Fired internal arg-carrier :class:`Event`
-  wrappers are recycled through ``_pool`` instead of becoming garbage.
-  Only events the engine creates for itself (arg-bearing
-  :meth:`Engine.schedule`/:meth:`Engine.schedule_at`) are recyclable —
-  no caller ever sees them, so reuse is invisible.  Handles returned by
-  :meth:`Engine.schedule_event` are allocated fresh and never pooled
-  (``Event.recyclable`` is False): cancelling after the event fired is
-  a no-op forever, with no stale-handle hazard.  A pooled event may
-  briefly keep its last ``arg`` alive; the pool is capped, so the
-  retained set is small and bounded.
+* **Fire-and-forget entries are plain values.**  :meth:`Engine.schedule`
+  and :meth:`Engine.schedule_at` store the callback itself in the bucket,
+  or the tuple ``(fn, arg)`` when it carries an argument, and return
+  ``None``.  The drain loop tells the three entry kinds apart by class:
+  a tuple fires as ``fn(arg)``, an :class:`Event` is unwrapped, anything
+  else is called bare.  A 2-tuple is built at C level and dropped after
+  it fires, so the dominant path needs no wrapper object to allocate,
+  recycle or reset.
+* **Cancellable handles are the only Event objects.**  A caller that
+  needs to cancel asks for a handle with :meth:`Engine.schedule_event`.
+  Each handle is a fresh :class:`Event` that the engine never reuses:
+  cancelling after the event fired is a no-op forever, with no
+  stale-handle hazard.
 * **Liveness = ``fn is not None``** (for :class:`Event` entries; a bare
-  callable entry is always live).  A pending event has its callback set;
-  firing and cancelling both clear it.  ``pending_events`` and
-  ``peek_time`` test this single field, so cancelled stubs can linger in
-  buckets without skewing any observable until :meth:`Engine._compact`
-  sweeps them out.  Compaction mutates ``_buckets``/``_times`` strictly
+  callable or ``(fn, arg)`` entry is always live).  A pending event has
+  its callback set; firing and cancelling both clear it.
+  ``pending_events`` and ``peek_time`` test this single field, so
+  cancelled stubs can linger in buckets without skewing any observable
+  until :meth:`Engine._compact` sweeps them out.  Compaction mutates ``_buckets``/``_times`` strictly
   in place, so it is safe to trigger from a callback while the drain
   loop holds local aliases to both.
 * **One drain loop.**  :meth:`Engine.run` and :meth:`Engine.run_until`
@@ -67,39 +64,22 @@ from repro.errors import SimulationError
 #: events and are numerous enough for the O(n) sweep to pay for itself.
 _COMPACT_MIN = 64
 
-#: Free-list cap — enough to absorb the steady-state event population of a
-#: full-system run without hoarding memory after bursts.
-_POOL_MAX = 4096
-
 
 class Event:
-    """A scheduled callback with a cancellable handle and/or an argument.
+    """The cancellable handle of one scheduled callback.
 
-    Only the engine constructs these (via :meth:`Engine.schedule_event`
-    or an arg-bearing :meth:`Engine.schedule`); buckets store either an
-    Event or the bare callback itself, and the drain loop unwraps an
-    Event inline and does its pool bookkeeping.
-
-    Events handed out by :meth:`Engine.schedule_event` are never recycled
-    (``recyclable`` is False), so a retained handle stays a safe no-op
-    forever after the event fires or is cancelled.  Only the engine's
-    internal arg-carrier events go through the free-list pool.
+    Only :meth:`Engine.schedule_event` constructs these; the drain loop
+    unwraps them inline.  A handle is never reused, so a retained handle
+    stays a safe no-op forever after the event fires or is cancelled.
     """
 
-    __slots__ = ("engine", "fn", "arg", "cancelled", "recyclable")
+    __slots__ = ("engine", "fn", "arg", "cancelled")
 
-    def __init__(
-        self,
-        fn: Optional[Callable],
-        arg: Any,
-        engine: "Engine",
-        recyclable: bool = True,
-    ):
+    def __init__(self, fn: Optional[Callable], arg: Any, engine: "Engine"):
         self.engine = engine
         self.fn = fn
         self.arg = arg
         self.cancelled = False
-        self.recyclable = recyclable
 
     def cancel(self) -> None:
         """Prevent this event's callback from running.
@@ -146,7 +126,6 @@ class Engine:
         "_times",
         "_events_processed",
         "_cancelled",
-        "_pool",
         "_run_list",
         "_run_index",
         "_run_time",
@@ -165,7 +144,6 @@ class Engine:
         self._times: list[int] = []
         self._events_processed: int = 0
         self._cancelled: int = 0
-        self._pool: list[Event] = []
         # Bucket currently being drained (already detached) + resume index
         # and its time (maintained by step() and by an exception unwind;
         # the drain loop resumes from and resets them).
@@ -186,7 +164,7 @@ class Engine:
         :meth:`schedule_event` when the caller needs to cancel.  With
         *arg*, the callback fires as ``fn(arg)`` — the hot paths use this
         to pass a bound method plus its argument instead of allocating a
-        closure per event.
+        closure per event; the bucket stores the tuple ``(fn, arg)``.
         """
         # The insert branch is inlined (as in schedule_at): this is the
         # hottest function in the simulator and a second call frame is
@@ -202,14 +180,7 @@ class Engine:
             # this, the hottest line in the simulator.
             time = int(time)
         if arg is not None:
-            pool = self._pool
-            if pool:
-                event = pool.pop()
-                event.fn = fn
-                event.arg = arg
-            else:
-                event = Event(fn, arg, self)
-            fn = event
+            fn = (fn, arg)
         head_time = self._head_time
         if head_time is None:
             times = self._times
@@ -242,12 +213,13 @@ class Engine:
     def schedule_event(self, delay: int, fn: Callable, arg: Any = None) -> Event:
         """Like :meth:`schedule`, but returns a cancellable handle.
 
-        The handle is a fresh, never-recycled :class:`Event`, so holding
-        it past the fire time and cancelling late is always a safe no-op.
+        The handle is a fresh :class:`Event` the engine never reuses, so
+        holding it past the fire time and cancelling late is always a safe
+        no-op.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(fn, arg, self, recyclable=False)
+        event = Event(fn, arg, self)
         self.schedule_at(self.now + int(delay), event)
         return event
 
@@ -261,14 +233,7 @@ class Engine:
             # Same float-key guard as schedule(); see the comment there.
             time = int(time)
         if arg is not None:
-            pool = self._pool
-            if pool:
-                event = pool.pop()
-                event.fn = fn
-                event.arg = arg
-            else:
-                event = Event(fn, arg, self)
-            fn = event
+            fn = (fn, arg)
         # Same insert branch as schedule(), inlined: schedule_at is the
         # controller hot path's scheduling call and a second frame is
         # measurable.
@@ -325,16 +290,12 @@ class Engine:
     def _retire_run_list(self) -> None:
         """Recycle a fully drained bucket (cold path: step/peek_time).
 
-        Fired Events were pooled as they fired; only cancelled stubs
-        that were never drained still need reclaiming here."""
+        Cancelled stubs that were never drained are uncounted here."""
         run_list = self._run_list
-        pool = self._pool
         for entry in run_list:
             if entry.__class__ is Event and entry.cancelled:
                 entry.cancelled = False
                 self._cancelled -= 1  # repro: noqa[RPR011] stub bookkeeping; snapshot drops stubs, restore resets to 0
-                if entry.recyclable and len(pool) < _POOL_MAX:
-                    pool.append(entry)
         run_list.clear()
         if self._spare is None:
             self._spare = run_list
@@ -343,12 +304,9 @@ class Engine:
 
     def _drop_dead_bucket(self, bucket: list[Callable]) -> None:
         """Reclaim a bucket that contains only cancelled stubs."""
-        pool = self._pool
         for entry in bucket:
             entry.cancelled = False
             self._cancelled -= 1
-            if entry.recyclable and len(pool) < _POOL_MAX:
-                pool.append(entry)
         bucket.clear()
 
     def peek_time(self) -> Optional[int]:
@@ -379,7 +337,6 @@ class Engine:
 
     def step(self) -> bool:
         """Run the next event.  Returns ``False`` when no events remain."""
-        pool = self._pool
         while True:
             run_list = self._run_list
             if run_list is None:
@@ -401,26 +358,22 @@ class Engine:
                         if entry.cancelled:
                             entry.cancelled = False
                             self._cancelled -= 1
-                            if entry.recyclable and len(pool) < _POOL_MAX:
-                                pool.append(entry)
                         continue
-                    self._run_index = index
-                    self.now = time
-                    self._events_processed += 1
                     arg = entry.arg
                     entry.fn = None
-                    if entry.recyclable and len(pool) < _POOL_MAX:
-                        pool.append(entry)
-                    if arg is None:
-                        fn()
-                    else:
-                        entry.arg = None
-                        fn(arg)
-                    return True
+                    entry.arg = None
+                elif entry.__class__ is tuple:
+                    fn, arg = entry
+                else:
+                    fn = entry
+                    arg = None
                 self._run_index = index
                 self.now = time
                 self._events_processed += 1
-                entry()
+                if arg is None:
+                    fn()
+                else:
+                    fn(arg)
                 return True
             self._run_index = index
             self._retire_run_list()
@@ -478,7 +431,6 @@ class Engine:
             run_list = []
         n = len(run_list)
         processed = n - index
-        pool = self._pool
         profiler = self._profiler
         clock = record = None
         if profiler is not None:
@@ -489,31 +441,32 @@ class Engine:
                 while index < n:
                     entry = run_list[index]
                     index += 1
-                    # Unwrap an Event inline (the arg-carrier unwrap is the
-                    # hottest indirection in a full-system run).  Pool
-                    # before fire, as in step(), so exception unwinds agree.
-                    if entry.__class__ is Event:
+                    # Arg carriers are the commonest entries in a
+                    # full-system run, so the tuple test comes first.
+                    if entry.__class__ is tuple:
+                        fn, arg = entry
+                        if profiler is None:
+                            fn(arg)
+                            continue
+                    elif entry.__class__ is Event:
                         fn = entry.fn
                         if fn is None:
                             processed -= 1
                             if entry.cancelled:
                                 entry.cancelled = False
                                 self._cancelled -= 1
-                                if entry.recyclable and len(pool) < _POOL_MAX:
-                                    pool.append(entry)
                             continue
+                        # Mark fired before the call, as in step(), so an
+                        # exception unwind leaves the same state.
                         arg = entry.arg
                         entry.fn = None
-                        if entry.recyclable and len(pool) < _POOL_MAX:
-                            pool.append(entry)
+                        entry.arg = None
                         if profiler is None:
                             if arg is None:
                                 fn()
                             else:
-                                entry.arg = None
                                 fn(arg)
                             continue
-                        entry.arg = None
                     elif profiler is None:
                         entry()
                         continue
@@ -584,7 +537,9 @@ class Engine:
         for time, bucket in pairs:
             entries = []
             for entry in bucket:
-                if entry.__class__ is Event:
+                if entry.__class__ is tuple:
+                    entries.append(encode_entry(*entry))
+                elif entry.__class__ is Event:
                     if entry.fn is None:
                         continue  # cancelled/fired stub
                     entries.append(encode_entry(entry.fn, entry.arg))
@@ -627,7 +582,6 @@ class Engine:
 
     def _compact(self) -> None:
         """Sweep cancelled stubs out and rebuild the time heap in place."""
-        pool = self._pool
         reclaimed = 0
         if self._head_time is not None:
             head = self._head
@@ -640,8 +594,6 @@ class Engine:
                     if entry.__class__ is Event and entry.cancelled:
                         entry.cancelled = False
                         reclaimed += 1
-                        if entry.recyclable and len(pool) < _POOL_MAX:
-                            pool.append(entry)
                 head[:] = live
                 if not live:
                     self._head_time = None
@@ -658,8 +610,6 @@ class Engine:
                 if entry.__class__ is Event and entry.cancelled:
                     entry.cancelled = False
                     reclaimed += 1
-                    if entry.recyclable and len(pool) < _POOL_MAX:
-                        pool.append(entry)
             if live:
                 buckets[time] = live
             else:

@@ -84,6 +84,14 @@ class Core:
         self._chain_final = (0, 0, 0)
         self.idle_cycles = 0
         self._idle_since: Optional[int] = None
+        # The issue path runs once per LLC miss: bind its calls once.  The
+        # prebound callbacks (as in MemoryController) also spare one
+        # bound-method allocation per scheduled issue or issued read.
+        self._decode = controller.mapping.address_to_coordinate
+        self._enqueue = controller.enqueue
+        self._schedule = engine.schedule
+        self._issue = self._issue
+        self._on_read_complete = self._on_read_complete
 
     # -- scheduler interface -----------------------------------------------------
 
@@ -157,7 +165,8 @@ class Core:
         task = self.current_task
         now = self.engine.now
         qend = self._quantum_end
-        access = task.workload.next_access(task)
+        next_access = task.workload.next_access
+        access = next_access(task)
         gap = max(1, access.gap_cycles)
         offset = gap
         chain = None
@@ -175,7 +184,7 @@ class Core:
             if chain is None:
                 chain = []
             chain.append((offset, access.instructions))
-            access = task.workload.next_access(task)
+            access = next_access(task)
             gap = max(1, access.gap_cycles)
             offset += gap
         self._chain = chain
@@ -185,7 +194,7 @@ class Core:
         self._pending_gap_start = now + offset - gap
         self._pending_gap_cycles = gap
         self._pending_instructions = access.instructions
-        self.engine.schedule(offset, self._issue, (self._epoch, access))
+        self._schedule(offset, self._issue, (self._epoch, access))
 
     def sync_accounting(self, now: Optional[int] = None) -> None:
         """Credit fully-elapsed fast-forward chain gaps up to *now*.
@@ -236,83 +245,95 @@ class Core:
             for i in range(self._chain_credited, len(chain)):
                 stats.instructions += chain[i][1]
             self._chain = None
-        if access.address is not None and not self._can_issue(task):
-            # The gap elapsed but the window is full: the front end is
-            # actually stalled — defer the miss until retirement frees room.
-            self._deferred = access
-            self._stalled = True
-            self._pending_gap_cycles = 0
-            task.stats.mlp_stalls += 1
-            return
+        if access.address is not None:
+            # The front end runs ahead only while the MLP window and the
+            # ROB have room (the head entry's gap has retired, so it does
+            # not occupy the ROB); _do_issue and _on_read_complete repeat
+            # this test.  Full: the gap elapsed but the front end is
+            # stalled — defer the miss until retirement frees room.
+            window = self._window
+            if (
+                self._outstanding >= task.workload.mlp
+                or self._inflight_instr - (window[0].instructions if window else 0)
+                >= self.rob_entries
+            ):
+                self._deferred = access
+                self._stalled = True
+                self._pending_gap_cycles = 0
+                task.stats.mlp_stalls += 1
+                return
         self._do_issue(epoch, task, access)
 
     def _do_issue(self, epoch: int, task, access) -> None:
-        task.stats.instructions += access.instructions
+        instructions, _, address, writeback = access
+        stats = task.stats
+        stats.instructions += instructions
         self._pending_gap_cycles = 0
 
-        if access.address is None:
+        if address is None:
             # Pure-compute gap (no LLC miss): keep the front end running.
             self._schedule_next_issue()
             return
 
-        entry = _RobEntry(access.instructions)
-        self._window.append(entry)
-        self._inflight_instr += access.instructions
+        entry = _RobEntry(instructions)
+        window = self._window
+        window.append(entry)
+        inflight = self._inflight_instr + instructions
+        self._inflight_instr = inflight
         request = MemoryRequest(
-            RequestType.READ,
-            access.address,
-            self.controller.mapping.address_to_coordinate(access.address),
-            task_id=task.task_id,
-            on_complete=self._on_read_complete,
+            RequestType.READ, address, self._decode(address), task.task_id,
+            self._on_read_complete,
         )
         request.ctx = (epoch, task, entry)
-        self.controller.enqueue(request)
-        task.stats.reads_issued += 1
-        self._outstanding += 1
+        # enqueue only queues the request and schedules a pick; it never
+        # calls back into this core, so the locals above stay current.
+        self._enqueue(request)
+        stats.reads_issued += 1
+        outstanding = self._outstanding + 1
+        self._outstanding = outstanding
 
-        if access.writeback_address is not None:
-            wb = MemoryRequest(
-                RequestType.WRITE,
-                access.writeback_address,
-                self.controller.mapping.address_to_coordinate(
-                    access.writeback_address
-                ),
-                task_id=task.task_id,
+        if writeback is not None:
+            self._enqueue(
+                MemoryRequest(
+                    RequestType.WRITE, writeback, self._decode(writeback),
+                    task.task_id,
+                )
             )
-            self.controller.enqueue(wb)
-            task.stats.writes_issued += 1
+            stats.writes_issued += 1
 
-        if self._can_issue(task):
+        if (
+            outstanding < task.workload.mlp
+            and inflight - window[0].instructions < self.rob_entries
+        ):
             self._schedule_next_issue()
         else:
             self._stalled = True
-            task.stats.mlp_stalls += 1
-
-    def _can_issue(self, task) -> bool:
-        """Front end may run ahead: MLP window and ROB both have room.
-
-        Instructions *older* than the oldest outstanding miss have retired,
-        so the head entry's gap does not occupy the ROB.
-        """
-        if self._outstanding >= task.workload.mlp:
-            return False
-        head_gap = self._window[0].instructions if self._window else 0
-        return self._inflight_instr - head_gap < self.rob_entries
+            stats.mlp_stalls += 1
 
     def _on_read_complete(self, request: MemoryRequest) -> None:
         epoch, task, entry = request.ctx
-        task.stats.record_read_latency(request.latency, request.refresh_stall)
+        stats = task.stats
+        stats.reads_completed += 1
+        stats.read_latency_sum += request.finish_time - request.arrive_time
+        stats.refresh_stall_sum += request.refresh_stall
         if epoch != self._epoch:
             return  # completion for a task no longer on this core
         entry.done = True
-        self._outstanding -= 1
+        outstanding = self._outstanding - 1
+        self._outstanding = outstanding
         # In-order retirement: only entries at the head of the window
         # (every older miss complete) free ROB space.
         window = self._window
+        inflight = self._inflight_instr
         while window and window[0].done:
-            retired = window.popleft()
-            self._inflight_instr -= retired.instructions
-        if self._stalled and self._can_issue(task):
+            inflight -= window.popleft().instructions
+        self._inflight_instr = inflight
+        if (
+            self._stalled
+            and outstanding < task.workload.mlp
+            and inflight - (window[0].instructions if window else 0)
+            < self.rob_entries
+        ):
             self._stalled = False
             deferred = self._deferred
             if deferred is not None:

@@ -125,6 +125,16 @@ class AddressMapping:
             )
         else:  # pragma: no cover - exotic configs keep the divmod path
             self._decode_shifts = None
+        # (divisor, size) of the channel, rank and bank fields in the
+        # layout's mixed radix, for frame_to_bank_index.  Valid for every
+        # field size, so non-power-of-two row counts (24 Gb) need no
+        # fallback.
+        divisor = 1
+        radix = {}
+        for field, size in self._field_chain:
+            radix[field] = (divisor, size)
+            divisor *= size
+        self._bank_radix = (*radix["channel"], *radix["rank"], *radix["bank"])
         # Frame -> (channel, rank, bank, row) memo; frames repeat heavily
         # within a run (every access to a page hits the same frame).
         self._frame_cache: dict[int, DramCoordinate] = {}
@@ -208,10 +218,18 @@ class AddressMapping:
     def frame_to_bank_index(self, frame: int) -> int:
         """Flat bank index in [0, total_banks) for a frame.
 
-        This is the ``get_bank_id_from_page`` helper of Algorithm 2.
+        This is the ``get_bank_id_from_page`` helper of Algorithm 2.  It
+        runs once per allocated page, so it decodes only the three bank
+        fields and neither builds nor caches a coordinate.
         """
-        coord = self.frame_to_coordinate(frame)
-        return (coord[0] * self._ranks + coord[1]) * self._banks + coord[2]
+        if not 0 <= frame < self.total_frames:
+            raise AddressMapError(
+                f"frame {frame} out of range [0, {self.total_frames})"
+            )
+        cd, channels, rd, ranks, bd, banks = self._bank_radix
+        return (
+            frame // cd % channels * ranks + frame // rd % ranks
+        ) * banks + frame // bd % banks
 
     # -- address-level mapping (used by the memory controller) ---------------
 

@@ -9,6 +9,8 @@ pages from.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from repro.errors import AllocationError, OutOfMemoryError
 
 
@@ -51,16 +53,9 @@ class BuddyAllocator:
     # -- free-list plumbing ---------------------------------------------------
 
     def _insert_free(self, order: int, base: int) -> None:
-        lst = self._free[order]
-        # Keep ascending order; blocks are few, linear insert is fine.
-        lo, hi = 0, len(lst)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if lst[mid] < base:
-                lo = mid + 1
-            else:
-                hi = mid
-        lst.insert(lo, base)
+        # Keep ascending order (bases are unique, so insort's tie rule
+        # never applies).
+        insort(self._free[order], base)
         self._free_set.add((order, base))
 
     def _remove_free(self, order: int, base: int) -> None:
@@ -88,7 +83,18 @@ class BuddyAllocator:
         raise OutOfMemoryError(f"no free block of order {order}")
 
     def alloc_page(self) -> int:
-        """Allocate a single page frame."""
+        """Allocate a single page frame.
+
+        The order-0 head is taken directly when there is one: the same
+        frame and state :meth:`alloc` would produce, without its search
+        and split loop (a footprint allocation makes one call per page).
+        """
+        free = self._free[0]
+        if free:
+            base = free.pop(0)
+            self._free_set.remove((0, base))
+            self._allocated_order[base] = 0
+            return base
         return self.alloc(0)
 
     def free(self, base: int, order: int | None = None) -> None:

@@ -58,6 +58,13 @@ class PartitioningAllocator:
         self.cache_hits = 0
         self.cache_fills = 0
         self.spills = 0
+        # Per-page calls, bound once (a footprint is thousands of pages).
+        # Restores mutate the buddy and the memory in place, so these
+        # bindings stay valid.
+        self._bank_of_frame = memory.mapping.frame_to_bank_index
+        self._total_banks = total_banks
+        self._claim = memory.claim
+        self._buddy_alloc_page = self.buddy.alloc_page
 
     # -- public API -----------------------------------------------------------------
 
@@ -67,8 +74,8 @@ class PartitioningAllocator:
             frame = self._alloc_any(task)
         else:
             frame = self._alloc_partitioned(task)
-        bank = self.memory.bank_of_frame(frame)
-        self.memory.claim(frame, task.task_id)
+        bank = self._bank_of_frame(frame)
+        self._claim(frame, task.task_id)
         task.add_frame(frame, bank)
         if self.telemetry.enabled:
             self.telemetry.emit(
@@ -155,15 +162,17 @@ class PartitioningAllocator:
 
     def _alloc_any(self, task: Task) -> int:
         """Bank-oblivious path: cached pages first, then the buddy."""
-        for bank, cache in enumerate(self._bank_cache):
-            if cache:
-                self.cache_hits += 1
-                return cache.pop()
-        return self.buddy.alloc_page()
+        caches = self._bank_cache
+        if any(caches):
+            for cache in caches:
+                if cache:
+                    self.cache_hits += 1
+                    return cache.pop()
+        return self._buddy_alloc_page()
 
     def _alloc_partitioned(self, task: Task) -> int:
         allowed = task.possible_banks
-        total_banks = self.memory.total_banks
+        total_banks = self._total_banks
         # Round-robin over the allowed banks starting after lastAllocedBank.
         alloc_bank = task.last_alloced_bank
         for _ in range(total_banks):
@@ -189,16 +198,20 @@ class PartitioningAllocator:
     def _page_for_bank(self, wanted_bank: int) -> Optional[int]:
         """A free page in *wanted_bank*: the per-bank cache first, then pull
         pages from the OS free list, caching mismatches (lines 15-33)."""
-        cache = self._bank_cache[wanted_bank]
+        caches = self._bank_cache
+        cache = caches[wanted_bank]
         if cache:
             self.cache_hits += 1
             return cache.pop()
-        while self.buddy.has_free():
-            frame = self.buddy.alloc_page()
-            bank = self.memory.bank_of_frame(frame)
+        has_free = self.buddy.has_free
+        alloc_page = self._buddy_alloc_page
+        bank_of_frame = self._bank_of_frame
+        while has_free():
+            frame = alloc_page()
+            bank = bank_of_frame(frame)
             if bank == wanted_bank:
                 return frame
-            self._bank_cache[bank].append(frame)
+            caches[bank].append(frame)
             self.cache_fills += 1
         return None
 
@@ -207,7 +220,7 @@ class PartitioningAllocator:
             if cache:
                 return cache.pop()
         if self.buddy.has_free():
-            return self.buddy.alloc_page()
+            return self._buddy_alloc_page()
         return None
 
     def __repr__(self) -> str:

@@ -23,11 +23,6 @@ class TaskStats(StatsBase):
     refresh_stall_sum: int = 0
     mlp_stalls: int = 0
 
-    def record_read_latency(self, latency: int, refresh_stall: int) -> None:
-        self.reads_completed += 1
-        self.read_latency_sum += latency
-        self.refresh_stall_sum += refresh_stall
-
     @property
     def ipc(self) -> float:
         """Instructions per scheduled CPU cycle."""

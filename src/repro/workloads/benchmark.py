@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import ConfigError
 from repro.serialize import dataclass_from_dict, dataclass_to_dict
@@ -102,14 +102,23 @@ class BenchmarkSpec:
         return f"{self.name}({self.mpki_class.value})"
 
 
-@dataclass
-class MemAccess:
-    """One compute-gap + LLC-miss pair produced by a workload model."""
+class MemAccess(NamedTuple):
+    """One compute-gap + LLC-miss pair produced by a workload model.
+
+    A NamedTuple for the same reason as
+    :class:`~repro.dram.address.DramCoordinate`: the core consumes one
+    per miss, and a tuple is cheap to build and to unpack.
+    """
 
     instructions: int
     gap_cycles: int
     address: Optional[int]  # None = pure-compute gap, no memory request
     writeback_address: Optional[int] = None
+
+
+#: Builds a MemAccess from one tuple, bound once (as ``_coord_make`` is
+#: for DramCoordinate).
+_access_make = MemAccess._make
 
 
 class StatisticalWorkload:
@@ -139,9 +148,13 @@ class StatisticalWorkload:
     def __init__(self, spec: BenchmarkSpec, mapping, line_bytes: int = 64):
         spec.validate()
         self.spec = spec
+        #: Max outstanding misses; the core reads it once per issue check.
+        self.mlp = spec.mlp
         self.mapping = mapping
         self.line_bytes = line_bytes
+        self._page_bytes = mapping.page_bytes
         self._columns = mapping.page_bytes // line_bytes
+        self._column_bits = self._columns.bit_length()
         self._seq_cursor = 0
         self._last_page_idx: Optional[int] = None
         self._recent_pages: list[int] = []
@@ -162,20 +175,28 @@ class StatisticalWorkload:
     def name(self) -> str:
         return self.spec.name
 
-    @property
-    def mlp(self) -> int:
-        return self.spec.mlp
-
     def next_access(self, task) -> MemAccess:
-        """The next (gap, miss) pair for *task*."""
+        """The next (gap, miss) pair for *task*.
+
+        One method on purpose: it runs once per LLC miss.  Page, column
+        and victim indices are drawn with :class:`random.Random`'s own
+        bounded-int loop (``k = n.bit_length()``, redraw ``getrandbits(k)``
+        while ``>= n``), which consumes exactly the bits ``randrange(n)``
+        and ``choice(seq)`` would, so the stream is the one those calls
+        produce.  ``tests/property/test_workload_reference.py`` checks it
+        against the unfused generator.
+        """
         rng = task.rng
         spec = self.spec
-
-        has_memory = task.vm is not None or bool(task.frames)
-        mean_instr = self._mean_instr
-        if mean_instr == float("inf") or not has_memory:
+        vm = task.vm
+        frames = task.frames
+        if self._mean_instr == float("inf") or (vm is None and not frames):
+            # Zero MPKI, or footprint not yet allocated: compute-only gap.
             instructions = self.MAX_GAP_INSTRUCTIONS
-        elif self._burst_left > 0:
+            return _access_make(
+                (instructions, max(1, int(instructions * spec.base_cpi)), None, None)
+            )
+        if self._burst_left > 0:
             # Inside a burst: short fixed gap.
             self._burst_left -= 1
             instructions = self._intra_instr
@@ -187,67 +208,58 @@ class StatisticalWorkload:
                 max(1, int(rng.expovariate(1.0 / self._inter_mean)) + 1),
             )
         gap_cycles = max(1, int(instructions * spec.base_cpi))
+        getrandbits = rng.getrandbits
 
-        if not has_memory or mean_instr == float("inf"):
-            # Footprint not yet allocated (or zero MPKI): compute-only gap.
-            return MemAccess(instructions, gap_cycles, address=None)
-        self._fault_penalty = 0
-        address = self._next_address(task, rng)
+        # Page: the previous one again (same row), else the next or a
+        # uniformly random page of the footprint.
+        page_idx = self._last_page_idx
+        if page_idx is None or rng.random() >= spec.row_locality:
+            pages = len(frames) if vm is None else vm.footprint_pages
+            if spec.pattern is AccessPattern.SEQUENTIAL:
+                page_idx = self._seq_cursor
+                self._seq_cursor = (page_idx + 1) % pages
+            else:
+                bits = pages.bit_length()
+                page_idx = getrandbits(bits)
+                while page_idx >= pages:
+                    page_idx = getrandbits(bits)
+            self._last_page_idx = page_idx
+        recent = self._recent_pages
+        recent.append(page_idx)
+        if len(recent) > 8:
+            del recent[0]
+
+        columns = self._columns
+        column_bits = self._column_bits
+        if vm is None:
+            frame = frames[page_idx]
+            penalty = 0
+        else:
+            # Page-fault handling time (demand paging) extends the gap.
+            frame, penalty = vm.translate(page_idx)
+        self._fault_penalty = penalty
+        column = getrandbits(column_bits)
+        while column >= columns:
+            column = getrandbits(column_bits)
+        address = frame * self._page_bytes + column * self.line_bytes
+
+        # Dirty-victim writeback to a recently touched page; under demand
+        # paging only a resident victim is written back.
         writeback = None
-        if self._recent_pages and rng.random() < spec.write_fraction:
-            victim_page = rng.choice(self._recent_pages)
-            writeback = self._resident_address(task, victim_page, rng)
-        # Page-fault handling time (demand paging) extends the compute gap.
-        gap_cycles += self._fault_penalty
-        return MemAccess(instructions, gap_cycles, address, writeback)
-
-    # -- address stream -----------------------------------------------------------
-
-    def _page_count(self, task) -> int:
-        if task.vm is not None:
-            return task.vm.footprint_pages
-        return len(task.frames)
-
-    def _next_address(self, task, rng) -> int:
-        if (
-            self._last_page_idx is not None
-            and rng.random() < self.spec.row_locality
-        ):
-            page_idx = self._last_page_idx
-        elif self.spec.pattern is AccessPattern.SEQUENTIAL:
-            page_idx = self._seq_cursor
-            self._seq_cursor = (self._seq_cursor + 1) % self._page_count(task)
-        else:
-            page_idx = rng.randrange(self._page_count(task))
-        self._last_page_idx = page_idx
-        self._remember(page_idx)
-        return self._address_in(task, page_idx, rng)
-
-    def _address_in(self, task, page_idx: int, rng) -> int:
-        if task.vm is not None:
-            frame, penalty = task.vm.translate(page_idx)
-            self._fault_penalty += penalty
-        else:
-            frame = task.frames[page_idx]
-        column = rng.randrange(self._columns)
-        return self.mapping.frame_offset_to_address(frame, column * self.line_bytes)
-
-    def _resident_address(self, task, page_idx: int, rng):
-        """Writeback target: only resident pages get written back."""
-        if task.vm is not None:
-            frame = task.vm.translate_resident(page_idx)
-            if frame is None:
-                return None
-            column = rng.randrange(self._columns)
-            return self.mapping.frame_offset_to_address(
-                frame, column * self.line_bytes
-            )
-        return self._address_in(task, page_idx, rng)
-
-    def _remember(self, page_idx: int) -> None:
-        self._recent_pages.append(page_idx)
-        if len(self._recent_pages) > 8:
-            del self._recent_pages[0]
+        if rng.random() < spec.write_fraction:
+            count = len(recent)
+            bits = count.bit_length()
+            victim = getrandbits(bits)
+            while victim >= count:
+                victim = getrandbits(bits)
+            victim = recent[victim]
+            frame = frames[victim] if vm is None else vm.translate_resident(victim)
+            if frame is not None:
+                column = getrandbits(column_bits)
+                while column >= columns:
+                    column = getrandbits(column_bits)
+                writeback = frame * self._page_bytes + column * self.line_bytes
+        return _access_make((instructions, gap_cycles + penalty, address, writeback))
 
     # -- checkpoint/restore -----------------------------------------------------------
 

@@ -79,6 +79,39 @@ def test_memory_task_issues_requests(setup):
     assert task.stats.avg_read_latency > 0
 
 
+def test_read_latency_recorded_on_completion(setup):
+    """Each completed read adds its latency and refresh stall to the
+    task's stats, including reads that complete after the task left the
+    core."""
+    engine, mapping, mc, _ = setup
+    workload = ScriptedWorkload(
+        [
+            MemAccess(10, 20, address(mapping, 0)),
+            MemAccess(10, 20, address(mapping, 16, column=3)),
+        ]
+    )
+    task = make_task(workload)
+    core = Core(0, engine, mc)
+    seen = []
+    complete = core._on_read_complete
+
+    def spy(request):
+        seen.append((request.latency, request.refresh_stall))
+        complete(request)
+
+    core._on_read_complete = spy
+    assert task.stats.avg_read_latency == 0.0  # no reads yet
+    core.run_task(task)
+    engine.run_until(2_000)
+    core.preempt()
+    engine.run_until(50_000)  # in-flight reads complete for a stale epoch
+    stats = task.stats
+    assert stats.reads_completed == len(seen) == stats.reads_issued > 2
+    assert stats.read_latency_sum == sum(latency for latency, _ in seen)
+    assert stats.refresh_stall_sum == sum(stall for _, stall in seen)
+    assert stats.avg_read_latency == stats.read_latency_sum / len(seen)
+
+
 def test_mlp_limits_outstanding(setup):
     engine, mapping, mc, _ = setup
     # Huge memory latency exposure: all to one bank row-conflicts.
@@ -116,11 +149,10 @@ def test_large_rob_allows_more_mlp(setup):
             [MemAccess(100, 10, address(mapping, 0))], mlp=8
         )
         task = make_task(workload)
-        core = Core(0, Engine(), mc, rob_entries=rob)
-        # fresh engine per run to keep timing isolated
-        eng = core.engine
+        # fresh engine and controller per run to keep timing isolated
+        eng = Engine()
         mc2 = MemoryController(eng, mc.timing, mc.org, mc.mapping)
-        core.controller = mc2
+        core = Core(0, eng, mc2, rob_entries=rob)
         core.run_task(task)
         eng.run_until(60)
         issued[rob] = task.stats.reads_issued

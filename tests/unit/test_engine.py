@@ -127,7 +127,7 @@ def test_schedule_at_now_runs_this_cycle():
 
 def test_same_time_tie_break_with_mixed_entry_kinds():
     """Insertion order is preserved across bare callables, cancellable
-    handles and pooled arg-carrying events sharing one cycle."""
+    handles and ``(fn, arg)`` entries sharing one cycle."""
     eng = Engine()
     order = []
     eng.schedule(3, lambda: order.append("bare0"))
@@ -139,13 +139,15 @@ def test_same_time_tie_break_with_mixed_entry_kinds():
 
 
 def test_tie_break_stable_after_pool_reuse():
+    """A second batch of arg-carrying entries, queued after the first
+    fired, keeps insertion order too."""
     eng = Engine()
     first = []
     for i in range(4):
         eng.schedule(1, first.append, i)
     eng.run_until(1)
     second = []
-    for i in range(4):  # these reuse pooled Event objects
+    for i in range(4):
         eng.schedule(1, second.append, i)
     eng.run_until(2)
     assert first == [0, 1, 2, 3]
@@ -314,15 +316,15 @@ def test_mass_cancel_from_callback_during_run_until():
 
 
 def test_stale_handle_cancel_cannot_kill_later_events():
-    """Regression: fired schedule_event handles are never recycled, so a
-    retained handle cancelled late can no longer cancel an unrelated,
-    newly scheduled event that would have reused the pooled object."""
+    """Regression: fired schedule_event handles are never reused, so a
+    retained handle cancelled late cannot cancel an unrelated, newly
+    scheduled event."""
     eng = Engine()
     hits = []
     handle = eng.schedule_event(1, hits.append, "first")
     eng.run_until(1)
     assert hits == ["first"]
-    for i in range(5):  # arg-carrier events draw from the free-list pool
+    for i in range(5):
         eng.schedule(1, hits.append, i)
     handle.cancel()  # stale cancel between scheduling and firing
     handle.cancel()

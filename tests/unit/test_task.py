@@ -57,16 +57,6 @@ def test_ipc_computation():
     assert TaskStats().ipc == 0.0
 
 
-def test_read_latency_recording():
-    stats = TaskStats()
-    stats.record_read_latency(100, refresh_stall=20)
-    stats.record_read_latency(200, refresh_stall=0)
-    assert stats.reads_completed == 2
-    assert stats.avg_read_latency == 150
-    assert stats.refresh_stall_sum == 20
-    assert TaskStats().avg_read_latency == 0.0
-
-
 def test_possible_banks_frozen():
     task = Task("t", None, possible_banks={1, 2}, task_id=0)
     assert isinstance(task.possible_banks, frozenset)
