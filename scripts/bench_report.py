@@ -33,6 +33,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.bench import (  # noqa: E402
     KERNELS,
     controller_cost_models,
+    determinism_signature,
     run_kernel,
     service_tier_histograms,
     wl6_codesign_end_to_end,
@@ -76,35 +77,6 @@ def collect(repeat: int, quick: bool) -> dict:
     if not quick:
         report["end_to_end"] = wl6_codesign_end_to_end()
     return report
-
-
-#: Cost-model fields that are externally pinned behavior and join the
-#: exact determinism signature; internal sweep-work counters are instead
-#: ratio-gated with tolerance by scripts/bench_trend.py.
-COST_MODEL_PINNED_FIELDS = (
-    "serviced",
-    "completed",
-    "row_hit_pops",
-    "drain_entries",
-    "drain_exits",
-)
-
-
-def determinism_signature(report: dict) -> dict:
-    """The gated subset: operation counts, result and stream digests and
-    the externally pinned cost-model fields (mirrored in bench_trend.py)."""
-    sig = {k["name"]: k["ops"] for k in report["kernels"]}
-    end = report.get("end_to_end")
-    if end is not None:
-        sig["end_to_end.events_processed"] = end["events_processed"]
-        sig["end_to_end.result_sha256"] = end["result_sha256"]
-    for name, digest in sorted((report.get("streams") or {}).items()):
-        sig[f"streams.{name}.sha256"] = digest
-    for name, model in sorted((report.get("cost_model") or {}).items()):
-        for field in COST_MODEL_PINNED_FIELDS:
-            if field in model:
-                sig[f"cost_model.{name}.{field}"] = model[field]
-    return sig
 
 
 def main() -> int:

@@ -4,7 +4,9 @@
 Every checked-in ``BENCH_*.json`` (written by ``scripts/bench_report.py``)
 is one point on the repo's performance trajectory.  This tool lines them
 up chronologically and, in ``--gate`` mode, compares a freshly produced
-report against the latest checked-in one.  Stdlib only.
+report against the latest checked-in one.  The determinism signature is
+``repro.bench.determinism_signature``, the one ``bench_report.py``
+checks too.
 
 Usage::
 
@@ -29,26 +31,16 @@ host and are reported but never gated.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
+determinism_signature = importlib.import_module("repro.bench").determinism_signature
 
-#: Cost-model fields that are externally pinned behavior (service counts,
-#: row-hit outcomes, drain transitions — all visible in timing/results) and
-#: therefore belong in the exact determinism signature.  Internal sweep-work
-#: counters (dead picks, stale skips, compactions) are deliberately NOT
-#: exact-gated: they may shift under internal-only scheduler changes, and
-#: are instead watched as ratios with tolerance (see COST_MODEL_RATIO_GATES).
-COST_MODEL_PINNED_FIELDS = (
-    "serviced",
-    "completed",
-    "row_hit_pops",
-    "drain_entries",
-    "drain_exits",
-)
 
 #: (field, direction, abs_tol, rel_tol) per controller kernel.  Direction
 #: names the regressing drift: ``up`` fails when the fresh ratio rises
@@ -60,27 +52,6 @@ COST_MODEL_RATIO_GATES = (
     ("stale_skips_per_pop", "up", 0.02, 0.10),
     ("row_hit_pop_ratio", "down", 0.01, 0.10),
 )
-
-
-def determinism_signature(report: dict) -> dict:
-    """Gated subset: operation counts, result and stream digests and the
-    externally pinned cost-model fields.
-
-    Mirrors ``scripts/bench_report.py`` (scripts are not a package, so
-    these lines are repeated rather than imported).
-    """
-    sig = {k["name"]: k["ops"] for k in report["kernels"]}
-    end = report.get("end_to_end")
-    if end is not None:
-        sig["end_to_end.events_processed"] = end["events_processed"]
-        sig["end_to_end.result_sha256"] = end["result_sha256"]
-    for name, digest in sorted((report.get("streams") or {}).items()):
-        sig[f"streams.{name}.sha256"] = digest
-    for name, model in sorted((report.get("cost_model") or {}).items()):
-        for field in COST_MODEL_PINNED_FIELDS:
-            if field in model:
-                sig[f"cost_model.{name}.{field}"] = model[field]
-    return sig
 
 
 def load_reports(directory: Path) -> list:

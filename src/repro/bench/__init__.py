@@ -5,7 +5,9 @@ core, workload generator, controller, refresh scheduler, address decode,
 system build) returning an operation count; :mod:`repro.bench.kernels` also provides the timing
 wrapper.  The kernels are shared by ``benchmarks/test_micro.py``
 (pytest-benchmark tracking) and ``scripts/bench_report.py`` (the
-``BENCH_<date>.json`` perf-trajectory reports recorded by CI).
+``BENCH_<date>.json`` perf-trajectory reports recorded by CI);
+:mod:`repro.bench.signature` holds the one determinism signature that
+``bench_report.py`` and ``scripts/bench_trend.py`` both gate on.
 
 This package sits outside the simulator's pure packages: it is allowed
 to read the wall clock, but everything it *measures* stays seeded and
@@ -22,11 +24,14 @@ from repro.bench.kernels import (
     wl6_codesign_end_to_end,
     workload_stream_digests,
 )
+from repro.bench.signature import COST_MODEL_PINNED_FIELDS, determinism_signature
 
 __all__ = [
+    "COST_MODEL_PINNED_FIELDS",
     "KERNELS",
     "KernelResult",
     "controller_cost_models",
+    "determinism_signature",
     "run_kernel",
     "service_tier_histograms",
     "wl6_codesign_end_to_end",

@@ -8,8 +8,11 @@ and the measurement windows — so that executing a run is a pure function
 Because the spec is pure data it can be:
 
 * hashed — :meth:`RunSpec.content_hash` is the key for both the
-  in-memory memo and the on-disk result cache, computed once per
-  instance (the spec is deeply immutable, so the hash cannot go stale);
+  in-memory memo and the on-disk result cache.  It is the sha256 of
+  :meth:`RunSpec.canonical_json`, and both are computed once per
+  instance (the spec is deeply immutable, so neither can go stale): the
+  sweep service splices the stored text into every frame that carries
+  the spec;
 * shipped across process boundaries — the parallel
   :class:`~repro.experiments.runner.SweepRunner` fans specs out over a
   ``ProcessPoolExecutor``;
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro import serialize
 from repro.config.system_configs import SystemConfig
 from repro.core.system import Scenario
 from repro.errors import ConfigError
@@ -131,28 +135,36 @@ class RunSpec:
             raise ConfigError(f"RunSpec: missing field {exc}") from None
         except TypeError as exc:
             raise ConfigError(f"RunSpec: malformed payload ({exc})") from None
-        from repro.serialize import dataclass_from_dict
-
-        spec = dataclass_from_dict(
+        spec = serialize.dataclass_from_dict(
             cls, {**data, "specs": specs, "scenario": scenario, "config": config}
         )
         spec.validate()
         return spec
 
+    def canonical_json(self) -> serialize.CanonicalJSON:
+        """The spec's canonical JSON text (the hash pre-image), computed
+        on the first call and stored on the instance.
+
+        Raises :class:`ConfigError` when any embedded value is not
+        serializable (rather than a bare ``TypeError`` from ``json``).
+        """
+        text = self.__dict__.get("_canonical_json")
+        if text is None:
+            text = serialize.canonical_json(self)
+            object.__setattr__(self, "_canonical_json", text)
+        return text
+
     def content_hash(self) -> str:
-        """Stable content hash over the complete spec, computed on the
-        first call and stored on the instance.
+        """Stable content hash over the complete spec: the hash of
+        :meth:`canonical_json`, computed on the first call and stored on
+        the instance beside the text.
 
         ``with_``, ``dataclasses.replace`` and ``from_dict`` build new
         instances, which compute their own; a pickled spec carries its
-        hash along.  Raises :class:`ConfigError` when any embedded value
-        is not serializable (rather than a bare ``TypeError`` from
-        ``json``).
+        text and hash along.
         """
         key = self.__dict__.get("_content_hash")
         if key is None:
-            from repro.serialize import content_hash
-
-            key = content_hash(self)
+            key = serialize.text_hash(self.canonical_json())
             object.__setattr__(self, "_content_hash", key)
         return key

@@ -14,10 +14,14 @@ provides the shared machinery:
     flat config dataclasses.
 :func:`canonical_json`
     Deterministic JSON text (sorted keys, no whitespace) — the hashing
-    pre-image.
-:func:`content_hash`
-    Stable hex digest of the canonical JSON; used as the memo key and the
-    on-disk cache filename.
+    pre-image, marked as :class:`CanonicalJSON`.
+:func:`encode_canonical`
+    The canonical encoder itself; it splices top-level values that are
+    already :class:`CanonicalJSON` text instead of encoding them again.
+:func:`text_hash` / :func:`content_hash`
+    Stable hex digest of canonical JSON text (every content hash goes
+    through :func:`text_hash`) and of a value's canonical JSON; used as
+    the memo key and the on-disk cache filename.
 :func:`dataclass_from_dict`
     Strict flat-dataclass reconstruction (unknown keys are a
     :class:`~repro.errors.ConfigError`, so stale cache entries fail
@@ -26,6 +30,8 @@ provides the shared machinery:
 Each value is walked once on the way to its hash: a ``to_dict`` returns
 JSON-able primitives (built with :func:`to_jsonable` where a field may
 hold anything else), so its output is used as is, never walked again.
+Text that is already canonical is never re-encoded: a spec or result
+encoded once is spliced, as is, into every frame that carries it.
 """
 
 from __future__ import annotations
@@ -41,6 +47,18 @@ from repro.errors import ConfigError
 #: Length of the truncated sha256 hex digest used as a content key.  64
 #: bits of collision resistance is ample for sweep-cache populations.
 HASH_LEN = 16
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class CanonicalJSON(str):
+    """Text that is already canonical JSON (sorted keys, no whitespace).
+
+    :func:`encode_canonical` splices such a value as is where a plain
+    ``str`` would be encoded as a JSON string.
+    """
+
+    __slots__ = ()
 
 
 @functools.cache
@@ -90,20 +108,45 @@ def to_jsonable(value):
     )
 
 
-def canonical_json(value) -> str:
+def encode_canonical(data) -> str:
+    """Canonical JSON text of JSON-able *data*.
+
+    Byte-identical to ``json.dumps(data, sort_keys=True,
+    separators=(",", ":"))``, except that a :class:`CanonicalJSON`
+    value, given as *data* itself or as a top-level value of a dict, is
+    spliced in as the JSON it already is.
+    """
+    if isinstance(data, CanonicalJSON):
+        return data
+    if isinstance(data, dict) and any(
+        isinstance(v, CanonicalJSON) for v in data.values()
+    ):
+        return "{" + ",".join(
+            f"{_encode(key)}:{v if isinstance(v, CanonicalJSON) else _encode(v)}"
+            for key, v in sorted(data.items())
+        ) + "}"
+    return _encode(data)
+
+
+def canonical_json(value) -> CanonicalJSON:
     """Deterministic JSON text for *value* (the content-hash pre-image)."""
     data = to_jsonable(value)
     try:
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return CanonicalJSON(encode_canonical(data))
     except TypeError as exc:
         # A to_dict that copies a field as is passes a stray value on.
         raise ConfigError(f"value is not JSON-serializable: {exc}") from None
 
 
+def text_hash(text: str) -> str:
+    """Stable content hash of canonical JSON *text*: every content hash,
+    a spec's own and a received payload's, is computed here."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:HASH_LEN]
+
+
 def content_hash(value) -> str:
     """Stable content hash of *value*'s canonical JSON form."""
-    digest = hashlib.sha256(canonical_json(value).encode("utf-8"))
-    return digest.hexdigest()[:HASH_LEN]
+    return text_hash(canonical_json(value))
 
 
 def dataclass_from_dict(cls, data: dict):

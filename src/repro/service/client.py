@@ -13,6 +13,9 @@ doubling up to ``retry_max_delay`` — jitterless, so the schedule is
 deterministic and testable) and raises
 :class:`~repro.errors.ServiceUnavailable` once the budget is spent.
 
+Specs travel as the canonical JSON text each ``RunSpec`` keeps beside
+its content hash, spliced into the request frame as is.
+
 Tracing (wire v2): pass ``trace=True`` to ``submit``/``sweep`` and the
 client mints a deterministic trace id — ``sha256(request digest :
 submission counter)`` — that the server threads through every
@@ -42,6 +45,7 @@ from repro.errors import (
     ServiceUnavailable,
     WireError,
 )
+from repro.serialize import CanonicalJSON
 from repro.telemetry.events import SpanEvent, TraceEvent
 from repro.telemetry.wire import decode_frame, encode_frame
 from repro.tracing import mint_trace_id, request_digest
@@ -231,7 +235,7 @@ class ServiceClient:
         """
         request = {
             "op": "submit",
-            "spec": spec.to_dict(),
+            "spec": spec.canonical_json(),
             "stream": bool(stream or on_event),
             "monitors": monitors,
         }
@@ -275,7 +279,9 @@ class ServiceClient:
         if monitors is not None:
             frame["monitors"] = monitors
         if specs is not None:
-            frame["specs"] = [spec.to_dict() for spec in specs]
+            frame["specs"] = CanonicalJSON(
+                "[" + ",".join(spec.canonical_json() for spec in specs) + "]"
+            )
         else:
             frame["workloads"] = list(workloads or [])
             frame["scenarios"] = list(scenarios or [])

@@ -71,14 +71,16 @@ import dataclasses
 import functools
 import threading
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
+from repro import serialize
 from repro.core.checkpoint import CheckpointStore
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import run_spec as execute_run_spec, sweep_specs
 from repro.errors import MonitorError, ReproError, ServiceError
 from repro.experiments.cache import ResultCache
+from repro.serialize import CanonicalJSON, canonical_json, encode_canonical
 from repro.service.metrics import ServiceMetrics
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.hub import Telemetry
@@ -97,6 +99,15 @@ DEFAULT_PORT = 7341
 
 #: Closed spans kept in memory for ``metrics``/``obs top`` (newest last).
 RECENT_SPANS = 64
+
+
+class _MemoEntry(NamedTuple):
+    """One completed job: its spec, its result, and the result's
+    canonical JSON, encoded once and spliced into every answer."""
+
+    spec: RunSpec
+    result: RunResult
+    text: CanonicalJSON
 
 
 class SweepService:
@@ -132,8 +143,8 @@ class SweepService:
         self.metrics = ServiceMetrics()
         #: In-flight jobs: job key -> asyncio.Future[RunResult].
         self._jobs: dict[str, asyncio.Future] = {}
-        #: Completed jobs this server lifetime: job key -> RunResult.
-        self._memo: dict[str, RunResult] = {}
+        #: Completed jobs this server lifetime: job key -> _MemoEntry.
+        self._memo: dict[str, _MemoEntry] = {}
         #: Trace id of the traced submission that started each job
         #: (lives as long as the memo entry it annotates).
         self._trace_ids: dict[str, str] = {}
@@ -185,14 +196,33 @@ class SweepService:
             self.span_sink.emit(event)
 
     @staticmethod
-    def job_key(spec: RunSpec, monitors: Optional[str] = None) -> str:
-        """Dedup key: content hash, qualified by the monitor mode.
+    def job_key(job: str, monitors: Optional[str] = None) -> str:
+        """Dedup key of the spec with content hash *job*, qualified by
+        the monitor mode.
 
         Monitored results carry ``monitor_violations`` in their payload,
         so they must never alias (or be served for) a plain submission.
         """
-        key = spec.content_hash()
-        return key if monitors is None else f"{key}+monitors:{monitors}"
+        return job if monitors is None else f"{job}+monitors:{monitors}"
+
+    def memo_spec(self, key: str) -> Optional[RunSpec]:
+        """The spec of the memo entry under job *key*, if any: validated
+        when it was first parsed or built, so a received payload with the
+        same canonical text can reuse it."""
+        entry = self._memo.get(key)
+        return entry.spec if entry is not None else None
+
+    def result_json(self, key: str, result: RunResult) -> CanonicalJSON:
+        """Canonical JSON of *result*, served under job *key*: the memo
+        entry's stored text when *result* is that entry's result, else
+        encoded now (a trace-stamped copy)."""
+        entry = self._memo.get(key)
+        if entry is not None and entry.result is result:
+            return entry.text
+        return canonical_json(result)
+
+    def _remember(self, key: str, spec: RunSpec, result: RunResult) -> None:
+        self._memo[key] = _MemoEntry(spec, result, canonical_json(result))
 
     # -- resolution ------------------------------------------------------------
 
@@ -218,7 +248,7 @@ class SweepService:
                 "monitors are not supported for warm-started specs "
                 "(the warm-up prefix runs without an event stream)"
             )
-        key = self.job_key(spec, monitors)
+        key = self.job_key(spec.content_hash(), monitors)
         t0 = monotonic_us()
         root = trace.span("resolve") if trace is not None else None
         try:
@@ -283,9 +313,9 @@ class SweepService:
                 self.monitored_memo_hits += 1
             if trace is not None:
                 trace.span("memo", parent=root.span_id).set(
-                    cycles=memo.simulated_cycles, detail=key
+                    cycles=memo.result.simulated_cycles, detail=key
                 ).close()
-            return memo, "memo"
+            return memo.result, "memo"
         inflight = self._jobs.get(key)
         if inflight is not None:
             if monitors is None:
@@ -305,7 +335,7 @@ class SweepService:
         if self.cache is not None and monitors is None:
             cached = self.cache.get(spec.content_hash())
             if cached is not None:
-                self._memo[key] = cached
+                self._remember(key, spec, cached)
                 if trace is not None:
                     trace.span("cache", parent=root.span_id).set(
                         cycles=cached.simulated_cycles, detail=key
@@ -351,7 +381,7 @@ class SweepService:
                         self.backend.submit(spec)
                     )
                 source = "executed"
-            self._memo[key] = result
+            self._remember(key, spec, result)
             if self.cache is not None and monitors is None:
                 self.cache.put(spec.content_hash(), spec, result)
             future.set_result(result)
@@ -440,7 +470,7 @@ class SweepService:
             if span is not None:
                 span.set(cycles=result.simulated_cycles, detail=key)
                 span.close()
-            self._memo[key] = result
+            self._remember(key, spec, result)
             if self.cache is not None and monitors is None:
                 self.cache.put(spec.content_hash(), spec, result)
             if future is not None:
@@ -471,7 +501,9 @@ class ServiceServer:
     One JSON frame per line in both directions (see
     :mod:`repro.telemetry.wire` and ``docs/SERVICE.md``).  Request
     frames carry ``op`` + client-chosen ``id``; every response frame
-    echoes the ``id``, so one connection can pipeline requests.
+    echoes the ``id``, so one connection can pipeline requests.  The
+    frames bound for one connection go out through its
+    :class:`_Outbox`, one socket write per event-loop pass.
     """
 
     def __init__(
@@ -484,12 +516,14 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown = asyncio.Event()
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the listening socket; ``self.port`` is the bound port."""
+        self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
             limit=MAX_FRAME_BYTES,
@@ -506,21 +540,24 @@ class ServiceServer:
             await self.start()
         async with self._server:
             await self._shutdown.wait()
+        # The closed server's protocol factory holds this object's
+        # connection handler; keeping it would make a cycle that holds
+        # the service and its memo until the cyclic GC runs.
+        self._server = None
         self.service.close()
 
     def stop(self) -> None:
-        self._shutdown.set()
+        """Stop serving; safe to call from any thread."""
+        if self._loop is None:
+            self._shutdown.set()
+        else:
+            self._loop.call_soon_threadsafe(self._shutdown.set)
 
     # -- connection handling ---------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
-        send_lock = asyncio.Lock()
-
-        async def send(frame: dict) -> None:
-            async with send_lock:
-                writer.write(encode_frame(frame))
-                await writer.drain()
-
+        outbox = _Outbox(writer)
+        send = outbox.send
         pending: set[asyncio.Task] = set()
         try:
             while True:
@@ -541,7 +578,7 @@ class ServiceServer:
                         {"type": "error", "id": None, "error": str(exc)}
                     )
                     continue
-                task = asyncio.create_task(self._dispatch(frame, send))
+                task = asyncio.create_task(self._dispatch(frame, outbox))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
                 if frame.get("op") == "shutdown":
@@ -550,6 +587,7 @@ class ServiceServer:
                 await asyncio.gather(*pending, return_exceptions=True)
         finally:
             try:
+                outbox.flush()
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
@@ -557,7 +595,8 @@ class ServiceServer:
                 # the socket is going away either way.
                 pass
 
-    async def _dispatch(self, frame: dict, send) -> None:
+    async def _dispatch(self, frame: dict, outbox: "_Outbox") -> None:
+        send = outbox.send
         rid = frame.get("id")
         op = frame.get("op")
         try:
@@ -577,7 +616,7 @@ class ServiceServer:
                 await send({"type": "ack", "id": rid, "op": "shutdown"})
                 self.stop()
             elif op in ("submit", "sweep"):
-                await self._op_submit(frame, rid, send)
+                await self._op_submit(frame, rid, outbox)
             else:
                 await send(
                     {
@@ -628,8 +667,7 @@ class ServiceServer:
 
     # -- submit / sweep --------------------------------------------------------
 
-    @staticmethod
-    def _specs_from_frame(frame: dict) -> list[RunSpec]:
+    def _specs_from_frame(self, frame: dict) -> list[RunSpec]:
         """Job decomposition of a request frame.
 
         ``submit`` carries one ``spec`` payload; ``sweep`` carries
@@ -638,12 +676,12 @@ class ServiceServer:
         :func:`repro.core.simulator.sweep_specs`).
         """
         if "spec" in frame:
-            return [RunSpec.from_dict(frame["spec"])]
+            return [self._received_spec(frame["spec"])]
         if "specs" in frame:
             payloads = frame["specs"]
             if not isinstance(payloads, list) or not payloads:
                 raise ServiceError("'specs' must be a non-empty list")
-            return [RunSpec.from_dict(p) for p in payloads]
+            return [self._received_spec(p) for p in payloads]
         if "workloads" in frame or "scenarios" in frame:
             options = frame.get("options", {})
             if not isinstance(options, dict):
@@ -657,7 +695,20 @@ class ServiceServer:
             "request needs 'spec', 'specs', or 'workloads'/'scenarios'"
         )
 
-    async def _op_submit(self, frame: dict, rid, send) -> None:
+    def _received_spec(self, payload) -> RunSpec:
+        """The spec a received payload describes.
+
+        The payload is hashed first: when its canonical text hashes to a
+        memo key, the memo entry's spec is the spec ``from_dict`` would
+        build, so it is reused.  Anything else is parsed (and rejected)
+        by ``from_dict`` as new.
+        """
+        key = serialize.text_hash(encode_canonical(payload))
+        spec = self.service.memo_spec(key)
+        return spec if spec is not None else RunSpec.from_dict(payload)
+
+    async def _op_submit(self, frame: dict, rid, outbox: "_Outbox") -> None:
+        send = outbox.send
         try:
             specs = self._specs_from_frame(frame)
         except Exception as exc:
@@ -672,43 +723,36 @@ class ServiceServer:
             )
             return
 
-        # Streamed events and closed spans are enqueued (thread-safely,
-        # via the loop) and drained by one writer coroutine so these
-        # frames interleave cleanly with other responses.
-        queue: Optional[asyncio.Queue] = (
-            asyncio.Queue() if stream or trace_id is not None else None
-        )
+        # Streamed events and closed spans join the outbox as they are
+        # delivered on the loop, so each reaches the client before the
+        # result of its job.
         loop = asyncio.get_running_loop()
+        loop_thread = threading.get_ident()
 
         def event_cb(event_frame: dict) -> None:
             event_frame["id"] = rid
-            queue.put_nowait(event_frame)
+            outbox.post(event_frame)
 
         def make_trace(job: str) -> Optional[JobTrace]:
             if trace_id is None:
                 return None
 
-            def emit(event: SpanEvent) -> None:
-                def deliver() -> None:
-                    self.service.record_span(event)
-                    out = span_frame(event, job=job)
-                    out["id"] = rid
-                    queue.put_nowait(out)
+            def deliver(event: SpanEvent) -> None:
+                self.service.record_span(event)
+                out = span_frame(event, job=job)
+                out["id"] = rid
+                outbox.post(out)
 
-                # Spans may close on worker threads; marshal onto the
-                # loop so queueing and record order stay consistent.
-                loop.call_soon_threadsafe(deliver)
+            def emit(event: SpanEvent) -> None:
+                # Spans may close on worker threads; marshal those onto
+                # the loop so queueing and record order stay consistent.
+                if threading.get_ident() == loop_thread:
+                    deliver(event)
+                else:
+                    loop.call_soon_threadsafe(deliver, event)
 
             return JobTrace(trace_id, job, emit)
 
-        async def drain() -> None:
-            while True:
-                item = await queue.get()
-                if item is None:
-                    return
-                await send(item)
-
-        drainer = asyncio.create_task(drain()) if queue is not None else None
         jobs = [spec.content_hash() for spec in specs]
         await send({"type": "ack", "id": rid, "jobs": jobs})
         if self.service.log is not None:
@@ -736,8 +780,10 @@ class ServiceServer:
                     "id": rid,
                     "job": job,
                     "source": source,
-                    "spec": spec.to_dict(),
-                    "result": result.to_dict(),
+                    "spec": spec.canonical_json(),
+                    "result": self.service.result_json(
+                        self.service.job_key(job, monitors), result
+                    ),
                 }
             except MonitorError as exc:
                 source = "monitor_error"
@@ -761,12 +807,12 @@ class ServiceServer:
             sources[job] = source
             await send(reply)
 
-        try:
+        if len(specs) == 1:
+            # In this task, not a gathered one: a memo answer's ``ack``,
+            # ``result`` and ``done`` then leave in one write.
+            await one(specs[0])
+        else:
             await asyncio.gather(*(one(spec) for spec in specs))
-        finally:
-            if drainer is not None:
-                queue.put_nowait(None)
-                await drainer
         done = {
             "type": "done",
             "id": rid,
@@ -777,6 +823,52 @@ class ServiceServer:
         if trace_id is not None:
             done["trace"] = trace_id
         await send(done)
+
+
+class _Outbox:
+    """The frames bound for one connection, written once per loop pass.
+
+    Frames posted during one pass of the event loop are joined, in
+    order, into one ``transport.write`` at the start of the next pass.
+    A buffer past the transport's high-water mark is written at once,
+    and :meth:`send` then awaits ``drain()``.  The connection handler
+    flushes the rest before it closes the connection.
+    """
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self._writer = writer
+        self._loop = asyncio.get_running_loop()
+        self._high = writer.transport.get_write_buffer_limits()[1]
+        self._drain_lock = asyncio.Lock()
+        self._parts: list[bytes] = []
+        self._size = 0
+
+    def post(self, frame: dict) -> bool:
+        """Queue *frame* for this pass's write; ``True`` when the buffer
+        passed the high-water mark and was written early."""
+        if not self._parts:
+            self._loop.call_soon(self.flush)
+        data = encode_frame(frame)
+        self._parts.append(data)
+        self._size += len(data)
+        if self._size <= self._high:
+            return False
+        self.flush()
+        return True
+
+    async def send(self, frame: dict) -> None:
+        """Queue *frame*; under backpressure, wait for the transport."""
+        if self.post(frame):
+            async with self._drain_lock:
+                await self._writer.drain()
+
+    def flush(self) -> None:
+        if self._parts:
+            data = b"".join(self._parts)
+            self._parts.clear()
+            self._size = 0
+            if not self._writer.is_closing():  # else the client went away
+                self._writer.write(data)
 
 
 def _error_text(exc: Exception) -> str:
@@ -835,15 +927,13 @@ def serve_in_thread(
     """Start a server on a daemon thread; returns once it is listening.
 
     For tests and embedding: ``server.port`` is the bound port, stop
-    with ``server.stop()`` (thread-safe via the captured loop) and join
-    the returned thread.
+    with ``server.stop()`` (thread-safe) and join the returned thread.
     """
     started = threading.Event()
     box: dict = {}
 
     def ready(server: ServiceServer) -> None:
         box["server"] = server
-        box["loop"] = asyncio.get_running_loop()
         started.set()
 
     def runner() -> None:
@@ -860,12 +950,4 @@ def serve_in_thread(
     started.wait()
     if "error" in box:
         raise box["error"]
-    server = box["server"]
-    loop = box["loop"]
-    original_stop = server.stop
-
-    def stop() -> None:
-        loop.call_soon_threadsafe(original_stop)
-
-    server.stop = stop  # type: ignore[method-assign]
-    return server, thread
+    return box["server"], thread

@@ -29,6 +29,7 @@ import json
 from typing import Callable, Optional
 
 from repro.errors import WireError
+from repro.serialize import encode_canonical
 from repro.telemetry.events import TraceEvent
 
 from repro.telemetry.sinks import EventSink
@@ -45,11 +46,16 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
 def encode_frame(frame: dict) -> bytes:
-    """Canonical single-line encoding of *frame* (adds the ``v`` tag)."""
+    """Canonical single-line encoding of *frame* (adds the ``v`` tag).
+
+    A top-level value that is already
+    :class:`~repro.serialize.CanonicalJSON` text (a spec or result
+    encoded once) is spliced in, not encoded again; the frame is
+    byte-identical either way.
+    """
     if "v" not in frame:
         frame = {"v": WIRE_SCHEMA, **frame}
-    text = json.dumps(frame, sort_keys=True, separators=(",", ":"))
-    return text.encode("utf-8") + b"\n"
+    return encode_canonical(frame).encode("utf-8") + b"\n"
 
 
 def decode_frame(line: bytes | str) -> dict:

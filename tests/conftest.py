@@ -45,16 +45,16 @@ def controller(engine, timing, organization, mapping):
 
 @pytest.fixture
 def hash_calls(monkeypatch):
-    """Every ``repro.serialize.content_hash`` computation made while the
-    test runs (the values hashed, in call order)."""
+    """Every content hash computed while the test runs: the canonical
+    texts passed to ``repro.serialize.text_hash``, in call order."""
     import repro.serialize
 
     calls = []
-    original = repro.serialize.content_hash
+    original = repro.serialize.text_hash
 
-    def counting(value):
-        calls.append(value)
-        return original(value)
+    def counting(text):
+        calls.append(text)
+        return original(text)
 
-    monkeypatch.setattr(repro.serialize, "content_hash", counting)
+    monkeypatch.setattr(repro.serialize, "text_hash", counting)
     return calls

@@ -12,13 +12,17 @@ The acceptance bar for the service layer:
 """
 
 import asyncio
+import gc
 import json
 import threading
+import time
+import weakref
 from concurrent.futures import Future
 
 import pytest
 
 import repro
+from repro.core.runspec import RunSpec
 from repro.core.simulator import make_run_spec, run_spec, sweep_specs
 from repro.errors import ServiceError
 from repro.experiments.cache import ResultCache
@@ -193,9 +197,34 @@ def test_served_result_byte_identical(live):
     assert _canon(result) == _canon(run_spec(spec))
 
 
-def test_two_socket_clients_dedup_one_simulation(live):
+class _HoldUntilJoined(ThreadBackend):
+    """Holds each run until a second submission has joined it, so two
+    submissions are in flight together by construction."""
+
+    service = None
+
+    def _execute(self, spec, trace=None, parent=None):
+        deadline = time.monotonic() + 60
+        while self.service.dedup_hits < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return super()._execute(spec, trace, parent)
+
+
+@pytest.fixture
+def held(tmp_path):
+    backend = _HoldUntilJoined(jobs=2)
+    service = SweepService(backend=backend, cache_dir=tmp_path / "cache")
+    backend.service = service
+    server, thread = serve_in_thread(service)
+    yield server, service
+    server.stop()
+    thread.join(timeout=10)
+    service.backend.close()
+
+
+def test_two_socket_clients_dedup_one_simulation(held):
     """Two real clients, same spec, in flight together: one simulation."""
-    server, service = live
+    server, service = held
     spec = _spec("codesign")
     outcomes = {}
     barrier = threading.Barrier(2)
@@ -352,9 +381,10 @@ def _serve(cache_dir):
     return server, thread
 
 
-def test_server_hashes_each_received_spec_once(tmp_path, hash_calls):
+def test_server_hashes_each_received_spec_once(tmp_path, hash_calls, monkeypatch):
     """A cold run, a memo submit and a restart-sweep run each compute
-    the content hash of the spec they serve exactly once."""
+    the content hash of the spec they serve exactly once; a memo submit
+    parses no spec."""
     workloads, scenarios = ["WL-9"], ["all_bank", "per_bank"]
     server, thread = _serve(tmp_path)
     try:
@@ -367,10 +397,16 @@ def test_server_hashes_each_received_spec_once(tmp_path, hash_calls):
             assert len(hash_calls) == 2  # one per cold run
 
             spec = _spec("all_bank")
+            parses = []
+            parse = RunSpec.from_dict.__func__
+            monkeypatch.setattr(RunSpec, "from_dict", classmethod(
+                lambda cls, data: parses.append(data) or parse(cls, data)
+            ))
             hash_calls.clear()
             for _ in range(3):
                 assert client.submit(spec)[1] == "memo"
             assert len(hash_calls) == 3  # one per memo submit
+            assert parses == []  # the memo's spec is reused, not parsed
     finally:
         server.stop()
         thread.join(timeout=10)
@@ -388,6 +424,31 @@ def test_server_hashes_each_received_spec_once(tmp_path, hash_calls):
         server.stop()
         thread.join(timeout=10)
     assert restart.jobs == cold.jobs
+
+
+def test_stopped_service_is_freed_without_the_cyclic_gc(tmp_path):
+    """After ``stop()`` and ``join()``, dropping the last references
+    frees the service and its memo by reference counting alone: neither
+    the server's thread-safe ``stop`` nor its closed asyncio server
+    leaves a cycle behind."""
+    specs = sweep_specs(["WL-9"], ["all_bank", "per_bank"], **FAST)
+    gc.collect()
+    gc.disable()
+    try:
+        service = SweepService(backend=InlineBackend(), cache_dir=tmp_path)
+        server, thread = serve_in_thread(service)
+        with ServiceClient(port=server.port, timeout=60) as client:
+            client.sweep(specs=specs)
+            for _ in range(3):
+                assert client.submit(specs[0])[1] == "memo"
+        server.stop()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        freed = weakref.ref(service)
+        del service, server, thread
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # -- job and request failures --------------------------------------------------

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.core.simulator import make_run_spec, run_spec
 from repro.errors import WireError
+from repro.serialize import CanonicalJSON, canonical_json, encode_canonical
 from repro.telemetry.events import DramCommandEvent, SpanEvent
+from repro.tracing import request_digest
 from repro.telemetry.wire import (
     WIRE_SCHEMA,
     WireSink,
@@ -39,6 +42,43 @@ def test_encode_is_canonical_single_line():
     assert text.count("\n") == 1
     # sort_keys + tight separators: byte-stable across runs.
     assert text == '{"a":{"y":3,"z":2},"b":1,"v":2}\n'
+
+
+def test_spliced_text_encodes_byte_identical_to_the_dicts():
+    """A top-level value given as canonical text is spliced in; the
+    frame is byte-identical to encoding the value itself."""
+    spec = make_run_spec("WL-9", "per_bank", num_windows=0.02,
+                         warmup_windows=0.01, refresh_scale=1024)
+    result = run_spec(spec)
+    extra = {"name": "Ω-refresh “co-design” ✓", "floats": [0.1, 1e-300, -0.0, 2.5e17],
+             "nested": [[1, [2.0, [3]]], {"b": [], "a": {}}], "none": None}
+    plain = {
+        "type": "result", "id": 7, "job": spec.content_hash(),
+        "source": "memo", "spec": spec.to_dict(), "result": result.to_dict(),
+        **extra,
+    }
+    spliced = {
+        **plain,
+        "spec": spec.canonical_json(),
+        "result": canonical_json(result),
+        **{key: CanonicalJSON(encode_canonical(value))
+           for key, value in extra.items()},
+    }
+    assert encode_frame(spliced) == encode_frame(plain)
+    assert encode_frame(plain) == (
+        json.dumps({"v": WIRE_SCHEMA, **plain}, sort_keys=True,
+                   separators=(",", ":")).encode("utf-8") + b"\n"
+    )
+    # A list of spliced texts joined as one value (a ``specs`` sweep).
+    texts = CanonicalJSON("[" + ",".join([spec.canonical_json()] * 2) + "]")
+    assert encode_frame({"op": "sweep", "specs": texts}) == encode_frame(
+        {"op": "sweep", "specs": [spec.to_dict()] * 2}
+    )
+    assert decode_frame(encode_frame(spliced))["spec"] == spec.to_dict()
+    # Trace ids are minted from the same canonical encoding.
+    assert request_digest({"op": "submit", "spec": spec.canonical_json()}) == (
+        request_digest({"op": "submit", "spec": spec.to_dict()})
+    )
 
 
 def test_decode_accepts_every_supported_version():

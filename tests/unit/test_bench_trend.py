@@ -229,3 +229,43 @@ def test_trend_summary_two_points_reports_drift():
     assert "2026-01-01 -> 2026-02-01" in summary
     assert "engine_event_chain +50.0%" in summary
     assert "end_to_end +50.0%" in summary
+
+
+def _load_script(name):
+    path = SCRIPT.with_name(f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_both_scripts_gate_every_key_of_the_one_shared_signature():
+    """bench_report.py and bench_trend.py import one signature from
+    repro.bench, and it still gates every key the two copies did."""
+    from repro.bench import determinism_signature
+
+    assert bench_trend.determinism_signature is determinism_signature
+    assert _load_script("bench_report").determinism_signature is determinism_signature
+    full = report("2026-01-01", cost_model={"k": model()})
+    full["streams"] = {"access": "abc123"}
+    pinned = ("serviced", "completed", "row_hit_pops", "drain_entries", "drain_exits")
+    expected = {
+        "engine_event_chain": 5000,
+        "end_to_end.events_processed": 385525,
+        "end_to_end.result_sha256": "abc",
+        "streams.access.sha256": "abc123",
+        **{f"cost_model.k.{field}": full["cost_model"]["k"][field] for field in pinned},
+    }
+    assert determinism_signature(full) == expected
+    for key in expected:
+        fresh = json.loads(json.dumps(full))
+        if key == "engine_event_chain":
+            fresh["kernels"][0]["ops"] += 1
+        elif key.startswith("end_to_end."):
+            fresh["end_to_end"][key.split(".")[1]] = "changed"
+        elif key.startswith("streams."):
+            fresh["streams"]["access"] = "changed"
+        else:
+            fresh["cost_model"]["k"][key.rsplit(".", 1)[1]] += 1
+        problems, _ = bench_trend.gate(full, fresh)
+        assert [p for p in problems if p.startswith(f"{key}:")], key
