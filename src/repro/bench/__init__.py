@@ -2,10 +2,10 @@
 
 Each kernel is a deterministic workload over one hot component (engine,
 core, workload generator, controller, refresh scheduler, address decode,
-system build) returning an operation count; :mod:`repro.bench.kernels` also provides the timing
-wrapper.  The kernels are shared by ``benchmarks/test_micro.py``
-(pytest-benchmark tracking) and ``scripts/bench_report.py`` (the
-``BENCH_<date>.json`` perf-trajectory reports recorded by CI);
+buddy and partition allocators, system build, one WL-6 quantum) returning
+an operation count; :mod:`repro.bench.kernels` also provides the timing
+wrapper.  ``scripts/bench_report.py`` runs them for the
+``BENCH_<date>.json`` perf-trajectory reports recorded by CI;
 :mod:`repro.bench.signature` holds the one determinism signature that
 ``bench_report.py`` and ``scripts/bench_trend.py`` both gate on.
 

@@ -30,11 +30,7 @@ from repro.dram.timing import DramTiming
 
 
 def engine_event_chain(events: int = 5000) -> int:
-    """The canonical engine micro: a self-rescheduling delay-1 chain.
-
-    Mirrors ``test_engine_event_throughput`` — the ISSUE-4 2x acceptance
-    bar is measured on this body.
-    """
+    """The canonical engine micro: a self-rescheduling delay-1 chain."""
     engine = Engine()
     counter = [0]
 
@@ -197,8 +193,8 @@ def _row_hit_locality(requests: int = 2000) -> tuple[int, MemoryController]:
     """Body of :func:`controller_row_hit_locality`.
 
     Eight consecutive-column reads per randomly chosen row: almost every
-    pop comes out of the per-bank open-row index rather than the FIFO
-    fallback, exercising the row-hit fast path end to end.
+    pick is an open-row hit rather than the oldest-request fallback,
+    exercising the row-hit path end to end.
     """
     _, timing, org, mapping = _dram_fixture()
     rng = random.Random(29)
@@ -228,7 +224,7 @@ def _row_hit_locality(requests: int = 2000) -> tuple[int, MemoryController]:
 
 
 def controller_row_hit_locality(requests: int = 2000) -> int:
-    """Row-buffer-friendly read bursts through the open-row index."""
+    """Row-buffer-friendly read bursts: nearly every pick is a row hit."""
     return _row_hit_locality(requests)[0]
 
 
@@ -302,6 +298,36 @@ def core_compute_fast_forward(gaps: int = 20_000) -> int:
     return task.stats.instructions
 
 
+# -- OS ----------------------------------------------------------------------
+
+
+def buddy_churn(frames: int = 4096) -> int:
+    """Allocate every frame of a buddy allocator page by page, then free
+    them all; returns the free frames afterwards."""
+    from repro.os.buddy import BuddyAllocator
+
+    buddy = BuddyAllocator(frames)
+    allocated = [buddy.alloc_page() for _ in range(frames)]
+    for frame in allocated:
+        buddy.free(frame)
+    return buddy.free_frames()
+
+
+def partition_churn(pages: int = 2000) -> int:
+    """Allocate one bank-partitioned footprint (soft policy, eight banks)
+    and free the task again; returns the pages allocated."""
+    from repro.os.page import PhysicalMemory
+    from repro.os.partition import PartitioningAllocator, PartitionPolicy
+    from repro.os.task import Task
+
+    mapping = AddressMapping(DramOrganization(), total_rows_per_bank=256)
+    allocator = PartitioningAllocator(PhysicalMemory(mapping), PartitionPolicy.SOFT)
+    task = Task("bench", None, possible_banks=frozenset(range(0, 16, 2)), task_id=0)
+    allocated = allocator.alloc_footprint(task, pages)
+    allocator.free_task(task)
+    return allocated
+
+
 # -- workload and system build ---------------------------------------------
 
 
@@ -353,6 +379,16 @@ def system_build() -> int:
     )
     system = build_system_from_spec(spec)
     return sum(len(task.frames) for task in system.tasks)
+
+
+def full_quantum() -> int:
+    """A quarter-window WL-6 codesign run at refresh_scale 2048, build
+    included: about one scheduling quantum end to end.  Returns the reads
+    completed."""
+    from repro.core.simulator import build_system
+
+    system = build_system("WL-6", "codesign", refresh_scale=2048)
+    return system.run(num_windows=0.25, warmup_windows=0.0).reads_completed
 
 
 # -- checkpoint --------------------------------------------------------------
@@ -558,8 +594,11 @@ KERNELS: dict[str, Callable[[], int]] = {
     "refresh_all_bank_ticks": refresh_schedule_ticks,
     "refresh_same_bank_ticks": lambda: refresh_schedule_ticks("same_bank"),
     "core_compute_fast_forward": core_compute_fast_forward,
+    "buddy_churn": buddy_churn,
+    "partition_churn": partition_churn,
     "workload_access_stream": workload_access_stream,
     "system_build": system_build,
+    "full_quantum": full_quantum,
     "checkpoint_roundtrip": checkpoint_roundtrip,
     "service_roundtrip": service_roundtrip,
 }

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 #: Cost-model fields that are externally pinned behavior (service counts,
 #: row-hit outcomes, drain transitions — all visible in timing/results) and
-#: therefore belong in the exact determinism signature.  Internal sweep-work
-#: counters (dead picks, stale skips, compactions) are deliberately NOT
-#: exact-gated: they may shift under internal-only scheduler changes, and
+#: therefore belong in the exact determinism signature.  Internal work
+#: counters (dead picks, stale skips) are deliberately NOT exact-gated:
+#: they may shift under internal-only scheduler changes, and
 #: ``scripts/bench_trend.py`` watches them as ratios with tolerance.
 COST_MODEL_PINNED_FIELDS = (
     "serviced",

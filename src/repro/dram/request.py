@@ -38,7 +38,6 @@ class MemoryRequest:
         "row_hit",
         "ctx",
         "is_read",
-        "in_queue",
     )
 
     def __init__(
@@ -66,11 +65,6 @@ class MemoryRequest:
         self.refresh_stall = 0
         self.on_complete = on_complete
         self.row_hit = False
-        # True while the request sits in a controller bank queue.  Queue
-        # membership is tracked here (not by list scans) so the row-hit
-        # index can lazily discard entries popped through the other view;
-        # derived state, rebuilt on restore, never serialized.
-        self.in_queue = False
         # Issuer-owned completion context (e.g. the core's ROB entry).
         # Letting the issuer hang its state here keeps ``on_complete`` a
         # plain bound method instead of a per-request closure.

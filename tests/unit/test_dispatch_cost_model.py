@@ -7,12 +7,25 @@ exact identities (picks = serviced + dead + deferred, pops partition
 into row-hit and FIFO) and exact run-to-run agreement.
 """
 
+import importlib.util
+from pathlib import Path
+
+from repro.bench import COST_MODEL_PINNED_FIELDS
 from repro.bench.kernels import (
     _drain_storm,
     _request_stream,
     _row_hit_locality,
     controller_cost_models,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_request_stream_model_identities():
@@ -71,3 +84,22 @@ def test_cost_model_counters_stay_out_of_snapshots():
     before = mc.dispatch_cost_model()
     mc.restore_state(state, {})
     assert mc.dispatch_cost_model() == before
+
+
+def test_cost_model_carries_every_key_its_readers_use():
+    """perfbench's traced ledger sums ``COST_MODEL_FIELDS`` over every
+    run (a missing key is a ``KeyError`` there), ``scripts/bench_trend.py``
+    gates the ratios in ``COST_MODEL_RATIO_GATES`` and the determinism
+    signature pins ``COST_MODEL_PINNED_FIELDS``.  The queues have nothing
+    to sweep, so the stale-skip keys stay and read zero."""
+    spans = _load(ROOT / "perfbench" / "spans.py", "perfbench_spans")
+    trend = _load(ROOT / "scripts" / "bench_trend.py", "bench_trend_gates")
+    wanted = (
+        set(spans.COST_MODEL_FIELDS)
+        | {field for field, *_ in trend.COST_MODEL_RATIO_GATES}
+        | set(COST_MODEL_PINNED_FIELDS)
+    )
+    for name, model in controller_cost_models().items():
+        assert wanted <= set(model), (name, wanted - set(model))
+        assert model["stale_skips"] == 0
+        assert model["stale_skips_per_pop"] == 0.0
