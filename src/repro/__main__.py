@@ -524,7 +524,7 @@ def _cmd_run(args) -> int:
     if observed:
         # Event sinks, monitors, profiles and checkpointing need a live
         # run: execute each spec in-process instead of through the cache.
-        from repro.errors import MonitorError
+        from repro.errors import CheckpointError, MonitorError
 
         for spec, name in zip(specs, scenarios):
             try:
@@ -534,6 +534,9 @@ def _cmd_run(args) -> int:
             except MonitorError as exc:
                 print(f"monitor violation ({name}): {exc}", file=sys.stderr)
                 return 2
+            except CheckpointError as exc:
+                print(f"cannot resume {args.resume}: {exc}", file=sys.stderr)
+                return 1
             if result is not None:
                 results.append(result)
     else:

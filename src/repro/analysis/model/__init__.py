@@ -1,15 +1,15 @@
 """Whole-program project model for interprocedural lint rules.
 
-The per-file rules (RPR001–RPR010) see one AST at a time.  The
-invariants added since — every mutated field round-trips through
-``snapshot_state`` (PR 6), same-cycle bucket insertion order *is*
-ChannelBus arbitration order (PR 4), pure packages stay transitively
-deterministic (PR 1/2) — span modules, so enforcing them needs a model
-of the whole program:
+The per-file rules (RPR001–RPR009) see one AST at a time.  The
+invariants added since — every mutated field is declared in its class's
+state table, same-cycle bucket insertion order *is* ChannelBus
+arbitration order (PR 4), pure packages stay transitively deterministic
+(PR 1/2) — span modules, so enforcing them needs a model of the whole
+program:
 
 * :class:`~repro.analysis.model.summary.ModuleSummary` — everything one
   file contributes to the model (classes with their attribute
-  assignment sites and snapshot/serialization key sets, functions with
+  assignment sites and state tables, functions with
   their resolved outgoing calls, ``engine.schedule*`` call sites, noqa
   comments).
 * :class:`~repro.analysis.model.project.ProjectModel` — the summaries

@@ -4,8 +4,8 @@ Built in one pass from per-file :class:`ModuleSummary` objects, the
 model offers the two views the interprocedural rules need:
 
 * **class inventory** — every class keyed ``module.Class`` with base
-  resolution across modules, so snapshot/serialization key sets and
-  attribute inventories compose along inheritance chains;
+  resolution across modules, so state tables and attribute inventories
+  compose along inheritance chains;
 * **call graph** — name-resolved edges between project functions
   (``module.func`` / ``module.Class.method``), the substrate for the
   RPR013 taint propagation.
@@ -112,45 +112,35 @@ class ProjectModel:
     def effective_state_keys(
         self, module: str, cls: ClassSummary
     ) -> tuple[Optional[set[str]], bool]:
-        """(snapshot/serialization key set, analyzable) along the MRO.
+        """(declared attribute set, analyzable) along the MRO.
 
-        The key set unions literal ``snapshot_state``/``to_dict`` keys,
-        dataclass fields, and ``__slots__``-free declared fields of the
-        class and every resolvable base.  *analyzable* is False when any
-        contributing state method was dynamic, when a ``super()`` call
-        points at an unresolvable base, or when the class has no state
-        protocol at all — in each case coverage rules must stand down.
+        The set unions the ``STATE`` and ``DERIVED`` tables of the class
+        and every resolvable base.  *analyzable* is False when any table
+        in the chain is not a literal, or when no class in the chain
+        declares a table at all — in each case coverage rules must stand
+        down.
         """
-        has_protocol = False
-        keys: set[str] = set()
-        for mod, current in self.mro_chain(module, cls):
-            if current.snapshot_keys is not None:
-                has_protocol = True
-                keys.update(current.snapshot_keys)
-                if not current.snapshot_complete:
-                    return None, False
-                if current.snapshot_calls_super and not self._has_resolvable_base(
-                    mod, current
-                ):
-                    return None, False
-            if current.serial_keys is not None:
-                has_protocol = True
-                keys.update(current.serial_keys)
-                keys.update(current.fields)
-                if not current.serial_complete:
-                    return None, False
-                if current.serial_calls_super and not self._has_resolvable_base(
-                    mod, current
-                ):
-                    return None, False
-        if not has_protocol:
+        declared: set[str] = set()
+        has_table = False
+        for _, current in self.mro_chain(module, cls):
+            if not current.table_complete:
+                return None, False
+            for table in (current.state, current.derived):
+                if table is not None:
+                    has_table = True
+                    declared.update(table)
+        if not has_table:
             return None, False
-        return keys, True
+        return declared, True
 
-    def _has_resolvable_base(self, module: str, cls: ClassSummary) -> bool:
-        return any(
-            self.resolve_class(module, base) is not None for base in cls.bases
-        )
+    def known_attributes(self, module: str, cls: ClassSummary) -> set[str]:
+        """Every attribute the class or a resolvable base defines: ``self.X``
+        stores, class-body names (fields and slots included) and methods
+        (properties included)."""
+        known: set[str] = set()
+        for _, current in self.mro_chain(module, cls):
+            known.update(current.attr_sites, current.class_attrs, current.methods)
+        return known
 
     # -- call graph ----------------------------------------------------------------
 

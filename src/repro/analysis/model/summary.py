@@ -82,31 +82,28 @@ class FunctionSummary:
 
 @dataclass
 class ClassSummary:
-    """One class: attribute assignment sites and state-protocol keys.
+    """One class: attribute assignment sites and its state table.
 
     ``attr_sites`` maps every ``self.X`` store to the ``(method, line)``
     pairs performing it — across *all* methods, exemptions are applied
-    by the rules.  ``snapshot_keys``/``serial_keys`` are the statically
-    extracted key sets of ``snapshot_state``/``to_dict`` (``None`` when
-    the method is absent); ``*_complete`` is False when extraction hit
-    something dynamic, which tells RPR011 to stand down rather than
-    guess.
+    by the rules.  ``state``/``derived`` are the attribute names of the
+    class-body ``STATE`` rows and ``DERIVED`` entries (``None`` when the
+    class body does not assign the table); ``table_complete`` is False
+    when a table is not a literal, which tells RPR011 to stand down
+    rather than guess.  ``class_attrs`` are the names the class body
+    declares (assignments, annotated fields, ``__slots__`` entries).
     """
 
     name: str
     line: int
     bases: tuple[str, ...]
-    fields: tuple[str, ...]
-    slots: tuple[str, ...]
     methods: tuple[str, ...]
     attr_sites: dict[str, tuple[tuple[str, int], ...]]
-    snapshot_keys: Optional[tuple[str, ...]]
-    snapshot_complete: bool
-    snapshot_calls_super: bool
-    snapshot_line: int
-    serial_keys: Optional[tuple[str, ...]]
-    serial_complete: bool
-    serial_calls_super: bool
+    class_attrs: tuple[str, ...]
+    state: Optional[tuple[str, ...]]
+    derived: Optional[tuple[str, ...]]
+    table_complete: bool
+    table_line: int
 
 
 @dataclass
@@ -176,120 +173,42 @@ def _mentions_now(node: ast.expr) -> bool:
     return False
 
 
-def _is_super_state_call(node: ast.Call) -> bool:
-    func = node.func
-    return (
-        isinstance(func, ast.Attribute)
-        and func.attr in ("snapshot_state", "to_dict")
-        and isinstance(func.value, ast.Call)
-        and isinstance(func.value.func, ast.Name)
-        and func.value.func.id == "super"
-    )
-
-
-def _state_method_keys(fn: ast.FunctionDef) -> tuple[
-    tuple[str, ...], bool, bool
-]:
-    """(keys, complete, calls_super) for a snapshot_state/to_dict body.
-
-    Keys come from dict literals, constant-key subscript stores
-    (``state["k"] = v``), and ``.update()`` calls with literal
-    arguments.  Anything dynamic — ``**`` splats, computed keys, a
-    returned name fed by a non-``super()`` call — clears *complete* so
-    coverage rules skip the class instead of guessing.
-    """
-    keys: list[str] = []
-    seen: set[str] = set()
-    complete = True
-    calls_super = False
-
-    def add(key: str) -> None:
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
-
-    returned_names: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
-            returned_names.add(node.value.id)
-
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Return):
-            if node.value is not None and not isinstance(
-                node.value, (ast.Dict, ast.Name)
-            ):
-                complete = False
-        elif isinstance(node, ast.Dict):
-            for key in node.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    add(key.value)
-                else:
-                    complete = False  # ** splat or computed key
-        elif isinstance(node, ast.Assign):
-            targets = node.targets
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    key = target.slice
-                    if isinstance(key, ast.Constant) and isinstance(
-                        key.value, str
-                    ):
-                        add(key.value)
-                    else:
-                        complete = False
-            if (
-                isinstance(node.value, ast.Call)
-                and len(targets) == 1
-                and isinstance(targets[0], ast.Name)
-                and targets[0].id in returned_names
-            ):
-                if _is_super_state_call(node.value):
-                    calls_super = True
-                else:
-                    complete = False
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if _is_super_state_call(node):
-                calls_super = True
-            elif isinstance(func, ast.Attribute) and func.attr == "update":
-                for arg in node.args:
-                    if not isinstance(arg, ast.Dict):
-                        complete = False  # dict literals handled by the walk
-                for kw in node.keywords:
-                    if kw.arg is not None:
-                        add(kw.arg)
-                    else:
-                        complete = False
-    return tuple(keys), complete, calls_super
-
-
-def _annotated_fields(node: ast.ClassDef) -> tuple[str, ...]:
-    """Annotated class-body names (dataclass fields), minus ClassVars."""
+def _table_names(value: ast.expr, rows: bool) -> Optional[tuple[str, ...]]:
+    """Attribute names of a literal ``STATE`` (*rows*) or ``DERIVED``
+    table, or ``None`` when the table is not a literal."""
+    if not isinstance(value, (ast.Tuple, ast.List)):
+        return None
     names = []
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            ann = stmt.annotation
-            if isinstance(ann, ast.Subscript) and (
-                isinstance(ann.value, ast.Name) and ann.value.id == "ClassVar"
-            ):
-                continue
-            names.append(stmt.target.id)
+    for elt in value.elts:
+        if rows:
+            if not isinstance(elt, (ast.Tuple, ast.List)) or not elt.elts:
+                return None
+            elt = elt.elts[0]
+        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
+            return None
+        names.append(elt.value)
     return tuple(names)
 
 
-def _slot_names(node: ast.ClassDef) -> tuple[str, ...]:
+def _body_names(node: ast.ClassDef) -> tuple[str, ...]:
+    """Names the class body declares: assignments, annotated fields and
+    literal ``__slots__`` entries."""
     names = []
     for stmt in node.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == "__slots__"
-                for t in stmt.targets
-            )
-            and isinstance(stmt.value, (ast.Tuple, ast.List))
-        ):
-            for elt in stmt.value.elts:
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                    names.append(elt.value)
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.append(stmt.target.id)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    names.append(target.id)
+                    if target.id == "__slots__" and isinstance(
+                        stmt.value, (ast.Tuple, ast.List)
+                    ):
+                        names.extend(
+                            elt.value
+                            for elt in stmt.value.elts
+                            if isinstance(elt, ast.Constant)
+                        )
     return tuple(names)
 
 
@@ -362,19 +281,22 @@ class _Extractor:
     def _extract_class(self, node: ast.ClassDef) -> None:
         methods: list[str] = []
         attr_sites: dict[str, list[tuple[str, int]]] = {}
-        snapshot_fn: Optional[ast.FunctionDef] = None
-        serial_fn: Optional[ast.FunctionDef] = None
+        tables: dict[str, Optional[tuple[str, ...]]] = {}
+        table_line = 0
 
         for stmt in node.body:
+            if (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.targets[0].id in ("STATE", "DERIVED")
+            ):
+                name = stmt.targets[0].id
+                tables[name] = _table_names(stmt.value, rows=name == "STATE")
+                table_line = table_line or stmt.lineno
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             methods.append(stmt.name)
-            if stmt.name == "snapshot_state" and isinstance(
-                stmt, ast.FunctionDef
-            ):
-                snapshot_fn = stmt
-            elif stmt.name == "to_dict" and isinstance(stmt, ast.FunctionDef):
-                serial_fn = stmt
             is_static = any(
                 isinstance(dec, ast.Name) and dec.id == "staticmethod"
                 for dec in stmt.decorator_list
@@ -397,40 +319,21 @@ class _Extractor:
             )
             if resolved is not None
         )
-        snap_keys: Optional[tuple[str, ...]] = None
-        snap_complete = True
-        snap_super = False
-        snap_line = 0
-        if snapshot_fn is not None:
-            snap_keys, snap_complete, snap_super = _state_method_keys(
-                snapshot_fn
-            )
-            snap_line = snapshot_fn.lineno
-        ser_keys: Optional[tuple[str, ...]] = None
-        ser_complete = True
-        ser_super = False
-        if serial_fn is not None:
-            ser_keys, ser_complete, ser_super = _state_method_keys(serial_fn)
-
         self.classes.append(
             ClassSummary(
                 name=node.name,
                 line=node.lineno,
                 bases=bases,
-                fields=_annotated_fields(node),
-                slots=_slot_names(node),
                 methods=tuple(methods),
                 attr_sites={
                     attr: tuple(sites)
                     for attr, sites in sorted(attr_sites.items())
                 },
-                snapshot_keys=snap_keys,
-                snapshot_complete=snap_complete,
-                snapshot_calls_super=snap_super,
-                snapshot_line=snap_line,
-                serial_keys=ser_keys,
-                serial_complete=ser_complete,
-                serial_calls_super=ser_super,
+                class_attrs=_body_names(node),
+                state=tables.get("STATE"),
+                derived=tables.get("DERIVED"),
+                table_complete=all(t is not None for t in tables.values()),
+                table_line=table_line,
             )
         )
 

@@ -14,7 +14,6 @@ RPR006      unit suffixes (``*_ns``/``*_ck``/…) never mixed without conversion
 RPR007      no ``print()`` in library code (reporters/CLIs exempt)
 RPR008      event callbacks never re-enter ``engine.run()``
 RPR009      ``*Stats`` dataclasses inherit the telemetry snapshot mixin
-RPR010      ``snapshot_state``/``restore_state`` pair with attribute-backed keys
 ==========  =====================================================================
 
 Project rules (interprocedural, over the whole-program model in
@@ -23,7 +22,7 @@ Project rules (interprocedural, over the whole-program model in
 ==========  =====================================================================
 Code        Invariant
 ==========  =====================================================================
-RPR011      runtime-mutated attributes are covered by the snapshot key set
+RPR011      runtime-mutated attributes are declared in the class's state table
 RPR012      same-cycle scheduling only from the documented order-exempt set
 RPR013      pure packages are *transitively* free of wall-clock/entropy calls
 RPR014      unit suffixes match across call boundaries (argument vs parameter)

@@ -1,4 +1,4 @@
-"""Serialization-protocol rules.
+"""Serialization-protocol rule.
 
 RPR005: serialized dataclasses pair ``to_dict``/``from_dict`` with
 hash-stable field coverage.
@@ -11,19 +11,6 @@ content hash, so two different specs collide on one cache entry.  When
 ``to_dict`` is a plain ``return { ... }`` literal we also require the
 field keys in declaration order — reviewable evidence that serialization
 tracks the dataclass shape.
-
-RPR010: checkpointable classes pair ``snapshot_state``/``restore_state``
-with attribute-backed keys.
-
-The checkpoint protocol mirrors the serialization one: a class with only
-half the pair can be captured but never resumed (or resumed but never
-captured).  When ``snapshot_state`` is a plain ``return { ... }``
-literal, every key must name a real instance attribute (``self.X``
-assignment or ``__slots__``/dataclass field) — a key naming nothing is
-drift between the snapshot and the class shape, which surfaces only as a
-``KeyError`` (or silent ghost field) at restore time.  Snapshots built
-incrementally or through helpers are out of static reach and skipped,
-like non-literal ``to_dict`` bodies.
 """
 
 from __future__ import annotations
@@ -123,105 +110,3 @@ class SerializationPairRule(Rule):
                         "order than the declaration; keep declaration order "
                         "so the serialized shape tracks the dataclass",
                     )
-
-
-def _slot_names(node: ast.ClassDef) -> list[str]:
-    """Names in a literal ``__slots__`` tuple/list, if any."""
-    names = []
-    for stmt in node.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == "__slots__"
-                for t in stmt.targets
-            )
-            and isinstance(stmt.value, (ast.Tuple, ast.List))
-        ):
-            for elt in stmt.value.elts:
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                    names.append(elt.value)
-    return names
-
-
-def _self_attributes(node: ast.ClassDef) -> set[str]:
-    """Every attribute assigned as ``self.X`` in any method of the class
-    (not just ``__init__`` — components also acquire state in ``attach``/
-    ``bind``-style wiring hooks)."""
-    attrs: set[str] = set()
-    for method in node.body:
-        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not method.args.args:
-            continue
-        self_name = method.args.args[0].arg
-        for sub in ast.walk(method):
-            target = None
-            if isinstance(sub, ast.Assign):
-                for t in sub.targets:
-                    for leaf in ast.walk(t):
-                        if (
-                            isinstance(leaf, ast.Attribute)
-                            and isinstance(leaf.value, ast.Name)
-                            and leaf.value.id == self_name
-                            and isinstance(leaf.ctx, ast.Store)
-                        ):
-                            attrs.add(leaf.attr)
-                continue
-            if isinstance(sub, (ast.AnnAssign, ast.AugAssign)):
-                target = sub.target
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == self_name
-            ):
-                attrs.add(target.attr)
-    return attrs
-
-
-@register
-class SnapshotPairRule(Rule):
-    code = "RPR010"
-    name = "snapshot-pairing"
-    description = (
-        "checkpointable classes define both snapshot_state and "
-        "restore_state, and literal snapshot_state bodies only use keys "
-        "backed by a real instance attribute"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            methods = {
-                m.name: m for m in node.body if isinstance(m, ast.FunctionDef)
-            }
-            has_snap = "snapshot_state" in methods
-            has_restore = "restore_state" in methods
-            if has_snap != has_restore:
-                missing = "restore_state" if has_snap else "snapshot_state"
-                present = "snapshot_state" if has_snap else "restore_state"
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"class {node.name} defines {present} but not {missing}; "
-                    "half a checkpoint protocol can be captured but never "
-                    "resumed (or resumed but never captured)",
-                )
-            if not has_snap:
-                continue
-            keys = _literal_dict_keys(methods["snapshot_state"])
-            if keys is None:
-                continue  # incremental/helper-built snapshot: out of reach
-            known = _self_attributes(node)
-            known.update(_slot_names(node))
-            known.update(_field_names(node))
-            unbacked = [k for k in keys if k not in known]
-            if unbacked:
-                yield self.finding(
-                    ctx,
-                    methods["snapshot_state"],
-                    f"{node.name}.snapshot_state key(s) "
-                    f"{', '.join(unbacked)} do not name any instance "
-                    "attribute; stale keys break the snapshot/restore "
-                    "round trip at restore time",
-                )

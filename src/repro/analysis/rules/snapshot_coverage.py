@@ -1,25 +1,15 @@
-"""RPR011: every runtime-mutated attribute round-trips through snapshots.
+"""RPR011: every runtime-mutated attribute is declared in its state table.
 
-The checkpoint/restore discipline (PR 6) and the content-hashed cache
-(PR 1) both assume the state protocol is *complete*: a class whose
-``snapshot_state``/``to_dict`` omits a field that mutates mid-run
-produces checkpoints that restore into a silently different simulator —
-the state-drift bug class that checkpoint fuzzing only catches
-probabilistically, because the dropped field must both diverge before
-the barrier and matter after it.
-
-Statically the invariant is checkable: any ``self.X`` assignment outside
-construction/restore marks ``X`` as runtime state, and the effective
-key set of the class (its own literal snapshot/serialization keys plus
-every resolvable base's, unioned along the inheritance chain by the
-project model) must contain it.  Classes whose state methods are built
-dynamically (helper calls, computed keys) are out of static reach and
-skipped, exactly like RPR010's literal-body restriction.
-
-Attributes that are deliberately rebuilt rather than captured (derived
-caches, wiring references re-established by the owner) are declared at
-their first mutation site with ``# repro: noqa[RPR011] <why>`` — the
-not-captured contract stays visible in the diff that creates it.
+A checkpointed class lists what a checkpoint carries in one class-level
+table (:mod:`repro.core.state`): ``STATE`` rows are captured, ``DERIVED``
+names are left out on purpose.  A field that mutates mid-run but is in
+neither restores into a silently different simulator — state drift that
+checkpoint fuzzing only catches when the field both diverges before the
+barrier and matters after it.  Any ``self.X`` assignment outside
+construction/restore marks ``X`` as runtime state, and the tables (unioned
+along the MRO) must declare it; conversely a table entry naming no
+attribute of the class is drift.  Non-literal tables are out of static
+reach and skipped; classes without a table have no checkpoint state.
 """
 
 from __future__ import annotations
@@ -36,9 +26,9 @@ class SnapshotCoverageRule(ProjectRule):
     code = "RPR011"
     name = "snapshot-coverage"
     description = (
-        "attributes assigned outside __init__/restore in snapshottable "
-        "simulator classes must appear in the snapshot/serialization key "
-        "set (state drift otherwise)"
+        "attributes assigned outside __init__/restore in checkpointed "
+        "simulator classes are declared in the class's STATE or DERIVED "
+        "table, and every table entry names a real attribute"
     )
 
     def check_project(self, pctx: ProjectContext) -> Iterator[Finding]:
@@ -48,12 +38,12 @@ class SnapshotCoverageRule(ProjectRule):
             module, cls = model.classes[key]
             if not module_in(module, config.pure_packages):
                 continue
-            keys, analyzable = model.effective_state_keys(module, cls)
-            if not analyzable or keys is None:
+            declared, analyzable = model.effective_state_keys(module, cls)
+            if not analyzable:
                 continue
             path = model.path_of[module]
             for attr in sorted(cls.attr_sites):
-                if attr in keys:
+                if attr in declared:
                     continue
                 sites = [
                     (method, line)
@@ -68,10 +58,20 @@ class SnapshotCoverageRule(ProjectRule):
                     line,
                     1,
                     f"attribute '{attr}' of {key} is assigned in "
-                    f"{method}() but missing from its snapshot/serialization "
-                    "key set; a checkpoint taken after this line restores "
-                    "into a diverged simulator (state drift) — capture it in "
-                    "snapshot_state, or mark this site "
-                    "'# repro: noqa[RPR011] <why rebuilt>' if it is derived "
-                    "state the restore path reconstructs",
+                    f"{method}() but declared in neither STATE nor DERIVED; "
+                    "a checkpoint taken after this line restores into a "
+                    "diverged simulator (state drift) — add a STATE row, "
+                    "or list it in DERIVED if the restore rebuilds it or it "
+                    "is not machine state",
                 )
+            known = model.known_attributes(module, cls)
+            for name in (cls.state or ()) + (cls.derived or ()):
+                if name not in known:
+                    yield self.finding_at(
+                        path,
+                        cls.table_line,
+                        1,
+                        f"state table of {key} names '{name}', which is no "
+                        "attribute of the class; a stale entry breaks the "
+                        "snapshot/restore round trip",
+                    )

@@ -67,7 +67,8 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[RunSpec, int, dict]:
     """Read a checkpoint file back as ``(spec, cycle, state)``.
 
     Raises :class:`ConfigError` on a missing, truncated or stale file —
-    a resume must fail loudly, unlike a cache miss.
+    a resume must fail loudly, unlike a cache miss.  The state itself is
+    checked where it is restored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,8 +87,6 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[RunSpec, int, dict]:
         state = data["state"]
     except (KeyError, TypeError, ReproError) as exc:
         raise ConfigError(f"checkpoint {path}: malformed payload ({exc})") from None
-    if not isinstance(state, dict):
-        raise ConfigError(f"checkpoint {path}: state is not a dict")
     return spec, cycle, state
 
 
@@ -99,8 +98,10 @@ class CheckpointStore:
         <root>/ckpt-v<SCHEMA_TAG>/<hh>/<spec-hash>-<cycle>.json
 
     ``get`` is corruption-tolerant (a bad entry is a miss, dropped and
-    recomputed); ``put`` failures degrade to "no store".  Instances hold
-    only a path, so they pickle across the sweep worker pool.
+    recomputed), and so is a restore: an entry whose state does not
+    restore is :meth:`discard`-ed by the caller.  ``put`` failures
+    degrade to "no store".  Instances hold only a path, so they pickle
+    across the sweep worker pool.
     """
 
     def __init__(self, root: str | os.PathLike | None = None):
@@ -126,8 +127,6 @@ class CheckpointStore:
             if data.get("schema") != SCHEMA_TAG:
                 raise ValueError(f"stale schema {data.get('schema')!r}")
             state = data["state"]
-            if not isinstance(state, dict):
-                raise ValueError("state is not a dict")
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -137,6 +136,12 @@ class CheckpointStore:
             return None
         self.hits += 1
         return state
+
+    def discard(self, key: str, cycle: int) -> None:
+        """Drop an entry that was read but failed to restore.  Its hit is
+        withdrawn; the lookup that recomputes it counts the miss."""
+        self.hits -= 1
+        self._discard(self.path(key, cycle))
 
     def put(self, key: str, spec: RunSpec, cycle: int, state: dict) -> None:
         """Store a snapshot atomically; failures are non-fatal."""

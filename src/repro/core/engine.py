@@ -58,7 +58,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.errors import SimulationError
+from repro.core.state import INT, Codec, Stateful, field, listof, seq
+from repro.errors import CheckpointError, SimulationError
 
 #: Cancelled stubs are cheap; only compact once they outnumber the live
 #: events and are numerous enough for the O(n) sweep to pay for itself.
@@ -107,7 +108,7 @@ class Event:
         return f"Event({state})"
 
 
-class Engine:
+class Engine(Stateful):
     """A minimal, deterministic event-driven simulator core.
 
     >>> eng = Engine()
@@ -117,6 +118,20 @@ class Engine:
     >>> hits
     [10]
     """
+
+    # ``_buckets`` is written by hand, through the caller's entry codec, with
+    # the head cache folded in; the profiler is re-attached by the host.
+    STATE = (("now", INT), ("_events_processed", INT))
+    DERIVED = (
+        "_head_time",
+        "_head",
+        "_spare",
+        "_cancelled",
+        "_run_list",
+        "_run_index",
+        "_run_time",
+        "_profiler",
+    )
 
     __slots__ = (
         "now",
@@ -185,7 +200,7 @@ class Engine:
         if head_time is None:
             times = self._times
             if not times or time < times[0]:
-                self._head_time = time  # repro: noqa[RPR011] head cache; snapshot folds it into _buckets
+                self._head_time = time
                 self._head.append(fn)
             else:
                 bucket = self._buckets.get(time)
@@ -207,7 +222,7 @@ class Engine:
             # New earliest time: demote the head bucket into the calendar.
             self._buckets[head_time] = self._head
             heappush(self._times, head_time)  # repro: noqa[RPR004] int keys are totally ordered; ties merge into one bucket
-            self._head = [fn]  # repro: noqa[RPR011] head cache; snapshot folds it into _buckets
+            self._head = [fn]
             self._head_time = time
 
     def schedule_event(self, delay: int, fn: Callable, arg: Any = None) -> Event:
@@ -278,8 +293,8 @@ class Engine:
                 self._head = []
             else:
                 self._head = spare
-                self._spare = None  # repro: noqa[RPR011] recycled list allocation, carries no events
-            self._run_time = head_time  # repro: noqa[RPR011] mid-drain scratch; snapshot refuses while a bucket is draining
+                self._spare = None
+            self._run_time = head_time
             return bucket
         if self._times:
             time = heappop(self._times)
@@ -295,12 +310,12 @@ class Engine:
         for entry in run_list:
             if entry.__class__ is Event and entry.cancelled:
                 entry.cancelled = False
-                self._cancelled -= 1  # repro: noqa[RPR011] stub bookkeeping; snapshot drops stubs, restore resets to 0
+                self._cancelled -= 1
         run_list.clear()
         if self._spare is None:
             self._spare = run_list
-        self._run_list = None  # repro: noqa[RPR011] mid-drain scratch; snapshot refuses while a bucket is draining
-        self._run_index = 0  # repro: noqa[RPR011] mid-drain scratch; snapshot refuses while a bucket is draining
+        self._run_list = None
+        self._run_index = 0
 
     def _drop_dead_bucket(self, bucket: list[Callable]) -> None:
         """Reclaim a bucket that contains only cancelled stubs."""
@@ -390,7 +405,7 @@ class Engine:
         profiler installed from inside a callback takes effect on the
         next run call.
         """
-        self._profiler = profiler  # repro: noqa[RPR011] runtime observer, not simulator state; reattached by the host
+        self._profiler = profiler
 
     def run_until(self, end_time: int) -> None:
         """Run every event scheduled strictly before or at *end_time*, then
@@ -547,11 +562,9 @@ class Engine:
                     entries.append(encode_entry(entry, None))
             if entries:
                 buckets.append([time, entries])
-        return {
-            "now": self.now,
-            "_events_processed": self._events_processed,
-            "_buckets": buckets,
-        }
+        state = super().snapshot_state()
+        state["_buckets"] = buckets
+        return state
 
     def restore_state(self, state: dict, decode_entry: Callable) -> None:
         """Rebuild the queue from a :meth:`snapshot_state` payload.
@@ -565,16 +578,16 @@ class Engine:
         if self._run_list is not None:
             raise SimulationError("cannot restore over a partially drained bucket")
         self.clear_pending()
-        self.now = int(state["now"])
-        self._events_processed = int(state["_events_processed"])
-        for time, entries in state["_buckets"]:
-            time = int(time)
+        super().restore_state(state)
+        entry = Codec(None, lambda data, refs=None, current=None: decode_entry(data))
+        buckets = field(state, "_buckets", listof(seq(INT, listof(entry))))
+        for time, entries in buckets:
             if time < self.now:
-                raise SimulationError(
-                    f"snapshot bucket at t={time} precedes its clock {self.now}"
+                raise CheckpointError(
+                    f"a bucket at t={time} precedes the clock {self.now}",
+                    ["_buckets"],
                 )
-            for descriptor in entries:
-                decoded = decode_entry(descriptor)
+            for decoded in entries:
                 if decoded is not None:
                     self.schedule_at(time, *decoded)
 

@@ -16,7 +16,7 @@ from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.system import SCENARIOS, Scenario, System, scenario as get_scenario
 from repro.dram.timing import DramTiming
-from repro.errors import ConfigError
+from repro.errors import CheckpointError, ConfigError
 from repro.telemetry.hub import Telemetry
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_mix
@@ -180,11 +180,21 @@ def run_spec(
     A spec with ``warmup_scenario`` set is executed in two phases: the
     warm-up prefix runs (or is fetched from ``checkpoint_store``) under
     the warm-up scenario, and the measured interval resumes from its
-    measurement-boundary snapshot under the target scenario."""
+    measurement-boundary snapshot under the target scenario; a stored
+    prefix that does not restore is a miss, discarded and recomputed."""
     if spec.warmup_scenario is not None:
-        state, _ = warm_start_state(spec, checkpoint_store)
-        system = build_system_from_spec(spec, telemetry=telemetry)
-        return system.run(resume_state=state)
+        hits = checkpoint_store.hits if checkpoint_store is not None else 0
+        state, provenance = warm_start_state(spec, checkpoint_store)
+        try:
+            return build_system_from_spec(spec, telemetry=telemetry).run(
+                resume_state=state
+            )
+        except CheckpointError:
+            if checkpoint_store is None or checkpoint_store.hits == hits:
+                raise  # computed just now, not read from the store
+        key, cycle = provenance.split("@")
+        checkpoint_store.discard(key, int(cycle))
+        return run_spec(spec, telemetry, checkpoint_store)
     system = build_system_from_spec(spec, telemetry=telemetry)
     return system.run(
         num_windows=spec.num_windows,

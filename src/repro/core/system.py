@@ -14,13 +14,32 @@ from dataclasses import dataclass
 from repro.config.system_configs import SystemConfig
 from repro.core.engine import Engine
 from repro.core.results import RunResult, TaskResult
-from repro.cpu.core import Core, decode_access, encode_access
+from repro.core.state import (
+    BOOL,
+    COMPONENT,
+    COMPONENTS,
+    INT,
+    INTS,
+    OBJECT,
+    OPT_INT,
+    REQUEST,
+    STRING,
+    TASK,
+    Codec,
+    at,
+    field,
+    listof,
+    member,
+    optional,
+    seq,
+)
+from repro.cpu.core import ACCESS, Core
 from repro.dram.address import AddressMapping
 from repro.dram.controller import MemoryController
 from repro.dram.refresh import make_scheduler, validate_policy
 from repro.dram.request import MemoryRequest, RequestType
 from repro.dram.timing import DramTiming
-from repro.errors import ConfigError, SimulationError
+from repro.errors import CheckpointError, ConfigError, SimulationError
 from repro.os.codesign import assign_bank_vectors
 from repro.os.page import PhysicalMemory
 from repro.os.partition import PartitioningAllocator, PartitionPolicy
@@ -133,8 +152,47 @@ def scenario(name: str) -> Scenario:
         ) from None
 
 
+def _no_arg(data, refs=None, current=None):
+    if data is not None:
+        raise CheckpointError(f"expected null, got {type(data).__name__}")
+
+
+def _int_tuple(data, refs=None, current=None):
+    return tuple(INTS.decode(data))
+
+
+#: An engine entry: ``[owner key, method name, argument]``.
+_ENTRY = seq(STRING, STRING, Codec(None, lambda data, refs=None, current=None: data))
+_NO_ARG = Codec(lambda arg: arg, _no_arg)
+_CONTROLLER_ARGS = {"_complete": REQUEST, "_pick_many": INTS}
+_OWNER_ARGS = {
+    "refresh": optional(Codec(list, _int_tuple)),
+    "core": seq(INT, ACCESS),
+}
+_REQUEST_CTX = seq(INT, TASK, OPT_INT)
+_RTYPE = member(RequestType, by="value")
+
+
+def _arg_codec(owner_key: str, name: str) -> Codec:
+    """The codec of an engine entry's argument, by owner and method."""
+    if owner_key == "controller":
+        return _CONTROLLER_ARGS.get(name, INT)
+    return _OWNER_ARGS.get(owner_key.split(":")[0], _NO_ARG)
+
+
+def _method(owner, name: str):
+    """*owner*'s bound method *name*, for a decoded engine entry."""
+    fn = getattr(owner, name, None)
+    if getattr(fn, "__self__", None) is not owner:
+        raise CheckpointError(f"{type(owner).__name__} has no method {name!r}")
+    return fn
+
+
 class System:
     """One fully wired simulated machine."""
+
+    # Left out of the hand-written checkpoint composite below.
+    DERIVED = ("_started",)
 
     def __init__(
         self,
@@ -228,8 +286,6 @@ class System:
         self._run_end: int | None = None
         self._sampler = None
         self._sampler_windows: int | None = None
-        # Scratch request table used while encoding an engine snapshot.
-        self._pending_requests: dict | None = None
 
     # -- construction helpers ---------------------------------------------------
 
@@ -393,7 +449,7 @@ class System:
         """
         if self._started:
             raise ConfigError("a System can only be run once")
-        self._started = True  # repro: noqa[RPR011] run-once latch; a resumed run sets it again on entry
+        self._started = True
         if resume_state is not None:
             self.restore_state(resume_state)
         else:
@@ -544,31 +600,39 @@ class System:
         now = self.engine.now
         for core in self.cores:
             core.sync_accounting(now)
-        self._pending_requests = {  # repro: noqa[RPR011] encode-phase scratch, reset to None before this method returns
-            r.req_id: r for r in self.controller.queued_requests()
-        }
+        requests = {r.req_id: r for r in self.controller.queued_requests()}
+        keys = {id(o): k for k, o in self._entry_owners().items() if o is not None}
+
+        def encode_entry(fn, arg) -> list:
+            # A queued bound method as [owner key, method name, argument].
+            owner = getattr(fn, "__self__", None)
+            name = getattr(fn, "__name__", repr(fn))
+            key = keys.get(id(owner)) if owner is not None else None
+            if key is None:
+                raise SimulationError(
+                    f"cannot snapshot callback {name!r} bound to "
+                    f"{type(owner).__name__}"
+                )
+            if name == "_complete" and key == "controller":
+                requests[arg.req_id] = arg  # in flight: out of every queue
+            return [key, name, _arg_codec(key, name).encode(arg)]
+
         state = {}
-        state["engine"] = self.engine.snapshot_state(self._encode_entry)
+        state["engine"] = self.engine.snapshot_state(encode_entry)
         state["requests"] = [
-            self._encode_request(self._pending_requests[rid])
-            for rid in sorted(self._pending_requests)
+            self._encode_request(requests[rid]) for rid in sorted(requests)
         ]
-        self._pending_requests = None
         state["controller"] = self.controller.snapshot_state()
         state["refresh"] = {
             "policy": self.scenario.refresh_policy,
             "state": self.refresh_scheduler.snapshot_state(),
         }
-        state["cores"] = [core.snapshot_state() for core in self.cores]
-        state["tasks"] = [task.snapshot_state() for task in self.tasks]
+        state["cores"] = COMPONENTS.encode(self.cores)
+        state["tasks"] = COMPONENTS.encode(self.tasks)
         state["memory"] = self.memory.snapshot_state()
         state["allocator"] = self.allocator.snapshot_state()
         state["scheduler"] = self.scheduler.snapshot_state()
-        state["load_balancer"] = (
-            None
-            if self.load_balancer is None
-            else self.load_balancer.snapshot_state()
-        )
+        state["load_balancer"] = COMPONENT.encode(self.load_balancer)
         state["run"] = {
             "measure_start": self._measure_start,
             "end": self._run_end,
@@ -593,44 +657,48 @@ class System:
         Order matters: tasks and cores restore before the request table
         (decoded ROB entries need the restored windows); the sampler is
         recreated before the engine queue (its tick descriptors must
-        decode); the engine restores last.
+        decode); the engine restores last.  A malformed payload raises
+        :class:`~repro.errors.CheckpointError` naming the path.
         """
-        task_by_id = {}
-        for task, task_state in zip(self.tasks, state["tasks"]):
-            task.restore_state(task_state)
-            task_by_id[task.task_id] = task
-        self.memory.restore_state(state["memory"])
-        self.allocator.restore_state(state["allocator"])
-        for core, core_state in zip(self.cores, state["cores"]):
-            core.restore_state(core_state, task_by_id)
-        requests = {}
-        for req_data in state["requests"]:
-            request = self._decode_request(req_data, task_by_id)
-            requests[request.req_id] = request
-        self.controller.restore_state(state["controller"], requests)
-        self.scheduler.restore_state(state["scheduler"], task_by_id)
-        lb_state = state["load_balancer"]
+        OBJECT.decode(state)
+        refs = {"task": {task.task_id: task for task in self.tasks}}
+        field(state, "tasks", COMPONENTS, refs, self.tasks)
+        field(state, "memory", COMPONENT, refs, self.memory)
+        field(state, "allocator", COMPONENT, refs, self.allocator)
+        field(state, "cores", COMPONENTS, refs, self.cores)
+        requests = field(
+            state, "requests", listof(Codec(None, self._decode_request)), refs
+        )
+        refs["request"] = {request.req_id: request for request in requests}
+        field(state, "controller", COMPONENT, refs, self.controller)
+        field(state, "scheduler", COMPONENT, refs, self.scheduler)
+        lb_state = field(state, "load_balancer", optional(OBJECT))
         if lb_state is not None and self.load_balancer is not None:
-            self.load_balancer.restore_state(lb_state)
-        same_refresh = (
-            state["refresh"]["policy"] == self.scenario.refresh_policy
-        )
-        if same_refresh:
-            self.refresh_scheduler.restore_state(state["refresh"]["state"])
-        run = state["run"]
-        self._measure_start = run["measure_start"]
-        self._run_end = run["end"]
-        sampler_state = run["sampler"]
-        if sampler_state is not None:
-            from repro.telemetry.timeseries import TimeseriesSampler
+            field(state, "load_balancer", COMPONENT, refs, self.load_balancer)
+        refresh = field(state, "refresh", OBJECT)
+        with at("refresh"):
+            policy = field(refresh, "policy", STRING)
+            same_refresh = policy == self.scenario.refresh_policy
+            if same_refresh:
+                field(refresh, "state", COMPONENT, refs, self.refresh_scheduler)
+        run = field(state, "run", OBJECT)
+        with at("run"):
+            self._measure_start = field(run, "measure_start", OPT_INT)
+            self._run_end = field(run, "end", OPT_INT)
+            sampler = field(run, "sampler", optional(OBJECT))
+            if sampler is not None:
+                from repro.telemetry.timeseries import TimeseriesSampler
 
-            self._sampler_windows = int(sampler_state["samples_per_window"])
-            self._sampler = TimeseriesSampler(self, self._sampler_windows)
-            self._sampler.restore_state(sampler_state["state"])
-        self.engine.restore_state(
-            state["engine"],
-            lambda desc: self._decode_entry(desc, requests, same_refresh),
-        )
+                with at("sampler"):
+                    self._sampler_windows = field(sampler, "samples_per_window", INT)
+                    self._sampler = TimeseriesSampler(self, self._sampler_windows)
+                    field(sampler, "state", COMPONENT, refs, self._sampler)
+        owners = self._entry_owners(same_refresh)
+        engine_state = field(state, "engine", OBJECT)
+        with at("engine"):
+            self.engine.restore_state(
+                engine_state, lambda desc: self._decode_entry(desc, refs, owners)
+            )
         if not same_refresh:
             self.refresh_scheduler.start()
         if lb_state is None and self.load_balancer is not None:
@@ -638,68 +706,29 @@ class System:
 
     # -- engine-entry codecs ---------------------------------------------------
 
-    def _encode_entry(self, fn, arg) -> list:
-        """Map a queued bound-method callback to a JSON-able descriptor."""
-        owner = getattr(fn, "__self__", None)
-        name = getattr(fn, "__name__", repr(fn))
-        if owner is None:
-            raise SimulationError(f"cannot snapshot unbound callback {fn!r}")
-        if owner is self.controller:
-            if name == "_complete":
-                self._pending_requests[arg.req_id] = arg
-                return ["controller", name, arg.req_id]
-            if name == "_pick_many":
-                return ["controller", name, list(arg)]
-            return ["controller", name, arg]
-        if owner is self.refresh_scheduler:
-            return ["refresh", name, list(arg) if isinstance(arg, tuple) else arg]
-        if owner is self.scheduler:
-            return ["sched", name, arg]
-        if self.load_balancer is not None and owner is self.load_balancer:
-            return ["lb", name, arg]
-        if self._sampler is not None and owner is self._sampler:
-            return ["sampler", name, arg]
-        if isinstance(owner, Core):
-            epoch, access = arg
-            return [
-                f"core:{owner.core_id}", name, [epoch, encode_access(access)]
-            ]
-        raise SimulationError(
-            f"cannot snapshot callback {name!r} bound to "
-            f"{type(owner).__name__}"
-        )
+    def _entry_owners(self, same_refresh: bool = True) -> dict:
+        """Descriptor owner key -> the component whose bound methods an
+        engine entry may call (``None``: absent here, or a new refresh
+        policy that starts mid-run instead of restoring entries)."""
+        return {
+            "controller": self.controller,
+            "refresh": self.refresh_scheduler if same_refresh else None,
+            "sched": self.scheduler,
+            "lb": self.load_balancer,
+            "sampler": self._sampler,
+            **{f"core:{core.core_id}": core for core in self.cores},
+        }
 
-    def _decode_entry(self, desc, requests: dict, same_refresh: bool):
-        """Inverse of :meth:`_encode_entry`; ``None`` drops the entry."""
-        owner_key, name, arg = desc
-        if owner_key == "controller":
-            fn = getattr(self.controller, name)
-            if name == "_complete":
-                return fn, requests[int(arg)]
-            if name == "_pick_many":
-                return fn, [int(flat) for flat in arg]
-            return fn, int(arg)
-        if owner_key == "refresh":
-            if not same_refresh:
-                return None  # new policy starts mid-run instead
-            if isinstance(arg, list):
-                arg = tuple(int(v) for v in arg)
-            return getattr(self.refresh_scheduler, name), arg
-        if owner_key == "sched":
-            return getattr(self.scheduler, name), arg
-        if owner_key == "lb":
-            if self.load_balancer is None:
-                return None
-            return getattr(self.load_balancer, name), arg
-        if owner_key == "sampler":
-            if self._sampler is None:
-                return None
-            return getattr(self._sampler, name), arg
-        if owner_key.startswith("core:"):
-            core = self.cores[int(owner_key.split(":", 1)[1])]
-            epoch, access_data = arg
-            return getattr(core, name), (int(epoch), decode_access(access_data))
-        raise SimulationError(f"cannot restore callback descriptor {desc!r}")
+    def _decode_entry(self, desc, refs: dict, owners: dict):
+        """Inverse of the descriptors :meth:`snapshot_state` writes;
+        ``None`` drops the entry."""
+        owner_key, name, arg = _ENTRY.decode(desc)
+        if owner_key not in owners:
+            raise CheckpointError(f"unknown callback owner {owner_key!r}")
+        owner = owners[owner_key]
+        if owner is None:
+            return None
+        return _method(owner, name), _arg_codec(owner_key, name).decode(arg, refs)
 
     # -- request codec ---------------------------------------------------------
 
@@ -731,30 +760,27 @@ class System:
             "ctx": ctx,
         }
 
-    def _decode_request(self, data: dict, task_by_id: dict) -> MemoryRequest:
-        address = int(data["address"])
+    def _decode_request(self, data, refs: dict, current=None) -> MemoryRequest:
+        OBJECT.decode(data)
+        address = field(data, "address", INT)
         request = MemoryRequest(
-            RequestType(data["rtype"]),
+            field(data, "rtype", _RTYPE),
             address,
             self.mapping.address_to_coordinate(address),
-            task_id=int(data["task_id"]),
-            req_id=int(data["req_id"]),
+            task_id=field(data, "task_id", INT),
+            req_id=field(data, "req_id", INT),
         )
-        request.arrive_time = int(data["arrive_time"])
-        request.start_time = int(data["start_time"])
-        request.refresh_stall = int(data["refresh_stall"])
-        request.row_hit = bool(data["row_hit"])
-        core_id = data["core_id"]
+        request.arrive_time = field(data, "arrive_time", INT)
+        request.start_time = field(data, "start_time", INT)
+        request.refresh_stall = field(data, "refresh_stall", INT)
+        request.row_hit = field(data, "row_hit", BOOL)
+        core_id = field(data, "core_id", OPT_INT)
+        ctx = field(data, "ctx", optional(_REQUEST_CTX), refs)
         if core_id is not None:
-            core = self.cores[int(core_id)]
+            core = self.cores[core_id]
             request.on_complete = core._on_read_complete
-            ctx = data["ctx"]
             if ctx is not None:
-                epoch, task_id, rob_index = ctx
-                entry = (
-                    core.rob_entry(int(rob_index))
-                    if rob_index is not None
-                    else None
-                )
-                request.ctx = (int(epoch), task_by_id[int(task_id)], entry)
+                epoch, task, rob_index = ctx
+                entry = None if rob_index is None else core.rob_entry(rob_index)
+                request.ctx = (epoch, task, entry)
         return request

@@ -25,6 +25,17 @@ from collections import deque
 from typing import Optional
 
 from repro.core.engine import Engine
+from repro.core.state import (
+    BOOL,
+    INT,
+    OPT_INT,
+    TASK,
+    Codec,
+    Stateful,
+    listof,
+    optional,
+    seq,
+)
 from repro.dram.controller import MemoryController
 from repro.dram.request import MemoryRequest, RequestType
 from repro.errors import SimulationError
@@ -45,8 +56,59 @@ class _RobEntry:
         self.done = False
 
 
-class Core:
-    """One CPU core executing whichever task the OS scheduler assigns."""
+_ACCESS_FIELDS = seq(INT, INT, OPT_INT, OPT_INT)
+_ROB_ENTRIES = listof(seq(INT, BOOL))
+
+
+def _decode_access(data, refs=None, current=None):
+    from repro.workloads.benchmark import MemAccess  # import cycle guard
+
+    return MemAccess(*_ACCESS_FIELDS.decode(data))
+
+
+def _decode_window(data, refs=None, current=None) -> deque:
+    window = deque()
+    for instructions, done in _ROB_ENTRIES.decode(data):
+        entry = _RobEntry(instructions)
+        entry.done = done
+        window.append(entry)
+    return window
+
+
+#: A workload access (or ``None``): instructions, gap, address, writeback.
+ACCESS = optional(Codec(list, _decode_access))
+#: The ROB window: ``[instructions, done]`` per outstanding miss.
+ROB = Codec(lambda window: [[e.instructions, e.done] for e in window], _decode_window)
+
+
+class Core(Stateful):
+    """One CPU core executing whichever task the OS scheduler assigns.
+
+    A snapshot must follow :meth:`sync_accounting`, so lazily credited
+    fast-forward gaps are linearized; a chain whose tail extends past the
+    barrier is captured mid-flight.
+    """
+
+    STATE = (
+        ("current_task", optional(TASK)),
+        ("quantum_start", INT),
+        ("_epoch", INT),
+        ("_outstanding", INT),
+        ("_window", ROB),
+        ("_inflight_instr", INT),
+        ("_stalled", BOOL),
+        ("_deferred", ACCESS),
+        ("_pending_gap_start", INT),
+        ("_pending_gap_cycles", INT),
+        ("_pending_instructions", INT),
+        ("_quantum_end", OPT_INT),
+        ("_chain", optional(listof(seq(INT, INT)))),
+        ("_chain_start", INT),
+        ("_chain_credited", INT),
+        ("_chain_final", seq(INT, INT, INT)),
+        ("idle_cycles", INT),
+        ("_idle_since", OPT_INT),
+    )
 
     def __init__(
         self,
@@ -355,99 +417,6 @@ class Core:
         """ROB entry at *index* (for request ctx restore)."""
         return self._window[index]
 
-    def snapshot_state(self) -> dict:
-        """Serializable mutable state.  Call :meth:`sync_accounting` first
-        so lazily credited fast-forward gaps are linearized; a chain whose
-        tail extends past the barrier is captured mid-flight."""
-        return {
-            "current_task": (
-                None if self.current_task is None else self.current_task.task_id
-            ),
-            "quantum_start": self.quantum_start,
-            "_epoch": self._epoch,
-            "_outstanding": self._outstanding,
-            "_window": [[e.instructions, e.done] for e in self._window],
-            "_inflight_instr": self._inflight_instr,
-            "_stalled": self._stalled,
-            "_deferred": encode_access(self._deferred),
-            "_pending_gap_start": self._pending_gap_start,
-            "_pending_gap_cycles": self._pending_gap_cycles,
-            "_pending_instructions": self._pending_instructions,
-            "_quantum_end": self._quantum_end,
-            "_chain": (
-                None
-                if self._chain is None
-                else [[off, instr] for off, instr in self._chain]
-            ),
-            "_chain_start": self._chain_start,
-            "_chain_credited": self._chain_credited,
-            "_chain_final": list(self._chain_final),
-            "idle_cycles": self.idle_cycles,
-            "_idle_since": self._idle_since,
-        }
-
-    def restore_state(self, state: dict, task_by_id: dict) -> None:
-        """Inverse of :meth:`snapshot_state`; *task_by_id* resolves the
-        running task reference."""
-        task_id = state["current_task"]
-        self.current_task = None if task_id is None else task_by_id[int(task_id)]
-        self.quantum_start = int(state["quantum_start"])
-        self._epoch = int(state["_epoch"])
-        self._outstanding = int(state["_outstanding"])
-        self._window = deque()
-        for instructions, done in state["_window"]:
-            entry = _RobEntry(int(instructions))
-            entry.done = bool(done)
-            self._window.append(entry)
-        self._inflight_instr = int(state["_inflight_instr"])
-        self._stalled = bool(state["_stalled"])
-        self._deferred = decode_access(state["_deferred"])
-        self._pending_gap_start = int(state["_pending_gap_start"])
-        self._pending_gap_cycles = int(state["_pending_gap_cycles"])
-        self._pending_instructions = int(state["_pending_instructions"])
-        qend = state["_quantum_end"]
-        self._quantum_end = None if qend is None else int(qend)
-        chain = state["_chain"]
-        self._chain = (
-            None
-            if chain is None
-            else [(int(off), int(instr)) for off, instr in chain]
-        )
-        self._chain_start = int(state["_chain_start"])
-        self._chain_credited = int(state["_chain_credited"])
-        final = state["_chain_final"]
-        self._chain_final = (int(final[0]), int(final[1]), int(final[2]))
-        self.idle_cycles = int(state["idle_cycles"])
-        since = state["_idle_since"]
-        self._idle_since = None if since is None else int(since)
-
     def __repr__(self) -> str:
         running = self.current_task.task_id if self.current_task else "idle"
         return f"Core({self.core_id}, task={running})"
-
-
-def encode_access(access) -> Optional[list]:
-    """JSON-able form of a workload :class:`MemAccess` (or ``None``)."""
-    if access is None:
-        return None
-    return [
-        access.instructions,
-        access.gap_cycles,
-        access.address,
-        access.writeback_address,
-    ]
-
-
-def decode_access(data):
-    """Inverse of :func:`encode_access`."""
-    if data is None:
-        return None
-    from repro.workloads.benchmark import MemAccess
-
-    instructions, gap_cycles, address, writeback = data
-    return MemAccess(
-        int(instructions),
-        int(gap_cycles),
-        None if address is None else int(address),
-        None if writeback is None else int(writeback),
-    )

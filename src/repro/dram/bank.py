@@ -12,9 +12,9 @@ indexed by flat bank index and shared by every bank of a controller — so
 the controller's FR-FCFS decision loop reads bank availability with one
 list subscript instead of an attribute chain through a ``Bank`` object.
 ``Bank`` keeps its full public API: ``bank.open_row``/``bank.cas_ready``
-etc. are property views into the shared arrays, and the snapshot/restore
-contract is unchanged (per-bank dicts; the arrays are rebuilt by the
-property writes in :meth:`Bank.restore_state`).
+etc. are property views into the shared arrays, and the checkpoint
+payload is unchanged (one dict per bank; a restore rebuilds the arrays
+through the property writes its ``STATE`` rows make).
 """
 
 from __future__ import annotations
@@ -22,6 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from repro.core.state import (
+    BOOL,
+    INT,
+    INTS,
+    OPT_INT,
+    Stateful,
+    in_place,
+    optional,
+    record,
+    seq,
+)
 from repro.dram.request import MemoryRequest
 from repro.dram.timing import DramTiming
 from repro.errors import ProtocolError
@@ -106,13 +117,26 @@ def _state_view(field: str):
     return property(read, write)
 
 
-class Bank:
+class Bank(Stateful):
     """State machine for a single DRAM bank.
 
     Mutable readiness state lives in the shared :class:`BankStateArrays`
     (``arrays``) at index ``slot``; a standalone bank (unit tests,
     examples) gets a private single-slot store.
     """
+
+    STATE = (
+        ("open_row", OPT_INT),
+        ("cas_ready", INT),
+        ("act_ready", INT),
+        ("pre_ready", INT),
+        ("refresh_until", INT),
+        ("refresh_started", INT),
+        ("sa_refresh_id", INT),
+        ("sa_refresh_until", INT),
+        ("sa_refresh_started", INT),
+        ("stats", record(BankStats)),
+    )
 
     __slots__ = (
         "channel",
@@ -368,38 +392,6 @@ class Bank:
             arrays.pre_ready[slot] = end
         return end
 
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "open_row": self.open_row,
-            "cas_ready": self.cas_ready,
-            "act_ready": self.act_ready,
-            "pre_ready": self.pre_ready,
-            "refresh_until": self.refresh_until,
-            "refresh_started": self.refresh_started,
-            "sa_refresh_id": self.sa_refresh_id,
-            "sa_refresh_until": self.sa_refresh_until,
-            "sa_refresh_started": self.sa_refresh_started,
-            "stats": self.stats.to_dict(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        # The property writes rebuild this bank's slots of the shared
-        # flat arrays — the arrays are derived state with no snapshot
-        # fields of their own.
-        row = state["open_row"]
-        self.open_row = None if row is None else int(row)
-        self.cas_ready = int(state["cas_ready"])
-        self.act_ready = int(state["act_ready"])
-        self.pre_ready = int(state["pre_ready"])
-        self.refresh_until = int(state["refresh_until"])
-        self.refresh_started = int(state["refresh_started"])
-        self.sa_refresh_id = int(state["sa_refresh_id"])
-        self.sa_refresh_until = int(state["sa_refresh_until"])
-        self.sa_refresh_started = int(state["sa_refresh_started"])
-        self.stats = BankStats.from_dict(state["stats"])
-
     def __repr__(self) -> str:
         return (
             f"Bank(ch{self.channel} rk{self.rank_id} bk{self.bank_id} "
@@ -407,10 +399,14 @@ class Bank:
         )
 
 
-class Rank:
+class Rank(Stateful):
     """Rank-level activate constraints: tRRD and the four-activate window."""
 
     __slots__ = ("channel", "rank_id", "_act_times")
+
+    # In place: the controller's per-flat activate-window aliases must
+    # keep pointing at this list across a restore.
+    STATE = (("_act_times", in_place(INTS)),)
 
     FAW_WINDOW = 4
 
@@ -439,25 +435,22 @@ class Rank:
         if len(act_times) > self.FAW_WINDOW:
             del act_times[: -self.FAW_WINDOW]
 
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"_act_times": list(self._act_times)}
-
-    def restore_state(self, state: dict) -> None:
-        # In place: the controller's per-flat activate-window aliases
-        # must keep pointing at this list across a restore.
-        self._act_times[:] = [int(t) for t in state["_act_times"]]
-
     def __repr__(self) -> str:
         return f"Rank(ch{self.channel} rk{self.rank_id})"
 
 
-class ChannelBus:
+class ChannelBus(Stateful):
     """Shared data bus of one channel: serialises burst transfers and applies
     read/write and rank-switch turnaround penalties."""
 
     __slots__ = ("ready", "last_was_read", "last_rank_key", "busy_cycles")
+
+    STATE = (
+        ("ready", INT),
+        ("last_was_read", optional(BOOL)),
+        ("last_rank_key", optional(seq(INT, INT))),
+        ("busy_cycles", INT),
+    )
 
     def __init__(self):
         self.ready = 0
@@ -497,22 +490,3 @@ class ChannelBus:
     def utilization(self, elapsed: int) -> float:
         """Fraction of elapsed cycles the bus spent transferring data."""
         return self.busy_cycles / elapsed if elapsed > 0 else 0.0
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "ready": self.ready,
-            "last_was_read": self.last_was_read,
-            "last_rank_key": (
-                None if self.last_rank_key is None else list(self.last_rank_key)
-            ),
-            "busy_cycles": self.busy_cycles,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.ready = int(state["ready"])
-        self.last_was_read = state["last_was_read"]
-        key = state["last_rank_key"]
-        self.last_rank_key = None if key is None else (int(key[0]), int(key[1]))
-        self.busy_cycles = int(state["busy_cycles"])

@@ -18,9 +18,9 @@ Hot-path layout (docs/PERFORMANCE.md has the full picture):
   queues are short (on WL-6 the picked bank holds at most two requests
   94% of the time), so a scan costs less than maintaining an index.
 * All of this is derived state: snapshots keep the original per-bank
-  req-id list schema, and ``restore_state`` rebuilds the arrays, the row
-  lists and the occupancy counters from it, so checkpoint payloads and
-  bit-identity are unchanged.
+  req-id list schema, and a restore rebuilds the arrays (through the
+  banks' property writes), the row lists and the occupancy counters from
+  it, so checkpoint payloads and bit-identity are unchanged.
 
 The dispatch cost model (:meth:`MemoryController.dispatch_cost_model`)
 counts scheduler work deterministically — picks, dead picks,
@@ -36,6 +36,17 @@ from typing import Optional
 
 from repro.config.dram_configs import DramOrganization
 from repro.core.engine import Engine
+from repro.core.state import (
+    BOOL,
+    COMPONENTS,
+    INT,
+    REQUEST,
+    Stateful,
+    component_map,
+    listof,
+    record,
+    seq,
+)
 from repro.dram.address import AddressMapping
 from repro.dram.bank import Bank, BankStateArrays, ChannelBus, Rank
 from repro.dram.request import MemoryRequest
@@ -71,8 +82,37 @@ class ControllerStats(StatsBase):
         return self.row_hits / self.reads_completed
 
 
-class MemoryController:
-    """One controller managing every channel of the memory system."""
+class MemoryController(Stateful):
+    """One controller managing every channel of the memory system.
+
+    Queues are checkpointed as req-ids under the frozen keys
+    ``_read_q``/``_write_q``; the system layer writes each request once.
+    """
+
+    STATE = (
+        ("_rq", listof(listof(REQUEST), sized=True), "_read_q"),
+        ("_wq", listof(listof(REQUEST), sized=True), "_write_q"),
+        ("read_count", INT),
+        ("write_count", INT),
+        ("drain_mode", BOOL),
+        ("_pick_pending", listof(BOOL, sized=True)),
+        ("_next_req_id", INT),
+        ("banks", COMPONENTS),
+        ("ranks", component_map(seq(INT, INT))),
+        ("buses", COMPONENTS),
+        ("stats", record(ControllerStats)),
+    )
+    DERIVED = (
+        "_rq_rows",
+        "_wq_rows",
+        "_occupancy",
+        "_cm_dead_picks",
+        "_cm_refresh_deferred_picks",
+        "_cm_drain_entries",
+        "_cm_drain_exits",
+        "_cm_batched_wakeups",
+        "_cm_batched_wakeup_banks",
+    )
 
     def __init__(
         self,
@@ -250,7 +290,7 @@ class MemoryController:
             if self.write_count >= self.write_drain_high:
                 if not self.drain_mode:
                     self.drain_mode = True
-                    self._cm_drain_entries += 1  # repro: noqa[RPR011] process-local diagnostic; excluded from snapshots by design
+                    self._cm_drain_entries += 1
         self._occupancy[flat] += 1
         if not self._pick_pending[flat]:
             self._pick_pending[flat] = True
@@ -354,8 +394,8 @@ class MemoryController:
                 batch = []
             batch.append(flat)
         if batch is not None:
-            self._cm_batched_wakeups += 1  # repro: noqa[RPR011] process-local diagnostic; excluded from snapshots by design
-            self._cm_batched_wakeup_banks += len(batch)  # repro: noqa[RPR011] process-local diagnostic; excluded from snapshots by design
+            self._cm_batched_wakeups += 1
+            self._cm_batched_wakeup_banks += len(batch)
             now = self.engine.now
             # order: one batched wake; _pick_many issues picks in flat-index
             # order, the same same-cycle slot sequence the per-bank pick
@@ -384,7 +424,7 @@ class MemoryController:
 
         until = self._refresh_until[flat]
         if until > now:
-            self._cm_refresh_deferred_picks += 1  # repro: noqa[RPR011] process-local diagnostic; excluded from snapshots by design
+            self._cm_refresh_deferred_picks += 1
             self._pick_pending[flat] = True
             engine.schedule_at(until, self._pick, flat)
             return
@@ -407,7 +447,7 @@ class MemoryController:
                 q = self._wq[flat]
                 rows = self._wq_rows[flat]
         if not q:
-            self._cm_dead_picks += 1  # repro: noqa[RPR011] process-local diagnostic; excluded from snapshots by design
+            self._cm_dead_picks += 1
             return
 
         open_row = self._open_row
@@ -538,7 +578,7 @@ class MemoryController:
             self.write_count = count
             if self.drain_mode and count <= self.write_drain_low:
                 self.drain_mode = False
-                self._cm_drain_exits += 1  # repro: noqa[RPR011] process-local diagnostic; excluded from snapshots by design
+                self._cm_drain_exits += 1
         if self._close_row:
             # Closed-row policy: auto-precharge after the access.
             open_row[flat] = -1
@@ -649,59 +689,14 @@ class MemoryController:
             out.extend(self._wq[flat])
         return out
 
-    def snapshot_state(self) -> dict:  # repro: noqa[RPR010] _read_q/_write_q are the frozen schema names; queues live in _rq/_wq
-        """Serializable mutable state.  Queued requests are referenced by
-        ``req_id``; the request objects themselves are serialized once by
-        the system layer (they may also be referenced by in-flight
-        completion events).  The flat bank-state arrays, row lists and
-        occupancy counters are derived state — rebuilt on restore, never
-        serialized — so the snapshot schema is unchanged from the
-        pre-array controller.  Cost-model counters are process-local
-        diagnostics and are deliberately excluded."""
-        return {
-            "_read_q": [[r.req_id for r in q] for q in self._rq],
-            "_write_q": [[r.req_id for r in q] for q in self._wq],
-            "read_count": self.read_count,
-            "write_count": self.write_count,
-            "drain_mode": self.drain_mode,
-            "_pick_pending": list(self._pick_pending),
-            "_next_req_id": self._next_req_id,
-            "banks": [b.snapshot_state() for b in self.banks],
-            "ranks": [
-                [list(key), rank.snapshot_state()]
-                for key, rank in sorted(self.ranks.items())
-            ],
-            "buses": [bus.snapshot_state() for bus in self.buses],
-            "stats": self.stats.to_dict(),
-        }
-
-    def restore_state(
-        self, state: dict, requests: dict[int, MemoryRequest]
-    ) -> None:
-        """Inverse of :meth:`snapshot_state`; *requests* maps req_id to the
-        already-rebuilt request objects.  Rebuilds the bank queues from
-        the req-id lists, and every derived view: the queues' row lists,
-        the occupancy counters, and — via the Bank property writes — the
-        flat readiness arrays."""
-        self._rq = [[requests[int(rid)] for rid in ids] for ids in state["_read_q"]]
-        self._wq = [[requests[int(rid)] for rid in ids] for ids in state["_write_q"]]
+    def _rebuild(self) -> None:
+        # The banks' property writes rebuilt the flat arrays; the row lists
+        # and the occupancy counters follow the restored queues.
         self._rq_rows = [[r.coord.row for r in q] for q in self._rq]
         self._wq_rows = [[r.coord.row for r in q] for q in self._wq]
         occupancy = self._occupancy
         for flat in range(self.org.total_banks):
             occupancy[flat] = len(self._rq[flat]) + len(self._wq[flat])
-        self.read_count = int(state["read_count"])
-        self.write_count = int(state["write_count"])
-        self.drain_mode = bool(state["drain_mode"])
-        self._pick_pending = [bool(p) for p in state["_pick_pending"]]
-        self._next_req_id = int(state["_next_req_id"])
-        for bank, bank_state in zip(self.banks, state["banks"]):
-            bank.restore_state(bank_state)
-        for key, rank_state in state["ranks"]:
-            self.ranks[(int(key[0]), int(key[1]))].restore_state(rank_state)
-        for bus, bus_state in zip(self.buses, state["buses"]):
-            bus.restore_state(bus_state)
-        self.stats = ControllerStats.from_dict(state["stats"])
 
     def __repr__(self) -> str:
         return (

@@ -15,6 +15,7 @@ units per retention window regardless of the mode mix.
 from __future__ import annotations
 
 from repro.config.dram_configs import FgrMode
+from repro.core.state import INT, member
 from repro.dram.refresh.base import RefreshScheduler
 
 
@@ -26,6 +27,13 @@ class AdaptiveRefresh(RefreshScheduler):
     utilization_threshold = 0.35
     #: Decision window length, in 1x tREFI intervals.
     decision_intervals = 8
+
+    STATE = (
+        ("_mode", member(FgrMode)),
+        ("_last_busy_cycles", INT),
+        ("_last_decision_time", INT),
+        ("mode_switches", INT),
+    )
 
     def __init__(self):
         super().__init__()
@@ -85,20 +93,3 @@ class AdaptiveRefresh(RefreshScheduler):
         for bank in range(self.controller.org.banks_per_rank):
             self.stats.record(base_flat + bank, row_units=units)
         self._schedule_rank(channel, rank, self._trefi())
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["_mode"] = self._mode.name
-        state["_last_busy_cycles"] = self._last_busy_cycles
-        state["_last_decision_time"] = self._last_decision_time
-        state["mode_switches"] = self.mode_switches
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._mode = FgrMode[state["_mode"]]
-        self._last_busy_cycles = int(state["_last_busy_cycles"])
-        self._last_decision_time = int(state["_last_decision_time"])
-        self.mode_switches = int(state["mode_switches"])

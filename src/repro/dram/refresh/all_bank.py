@@ -11,32 +11,22 @@ on a :class:`~repro.dram.timing.DramTiming` built with ``FgrMode.X2``/``X4``
 
 from __future__ import annotations
 
+from repro.core.state import INT
 from repro.dram.refresh.base import RefreshScheduler
 
 
 class AllBankRefresh(RefreshScheduler):
     name = "all_bank"
 
+    # Set by start(); checkpointed so a restored scheduler never needs a
+    # second start() call.
+    STATE = (("_trefi", INT), ("_trfc", INT), ("_banks_per_rank", INT))
+
     def __init__(self):
         super().__init__()
-        # Set by start(); serialized so a restored scheduler never needs a
-        # second start() call.
         self._trefi = 0
         self._trfc = 0
         self._banks_per_rank = 0
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["_trefi"] = self._trefi
-        state["_trfc"] = self._trfc
-        state["_banks_per_rank"] = self._banks_per_rank
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._trefi = int(state["_trefi"])
-        self._trfc = int(state["_trfc"])
-        self._banks_per_rank = int(state["_banks_per_rank"])
 
     def start(self) -> None:
         mc = self.controller

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.state import Stateful, record
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.stats import StatsBase
 
@@ -30,7 +31,7 @@ class RefreshStats(StatsBase):
         )
 
 
-class RefreshScheduler:
+class RefreshScheduler(Stateful):
     """Base class: a refresh scheduler is attached to a controller and
     drives itself with engine events.
 
@@ -39,9 +40,15 @@ class RefreshScheduler:
     implement :meth:`stretch_bank_at`, returning which flat bank index is
     being refreshed during the stretch containing a given time; others
     return ``None`` (the OS cannot co-schedule against them).
+
+    Subclass ``STATE`` tables extend this one; the wiring references are
+    re-attached by the system before any restore.
     """
 
     name = "base"
+
+    STATE = (("stats", record(RefreshStats)),)
+    DERIVED = ("controller", "engine", "timing", "telemetry")
 
     def __init__(self):
         self.controller: Optional["MemoryController"] = None
@@ -58,11 +65,11 @@ class RefreshScheduler:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         """Wire the scheduler to its controller/engine; call before start."""
-        self.controller = controller  # repro: noqa[RPR011] wiring reference; System re-attaches before any restore
-        self.engine = engine  # repro: noqa[RPR011] wiring reference; System re-attaches before any restore
-        self.timing = timing  # repro: noqa[RPR011] wiring reference; System re-attaches before any restore
+        self.controller = controller
+        self.engine = engine
+        self.timing = timing
         if telemetry is not None:
-            self.telemetry = telemetry  # repro: noqa[RPR011] wiring reference; System re-attaches before any restore
+            self.telemetry = telemetry
 
     def start(self) -> None:
         """Schedule the first refresh event.  Subclasses override.
@@ -72,16 +79,6 @@ class RefreshScheduler:
         events and starts the new policy mid-run instead.
         """
         raise NotImplementedError
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Serializable mutable state; subclasses extend the base dict."""
-        return {"stats": self.stats.to_dict()}
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state` (references stay untouched)."""
-        self.stats = RefreshStats.from_dict(state["stats"])
 
     # -- OS-visible schedule (co-design hardware/software interface) ---------
 

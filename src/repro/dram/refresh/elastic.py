@@ -13,6 +13,7 @@ back-to-back into busy ranks.
 
 from __future__ import annotations
 
+from repro.core.state import INT, mapping, seq
 from repro.dram.refresh.base import RefreshScheduler
 
 
@@ -23,6 +24,12 @@ class ElasticRefresh(RefreshScheduler):
     MAX_POSTPONED = 8
     #: How often (in fractions of tREFI) the idle detector re-checks.
     CHECK_DIVISOR = 8
+
+    STATE = (
+        ("_debt", mapping(seq(INT, INT), INT)),
+        ("forced_refreshes", INT),
+        ("idle_refreshes", INT),
+    )
 
     def __init__(self):
         super().__init__()
@@ -80,23 +87,3 @@ class ElasticRefresh(RefreshScheduler):
         for bank in range(mc.org.banks_per_rank):
             self.stats.record(base + bank, row_units=1.0)
         self._debt[key] -= 1
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["_debt"] = [
-            [list(key), debt] for key, debt in sorted(self._debt.items())
-        ]
-        state["forced_refreshes"] = self.forced_refreshes
-        state["idle_refreshes"] = self.idle_refreshes
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._debt = {
-            (int(key[0]), int(key[1])): int(debt)
-            for key, debt in state["_debt"]
-        }
-        self.forced_refreshes = int(state["forced_refreshes"])
-        self.idle_refreshes = int(state["idle_refreshes"])

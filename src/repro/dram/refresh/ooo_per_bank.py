@@ -12,11 +12,14 @@ decision is made typically receives requests *during* the long tRFC_pb.
 
 from __future__ import annotations
 
+from repro.core.state import INT, INTS
 from repro.dram.refresh.base import RefreshScheduler
 
 
 class OutOfOrderPerBank(RefreshScheduler):
     name = "ooo_per_bank"
+
+    STATE = (("_debt", INTS), ("_window_end", INT), ("_rr_tiebreak", INT))
 
     def __init__(self):
         super().__init__()
@@ -30,21 +33,6 @@ class OutOfOrderPerBank(RefreshScheduler):
         # order: appended after anything already queued this cycle, so the
         # first refresh decision follows the controller picks in the bucket.
         self.engine.schedule(0, self._fire)
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["_debt"] = list(self._debt)
-        state["_window_end"] = self._window_end
-        state["_rr_tiebreak"] = self._rr_tiebreak
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._debt = [int(d) for d in state["_debt"]]
-        self._window_end = int(state["_window_end"])
-        self._rr_tiebreak = int(state["_rr_tiebreak"])
 
     def _begin_window(self, start: int) -> None:
         total = self.controller.org.total_banks

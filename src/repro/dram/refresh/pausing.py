@@ -12,6 +12,7 @@ refresh sequence; as a *model* it upper-bounds what pausing can buy.
 
 from __future__ import annotations
 
+from repro.core.state import INT
 from repro.dram.refresh.base import RefreshScheduler
 
 
@@ -23,6 +24,8 @@ class RefreshPausing(RefreshScheduler):
     #: How often a paused refresh re-checks the rank, as a fraction of the
     #: segment length.
     RECHECK_DIVISOR = 2
+
+    STATE = (("pauses", INT), ("forced_completions", INT))
 
     def __init__(self):
         super().__init__()
@@ -79,19 +82,6 @@ class RefreshPausing(RefreshScheduler):
         self.engine.schedule_at(
             end, self._run_segments, (channel, rank, remaining - 1, deadline)
         )
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["pauses"] = self.pauses
-        state["forced_completions"] = self.forced_completions
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self.pauses = int(state["pauses"])
-        self.forced_completions = int(state["forced_completions"])
 
     def _rank_has_demand(self, channel: int, rank: int) -> bool:
         mc = self.controller

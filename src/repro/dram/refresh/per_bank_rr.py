@@ -8,11 +8,14 @@ refresh the *same row group in different banks* (Figure 2b).
 
 from __future__ import annotations
 
+from repro.core.state import INT, INTS
 from repro.dram.refresh.base import RefreshScheduler
 
 
 class PerBankRoundRobin(RefreshScheduler):
     name = "per_bank"
+
+    STATE = (("_next_flat", INT), ("_progress", INTS))
 
     def __init__(self):
         super().__init__()
@@ -42,16 +45,3 @@ class PerBankRoundRobin(RefreshScheduler):
         self._progress[flat] = (self._progress[flat] + 1) % timing.refreshes_per_bank
         self._next_flat = (flat + 1) % mc.org.total_banks
         self._schedule(timing.trefi_pb)
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["_next_flat"] = self._next_flat
-        state["_progress"] = list(self._progress)
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._next_flat = int(state["_next_flat"])
-        self._progress = [int(p) for p in state["_progress"]]

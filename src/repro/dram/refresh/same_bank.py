@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.state import INT
 from repro.dram.refresh.base import RefreshScheduler
 from repro.telemetry.events import (
     RefreshStretchBeginEvent,
@@ -62,6 +63,15 @@ class SameBankSequential(RefreshScheduler):
 
     BATCH_EXPONENT = BATCH_EXPONENT
 
+    STATE = (
+        ("_next_refresh_flat", INT),
+        ("_rows_refreshed", INT),
+        ("_cmd_index", INT),
+    )
+    # The batch plan is a pure function of the timing: recomputed after a
+    # restore rather than trusted from the payload.
+    DERIVED = ("_commands_per_bank", "_trfc_cmd")
+
     def __init__(self):
         super().__init__()
         # Algorithm 1 state: the bank being refreshed and its row progress.
@@ -77,9 +87,11 @@ class SameBankSequential(RefreshScheduler):
 
     def _plan_batches(self) -> None:
         """Install the :func:`plan_batches` schedule on this instance."""
-        self._commands_per_bank, self._trfc_cmd = plan_batches(  # repro: noqa[RPR011] pure function of timing; restore_state recomputes it
+        self._commands_per_bank, self._trfc_cmd = plan_batches(
             self.timing, self.BATCH_EXPONENT
         )
+
+    _rebuild = _plan_batches
 
     def _command_time(self, k: int) -> int:
         timing = self.timing
@@ -103,24 +115,6 @@ class SameBankSequential(RefreshScheduler):
             ) % self.timing.total_banks
             self._rows_refreshed = k % self._commands_per_bank
         self.engine.schedule_at(self._command_time(self._cmd_index), self._fire)
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["_next_refresh_flat"] = self._next_refresh_flat
-        state["_rows_refreshed"] = self._rows_refreshed
-        state["_cmd_index"] = self._cmd_index
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        # Batch plan is a pure function of the timing; recompute rather
-        # than trusting the payload.
-        self._plan_batches()
-        self._next_refresh_flat = int(state["_next_refresh_flat"])
-        self._rows_refreshed = int(state["_rows_refreshed"])
-        self._cmd_index = int(state["_cmd_index"])
 
     def _fire(self) -> None:
         mc = self.controller

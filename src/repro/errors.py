@@ -13,6 +13,23 @@ class ConfigError(ReproError):
     """An invalid or inconsistent configuration was supplied."""
 
 
+class CheckpointError(ConfigError):
+    """Checkpoint state that does not restore: a missing key, a list of the
+    wrong length or a value of a type its codec rejects.  ``path`` locates
+    it innermost part first; the message names it outermost first
+    (``controller.banks[15].open_row``)."""
+
+    def __init__(self, reason: str, path: list | None = None):
+        self.reason, self.path = reason, [] if path is None else path
+        super().__init__(reason, self.path)  # both args survive pickling
+
+    def __str__(self) -> str:
+        where = "".join(
+            f"[{p}]" if isinstance(p, int) else f".{p}" for p in reversed(self.path)
+        )
+        return f"checkpoint state {where.lstrip('.') or '(root)'}: {self.reason}"
+
+
 class AddressMapError(ReproError):
     """A physical address or frame cannot be decoded/encoded."""
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from bisect import insort
 
+from repro.core.state import INT, INTS, Stateful, listof, mapping
 from repro.errors import AllocationError, OutOfMemoryError
 
 
-class BuddyAllocator:
+class BuddyAllocator(Stateful):
     """Buddy allocator over a contiguous range of page frames.
 
     Free lists hold block base frames, kept sorted ascending so allocation
@@ -23,6 +24,12 @@ class BuddyAllocator:
     """
 
     MAX_ORDER = 11  # Linux default: blocks up to 2^10 pages
+
+    STATE = (
+        ("_free", listof(INTS, sized=True)),
+        ("_allocated_order", mapping(INT, INT)),
+    )
+    DERIVED = ("_free_set",)
 
     def __init__(self, total_frames: int, max_order: int | None = None):
         if total_frames <= 0:
@@ -121,22 +128,7 @@ class BuddyAllocator:
         """Total number of free page frames."""
         return sum(len(lst) << order for order, lst in enumerate(self._free))
 
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "_free": [list(lst) for lst in self._free],
-            "_allocated_order": [
-                [base, order]
-                for base, order in sorted(self._allocated_order.items())
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._free = [[int(b) for b in lst] for lst in state["_free"]]
-        self._allocated_order = {
-            int(base): int(order) for base, order in state["_allocated_order"]
-        }
+    def _rebuild(self) -> None:
         self._free_set = {
             (order, base)
             for order, lst in enumerate(self._free)

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from repro.core.state import TASK, Stateful, listof
 from repro.errors import SchedulerError
 from repro.os.task import Task
 
 
-class CfsRunqueue:
+class CfsRunqueue(Stateful):
     """Per-CPU runqueue sorted by (vruntime, task_id)."""
+
+    STATE = (("_tasks", listof(TASK)),)
 
     def __init__(self, cpu_id: int):
         self.cpu_id = cpu_id
@@ -65,14 +68,6 @@ class CfsRunqueue:
 
     def tasks(self) -> list[Task]:
         return list(self._tasks)
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"_tasks": [t.task_id for t in self._tasks]}
-
-    def restore_state(self, state: dict, task_by_id: dict) -> None:
-        self._tasks = [task_by_id[int(tid)] for tid in state["_tasks"]]
 
     def __repr__(self) -> str:
         return f"CfsRunqueue(cpu{self.cpu_id}, nr={len(self._tasks)})"

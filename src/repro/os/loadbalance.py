@@ -15,14 +15,17 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.state import BOOL, INT, Stateful
 from repro.os.scheduler import OsScheduler
 from repro.os.task import Task
 from repro.telemetry.events import TaskMigrationEvent
 from repro.telemetry.hub import Telemetry
 
 
-class LoadBalancer:
+class LoadBalancer(Stateful):
     """Periodic runqueue balancing for an :class:`OsScheduler`."""
+
+    STATE = (("migrations", INT), ("_started", BOOL))
 
     def __init__(
         self,
@@ -57,15 +60,6 @@ class LoadBalancer:
     def _tick(self) -> None:
         self.rebalance()
         self._schedule_next()
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"migrations": self.migrations, "_started": self._started}
-
-    def restore_state(self, state: dict) -> None:
-        self.migrations = int(state["migrations"])
-        self._started = bool(state["_started"])
 
     # -- balancing ------------------------------------------------------------------
 

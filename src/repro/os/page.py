@@ -7,12 +7,15 @@ exposes to the OS.
 
 from __future__ import annotations
 
+from repro.core.state import INT, Stateful, listof
 from repro.dram.address import AddressMapping
 from repro.errors import AllocationError
 
 
-class PhysicalMemory:
+class PhysicalMemory(Stateful):
     """Frame-granular view of DRAM used by the allocators."""
+
+    STATE = (("_owner", listof(INT, sized=True)),)
 
     def __init__(self, mapping: AddressMapping):
         self.mapping = mapping
@@ -53,14 +56,6 @@ class PhysicalMemory:
 
     def used_frames(self) -> int:
         return sum(1 for o in self._owner if o != -1)
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"_owner": list(self._owner)}
-
-    def restore_state(self, state: dict) -> None:
-        self._owner = [int(o) for o in state["_owner"]]
 
     def __repr__(self) -> str:
         return (

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
+from repro.core.state import COMPONENT, INT, INTS, Stateful, listof
 from repro.errors import OutOfMemoryError
 from repro.os.buddy import BuddyAllocator
 from repro.os.page import PhysicalMemory
@@ -40,8 +41,20 @@ class PartitionPolicy(enum.Enum):
     HARD = "hard"
 
 
-class PartitioningAllocator:
-    """Algorithm 2: get_page_from_freelist with per-bank free-list caches."""
+class PartitioningAllocator(Stateful):
+    """Algorithm 2: get_page_from_freelist with per-bank free-list caches.
+
+    Its checkpoint leaves out the shared :class:`PhysicalMemory`, which the
+    system layer captures separately.
+    """
+
+    STATE = (
+        ("buddy", COMPONENT),
+        ("_bank_cache", listof(INTS, sized=True)),
+        ("cache_hits", INT),
+        ("cache_fills", INT),
+        ("spills", INT),
+    )
 
     def __init__(
         self,
@@ -135,28 +148,6 @@ class PartitioningAllocator:
 
     def cached_frames_in_bank(self, flat_bank: int) -> int:
         return len(self._bank_cache[flat_bank])
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Serializable mutable state (the shared :class:`PhysicalMemory`
-        is captured separately by the system layer)."""
-        return {
-            "buddy": self.buddy.snapshot_state(),
-            "_bank_cache": [list(cache) for cache in self._bank_cache],
-            "cache_hits": self.cache_hits,
-            "cache_fills": self.cache_fills,
-            "spills": self.spills,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.buddy.restore_state(state["buddy"])
-        self._bank_cache = [
-            [int(f) for f in cache] for cache in state["_bank_cache"]
-        ]
-        self.cache_hits = int(state["cache_hits"])
-        self.cache_fills = int(state["cache_fills"])
-        self.spills = int(state["spills"])
 
     # -- Algorithm 2 core -----------------------------------------------------------
 

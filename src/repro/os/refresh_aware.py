@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.engine import Engine
+from repro.core.state import BOOL, INT, or_default
 from repro.cpu.core import Core
 from repro.dram.refresh.base import RefreshScheduler
 from repro.errors import SchedulerError
@@ -27,6 +28,14 @@ from repro.os.task import Task
 
 class RefreshAwareScheduler(OsScheduler):
     name = "refresh_aware"
+
+    # A checkpoint captured under plain CFS lacks these rows; restoring it
+    # keeps the constructed counters.
+    STATE = (
+        ("clean_picks", or_default(INT)),
+        ("fallback_picks", or_default(INT)),
+        ("last_pick_fallback", or_default(BOOL)),
+    )
 
     def __init__(
         self,
@@ -52,23 +61,6 @@ class RefreshAwareScheduler(OsScheduler):
         # True while the most recent pick was the eta_thresh fairness
         # fallback (read by the system's pick observer to tag the event).
         self.last_pick_fallback = False
-
-    # -- checkpoint/restore ------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["clean_picks"] = self.clean_picks
-        state["fallback_picks"] = self.fallback_picks
-        state["last_pick_fallback"] = self.last_pick_fallback
-        return state
-
-    def restore_state(self, state: dict, task_by_id: dict) -> None:
-        super().restore_state(state, task_by_id)
-        # .get defaults keep cross-scheduler restores working: a checkpoint
-        # captured under plain CFS has no refresh-aware counters.
-        self.clean_picks = int(state.get("clean_picks", 0))
-        self.fallback_picks = int(state.get("fallback_picks", 0))
-        self.last_pick_fallback = bool(state.get("last_pick_fallback", False))
 
     def next_refresh_bank(self) -> int:
         """Flat bank index the MC refreshes during the upcoming quantum.

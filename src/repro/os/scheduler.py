@@ -15,16 +15,27 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.engine import Engine
+from repro.core.state import BOOL, COMPONENTS, INT, Stateful
 from repro.cpu.core import Core
 from repro.errors import SchedulerError
 from repro.os.cfs import CfsRunqueue
 from repro.os.task import Task
 
 
-class OsScheduler:
-    """Base scheduler: owns runqueues and the quantum tick."""
+class OsScheduler(Stateful):
+    """Base scheduler: owns runqueues and the quantum tick.
+
+    Pick observers are runtime wiring and are not checkpointed; the queued
+    ``_tick`` event is captured by the engine snapshot.
+    """
 
     name = "base"
+
+    STATE = (
+        ("context_switches", INT),
+        ("runqueues", COMPONENTS),
+        ("_started", BOOL),
+    )
 
     def __init__(self, engine: Engine, cores: list[Core], quantum_cycles: int):
         if quantum_cycles <= 0:
@@ -105,24 +116,6 @@ class OsScheduler:
             for observer in self._pick_observers:
                 observer(self.engine.now, core.core_id, chosen)
         self.engine.schedule(self.quantum_cycles, self._tick)
-
-    # -- checkpoint/restore ------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Serializable mutable state (observers are runtime wiring and
-        are not captured; the queued ``_tick`` event is captured by the
-        engine snapshot)."""
-        return {
-            "context_switches": self.context_switches,
-            "runqueues": [rq.snapshot_state() for rq in self.runqueues],
-            "_started": self._started,
-        }
-
-    def restore_state(self, state: dict, task_by_id: dict) -> None:
-        self.context_switches = int(state["context_switches"])
-        for rq, rq_state in zip(self.runqueues, state["runqueues"]):
-            rq.restore_state(rq_state, task_by_id)
-        self._started = bool(state["_started"])
 
     # -- policy ---------------------------------------------------------------------------
 

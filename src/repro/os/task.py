@@ -5,6 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.state import (
+    BOOL,
+    COMPONENT,
+    FLOAT,
+    INT,
+    INTS,
+    OPT_INT,
+    RNG,
+    Stateful,
+    mapping,
+    record,
+)
 from repro.errors import ConfigError
 from repro.telemetry.stats import StatsBase
 
@@ -37,7 +49,7 @@ class TaskStats(StatsBase):
         return self.read_latency_sum / self.reads_completed
 
 
-class Task:
+class Task(Stateful):
     """A schedulable task with bank-partitioned memory.
 
     ``possible_banks`` is the flat-bank-index form of Algorithm 2/3's
@@ -47,7 +59,24 @@ class Task:
     spill pages outside the vector — which is what the refresh-aware
     scheduler's data-presence test and the best-effort generalization
     (Section 5.4.1) consult.
+
+    A checkpoint carries the task's RNG, workload cursor and (when demand
+    paged) page table; ``possible_banks`` comes from the spec.
     """
+
+    STATE = (
+        ("vruntime", FLOAT),
+        ("last_alloced_bank", INT),
+        ("frames", INTS),
+        ("pages_per_bank", mapping(INT, INT)),
+        ("stats", record(TaskStats)),
+        ("runnable", BOOL),
+        ("_scheduled_at", OPT_INT),
+        ("current_core", OPT_INT),
+        ("rng", RNG),
+        ("workload", COMPONENT),
+        ("vm", COMPONENT),
+    )
 
     def __init__(
         self,
@@ -116,62 +145,6 @@ class Task:
             self.stats.scheduled_cycles += now - self._scheduled_at
         self._scheduled_at = None
         self.current_core = None
-
-    # -- checkpoint/restore -------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Serializable mutable state, including the task's RNG, workload
-        cursor and (when demand-paged) page table.  ``possible_banks`` is
-        construction-derived from the spec and deliberately not captured."""
-        rng_state = None
-        if self.rng is not None:
-            version, internal, gauss_next = self.rng.getstate()
-            rng_state = [version, list(internal), gauss_next]
-        return {
-            "vruntime": self.vruntime,
-            "last_alloced_bank": self.last_alloced_bank,
-            "frames": list(self.frames),
-            "pages_per_bank": [
-                [bank, pages] for bank, pages in sorted(self.pages_per_bank.items())
-            ],
-            "stats": self.stats.to_dict(),
-            "runnable": self.runnable,
-            "_scheduled_at": self._scheduled_at,
-            "current_core": self.current_core,
-            "rng": rng_state,
-            "workload": (
-                self.workload.snapshot_state()
-                if hasattr(self.workload, "snapshot_state")
-                else None
-            ),
-            "vm": None if self.vm is None else self.vm.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.vruntime = float(state["vruntime"])
-        self.last_alloced_bank = int(state["last_alloced_bank"])
-        self.frames = [int(f) for f in state["frames"]]
-        self.pages_per_bank = {
-            int(bank): int(pages) for bank, pages in state["pages_per_bank"]
-        }
-        self.stats = TaskStats.from_dict(state["stats"])
-        self.runnable = bool(state["runnable"])
-        scheduled_at = state["_scheduled_at"]
-        self._scheduled_at = None if scheduled_at is None else int(scheduled_at)
-        core = state["current_core"]
-        self.current_core = None if core is None else int(core)
-        rng_state = state["rng"]
-        if rng_state is not None and self.rng is not None:
-            version, internal, gauss_next = rng_state
-            self.rng.setstate(
-                (version, tuple(int(v) for v in internal), gauss_next)
-            )
-        workload_state = state["workload"]
-        if workload_state is not None and hasattr(self.workload, "restore_state"):
-            self.workload.restore_state(workload_state)
-        vm_state = state["vm"]
-        if vm_state is not None and self.vm is not None:
-            self.vm.restore_state(vm_state)
 
     def __repr__(self) -> str:
         return f"Task(#{self.task_id} {self.name!r}, vruntime={self.vruntime:.0f})"

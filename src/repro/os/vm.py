@@ -20,6 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.state import INT, Stateful, mapping, record
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.os.partition import PartitioningAllocator
 from repro.os.task import Task
@@ -38,8 +39,17 @@ class VmStats(StatsBase):
         return self.minor_faults + self.major_faults
 
 
-class VirtualMemory:
-    """Per-task demand-paged address space of ``footprint_pages`` pages."""
+class VirtualMemory(Stateful):
+    """Per-task demand-paged address space of ``footprint_pages`` pages.
+
+    Its checkpoint is the page table in LRU order (front = eviction
+    candidate) and the stats.
+    """
+
+    STATE = (
+        ("_table", mapping(INT, INT, ordered=True)),
+        ("stats", record(VmStats)),
+    )
 
     def __init__(
         self,
@@ -147,21 +157,6 @@ class VirtualMemory:
             mapped += 1
         self.stats = VmStats()
         return mapped
-
-    # -- checkpoint/restore -----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Page table in LRU order (front = eviction candidate) + stats."""
-        return {
-            "_table": [[vpn, frame] for vpn, frame in self._table.items()],
-            "stats": self.stats.to_dict(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._table = OrderedDict(
-            (int(vpn), int(frame)) for vpn, frame in state["_table"]
-        )
-        self.stats = VmStats.from_dict(state["stats"])
 
     def release_all(self) -> None:
         """Drop every resident page (process exit)."""

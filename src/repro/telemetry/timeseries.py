@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
+from repro.core.state import INT, Stateful, record
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -86,8 +87,21 @@ class Timeseries:
         return [getattr(s, name) for s in self.samples]
 
 
-class TimeseriesSampler:
-    """Engine-driven periodic sampler over a system's live stats."""
+class TimeseriesSampler(Stateful):
+    """Engine-driven periodic sampler over a system's live stats.
+
+    Its checkpoint holds the accumulated samples and the delta baselines;
+    the pending tick is an engine event, captured by the engine snapshot.
+    """
+
+    STATE = (
+        ("timeseries", record(Timeseries)),
+        ("_end", INT),
+        ("_last_t", INT),
+        ("_last_instructions", INT),
+        ("_last_reads", INT),
+        ("_last_stalled", INT),
+    )
 
     def __init__(self, system: "System", samples_per_window: int):
         if samples_per_window < 1:
@@ -165,25 +179,3 @@ class TimeseriesSampler:
 
     def result(self) -> Timeseries:
         return self.timeseries
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Accumulated samples and the delta baselines; the pending tick is
-        an engine-owned event captured by the engine snapshot."""
-        return {
-            "timeseries": self.timeseries.to_dict(),
-            "_end": self._end,
-            "_last_t": self._last_t,
-            "_last_instructions": self._last_instructions,
-            "_last_reads": self._last_reads,
-            "_last_stalled": self._last_stalled,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.timeseries = Timeseries.from_dict(state["timeseries"])
-        self._end = int(state["_end"])
-        self._last_t = int(state["_last_t"])
-        self._last_instructions = int(state["_last_instructions"])
-        self._last_reads = int(state["_last_reads"])
-        self._last_stalled = int(state["_last_stalled"])

@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from repro.core.state import INT, INTS, OPT_INT, Stateful
 from repro.errors import ConfigError
 from repro.serialize import dataclass_from_dict, dataclass_to_dict
 
@@ -121,7 +122,7 @@ class MemAccess(NamedTuple):
 _access_make = MemAccess._make
 
 
-class StatisticalWorkload:
+class StatisticalWorkload(Stateful):
     """Generates a task's LLC-miss stream from its :class:`BenchmarkSpec`.
 
     * Misses arrive in **bursts** of up to ``mlp`` (out-of-order cores
@@ -144,6 +145,16 @@ class StatisticalWorkload:
     MAX_GAP_INSTRUCTIONS = 2_000_000
     #: Intra-burst gap as a fraction of the mean inter-miss gap.
     INTRA_BURST_FRACTION = 0.15
+
+    # The stream cursor; the spec-derived constants are rebuilt at
+    # construction.
+    STATE = (
+        ("_seq_cursor", INT),
+        ("_last_page_idx", OPT_INT),
+        ("_recent_pages", INTS),
+        ("_fault_penalty", INT),
+        ("_burst_left", INT),
+    )
 
     def __init__(self, spec: BenchmarkSpec, mapping, line_bytes: int = 64):
         spec.validate()
@@ -261,23 +272,3 @@ class StatisticalWorkload:
                 writeback = frame * self._page_bytes + column * self.line_bytes
         return _access_make((instructions, gap_cycles + penalty, address, writeback))
 
-    # -- checkpoint/restore -----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Stream cursor state; the spec-derived constants are rebuilt at
-        construction and not captured."""
-        return {
-            "_seq_cursor": self._seq_cursor,
-            "_last_page_idx": self._last_page_idx,
-            "_recent_pages": list(self._recent_pages),
-            "_fault_penalty": self._fault_penalty,
-            "_burst_left": self._burst_left,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._seq_cursor = int(state["_seq_cursor"])
-        last = state["_last_page_idx"]
-        self._last_page_idx = None if last is None else int(last)
-        self._recent_pages = [int(p) for p in state["_recent_pages"]]
-        self._fault_penalty = int(state["_fault_penalty"])
-        self._burst_left = int(state["_burst_left"])

@@ -261,7 +261,7 @@ def test_pick_order_survives_a_restore_between_picks(monkeypatch):
             self.picks += 1
             if self.picks % 10 == 0:
                 queued = {r.req_id: r for r in self.queued_requests()}
-                self.restore_state(self.snapshot_state(), queued)
+                self.restore_state(self.snapshot_state(), {"request": queued})
             super()._pick(flat)
 
     monkeypatch.setattr(kernels, "MemoryController", RestoringController)

@@ -1,4 +1,4 @@
-"""Project model: state keys and call edges."""
+"""Project model: state tables and call edges."""
 
 import textwrap
 
@@ -30,17 +30,14 @@ def test_effective_state_keys_union_along_mro(tmp_path):
         {
             "repro/core/base.py": """
                 class Base:
-                    def snapshot_state(self):
-                        return {"a": self.a}
+                    STATE = (("a", INT),)
             """,
             "repro/core/child.py": """
                 from repro.core.base import Base
 
                 class Child(Base):
-                    def snapshot_state(self):
-                        state = super().snapshot_state()
-                        state["b"] = self.b
-                        return state
+                    STATE = (("b", INT),)
+                    DERIVED = ("c",)
             """,
         },
     )
@@ -48,7 +45,7 @@ def test_effective_state_keys_union_along_mro(tmp_path):
         "repro.core.child", model.classes["repro.core.child.Child"][1]
     )
     assert analyzable
-    assert {"a", "b"} <= set(keys)
+    assert keys == {"a", "b", "c"}
 
 
 def test_dynamic_snapshot_is_unanalyzable(tmp_path):
@@ -57,8 +54,7 @@ def test_dynamic_snapshot_is_unanalyzable(tmp_path):
         {
             "repro/core/dyn.py": """
                 class Dyn:
-                    def snapshot_state(self):
-                        return self._build_state()
+                    STATE = build_rows()
             """,
         },
     )

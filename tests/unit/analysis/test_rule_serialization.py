@@ -120,78 +120,44 @@ def test_noqa_suppresses(lint):
     assert findings == []
 
 
-# -- RPR010: snapshot_state/restore_state pairing ---------------------------------
-
-
-def test_snapshot_without_restore_flagged(lint):
-    findings = lint(
-        """
-        class Engine:
-            def __init__(self):
-                self.now = 0
-
-            def snapshot_state(self):
-                return {"now": self.now}
-        """,
-        select={"RPR010"},
-    )
-    assert codes(findings) == ["RPR010"]
-    assert "restore_state" in findings[0].message
-
-
-def test_restore_without_snapshot_flagged(lint):
-    findings = lint(
-        """
-        class Engine:
-            def __init__(self):
-                self.now = 0
-
-            def restore_state(self, state):
-                self.now = state["now"]
-        """,
-        select={"RPR010"},
-    )
-    assert codes(findings) == ["RPR010"]
-    assert "snapshot_state" in findings[0].message
+# -- RPR011: state-table entries name real attributes ---------------------------
+#
+# Beside RPR005 because both check that a serialized shape tracks the
+# class shape: here a checkpoint table against the class's attributes.
 
 
 def test_unbacked_snapshot_key_flagged(lint):
     findings = lint(
         """
-        class Core:
+        from repro.core.state import INT, Stateful
+
+        class Core(Stateful):
+            STATE = (("cycles", INT), ("stalls", INT))
+
             def __init__(self):
                 self.cycles = 0
-
-            def snapshot_state(self):
-                return {"cycles": self.cycles, "stalls": 0}
-
-            def restore_state(self, state):
-                self.cycles = state["cycles"]
         """,
-        select={"RPR010"},
+        select={"RPR011"},
     )
-    assert codes(findings) == ["RPR010"]
+    assert codes(findings) == ["RPR011"]
     assert "stalls" in findings[0].message
 
 
 def test_attribute_backed_pair_is_clean(lint):
     findings = lint(
         """
-        class Core:
+        from repro.core.state import INT, Stateful
+
+        class Core(Stateful):
+            STATE = (("cycles", INT), ("engine_now", INT))
+
             def __init__(self):
                 self.cycles = 0
 
             def attach(self, engine):
                 self.engine_now = engine.now
-
-            def snapshot_state(self):
-                return {"cycles": self.cycles, "engine_now": self.engine_now}
-
-            def restore_state(self, state):
-                self.cycles = state["cycles"]
-                self.engine_now = state["engine_now"]
         """,
-        select={"RPR010"},
+        select={"RPR011"},
     )
     assert findings == []
 
@@ -199,51 +165,13 @@ def test_attribute_backed_pair_is_clean(lint):
 def test_slots_back_snapshot_keys(lint):
     findings = lint(
         """
-        class Hub:
+        from repro.core.state import BOOL, INT, Stateful
+
+        class Hub(Stateful):
             __slots__ = ("enabled", "_clock")
 
-            def snapshot_state(self):
-                return {"enabled": self.enabled, "_clock": self._clock}
-
-            def restore_state(self, state):
-                self.enabled = state["enabled"]
+            STATE = (("enabled", BOOL), ("_clock", INT))
         """,
-        select={"RPR010"},
-    )
-    assert findings == []
-
-
-def test_incremental_snapshot_builder_skipped(lint):
-    findings = lint(
-        """
-        class System:
-            def __init__(self):
-                self.engine = None
-
-            def snapshot_state(self):
-                state = {}
-                state["engine"] = self.engine
-                state["whatever_key"] = 1
-                return state
-
-            def restore_state(self, state):
-                self.engine = state["engine"]
-        """,
-        select={"RPR010"},
-    )
-    assert findings == []
-
-
-def test_rpr010_noqa_suppresses(lint):
-    findings = lint(
-        """
-        class Engine:  # repro: noqa[RPR010]
-            def __init__(self):
-                self.now = 0
-
-            def snapshot_state(self):
-                return {"now": self.now}
-        """,
-        select={"RPR010"},
+        select={"RPR011"},
     )
     assert findings == []

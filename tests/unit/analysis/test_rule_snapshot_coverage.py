@@ -1,4 +1,4 @@
-"""RPR011: runtime-mutated attributes must be in the snapshot key set."""
+"""RPR011: runtime-mutated attributes must be declared in the state table."""
 
 from pathlib import Path
 
@@ -9,22 +9,24 @@ from .conftest import codes
 REPO_SRC = Path(__file__).resolve().parents[3] / "src"
 
 COVERED = """
-class Counter:
+from repro.core.state import INT, Stateful
+
+class Counter(Stateful):
+    STATE = (("_count", INT),)
+
     def __init__(self):
         self._count = 0
 
     def tick(self):
         self._count += 1
-
-    def snapshot_state(self):
-        return {"_count": self._count}
-
-    def restore_state(self, state):
-        self._count = state["_count"]
 """
 
 DRIFTING = """
-class Counter:
+from repro.core.state import INT, Stateful
+
+class Counter(Stateful):
+    STATE = (("_count", INT),)
+
     def __init__(self):
         self._count = 0
         self._peak = 0
@@ -32,12 +34,6 @@ class Counter:
     def tick(self):
         self._count += 1
         self._peak = max(self._peak, self._count)
-
-    def snapshot_state(self):
-        return {"_count": self._count}
-
-    def restore_state(self, state):
-        self._count = state["_count"]
 """
 
 
@@ -52,25 +48,64 @@ def test_uncaptured_runtime_attribute_fires(lint):
 
 
 def test_restore_and_init_assignments_are_exempt(lint):
-    # Only __init__/restore_state write _count; no runtime mutation at all.
-    assert codes(lint(COVERED, select=["RPR011"])) == []
+    # Only __init__/restore_state write _epoch; no runtime mutation at all.
+    source = """
+    from repro.core.state import Stateful
+
+    class Quiet(Stateful):
+        STATE = ()
+
+        def __init__(self):
+            self._epoch = 0
+
+        def restore_state(self, state, refs=None):
+            self._epoch = 0
+    """
+    assert codes(lint(source, select=["RPR011"])) == []
+
+
+def test_derived_declaration_is_clean(lint):
+    source = """
+    from repro.core.state import INT, Stateful
+
+    class Counter(Stateful):
+        STATE = (("_count", INT),)
+        DERIVED = ("_double",)
+
+        def __init__(self):
+            self._count = 0
+            self._double = 0
+
+        def tick(self):
+            self._count += 1
+            self._double = self._count * 2
+
+        def _rebuild(self):
+            self._double = self._count * 2
+    """
+    assert codes(lint(source, select=["RPR011"])) == []
 
 
 def test_incremental_super_snapshot_covers_subclass_keys(lint_project):
+    # A subclass table lists only its own rows; the base's are unioned in.
     report = lint_project(
         {
             "repro/core/base.py": """
-                class Base:
+                from repro.core.state import INT, Stateful
+
+                class Base(Stateful):
+                    STATE = (("_a", INT),)
+
                     def __init__(self):
                         self._a = 0
-
-                    def snapshot_state(self):
-                        return {"_a": self._a}
             """,
             "repro/core/child.py": """
                 from repro.core.base import Base
+                from repro.core.state import INT
 
                 class Child(Base):
+                    STATE = (("_b", INT),)
+
                     def __init__(self):
                         super().__init__()
                         self._b = 0
@@ -78,11 +113,6 @@ def test_incremental_super_snapshot_covers_subclass_keys(lint_project):
                     def poke(self):
                         self._a += 1
                         self._b += 1
-
-                    def snapshot_state(self):
-                        state = super().snapshot_state()
-                        state["_b"] = self._b
-                        return state
             """,
         },
         select=["RPR011"],
@@ -90,15 +120,32 @@ def test_incremental_super_snapshot_covers_subclass_keys(lint_project):
     assert report.findings == []
 
 
-def test_dynamic_snapshot_class_is_skipped(lint):
-    # Key set not statically knowable -> stand down, like RPR010.
+def test_derived_name_without_attribute_is_flagged(lint):
     source = """
-    class Dyn:
+    from repro.core.state import INT, Stateful
+
+    class Counter(Stateful):
+        STATE = (("_count", INT),)
+        DERIVED = ("_cache",)
+
+        def __init__(self):
+            self._count = 0
+    """
+    findings = lint(source, select=["RPR011"])
+    assert codes(findings) == ["RPR011"]
+    assert "_cache" in findings[0].message
+
+
+def test_dynamic_snapshot_class_is_skipped(lint):
+    # A table that is not a literal is out of static reach: stand down.
+    source = """
+    from repro.core.state import Stateful
+
+    class Dyn(Stateful):
+        STATE = build_rows()
+
         def poke(self):
             self._x = 1
-
-        def snapshot_state(self):
-            return self._collect()
     """
     assert codes(lint(source, select=["RPR011"])) == []
 
@@ -114,30 +161,31 @@ def test_class_without_state_protocol_is_skipped(lint):
 
 def test_noqa_with_justification_suppresses(lint):
     source = """
-    class Counter:
+    from repro.core.state import INT, Stateful
+
+    class Counter(Stateful):
+        STATE = (("_count", INT),)
+
         def __init__(self):
             self._count = 0
             self._cache = None
 
         def tick(self):
             self._count += 1
-            self._cache = self._count * 2  # repro: noqa[RPR011] derived; recomputed on restore
-
-        def snapshot_state(self):
-            return {"_count": self._count}
+            self._cache = self._count * 2  # repro: noqa[RPR011] written by hand elsewhere
     """
     assert codes(lint(source, select=["RPR011"])) == []
 
 
 def test_mutation_dropping_real_snapshot_field_is_caught(tmp_path):
-    """Deleting one field from cpu.core.Core.snapshot_state must fire.
+    """Deleting one row from cpu.core.Core's STATE table must fire.
 
     This is the acceptance check for the whole rule: the real class,
     really mutated the way a careless refactor would, caught statically
     instead of by checkpoint-fuzz luck.
     """
     source = (REPO_SRC / "repro/cpu/core.py").read_text()
-    assert '"_stalled": self._stalled,' in source
+    assert '("_stalled", BOOL),' in source
     target = tmp_path / "repro/cpu/core.py"
     target.parent.mkdir(parents=True)
 
@@ -146,8 +194,8 @@ def test_mutation_dropping_real_snapshot_field_is_caught(tmp_path):
     config = AnalysisConfig(select=frozenset({"RPR011"}))
     assert analyze_project([tmp_path], config).findings == []
 
-    # Drop the field from the snapshot dict: RPR011 must name it.
-    target.write_text(source.replace('"_stalled": self._stalled,\n', ""))
+    # Drop the row from the table: RPR011 must name it.
+    target.write_text(source.replace('("_stalled", BOOL),\n', ""))
     findings = analyze_project([tmp_path], config).findings
     assert any(
         f.code == "RPR011" and "_stalled" in f.message for f in findings
