@@ -106,40 +106,31 @@ def _checkpoint_sink(spec, name: str, args, multi: bool):
 def _run_observed(spec, name: str, args, multi: bool, resume=None):
     """Execute one spec live with the requested sinks/monitors attached.
 
-    ``resume = (cycle, state)`` continues from a checkpoint; sinks and
-    monitors then attach *after* system construction so the resumed
-    event stream carries no duplicate construction-time events and
-    concatenates cleanly with the pre-checkpoint shard's stream.
-    Returns ``None`` when a ``--checkpoint-halt`` barrier stopped the
-    run before completion.
+    ``resume = (cycle, state)`` continues from a checkpoint: the system
+    is built from the snapshot, which allocates nothing, so the resumed
+    event stream starts at the checkpoint cycle and concatenates cleanly
+    with the pre-checkpoint shard's stream.  Returns ``None`` when a
+    ``--checkpoint-halt`` barrier stopped the run before completion.
     """
     telemetry = Telemetry()
     chrome = jsonl = suite = profiler = None
+    # Attach before system construction: page allocations are emitted
+    # while the System is being built, and the suite buffers them until
+    # bind().
+    if args.trace:
+        chrome = telemetry.subscribe(ChromeTraceSink())
+    if args.trace_jsonl:
+        jsonl = telemetry.subscribe(JsonlSink(_suffixed(args.trace_jsonl, name, multi)))
+    if args.monitors:
+        from repro.obs.monitors import MonitorSuite
 
-    def attach_sinks():
-        nonlocal chrome, jsonl, suite
-        if args.trace:
-            chrome = telemetry.subscribe(ChromeTraceSink())
-        if args.trace_jsonl:
-            jsonl = telemetry.subscribe(
-                JsonlSink(_suffixed(args.trace_jsonl, name, multi))
-            )
-        if args.monitors:
-            from repro.obs.monitors import MonitorSuite
-
-            suite = MonitorSuite(
-                strict=args.monitors == "strict"
-            ).attach(telemetry)
-
-    if resume is None:
-        # Attach before system construction: page allocations are
-        # emitted while the System is being built, and the suite
-        # buffers them until bind().
-        attach_sinks()
+        suite = MonitorSuite(strict=args.monitors == "strict").attach(telemetry)
     try:
-        system = build_system_from_spec(spec, telemetry=telemetry)
-        if resume is not None:
-            attach_sinks()
+        system = build_system_from_spec(
+            spec,
+            telemetry=telemetry,
+            resume_state=resume[1] if resume is not None else None,
+        )
         if suite is not None:
             suite.bind(
                 system, resume_time=resume[0] if resume is not None else None
@@ -158,7 +149,6 @@ def _run_observed(spec, name: str, args, multi: bool, resume=None):
             sample_windows=spec.sample_windows,
             checkpoint_every=args.checkpoint_every,
             checkpoint_sink=sink,
-            resume_state=resume[1] if resume is not None else None,
         )
     finally:
         # Mid-run exceptions (including strict-mode MonitorError) must

@@ -211,7 +211,11 @@ def warm_start(spec: RunSpec, store=None) -> tuple[dict, str]:
     Requires ``spec.warmup_scenario``; with a
     :class:`~repro.core.checkpoint.CheckpointStore` the snapshot is
     cached by prefix-spec hash so sweeps sharing a warm-up prefix
-    simulate it once.  Returns ``(state, "<hash>@<cycle>")``.
+    simulate it once.  Returns ``(state, "<hash>@<cycle>")``.  Build a
+    machine from the state with
+    :func:`~repro.core.simulator.build_system_from_spec`
+    (``resume_state=state``) and never change it: it may be the store's
+    own copy.
     """
     return warm_start_state(spec, store)
 

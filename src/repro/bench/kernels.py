@@ -399,8 +399,8 @@ def checkpoint_roundtrip(rounds: int = 10, refresh_scale: int = 512) -> int:
     barrier of a WL-6 codesign run.
 
     Measures the full checkpoint cost a time-sharded or warm-started run
-    pays per barrier: state capture, serialization both ways, system
-    construction and state restore.  Returns descriptors handled
+    pays per barrier: state capture, serialization both ways, and a
+    system built from the snapshot.  Returns descriptors handled
     (queued-engine entries plus in-flight requests, per round) — a pure
     function of the arguments, so the determinism gate covers the
     snapshot encoder too.
@@ -434,8 +434,7 @@ def checkpoint_roundtrip(rounds: int = 10, refresh_scale: int = 512) -> int:
     ops = 0
     for _ in range(rounds):
         payload = json.dumps(system.snapshot_state())
-        fresh = build_system_from_spec(spec)
-        fresh.restore_state(json.loads(payload))
+        build_system_from_spec(spec, resume_state=json.loads(payload))
         ops += entries
     return ops
 

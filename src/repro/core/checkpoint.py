@@ -16,6 +16,9 @@ warm-up checkpoint across every scenario of a warm-started sweep.
 
 Writes are atomic (temp file + ``os.replace``) and reads are
 corruption-tolerant, following :class:`~repro.experiments.cache.ResultCache`.
+A file is encoded with one ``json.dumps`` and written with one write:
+only the one-shot ``dumps`` runs CPython's C encoder, while ``json.dump``
+streams through the pure-Python one (same bytes, several times slower).
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ def save_checkpoint(
     path = pathlib.Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(checkpoint_payload(spec, cycle, state))
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(checkpoint_payload(spec, cycle, state), fh)
+            fh.write(text)
         os.replace(tmp, path)
     except OSError:
         try:
@@ -100,8 +104,15 @@ class CheckpointStore:
     ``get`` is corruption-tolerant (a bad entry is a miss, dropped and
     recomputed), and so is a restore: an entry whose state does not
     restore is :meth:`discard`-ed by the caller.  ``put`` failures
-    degrade to "no store".  Instances hold only a path, so they pickle
-    across the sweep worker pool.
+    degrade to "no store".
+
+    The store keeps the decoded state of the last entry it wrote or
+    read and answers a ``get`` for that entry from memory (a hit, as
+    from disk), so the scenarios of a warm-started sweep share one
+    prefix without re-reading it.  The state is handed out, not copied:
+    callers restore from it and never change it (a restore leaves it
+    unchanged).  A pickled store carries only its path and counters, so
+    it crosses the sweep worker pool without the state.
     """
 
     def __init__(self, root: str | os.PathLike | None = None):
@@ -112,12 +123,21 @@ class CheckpointStore:
         self.root = pathlib.Path(root) / f"ckpt-v{SCHEMA_TAG}"
         self.hits = 0
         self.misses = 0
+        # (key, cycle, state) of the last entry written or read.
+        self._last: tuple[str, int, dict] | None = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_last": None}
 
     def path(self, key: str, cycle: int) -> pathlib.Path:
         return self.root / key[:2] / f"{key}-{int(cycle)}.json"
 
     def get(self, key: str, cycle: int) -> dict | None:
         """The stored snapshot state for ``(key, cycle)``, or None."""
+        last = self._last
+        if last is not None and last[0] == key and last[1] == cycle:
+            self.hits += 1
+            return last[2]
         path = self.path(key, cycle)
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -135,16 +155,23 @@ class CheckpointStore:
             self._discard(path)
             return None
         self.hits += 1
+        self._last = (key, int(cycle), state)
         return state
 
     def discard(self, key: str, cycle: int) -> None:
-        """Drop an entry that was read but failed to restore.  Its hit is
-        withdrawn; the lookup that recomputes it counts the miss."""
+        """Drop an entry that was read but failed to restore, from memory
+        and disk.  Its hit is withdrawn; the lookup that recomputes it
+        counts the miss."""
         self.hits -= 1
+        last = self._last
+        if last is not None and last[0] == key and last[1] == cycle:
+            self._last = None
         self._discard(self.path(key, cycle))
 
     def put(self, key: str, spec: RunSpec, cycle: int, state: dict) -> None:
-        """Store a snapshot atomically; failures are non-fatal."""
+        """Store a snapshot atomically and keep it in memory; disk
+        failures are non-fatal."""
+        self._last = (key, int(cycle), state)
         try:
             save_checkpoint(self.path(key, cycle), spec, cycle, state)
         except OSError:

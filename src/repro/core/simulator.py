@@ -9,6 +9,7 @@ experiment layer builds specs in bulk and fans them out across processes;
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from repro.config.system_configs import SystemConfig, default_system_config
@@ -94,13 +95,18 @@ def make_run_spec(
 
 
 def build_system_from_spec(
-    spec: RunSpec, telemetry: Optional[Telemetry] = None
+    spec: RunSpec,
+    telemetry: Optional[Telemetry] = None,
+    resume_state: Optional[dict] = None,
 ) -> System:
     """Construct (but do not run) the :class:`System` a spec describes.
 
     ``telemetry`` carries runtime-only event sinks (``--trace``); it is
     deliberately *not* part of the spec or its content hash because sinks
-    observe a run without changing its result.
+    observe a run without changing its result.  ``resume_state`` builds
+    the machine from a snapshot instead of allocating it cold (see
+    :class:`System`); a malformed one raises
+    :class:`~repro.errors.CheckpointError`.
     """
     return System(
         spec.config,
@@ -109,6 +115,7 @@ def build_system_from_spec(
         workload_name=spec.workload_name,
         banks_per_task=spec.banks_per_task,
         telemetry=telemetry,
+        resume_state=resume_state,
     )
 
 
@@ -137,6 +144,8 @@ def warm_start_state(spec: RunSpec, store=None) -> tuple[dict, str]:
 
     The cold (store-miss) path takes the identical snapshot, so a
     warm-started result is bit-identical whether or not the store hit.
+    The state may be the store's own copy, shared with later calls:
+    restore it, never change it.
     """
     prefix = prefix_spec_of(spec)
     key = prefix.content_hash()
@@ -168,6 +177,35 @@ def warm_start_state(spec: RunSpec, store=None) -> tuple[dict, str]:
     return captured["state"], f"{key}@{cycle}"
 
 
+def warm_started_system(
+    spec: RunSpec,
+    telemetry: Optional[Telemetry] = None,
+    checkpoint_store=None,
+    restore_span=None,
+) -> System:
+    """The :class:`System` of a warm-started *spec*, built from its
+    warm-up prefix's measurement-boundary snapshot (:func:`warm_start_state`).
+
+    A stored prefix that does not restore is a miss: it is discarded and
+    recomputed.  ``restore_span`` (a no-argument context-manager factory
+    whose span takes ``set(detail=...)``) wraps each prefix fetch, for
+    the service's tracing.
+    """
+    hits = checkpoint_store.hits if checkpoint_store is not None else 0
+    with restore_span() if restore_span is not None else nullcontext() as span:
+        state, provenance = warm_start_state(spec, checkpoint_store)
+        if span is not None:
+            span.set(detail=provenance)
+    try:
+        return build_system_from_spec(spec, telemetry=telemetry, resume_state=state)
+    except CheckpointError:
+        if checkpoint_store is None or checkpoint_store.hits == hits:
+            raise  # computed just now, not read from the store
+    key, cycle = provenance.split("@")
+    checkpoint_store.discard(key, int(cycle))
+    return warm_started_system(spec, telemetry, checkpoint_store, restore_span)
+
+
 def run_spec(
     spec: RunSpec,
     telemetry: Optional[Telemetry] = None,
@@ -180,22 +218,12 @@ def run_spec(
     A spec with ``warmup_scenario`` set is executed in two phases: the
     warm-up prefix runs (or is fetched from ``checkpoint_store``) under
     the warm-up scenario, and the measured interval resumes from its
-    measurement-boundary snapshot under the target scenario; a stored
-    prefix that does not restore is a miss, discarded and recomputed."""
+    measurement-boundary snapshot under the target scenario
+    (:func:`warm_started_system`)."""
     if spec.warmup_scenario is not None:
-        hits = checkpoint_store.hits if checkpoint_store is not None else 0
-        state, provenance = warm_start_state(spec, checkpoint_store)
-        try:
-            return build_system_from_spec(spec, telemetry=telemetry).run(
-                resume_state=state
-            )
-        except CheckpointError:
-            if checkpoint_store is None or checkpoint_store.hits == hits:
-                raise  # computed just now, not read from the store
-        key, cycle = provenance.split("@")
-        checkpoint_store.discard(key, int(cycle))
-        return run_spec(spec, telemetry, checkpoint_store)
-    system = build_system_from_spec(spec, telemetry=telemetry)
+        system = warm_started_system(spec, telemetry, checkpoint_store)
+    else:
+        system = build_system_from_spec(spec, telemetry=telemetry)
     return system.run(
         num_windows=spec.num_windows,
         warmup_windows=spec.warmup_windows,

@@ -2,8 +2,9 @@
 
 :class:`System` builds every component from a :class:`SystemConfig` and a
 scenario description, allocates task footprints through the configured
-allocator, and runs the simulation for a number of (scaled) retention
-windows, returning a :class:`~repro.core.results.RunResult`.
+allocator (or, given a snapshot, restores the machine it describes), and
+runs the simulation for a number of (scaled) retention windows,
+returning a :class:`~repro.core.results.RunResult`.
 """
 
 from __future__ import annotations
@@ -189,10 +190,19 @@ def _method(owner, name: str):
 
 
 class System:
-    """One fully wired simulated machine."""
+    """One fully wired simulated machine.
+
+    With ``resume_state`` (a :meth:`snapshot_state` payload taken on an
+    identically configured system) the machine is built from the
+    snapshot: every component is constructed, task footprints are not
+    allocated (the snapshot carries memory, allocator and page tables),
+    and the state is restored before the constructor returns, so
+    :meth:`run` continues it.  The payload is only read, never changed:
+    one snapshot can seed any number of systems.
+    """
 
     # Left out of the hand-written checkpoint composite below.
-    DERIVED = ("_started",)
+    DERIVED = ("_started", "_restored")
 
     def __init__(
         self,
@@ -202,6 +212,7 @@ class System:
         workload_name: str = "custom",
         banks_per_task: int | None = None,
         telemetry: Telemetry | None = None,
+        resume_state: dict | None = None,
     ):
         config.validate()
         if not specs:
@@ -249,7 +260,7 @@ class System:
         ]
 
         self.tasks = self._build_tasks(specs, banks_per_task)
-        self._allocate_footprints()
+        self._allocate_footprints(allocate=resume_state is None)
 
         quantum = self._quantum_cycles()
         if scenario.refresh_aware:
@@ -280,12 +291,15 @@ class System:
             )
 
         self._started = False
+        self._restored = False
         # Run progress (set when the measured interval begins, or restored
         # from a checkpoint) and the live sampler, if any.
         self._measure_start: int | None = None
         self._run_end: int | None = None
         self._sampler = None
         self._sampler_windows: int | None = None
+        if resume_state is not None:
+            self.restore_state(resume_state)
 
     # -- construction helpers ---------------------------------------------------
 
@@ -321,7 +335,11 @@ class System:
             tasks.append(task)
         return tasks
 
-    def _allocate_footprints(self) -> None:
+    def _allocate_footprints(self, allocate: bool = True) -> None:
+        """Give each task its footprint: page frames up front, or a
+        demand-paged address space (prefaulted when configured).  With
+        ``allocate=False`` only the address spaces are created, empty,
+        for a restore to fill."""
         from repro.os.vm import VirtualMemory
 
         page_bytes = self.mapping.page_bytes
@@ -339,9 +357,9 @@ class System:
                     minor_fault_cycles=os_config.minor_fault_cycles,
                     major_fault_cycles=os_config.major_fault_cycles,
                 )
-                if os_config.prefault:
+                if allocate and os_config.prefault:
                     vm.prefault_all()
-            else:
+            elif allocate:
                 self.allocator.alloc_footprint(task, pages)
 
     # -- telemetry ---------------------------------------------------------------
@@ -429,7 +447,6 @@ class System:
         checkpoint_every: float | None = None,
         checkpoint_sink=None,
         checkpoint_measure_start: bool = False,
-        resume_state: dict | None = None,
     ) -> RunResult | None:
         """Simulate ``warmup + num_windows`` retention windows; statistics
         cover only the measured portion.  With ``sample_windows = N`` a
@@ -442,17 +459,15 @@ class System:
         payload; a truthy return halts the run, which then returns
         ``None``.  ``checkpoint_measure_start = True`` additionally
         offers a checkpoint at the measurement boundary itself (the
-        warm-start capture point).  ``resume_state`` restores a prior
-        snapshot instead of starting cold and continues to the end
-        recorded in it; ``num_windows``/``warmup_windows`` are only
-        consulted when the snapshot predates the measured interval.
+        warm-start capture point).  A system built from a snapshot
+        (``resume_state``) continues to the end recorded in it;
+        ``num_windows``/``warmup_windows`` are only consulted when the
+        snapshot predates the measured interval.
         """
         if self._started:
             raise ConfigError("a System can only be run once")
         self._started = True
-        if resume_state is not None:
-            self.restore_state(resume_state)
-        else:
+        if not self._restored:
             self.refresh_scheduler.start()
             self.scheduler.start()
             if self.load_balancer is not None:
@@ -649,7 +664,10 @@ class System:
 
     def restore_state(self, state: dict) -> None:
         """Rebuild the machine from a :meth:`snapshot_state` payload taken
-        on an identically configured system.
+        on an identically configured system (the constructor's
+        ``resume_state`` path; :meth:`run` then continues it).  *state*
+        stays unchanged, and the machine shares no mutable list or map
+        with it (``tests/integration/test_warm_start.py``).
 
         Restoring under a *different* refresh policy is supported: the
         snapshot's refresh events are dropped and the new policy starts
@@ -703,6 +721,7 @@ class System:
             self.refresh_scheduler.start()
         if lb_state is None and self.load_balancer is not None:
             self.load_balancer.start()
+        self._restored = True
 
     # -- engine-entry codecs ---------------------------------------------------
 

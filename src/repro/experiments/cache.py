@@ -129,10 +129,11 @@ class ResultCache:
             "spec": spec.to_dict(),
             "result": result.to_dict(),
         }
+        text = json.dumps(payload)  # one-shot: the C encoder
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
+                fh.write(text)
             os.replace(tmp, path)
         except OSError:
             # A read-only or full filesystem degrades to "no cache".

@@ -28,7 +28,8 @@ Every backend is constructed with an optional
 :class:`~repro.core.checkpoint.CheckpointStore` that is forwarded to
 :func:`repro.core.simulator.run_spec`, so warm-started specs sharing a
 warm-up prefix reuse one checkpoint regardless of which worker runs them
-(the store holds only a path and pickles across process pools).
+(a store pickles across process pools as its path alone; threads share
+the one store and its last entry in memory).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.core.runspec import RunSpec
 from repro.core.simulator import (
     build_system_from_spec,
     run_spec as execute_run_spec,
-    warm_start_state,
+    warm_started_system,
 )
 from repro.errors import ServiceError
 from repro.tracing import JobTrace
@@ -59,25 +60,28 @@ def traced_run_spec(
 
     Opens a ``run_spec`` root span (child of the service's ``execute``
     span via *parent*) and, on the warm-start path, a ``restore`` child
-    covering the prefix snapshot fetch/replay.  The execution itself is
-    step-for-step identical to the untraced ``run_spec`` — same build,
-    same run call, same kwargs — so results stay bit-identical with
-    tracing on.
+    around each prefix snapshot fetch/replay.  The execution itself is
+    step-for-step identical to the untraced ``run_spec`` — the same
+    warm-start path (a stored prefix that does not restore is
+    recomputed), the same build and run call — so results stay
+    bit-identical with tracing on.
     """
     with trace.span("run_spec", parent=parent) as root:
         if spec.warmup_scenario is not None:
-            with trace.span("restore", parent=root.span_id) as restore:
-                state, provenance = warm_start_state(spec, checkpoint_store)
-                restore.set(detail=provenance)
-            system = build_system_from_spec(spec)
-            result = system.run(resume_state=state)
+            system = warm_started_system(
+                spec,
+                checkpoint_store=checkpoint_store,
+                restore_span=functools.partial(
+                    trace.span, "restore", parent=root.span_id
+                ),
+            )
         else:
             system = build_system_from_spec(spec)
-            result = system.run(
-                num_windows=spec.num_windows,
-                warmup_windows=spec.warmup_windows,
-                sample_windows=spec.sample_windows,
-            )
+        result = system.run(
+            num_windows=spec.num_windows,
+            warmup_windows=spec.warmup_windows,
+            sample_windows=spec.sample_windows,
+        )
         root.set(cycles=result.simulated_cycles,
                  detail=spec.content_hash())
     return result

@@ -112,10 +112,11 @@ class JsonlSink(EventSink):
         self.written = 0
 
     def emit(self, event: TraceEvent) -> None:
-        json.dump(
-            event.to_dict(), self._file, sort_keys=True, separators=(",", ":")
+        # One-shot dumps runs the C encoder; json.dump would not.
+        self._file.write(
+            json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
+            + "\n"
         )
-        self._file.write("\n")
         self.written += 1
 
     def flush(self) -> None:

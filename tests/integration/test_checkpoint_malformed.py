@@ -29,6 +29,8 @@ from repro.core.simulator import (
 )
 from repro.errors import CheckpointError
 from repro.serialize import content_hash
+from repro.service.backends import traced_run_spec
+from repro.tracing import JobTrace, mint_trace_id
 
 WINDOWS = dict(num_windows=0.5, warmup_windows=0.125, refresh_scale=1024)
 
@@ -153,9 +155,8 @@ def test_every_malformed_edit_raises_a_checkpoint_error(name):
     kinds = set()
     for kind, path in _edits(state, rng):
         edited = _apply(state, kind, path)
-        system = build_system_from_spec(spec)
         with pytest.raises(CheckpointError) as info:
-            system.run(resume_state=edited, **_windows(spec))
+            build_system_from_spec(spec, resume_state=edited)
         reported = tuple(reversed(info.value.path))
         assert path[: len(reported)] == reported, (kind, path, str(info.value))
         if kind == "drop":
@@ -167,10 +168,9 @@ def test_every_malformed_edit_raises_a_checkpoint_error(name):
 def test_a_truncated_bank_list_is_named():
     spec, state = _payload("adaptive")
     del state["controller"]["banks"][15]
-    system = build_system_from_spec(spec)
     match = r"controller\.banks: expected 16 entries, got 15"
     with pytest.raises(CheckpointError, match=match):
-        system.run(resume_state=state, **_windows(spec))
+        build_system_from_spec(spec, resume_state=state)
 
 
 def test_resume_of_a_malformed_file_exits_non_zero(tmp_path, capsys):
@@ -198,6 +198,35 @@ def test_a_stored_prefix_that_does_not_restore_is_a_miss(tmp_path):
     assert content_hash(run_spec(spec, checkpoint_store=store).to_dict()) == expected
     assert (store.hits, store.misses) == (0, 1)
     # The recomputed prefix replaced the bad entry and now restores.
+    fresh = CheckpointStore(tmp_path)
+    assert content_hash(run_spec(spec, checkpoint_store=fresh).to_dict()) == expected
+    assert (fresh.hits, fresh.misses) == (1, 0)
+
+
+def test_a_traced_run_recovers_from_a_stored_prefix_that_does_not_restore(tmp_path):
+    (spec,) = sweep_specs(
+        ["WL-6"], ["codesign"], warmup_scenario="per_bank", **WINDOWS
+    )
+    expected = content_hash(run_spec(spec).to_dict())
+
+    store = CheckpointStore(tmp_path)
+    warm_start_state(spec, store)  # fills the store
+    (entry,) = store.root.glob("*/*.json")
+    data = json.loads(entry.read_text())
+    del data["state"]["controller"]["banks"][15]
+    entry.write_text(json.dumps(data))
+
+    spans = []
+    trace = JobTrace(mint_trace_id("bad-prefix", 0), spec.content_hash(), spans.append)
+    store = CheckpointStore(tmp_path)
+    result = traced_run_spec(spec, store, trace)
+    assert content_hash(result.to_dict()) == expected
+    assert (store.hits, store.misses) == (0, 1)
+    # One restore span per prefix fetch: the bad read and the recompute.
+    assert [s.name for s in spans] == ["restore", "restore", "run_spec"]
+    # The entry was rewritten and now restores.
+    rewritten = json.loads(entry.read_text())
+    assert len(rewritten["state"]["controller"]["banks"]) == 16
     fresh = CheckpointStore(tmp_path)
     assert content_hash(run_spec(spec, checkpoint_store=fresh).to_dict()) == expected
     assert (fresh.hits, fresh.misses) == (1, 0)

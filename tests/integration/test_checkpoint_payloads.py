@@ -111,14 +111,13 @@ def _run(spec, resume_state=None):
         barriers.append((cycle, json.dumps(state)))
         return False
 
-    system = build_system_from_spec(spec)
+    system = build_system_from_spec(spec, resume_state=resume_state)
     result = system.run(
         num_windows=spec.num_windows,
         warmup_windows=spec.warmup_windows,
         sample_windows=spec.sample_windows,
         checkpoint_every=STEP,
         checkpoint_sink=sink,
-        resume_state=resume_state,
     )
     return barriers, result, system.engine.events_processed
 

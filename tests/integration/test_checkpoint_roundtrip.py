@@ -68,8 +68,8 @@ def test_roundtrip_is_bit_identical_at_barrier(k, baseline):
 
     state = json.loads(json.dumps(captured["state"]))
 
-    resumed = build_system_from_spec(spec)
-    result = resumed.run(resume_state=state, **WINDOWS)
+    resumed = build_system_from_spec(spec, resume_state=state)
+    result = resumed.run(**WINDOWS)
     assert resumed.engine.events_processed == baseline["events"]
     assert resumed.metrics().snapshot() == baseline["metrics"]
     assert content_hash(result.to_dict()) == baseline["digest"]
