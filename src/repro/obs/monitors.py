@@ -574,15 +574,22 @@ def run_spec_with_monitors(
     Returns ``(result, suite)``; ``result.monitor_violations`` is set
     (``[]`` for a clean monitored run).  Always a live run — monitored
     results never come from (or go to) the sweep cache, since cached
-    entries carry no event stream to check.
+    entries carry no event stream to check.  A warm-started spec resumes
+    from its warm-up prefix's snapshot exactly as
+    :func:`~repro.core.simulator.run_spec` does (the prefix itself is not
+    monitored), so its result matches the plain run's.
     """
-    from repro.core.simulator import build_system_from_spec
+    from repro.core.simulator import build_system_from_spec, warm_started_system
 
     if telemetry is None:
         telemetry = Telemetry()
     suite = MonitorSuite(monitors, strict=strict).attach(telemetry)
-    system = build_system_from_spec(spec, telemetry=telemetry)
-    suite.bind(system)
+    if spec.warmup_scenario is not None:
+        system = warm_started_system(spec, telemetry)
+        suite.bind(system, resume_time=system.engine.now)
+    else:
+        system = build_system_from_spec(spec, telemetry=telemetry)
+        suite.bind(system)
     result = system.run(
         num_windows=spec.num_windows,
         warmup_windows=spec.warmup_windows,

@@ -243,11 +243,6 @@ class SweepService:
         """
         if monitors not in (None, "collect", "strict"):
             raise ServiceError(f"unknown monitor mode {monitors!r}")
-        if monitors is not None and spec.warmup_scenario is not None:
-            raise ServiceError(
-                "monitors are not supported for warm-started specs "
-                "(the warm-up prefix runs without an event stream)"
-            )
         key = self.job_key(spec.content_hash(), monitors)
         t0 = monotonic_us()
         root = trace.span("resolve") if trace is not None else None

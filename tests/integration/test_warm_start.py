@@ -229,3 +229,55 @@ def test_threads_sharing_the_store_memory_restore_identically(tmp_path):
     # The state the siblings shared is still the prefix's snapshot.
     _, key, cycle = _prefix_key(specs[0])
     assert store.get(key, cycle) == warm_start_state(specs[0])[0]
+
+
+def _plain_digest(result) -> str:
+    payload = result.to_dict()
+    payload.pop("monitor_violations", None)
+    return content_hash(payload)
+
+
+#: Scenarios a monitored warm start was checked under: the co-design, the
+#: same-bank schedule without the OS, rank refresh, and a postponing policy.
+MONITORED_WARM_STARTS = [
+    ("WL-6", "codesign"),
+    ("WL-6", "same_bank_hw_only"),
+    ("WL-6", "all_bank"),
+    ("WL-1", "elastic"),
+]
+
+
+@pytest.mark.parametrize("workload,scenario", MONITORED_WARM_STARTS)
+def test_a_monitored_warm_start_resumes_the_prefix(workload, scenario):
+    """Regression: the monitored path built warm-started specs cold, so
+    the warm-up ran under the target scenario and the result was the
+    cold run's, not ``run_spec``'s."""
+    from repro.obs.monitors import run_spec_with_monitors
+
+    (spec,) = _warm_specs(workload, [scenario])
+    cold = spec.with_(warmup_scenario=None)
+    expected = _plain_digest(run_spec(spec))
+    assert expected != _plain_digest(run_spec(cold))  # the warm start matters here
+
+    result, _ = run_spec_with_monitors(spec, strict=True)
+    assert result.monitor_violations == []
+    assert _plain_digest(result) == expected
+
+
+def test_the_service_serves_a_monitored_warm_start_then_the_plain_one(tmp_path):
+    import asyncio
+
+    from repro.service import SweepService
+
+    (spec,) = _warm_specs("WL-6", ["codesign"])
+    service = SweepService(cache_dir=tmp_path)
+
+    async def sequence():
+        monitored = await service.resolve(spec, monitors="strict")
+        plain = await service.resolve(spec)
+        return monitored, plain
+
+    (monitored, m_src), (plain, p_src) = asyncio.run(sequence())
+    assert (m_src, p_src) == ("live", "executed")
+    assert monitored.monitor_violations == []
+    assert _plain_digest(monitored) == _plain_digest(plain) == _plain_digest(run_spec(spec))
