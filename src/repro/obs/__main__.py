@@ -169,6 +169,7 @@ def main(argv=None) -> int:
     if args.command == "top":
         return _cmd_top(args, parser)
     if args.command == "trace":
+        from repro.errors import ConfigError
         from repro.telemetry.sinks import ChromeTraceSink, read_jsonl
 
         sink = ChromeTraceSink(
@@ -176,7 +177,11 @@ def main(argv=None) -> int:
         )
         total = 0
         for shard in args.shards:
-            events = read_jsonl(shard)
+            try:
+                events = read_jsonl(shard)
+            except ConfigError as exc:
+                print(f"cannot replay: {exc}", file=sys.stderr)
+                return 1
             for event in events:
                 sink.emit(event)
             total += len(events)

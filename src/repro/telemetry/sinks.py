@@ -26,6 +26,7 @@ import json
 from collections import deque
 from typing import Callable, Optional
 
+from repro.errors import ConfigError
 from repro.telemetry.events import (
     DramCommandEvent,
     RefreshCommandEvent,
@@ -136,13 +137,28 @@ class JsonlSink(EventSink):
 
 
 def read_jsonl(path) -> list[TraceEvent]:
-    """Reload a :class:`JsonlSink` file into typed events."""
+    """Reload a :class:`JsonlSink` file into typed events.
+
+    A line that is not a whole event — torn by a cut-short write, not
+    UTF-8, or of an unknown kind or payload — raises
+    :class:`~repro.errors.ConfigError` naming the path and the 1-based
+    line number.
+    """
     events = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                events.append(TraceEvent.from_dict(json.loads(line)))
+    with open(path, "rb") as f:
+        for number, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    events.append(TraceEvent.from_dict(json.loads(line)))
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: line {number} is not UTF-8 ({exc.reason})") from None
+            except json.JSONDecodeError as exc:
+                raise ConfigError(
+                    f"{path}: line {number} is not a whole JSON event ({exc.msg})"
+                ) from None
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: line {number}: {exc}") from None
     return events
 
 
