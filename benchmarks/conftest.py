@@ -1,19 +1,20 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper benchmarks (plain pytest: ``pytest benchmarks``).
 
-One :class:`SweepRunner` is shared across every figure benchmark so runs
-common to several figures (e.g. Figure 10's sweep feeds Figure 11's
-latency view and Figure 14's 32Gb comparison) execute once.
+One :class:`SweepRunner` is shared across every test so runs common to
+several figures (e.g. Figure 10's sweep feeds Figure 11's latency view
+and Figure 14's 32Gb comparison) execute once.
 
-Each benchmark writes its formatted table to ``benchmarks/results/`` and
-prints it (visible with ``pytest -s`` / in the benchmark log).
+Each test writes its formatted table to ``benchmarks/results/`` and
+prints it (visible with ``pytest -s``).
 
 Profiles: default is quick; ``REPRO_PROFILE=full`` runs longer windows at
 finer refresh scaling.
 
 The runner uses the persistent disk cache (``~/.cache/repro`` or
 ``REPRO_CACHE_DIR``) and fans cache misses out over ``REPRO_JOBS``
-worker processes, so a repeated benchmark run with an unchanged config
-executes zero simulations.
+worker processes, so a repeated run with an unchanged config executes
+zero simulations.  Cache keys hash the spec, not the code: to check a
+code change, point ``REPRO_CACHE_DIR`` at an empty directory.
 """
 
 from __future__ import annotations

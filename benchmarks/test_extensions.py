@@ -1,4 +1,5 @@
-"""Benchmark: extensions beyond the paper's main line.
+"""Extensions beyond the paper's main line (plain pytest; each saves its
+table under ``benchmarks/results/``).
 
 * **Subarray-granularity refresh** (Section 7: "exposing the sub-array
   structures ... we expect our co-design to yield even better performance"):
@@ -13,27 +14,20 @@ from repro.config.dram_configs import DramOrganization
 from repro.experiments.report import format_percent, format_table
 
 
-def test_subarray_extension(benchmark, runner, save_table):
+def test_subarray_extension(runner, save_table):
     salp_org = DramOrganization(subarrays_per_bank=8)
-
-    def sweep():
-        rows = []
-        for workload in ("WL-1", "WL-5", "WL-8"):
-            base = runner.run(workload, "all_bank").hmean_ipc
-            for scheme, org in (
-                ("per_bank", None),
-                ("per_bank+subarray", salp_org),
-                ("codesign", None),
-                ("codesign+subarray", salp_org),
-            ):
-                kwargs = {"organization": org} if org else {}
-                value = runner.run(
-                    workload, scheme.split("+")[0], **kwargs
-                ).hmean_ipc
-                rows.append([workload, scheme, format_percent(value / base - 1)])
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = []
+    for workload in ("WL-1", "WL-5", "WL-8"):
+        base = runner.run(workload, "all_bank").hmean_ipc
+        for scheme, org in (
+            ("per_bank", None),
+            ("per_bank+subarray", salp_org),
+            ("codesign", None),
+            ("codesign+subarray", salp_org),
+        ):
+            kwargs = {"organization": org} if org else {}
+            value = runner.run(workload, scheme.split("+")[0], **kwargs).hmean_ipc
+            rows.append([workload, scheme, format_percent(value / base - 1)])
     save_table(
         "ext_subarray",
         format_table(
@@ -56,16 +50,12 @@ def test_subarray_extension(benchmark, runner, save_table):
         )
 
 
-def test_elastic_refresh_extension(benchmark, runner, save_table):
-    def sweep():
-        rows = []
-        for workload in ("WL-1", "WL-2"):
-            base = runner.run(workload, "all_bank").hmean_ipc
-            elastic = runner.run(workload, "elastic").hmean_ipc
-            rows.append([workload, format_percent(elastic / base - 1)])
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_elastic_refresh_extension(runner, save_table):
+    rows = []
+    for workload in ("WL-1", "WL-2"):
+        base = runner.run(workload, "all_bank").hmean_ipc
+        elastic = runner.run(workload, "elastic").hmean_ipc
+        rows.append([workload, format_percent(elastic / base - 1)])
     save_table(
         "ext_elastic",
         format_table(
@@ -80,23 +70,18 @@ def test_elastic_refresh_extension(benchmark, runner, save_table):
     assert all(g > -10.0 for g in gains)
 
 
-def test_refresh_energy_across_schemes(benchmark, runner, save_table):
-    def sweep():
-        rows = []
-        for scheme in ("no_refresh", "all_bank", "per_bank", "codesign"):
-            result = runner.run("WL-5", scheme)
-            energy = result.energy
-            rows.append(
-                [
-                    scheme,
-                    f"{energy.total_mj:.3f}",
-                    f"{energy.refresh_mj:.4f}",
-                    f"{energy.refresh_fraction:.1%}",
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_refresh_energy_across_schemes(runner, save_table):
+    rows = []
+    for scheme in ("no_refresh", "all_bank", "per_bank", "codesign"):
+        energy = runner.run("WL-5", scheme).energy
+        rows.append(
+            [
+                scheme,
+                f"{energy.total_mj:.3f}",
+                f"{energy.refresh_mj:.4f}",
+                f"{energy.refresh_fraction:.1%}",
+            ]
+        )
     save_table(
         "ext_energy",
         format_table(

@@ -48,13 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.sweepdiff import SweepDiffResult
     from repro.service.client import SweepOutcome
 
-#: The figure modules under :mod:`repro.experiments` that :func:`figure`
-#: runs.
-_FIGURE_MODULES = frozenset(
-    {f"figure{n}" for n in (3, 4, 5, 9, 10, 11, 12, 13, 14, 15)}
-    | {"ablations"}
-)
-
 __all__ = [
     "RunResult",
     "RunSpec",
@@ -182,27 +175,23 @@ def submit(
 
 
 def figure(name: int | str, **kwargs):
-    """Run one paper-figure experiment and return its result records.
+    """Run one paper-figure experiment and return its computed table.
 
     ``name`` is the figure number (``9``, ``"9"`` or ``"figure9"``) or
-    ``"ablations"``; keyword arguments forward to the figure module's
-    ``run()`` entry point.
+    ``"ablations"``, a key of :data:`repro.experiments.figures.FIGURES`.
+    Keyword arguments go to :func:`repro.experiments.figures.run_figure`
+    (``runner``, ``workloads``, or a non-sweep figure's own arguments
+    such as Figure 9's ``trace_dir``).  Returns a
+    :class:`~repro.experiments.figures.FigureResult`: its ``rows`` are
+    ``(labels, values)`` pairs and ``text`` is the printed table.
     """
-    import importlib
+    from repro.experiments.figures import FIGURES, run_figure
 
     label = str(name)
-    module_name = (
-        label
-        if label.startswith("figure") or label == "ablations"
-        else f"figure{label}"
-    )
-    if module_name not in _FIGURE_MODULES:
-        raise ValueError(
-            f"unknown figure {name!r}; known: "
-            f"{sorted(_FIGURE_MODULES)}"
-        )
-    module = importlib.import_module(f"repro.experiments.{module_name}")
-    return module.run(**kwargs)
+    key = label if label.startswith("figure") or label == "ablations" else f"figure{label}"
+    if key not in FIGURES:
+        raise ValueError(f"unknown figure {name!r}; known: {sorted(FIGURES)}")
+    return run_figure(FIGURES[key], **kwargs)
 
 
 def warm_start(spec: RunSpec, store=None) -> tuple[dict, str]:

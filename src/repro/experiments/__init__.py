@@ -1,8 +1,10 @@
-"""Experiment harness: one module per paper figure (see DESIGN.md §4).
+"""Experiment harness: the sweep runner, its result cache, and the paper's
+figures as data (see DESIGN.md §4).
 
-Run a figure through :func:`repro.api.figure` (or the ``python -m
-repro.experiments`` CLI), which resolve the module and call its
-``run()`` entry point for you.
+Run a figure through :func:`repro.api.figure` or the ``python -m
+repro.experiments`` CLI; both look it up in
+:data:`repro.experiments.figures.FIGURES`, which this package does not
+import eagerly.
 """
 
 from repro.experiments.cache import ResultCache, default_cache_dir

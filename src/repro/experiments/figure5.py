@@ -11,11 +11,8 @@ single bank, rising with density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config.system_configs import default_system_config
 from repro.dram.address import AddressMapping
-from repro.experiments.report import format_table
 from repro.os.page import PhysicalMemory
 from repro.os.partition import PartitioningAllocator, PartitionPolicy
 from repro.os.task import Task
@@ -26,22 +23,16 @@ from repro.workloads.stream import STREAM
 DENSITIES = (8, 16, 24, 32)
 
 
-@dataclass
-class Figure5Row:
-    density_gbit: int
-    benchmark: str
-    footprint_pages: int
-    fraction_on_bank0: float
-
-
 def _all_benchmarks():
     yield from SPEC_BENCHMARKS.values()
     yield STREAM
     yield NPB_UA
 
 
-def run(capacity_scale: int = 1024) -> list[Figure5Row]:
-    rows = []
+def rows(capacity_scale: int = 1024) -> list[tuple[tuple, tuple]]:
+    """``((density, benchmark, footprint pages), (fraction on bank 0,))``
+    per density and benchmark."""
+    out = []
     for density in DENSITIES:
         config = default_system_config(
             density_gbit=density, capacity_scale=capacity_scale
@@ -61,38 +52,8 @@ def run(capacity_scale: int = 1024) -> list[Figure5Row]:
             )
             allocated = allocator.alloc_footprint(task, pages)
             on_bank0 = task.pages_per_bank.get(0, 0)
-            rows.append(
-                Figure5Row(
-                    density_gbit=density,
-                    benchmark=spec.name,
-                    footprint_pages=pages,
-                    fraction_on_bank0=on_bank0 / allocated if allocated else 0.0,
-                )
+            out.append(
+                ((f"{density}Gb", spec.name, pages),
+                 (on_bank0 / allocated if allocated else 0.0,))
             )
-    return rows
-
-
-def averages(rows: list[Figure5Row]) -> dict[int, float]:
-    """Mean fraction-on-bank-0 per density (the paper's headline numbers)."""
-    result: dict[int, float] = {}
-    for density in DENSITIES:
-        values = [r.fraction_on_bank0 for r in rows if r.density_gbit == density]
-        result[density] = sum(values) / len(values) if values else 0.0
-    return result
-
-
-def format_results(rows: list[Figure5Row]) -> str:
-    avg = averages(rows)
-    table = format_table(
-        ["density", "benchmark", "pages", "% on bank 0"],
-        [
-            [f"{r.density_gbit}Gb", r.benchmark, r.footprint_pages,
-             f"{r.fraction_on_bank0:.1%}"]
-            for r in rows
-        ],
-        title="Figure 5: fraction of footprint allocable on a single bank",
-    )
-    summary = "\n".join(
-        f"  average @ {d}Gb: {avg[d]:.1%}" for d in DENSITIES
-    )
-    return f"{table}\n{summary}"
+    return out

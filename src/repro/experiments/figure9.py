@@ -9,7 +9,6 @@ fraction of conflict-free quanta and the rendered timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.simulator import build_system
@@ -17,23 +16,16 @@ from repro.core.trace import ScheduleTracer
 from repro.telemetry import ChromeTraceSink
 
 
-@dataclass
-class Figure9Result:
-    scenario: str
-    conflict_free_fraction: float
-    quanta: int
-    timeline: str
-    trace_path: str | None = None
-
-
-def run(
+def rows(
     workload: str = "WL-1",
     refresh_scale: int = 512,
     trace_dir: str | None = None,
-) -> list[Figure9Result]:
-    """Trace both scenarios; with *trace_dir*, also export each run as a
-    Chrome trace (``figure9.<scenario>.trace.json``, Perfetto-loadable)."""
-    results = []
+) -> list[tuple[tuple, tuple]]:
+    """Trace both scenarios: ``((scenario,), (conflict-free fraction,
+    quanta, timeline, trace path))`` each.  With *trace_dir*, also export
+    each run as a Chrome trace (``figure9.<scenario>.trace.json``,
+    Perfetto-loadable)."""
+    out = []
     for scenario in ("codesign", "same_bank_hw_only"):
         system = build_system(workload, scenario, refresh_scale=refresh_scale)
         tracer = ScheduleTracer(system)
@@ -43,30 +35,25 @@ def run(
         system.run(num_windows=1.0, warmup_windows=0.0)
         trace_path = None
         if chrome is not None:
-            out = Path(trace_dir) / f"figure9.{scenario}.trace.json"
-            out.parent.mkdir(parents=True, exist_ok=True)
-            chrome.write(out)
-            trace_path = str(out)
-        results.append(
-            Figure9Result(
-                scenario=scenario,
-                conflict_free_fraction=tracer.conflict_free_fraction(),
-                quanta=len(tracer.quanta()),
-                timeline=tracer.timeline(max_quanta=16),
-                trace_path=trace_path,
-            )
+            path = Path(trace_dir) / f"figure9.{scenario}.trace.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            chrome.write(path)
+            trace_path = str(path)
+        out.append(
+            ((scenario,),
+             (tracer.conflict_free_fraction(), len(tracer.quanta()),
+              tracer.timeline(max_quanta=16), trace_path))
         )
-    return results
+    return out
 
 
-def format_results(results: list[Figure9Result]) -> str:
-    parts = ["Figure 9: refresh-aware schedule rotation (16-quantum window)"]
-    for r in results:
+def format_timelines(figure, rows) -> str:
+    parts = [figure.title]
+    for (scenario,), (fraction, quanta, timeline, trace_path) in rows:
         parts.append(
-            f"\n--- {r.scenario}: {r.conflict_free_fraction:.0%} of "
-            f"{r.quanta} quanta conflict-free ---"
+            f"\n--- {scenario}: {fraction:.0%} of {quanta} quanta conflict-free ---"
         )
-        parts.append(r.timeline)
-        if r.trace_path is not None:
-            parts.append(f"(chrome trace: {r.trace_path})")
+        parts.append(timeline)
+        if trace_path is not None:
+            parts.append(f"(chrome trace: {trace_path})")
     return "\n".join(parts)

@@ -16,10 +16,10 @@ engine is fully deterministic, so parallel results are bit-identical to
 sequential ones, and a warm cache re-runs any figure with zero
 simulations executed.
 
-Profiles control simulation cost: ``QUICK_PROFILE`` (default; suitable for
-the pytest-benchmark harness) and ``FULL_PROFILE`` (longer windows, finer
-refresh scaling) — select with the ``REPRO_PROFILE=full`` environment
-variable.
+Profiles control simulation cost: ``QUICK_PROFILE`` (default; what
+``pytest benchmarks`` and CI run) and ``FULL_PROFILE`` (longer windows,
+finer refresh scaling) — select with the ``REPRO_PROFILE=full``
+environment variable.
 """
 
 from __future__ import annotations
@@ -187,25 +187,6 @@ class SweepRunner:
             )
         )
 
-    def run_specs(
-        self,
-        label: str,
-        specs: Sequence[BenchmarkSpec],
-        scenario: str | Scenario,
-        banks_per_task: int | None = None,
-        **config_overrides,
-    ) -> RunResult:
-        """Like :meth:`run` but with an explicit benchmark-spec list.
-
-        *label* is retained for callers' readability only; keying is by
-        the content hash of the actual spec list, so same-named labels
-        can never alias different workloads.
-        """
-        del label
-        return self.run(
-            list(specs), scenario, banks_per_task=banks_per_task, **config_overrides
-        )
-
     def prefetch(self, specs: Iterable[RunSpec]) -> int:
         """Batch-resolve *specs*, executing cache misses in parallel.
 
@@ -251,22 +232,3 @@ class SweepRunner:
             if self.disk_cache is not None:
                 self.disk_cache.put(key, spec, result)
         return len(items)
-
-    # -- aggregation ------------------------------------------------------------
-
-    def average_hmean_ipc(
-        self,
-        scenario: str | Scenario,
-        workloads: Optional[Sequence[str]] = None,
-        banks_per_task: int | None = None,
-        **config_overrides,
-    ) -> float:
-        """Arithmetic mean of hmean-IPC across workloads (paper averages)."""
-        names = list(workloads or self.profile.workloads)
-        values = [
-            self.run(
-                w, scenario, banks_per_task=banks_per_task, **config_overrides
-            ).hmean_ipc
-            for w in names
-        ]
-        return sum(values) / len(values)

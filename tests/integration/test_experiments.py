@@ -1,7 +1,11 @@
 """Integration tests for the experiment harness (tiny profiles)."""
 
+import types
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments.figures import FIGURES, Figure, Row, Run, figure_specs, run_figure
 from repro.experiments.runner import ExperimentProfile, SweepRunner
 
 TINY = ExperimentProfile(
@@ -62,68 +66,93 @@ def test_runner_rejects_unserializable_override(runner):
 
 
 def test_figure3_shape(runner):
-    from repro.experiments import figure3
-
-    rows = figure3.run(runner)
-    assert len(rows) == 4 * 2 * 2  # densities x retentions x schemes
-    by_key = {(r.density_gbit, r.trefw_ms, r.scheme): r.degradation for r in rows}
+    result = run_figure(FIGURES["figure3"], runner)
+    assert len(result.rows) == 4 * 2 * 2  # densities x retentions x schemes
     # All-bank hurts more than per-bank at 32Gb/64ms.
-    assert by_key[(32, 64, "all_bank")] > by_key[(32, 64, "per_bank")]
+    assert result["32Gb", "64ms", "all_bank"] > result["32Gb", "64ms", "per_bank"]
     # 32ms hurts more than 64ms.
-    assert by_key[(32, 32, "all_bank")] > by_key[(32, 64, "all_bank")]
-    assert "Figure 3" in figure3.format_results(rows)
+    assert result["32Gb", "32ms", "all_bank"] > result["32Gb", "64ms", "all_bank"]
+    assert "Figure 3" in result.text
 
 
 def test_figure5_shape():
-    from repro.experiments import figure5
-
-    rows = figure5.run(capacity_scale=2048)
-    avg = figure5.averages(rows)
+    result = run_figure(FIGURES["figure5"], capacity_scale=2048)
+    avg = [result.mean(f"{d}Gb", None, None) for d in (8, 16, 24, 32)]
     # Fraction on one bank grows with density (Section 3.3).
-    assert avg[8] <= avg[16] <= avg[24] <= avg[32]
-    assert 0 < avg[8] <= 1.0
+    assert avg == sorted(avg)
+    assert 0 < avg[0] <= 1.0
     # mcf (1.7GB) cannot fit one 8Gb-era bank.
-    mcf8 = [r for r in rows if r.benchmark == "mcf" and r.density_gbit == 8][0]
-    assert mcf8.fraction_on_bank0 < 0.5
-    assert "Figure 5" in figure5.format_results(rows)
+    assert result["8Gb", "mcf", None] < 0.5
+    assert "Figure 5" in result.text
 
 
 def test_figure10_rows(runner):
-    from repro.experiments import figure10
-
-    rows = figure10.run(runner)
-    assert len(rows) == 3 * 1 * 2  # densities x workloads x schemes
-    avg = figure10.averages(rows)
-    assert avg[(32, "codesign")] > 0
-    assert "Figure 10" in figure10.format_results(rows)
+    result = run_figure(FIGURES["figure10"], runner)
+    assert len(result.rows) == 3 * 1 * 2  # densities x workloads x schemes
+    assert result.mean("32Gb", None, "codesign") > 0
+    assert "Figure 10" in result.text
 
 
 def test_figure11_rows(runner):
-    from repro.experiments import figure11
-
-    rows = figure11.run(runner)
-    by_scheme = {r.scheme: r.avg_latency_mem_cycles for r in rows}
-    assert by_scheme["codesign"] < by_scheme["all_bank"]
-    assert "Figure 11" in figure11.format_results(rows)
+    result = run_figure(FIGURES["figure11"], runner)
+    assert result["WL-6", "codesign"] < result["WL-6", "all_bank"]
+    assert "Figure 11" in result.text
 
 
 def test_figure14_rows(runner):
-    from repro.experiments import figure14
-
-    rows = figure14.run(runner)
-    avg = figure14.averages(rows)
-    assert set(avg) == {"per_bank", "ooo_per_bank", "adaptive", "codesign"}
-    assert avg["codesign"] >= avg["adaptive"]
-    assert "Figure 14" in figure14.format_results(rows)
+    result = run_figure(FIGURES["figure14"], runner)
+    schemes = {labels[1] for labels, _ in result.rows}
+    assert schemes == {"per_bank", "ooo_per_bank", "adaptive", "codesign"}
+    assert result.mean(None, "codesign") >= result.mean(None, "adaptive")
+    assert "Figure 14" in result.text
 
 
 def test_ablation_component_study(runner):
-    from repro.experiments import ablations
+    result = run_figure(FIGURES["ablations"], runner)
+    assert (
+        result["components", "full co-design (soft)"]
+        > result["components", "same-bank schedule only"]
+    )
+    assert "Ablation" in result.text
 
-    rows = ablations.component_study(runner, workload="WL-6")
-    by_variant = {r.variant: r.improvement for r in rows}
-    assert by_variant["full co-design (soft)"] > by_variant["same-bank schedule only"]
-    assert "Ablation" in ablations.format_results(rows)
+
+def test_every_sweep_figure_reads_only_prefetched_runs(runner):
+    """A figure's prefetch list comes from its rows, so reading the rows
+    back after the prefetch simulates nothing."""
+    for name in ("figure3", "figure4", "figure12", "figure15"):
+        figure = FIGURES[name]
+        workloads = ("WL-6",) if name == "figure15" else None
+        runner.prefetch(figure_specs(figure, runner, workloads))
+        executed = runner.runs_executed
+        run_figure(figure, runner, workloads)
+        assert runner.runs_executed == executed, name
+
+
+def test_two_averaging_orders_are_kept():
+    """Figures 3/4 compare workload means of hmean-IPC; Figure 15 and the
+    summary lines average the per-workload ratios."""
+    ipc = {("A", "x"): 1.0, ("A", "base"): 2.0, ("B", "x"): 3.0, ("B", "base"): 1.0}
+
+    class FakeRunner:
+        profile = TINY
+
+        def spec(self, workload, scenario, **overrides):
+            return (workload, scenario)
+
+        def prefetch(self, specs):
+            return 0
+
+        def run_spec(self, spec):
+            return types.SimpleNamespace(hmean_ipc=ipc[spec])
+
+    def rows(workloads):
+        return [Row(("r",), Run("x"), Run("base"), (("A", "B"),))]
+
+    figure = Figure("f", "F", ("r", "v"), rows=rows)
+    means = run_figure(replace(figure, ratio_of_means=True), FakeRunner())
+    assert means["r"] == pytest.approx((1.0 + 3.0) / (2.0 + 1.0) - 1)
+    ratios = run_figure(figure, FakeRunner())
+    assert ratios["r"] == pytest.approx((1.0 / 2.0 - 1 + 3.0 / 1.0 - 1) / 2)
 
 
 def test_report_format_table_smoke():

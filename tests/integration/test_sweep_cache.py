@@ -145,14 +145,14 @@ def test_prefetch_dedupes_and_memoizes(tmp_path):
 
 
 def test_warm_cache_figure_rerun_executes_zero_simulations(tmp_path):
-    from repro.experiments import figure11
+    from repro.experiments.figures import FIGURES, run_figure
 
     cold = make_runner(tmp_path)
-    rows_cold = figure11.run(cold)
+    rows_cold = run_figure(FIGURES["figure11"], cold).rows
     assert cold.runs_executed > 0
 
     warm = make_runner(tmp_path)
-    rows_warm = figure11.run(warm)
+    rows_warm = run_figure(FIGURES["figure11"], warm).rows
     assert warm.runs_executed == 0
     assert warm.disk_hits > 0
     assert rows_warm == rows_cold

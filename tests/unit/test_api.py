@@ -50,6 +50,28 @@ def test_figure_rejects_unknown_name():
         api.figure("figure99")
 
 
+def test_a_sweep_figure_rejects_arguments_it_does_not_take():
+    with pytest.raises(TypeError, match="figure10 takes no arguments"):
+        api.figure(10, trace_dir="out")
+
+
+def test_figure_accepts_every_name_form():
+    texts = {api.figure(name, capacity_scale=2048).text for name in (5, "5", "figure5")}
+    assert len(texts) == 1
+    assert next(iter(texts)).startswith("Figure 5:")
+
+
+def test_importing_the_package_leaves_the_figure_table_unloaded():
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro.experiments, repro.experiments.cache; "
+        "sys.exit('repro.experiments.figures' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+
+
 def test_api_sweep_matches_run(tmp_path):
     results = api.sweep(
         ["WL-9"], ["all_bank", "per_bank"], jobs=1, use_cache=False,

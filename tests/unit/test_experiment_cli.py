@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import main
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import (
     FULL_PROFILE,
     QUICK_PROFILE,
@@ -14,7 +15,7 @@ from repro.experiments.runner import (
 def test_every_figure_registered():
     expected = {f"figure{n}" for n in (3, 4, 5, 9, 10, 11, 12, 13, 14, 15)}
     expected.add("ablations")
-    assert set(EXPERIMENTS) == expected
+    assert set(FIGURES) == expected
 
 
 def test_cli_rejects_unknown_experiment(capsys):
