@@ -1,16 +1,18 @@
 #!/usr/bin/env python
-"""Aggregate BENCH_<date>.json reports into a perf-trajectory table.
+"""Gate a fresh BENCH_<date>.json report against the latest checked-in one.
 
 Every checked-in ``BENCH_*.json`` (written by ``scripts/bench_report.py``)
-is one point on the repo's performance trajectory.  This tool lines them
-up chronologically and, in ``--gate`` mode, compares a freshly produced
-report against the latest checked-in one.  The determinism signature is
+is one point on the repo's performance record.  This tool loads them
+oldest first, prints how the newest report's service submissions
+resolved and, in ``--gate`` mode, compares a freshly produced report
+against the latest checked-in one.  The determinism signature is
 ``repro.bench.determinism_signature``, the one ``bench_report.py``
-checks too.
+checks too.  Wall times are not shown here: ``bench_report.py`` prints
+the kernel walls and ``perfbench/run.py`` records end-to-end walls.
 
 Usage::
 
-    python scripts/bench_trend.py                      # print the table
+    python scripts/bench_trend.py                      # newest service tiers
     python scripts/bench_trend.py --gate --fresh /tmp/out/BENCH_*.json
 
 The gate compares the *determinism signature* — per-kernel operation
@@ -24,8 +26,7 @@ only.  On top of the exact check, the dispatch cost-model *ratios*
 (dead-pick share, stale-skip sweep length, row-hit pop share) are
 compared with tolerances and fail the gate only when they drift in the
 regressing direction — a relative hot-path regression check that still
-lets internal-only scheduler changes through.  Wall times vary with the
-host and are reported but never gated.
+lets internal-only scheduler changes through.
 """
 
 from __future__ import annotations
@@ -63,67 +64,6 @@ def load_reports(directory: Path) -> list:
         report["_path"] = str(path)
         reports.append(report)
     return reports
-
-
-def trajectory_table(reports: list) -> str:
-    """One row per report; one column per kernel (wall ms) + end-to-end."""
-    names = []
-    for report in reports:
-        for kernel in report["kernels"]:
-            if kernel["name"] not in names:
-                names.append(kernel["name"])
-
-    # Kernel names are long; head the columns with indices and print a
-    # legend so the table stays within a terminal.
-    legend = [f"  k{i}: {name}" for i, name in enumerate(names)]
-    header = ["date", "git"] + [f"k{i}" for i in range(len(names))] + ["e2e s"]
-    rows = [header]
-    for report in reports:
-        walls = {k["name"]: k["wall_seconds"] for k in report["kernels"]}
-        row = [report.get("date", "?"), report.get("git", "?")]
-        for name in names:
-            wall = walls.get(name)
-            row.append(f"{wall * 1000:.1f}" if wall is not None else "-")
-        end = report.get("end_to_end")
-        row.append(f"{end['wall_seconds']:.2f}" if end else "-")
-        rows.append(row)
-
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    lines = ["kernel wall times (ms):"] + legend + [""]
-    for row in rows:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def trend_summary(reports: list) -> str:
-    """Wall-time drift of the newest report vs its predecessor.
-
-    Wall times are host-dependent and never gated, but the drift between
-    consecutive checked-in points is still the first thing a reader wants
-    from the trajectory.  With fewer than two points there is no trend to
-    compute — say so instead of dividing by a missing predecessor.
-    """
-    if len(reports) < 2:
-        return "no trajectory yet (a trend needs at least two checked-in reports)"
-    prev, last = reports[-2], reports[-1]
-    prev_walls = {k["name"]: k["wall_seconds"] for k in prev["kernels"]}
-    parts = []
-    for kernel in last["kernels"]:
-        before = prev_walls.get(kernel["name"])
-        if before:
-            delta = (kernel["wall_seconds"] - before) / before * 100.0
-            parts.append(f"{kernel['name']} {delta:+.1f}%")
-    before_end, after_end = prev.get("end_to_end"), last.get("end_to_end")
-    if before_end and after_end and before_end["wall_seconds"]:
-        delta = (
-            (after_end["wall_seconds"] - before_end["wall_seconds"])
-            / before_end["wall_seconds"] * 100.0
-        )
-        parts.append(f"end_to_end {delta:+.1f}%")
-    span = f"{prev.get('date', '?')} -> {last.get('date', '?')}"
-    if not parts:
-        return f"trend ({span}): no comparable kernels"
-    return f"trend ({span}): " + ", ".join(parts)
 
 
 def service_tier_summary(report: dict) -> str:
@@ -214,7 +154,7 @@ def cost_model_gate(latest: dict, fresh: dict) -> tuple[list, list]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--dir", default=str(REPO_ROOT), metavar="PATH",
         help="directory holding the checked-in BENCH_*.json reports "
@@ -244,8 +184,6 @@ def main(argv=None) -> int:
             return 0
         print(f"no BENCH_*.json reports under {args.dir}", file=sys.stderr)
         return 1
-    print(trajectory_table(reports))
-    print(trend_summary(reports))
     print(service_tier_summary(reports[-1]))
 
     if not args.gate:

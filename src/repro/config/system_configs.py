@@ -43,6 +43,7 @@ class CoreConfig:
         return dataclass_from_dict(cls, data)
 
 
+# Table 1 settings the simulator never reads; kept as every spec hash includes them.
 @dataclass(frozen=True)
 class CacheConfig:
     """Cache hierarchy parameters (Table 1)."""
@@ -87,12 +88,12 @@ class OsConfig:
     quantum_ps: int | None = None
     eta_thresh: int | None = None
     page_bytes: int = 4 * KB
-    #: Demand paging: allocate pages on first touch instead of up front;
-    #: fault penalties are charged as extra compute cycles.
     #: Run the CFS load balancer (bank-aware under refresh-aware
     #: scheduling so migrations preserve per-core stretch coverage).
     load_balance: bool = False
     load_balance_interval_quanta: int = 4
+    #: Demand paging: allocate pages on first touch instead of up front;
+    #: fault penalties are charged as extra compute cycles.
     demand_paging: bool = False
     #: Warm start: prefault the footprint at build time (the paper
     #: fast-forwards past initialization), so measured faults are capacity

@@ -1,26 +1,26 @@
-"""Per-bank DRAM state machine and command timing.
+"""Per-bank DRAM state: open row, command readiness and refresh windows.
 
-Each bank tracks its open row and the earliest times the next CAS, ACT, PRE
-or REF command may start, derived from the JEDEC parameters in
-:class:`repro.dram.timing.DramTiming`.  The controller calls
-:meth:`Bank.service` to schedule one column access, and
-:meth:`Bank.begin_refresh` to start a refresh cycle.
+Each bank tracks its open row and the earliest times the next CAS, ACT,
+PRE or REF command may start.  :class:`Rank` keeps the rank's last four
+ACT times (tRRD and the tFAW window) and :class:`ChannelBus` the shared
+data bus.  The memory controller's ``_pick`` is the one place a column
+access is timed against this state; a bank itself only starts refreshes
+(:meth:`Bank.refresh_start_time`, :meth:`Bank.begin_refresh`).
 
 Hot-path layout (see docs/PERFORMANCE.md): the mutable readiness fields
 live in :class:`BankStateArrays` — one flat plain-int list per field,
 indexed by flat bank index and shared by every bank of a controller — so
-the controller's FR-FCFS decision loop reads bank availability with one
-list subscript instead of an attribute chain through a ``Bank`` object.
-``Bank`` keeps its full public API: ``bank.open_row``/``bank.cas_ready``
-etc. are property views into the shared arrays, and the checkpoint
-payload is unchanged (one dict per bank; a restore rebuilds the arrays
-through the property writes its ``STATE`` rows make).
+``_pick`` reads bank state with one list subscript instead of an
+attribute chain through a ``Bank`` object.  ``bank.open_row``,
+``bank.cas_ready`` etc. are property views into the shared arrays, and
+the checkpoint payload is one dict per bank (a restore rebuilds the
+arrays through the property writes its ``STATE`` rows make).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from repro.core.state import (
     BOOL,
@@ -33,7 +33,6 @@ from repro.core.state import (
     record,
     seq,
 )
-from repro.dram.request import MemoryRequest
 from repro.dram.timing import DramTiming
 from repro.errors import ProtocolError
 from repro.telemetry.stats import StatsBase
@@ -93,18 +92,6 @@ class BankStats(StatsBase):
     refresh_busy_cycles: int = 0
 
 
-class ServiceTiming(NamedTuple):
-    """Resolved command times for one column access.
-
-    A NamedTuple: one is built per serviced request, and C-level tuple
-    construction keeps the controller's issue path cheap."""
-
-    cas_time: int
-    data_start: int
-    finish: int
-    row_hit: bool
-
-
 def _state_view(field: str):
     """Property exposing one flat-array slot as a plain int attribute."""
 
@@ -118,11 +105,11 @@ def _state_view(field: str):
 
 
 class Bank(Stateful):
-    """State machine for a single DRAM bank.
+    """One DRAM bank's row-buffer and refresh state.
 
-    Mutable readiness state lives in the shared :class:`BankStateArrays`
-    (``arrays``) at index ``slot``; a standalone bank (unit tests,
-    examples) gets a private single-slot store.
+    Mutable readiness state lives in the controller's shared
+    :class:`BankStateArrays` (``arrays``) at index ``slot``, the bank's
+    flat index.
     """
 
     STATE = (
@@ -142,7 +129,6 @@ class Bank(Stateful):
         "channel",
         "rank_id",
         "bank_id",
-        "flat_index",
         "num_subarrays",
         "rows_per_bank",
         "arrays",
@@ -155,25 +141,20 @@ class Bank(Stateful):
         channel: int,
         rank_id: int,
         bank_id: int,
-        flat_index: int,
+        arrays: BankStateArrays,
+        slot: int,
         num_subarrays: int = 1,
         rows_per_bank: int = 1,
-        arrays: Optional[BankStateArrays] = None,
-        slot: Optional[int] = None,
     ):
         self.channel = channel
         self.rank_id = rank_id
         self.bank_id = bank_id
-        self.flat_index = flat_index
         # Subarray-granularity refresh (paper Section 7 extension): when a
         # refresh targets one subarray, accesses to the others proceed.
         self.num_subarrays = num_subarrays
         self.rows_per_bank = max(1, rows_per_bank)
-        if arrays is None:
-            arrays = BankStateArrays(1)
-            slot = 0
         self.arrays = arrays
-        self.slot = flat_index if slot is None else slot
+        self.slot = slot
         self.stats = BankStats()
 
     # Readiness fields: views into the shared flat arrays.  ``open_row``
@@ -200,132 +181,6 @@ class Bank(Stateful):
     def subarray_of_row(self, row: int) -> int:
         """Which subarray a row belongs to (contiguous row blocks)."""
         return row * self.num_subarrays // self.rows_per_bank
-
-    # -- availability ---------------------------------------------------------
-
-    def available_at(self, now: int) -> int:
-        """Earliest time a new command sequence may begin."""
-        refresh_until = self.arrays.refresh_until[self.slot]
-        return now if now > refresh_until else refresh_until
-
-    def is_refreshing(self, now: int) -> bool:
-        return now < self.arrays.refresh_until[self.slot]
-
-    # -- demand access --------------------------------------------------------
-
-    def service(
-        self,
-        request: MemoryRequest,
-        now: int,
-        timing: DramTiming,
-        rank: "Rank",
-        bus: "ChannelBus",
-        close_row: bool = False,
-    ) -> ServiceTiming:
-        """Schedule one read/write column access; mutates bank/rank/bus state
-        and returns the resolved command times.
-
-        The refresh-stall attribution (how long the start was pushed out by
-        a refresh-busy bank) is recorded on *request*.
-        """
-        arrays = self.arrays
-        slot = self.slot
-        refresh_until = arrays.refresh_until[slot]
-        earliest = now if now > refresh_until else refresh_until
-        # Refresh-stall attribution: overlap between the request's wait
-        # [arrive, service] and the bank's refresh-busy interval.
-        arrive = request.arrive_time
-        started = arrays.refresh_started[slot]
-        blocked_from = arrive if arrive > started else started
-        refresh_stall = refresh_until - blocked_from
-        if refresh_stall < 0:
-            refresh_stall = 0
-        row = request.coord.row
-        # Subarray refresh blocks only requests into the refreshing subarray.
-        sa_refresh_until = arrays.sa_refresh_until[slot]
-        if (
-            sa_refresh_until > earliest
-            and row * self.num_subarrays // self.rows_per_bank
-            == arrays.sa_refresh_id[slot]
-        ):
-            sa_blocked_from = max(arrive, arrays.sa_refresh_started[slot])
-            refresh_stall += max(
-                0, sa_refresh_until - max(earliest, sa_blocked_from)
-            )
-            earliest = sa_refresh_until
-
-        stats = self.stats
-        open_row = arrays.open_row[slot]
-        if open_row == row:
-            # Row hit: CAS only.
-            row_hit = True
-            cas_ready = arrays.cas_ready[slot]
-            cas_earliest = earliest if earliest > cas_ready else cas_ready
-            stats.row_hits += 1
-        else:
-            row_hit = False
-            if open_row < 0:
-                # Row closed: ACT + CAS.
-                act_ready = arrays.act_ready[slot]
-                act_earliest = earliest if earliest > act_ready else act_ready
-                stats.row_misses += 1
-            else:
-                # Row conflict: PRE + ACT + CAS.
-                pre_ready = arrays.pre_ready[slot]
-                pre_time = earliest if earliest > pre_ready else pre_ready
-                act_earliest = pre_time + timing.tRP
-                act_ready = arrays.act_ready[slot]
-                if act_ready > act_earliest:
-                    act_earliest = act_ready
-                stats.row_conflicts += 1
-                stats.precharges += 1
-            act_time = rank.earliest_activate(act_earliest, timing)
-            rank.record_activate(act_time, timing)
-            stats.activations += 1
-            arrays.open_row[slot] = row
-            arrays.act_ready[slot] = act_time + timing.tRC
-            arrays.pre_ready[slot] = act_time + timing.tRAS
-            cas_earliest = act_time + timing.tRCD
-
-        is_read = request.is_read
-        cas_to_data = timing.tCL if is_read else timing.tCWL
-        # Reserve a burst slot on the shared data bus; the CAS is delayed so
-        # its data lands exactly in the granted slot.
-        data_start = bus.reserve(
-            cas_earliest + cas_to_data,
-            is_read=is_read,
-            rank_key=(self.channel, self.rank_id),
-            timing=timing,
-        )
-        cas_time = data_start - cas_to_data
-        finish = data_start + timing.tBL
-
-        arrays.cas_ready[slot] = cas_time + timing.tCCD
-        if is_read:
-            ready = cas_time + timing.tRTP
-            if ready > arrays.pre_ready[slot]:
-                arrays.pre_ready[slot] = ready
-            stats.reads += 1
-        else:
-            ready = data_start + timing.tBL + timing.tWR
-            if ready > arrays.pre_ready[slot]:
-                arrays.pre_ready[slot] = ready
-            stats.writes += 1
-
-        if close_row:
-            # Closed-row policy: auto-precharge after the access; the next
-            # access pays ACT but never a conflict PRE.
-            arrays.open_row[slot] = ROW_CLOSED
-            pre_closed = arrays.pre_ready[slot] + timing.tRP
-            if pre_closed > arrays.act_ready[slot]:
-                arrays.act_ready[slot] = pre_closed
-            stats.precharges += 1
-
-        request.refresh_stall = refresh_stall
-        request.row_hit = row_hit
-        return ServiceTiming(
-            cas_time=cas_time, data_start=data_start, finish=finish, row_hit=row_hit
-        )
 
     # -- refresh ---------------------------------------------------------------
 
@@ -400,7 +255,8 @@ class Bank(Stateful):
 
 
 class Rank(Stateful):
-    """Rank-level activate constraints: tRRD and the four-activate window."""
+    """Rank-level activate state: the last four ACT times, which bound the
+    next ACT by tRRD and the four-activate window tFAW."""
 
     __slots__ = ("channel", "rank_id", "_act_times")
 
@@ -408,32 +264,10 @@ class Rank(Stateful):
     # keep pointing at this list across a restore.
     STATE = (("_act_times", in_place(INTS)),)
 
-    FAW_WINDOW = 4
-
     def __init__(self, channel: int, rank_id: int):
         self.channel = channel
         self.rank_id = rank_id
         self._act_times: list[int] = []
-
-    def earliest_activate(self, wanted: int, timing: DramTiming) -> int:
-        """Earliest ACT time >= *wanted* honoring tRRD and tFAW."""
-        t = wanted
-        act_times = self._act_times
-        if act_times:
-            last = act_times[-1] + timing.tRRD
-            if last > t:
-                t = last
-            if len(act_times) >= self.FAW_WINDOW:
-                faw = act_times[-self.FAW_WINDOW] + timing.tFAW
-                if faw > t:
-                    t = faw
-        return t
-
-    def record_activate(self, time: int, timing: DramTiming) -> None:
-        act_times = self._act_times
-        act_times.append(time)
-        if len(act_times) > self.FAW_WINDOW:
-            del act_times[: -self.FAW_WINDOW]
 
     def __repr__(self) -> str:
         return f"Rank(ch{self.channel} rk{self.rank_id})"
@@ -457,35 +291,6 @@ class ChannelBus(Stateful):
         self.last_was_read: Optional[bool] = None
         self.last_rank_key: Optional[tuple[int, int]] = None
         self.busy_cycles = 0
-
-    def reserve(
-        self,
-        wanted: int,
-        is_read: bool,
-        rank_key: tuple[int, int],
-        timing: DramTiming,
-    ) -> int:
-        """Grant a burst slot starting at or after *wanted*; returns the
-        granted start time and advances the bus state."""
-        ready = self.ready
-        start = wanted if wanted > ready else ready
-        last_was_read = self.last_was_read
-        if last_was_read is not None:
-            if last_was_read != is_read and not last_was_read:
-                # write -> read turnaround
-                turnaround = ready + timing.tWTR
-                if turnaround > start:
-                    start = turnaround
-            last_rank_key = self.last_rank_key
-            if last_rank_key is not None and last_rank_key != rank_key:
-                switch = ready + timing.tRTRS
-                if switch > start:
-                    start = switch
-        self.ready = start + timing.tBL
-        self.last_was_read = is_read
-        self.last_rank_key = rank_key
-        self.busy_cycles += timing.tBL
-        return start
 
     def utilization(self, elapsed: int) -> float:
         """Fraction of elapsed cycles the bus spent transferring data."""

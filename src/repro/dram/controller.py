@@ -153,11 +153,10 @@ class MemoryController(Stateful):
                     channel,
                     rank,
                     bank,
+                    self.bank_state,
                     flat,
                     num_subarrays=organization.subarrays_per_bank,
                     rows_per_bank=mapping.rows_per_bank,
-                    arrays=self.bank_state,
-                    slot=flat,
                 )
             )
         self.ranks: dict[tuple[int, int], Rank] = {
@@ -187,7 +186,7 @@ class MemoryController(Stateful):
             self.buses[b.channel] for b in self.banks
         ]
         # One shared key tuple per rank (no per-access tuple allocation in
-        # the inlined bus-turnaround check).
+        # the bus-turnaround check).
         self._rank_key_of: list[tuple[int, int]] = [
             (b.channel, b.rank_id) for b in self.banks
         ]
@@ -198,8 +197,8 @@ class MemoryController(Stateful):
         # measurement barrier.
         self._acts_of = [r._act_times for r in self._rank_of]
         # Timing parameters as plain ints (DramTiming is a no-slots frozen
-        # dataclass and tRC is a property; the inlined service path cannot
-        # afford either).
+        # dataclass and tRC is a property; the pick path cannot afford
+        # either).
         self._tCL = timing.tCL
         self._tCWL = timing.tCWL
         self._tRCD = timing.tRCD
@@ -412,11 +411,13 @@ class MemoryController(Stateful):
     def _pick(self, flat: int) -> None:
         """Issue the FR-FCFS-best request for bank *flat*, if any.
 
-        The column-access arithmetic below is :meth:`Bank.service` inlined
-        against the flat arrays and the cached timing ints — kept in
-        lockstep with that method (which stays the authoritative, tested
-        single-bank API); ``tests/unit/test_frfcfs_invariants.py`` and the
-        golden traces pin the equivalence.
+        The one place a column access is timed: PRE/ACT/CAS against the
+        bank's readiness state, the rank's tRRD/tFAW window and the
+        channel bus, using the flat arrays and the cached timing ints.
+        ``tests/property/test_frfcfs_reference.py`` checks every served
+        pick against a plain reference model: the request chosen, its CAS
+        time, ``row_hit`` and ``refresh_stall``, and the bank, rank and
+        bus state the pick leaves behind.
         """
         self._pick_pending[flat] = False
         engine = self.engine
@@ -464,8 +465,8 @@ class MemoryController(Stateful):
             row_hit = False
         self._occupancy[flat] -= 1
 
-        # -- inlined Bank.service (refresh gate above guarantees
-        #    until <= now, so the service start is ``now``) --
+        # -- column access (the refresh gate above guarantees
+        #    until <= now, so the access starts at ``now``) --
         arrive = request.arrive_time
         started = self._refresh_started[flat]
         blocked_from = arrive if arrive > started else started
@@ -511,8 +512,8 @@ class MemoryController(Stateful):
                     act_time = act_ready
                 stats.row_conflicts += 1
                 stats.precharges += 1
-            # Rank ACT constraints (inlined Rank.earliest_activate +
-            # record_activate; the window list is shared per rank).
+            # Rank ACT constraints: tRRD after the last ACT, tFAW after
+            # the fourth-last (the window list is shared per rank).
             acts = self._acts_of[flat]
             if acts:
                 t = acts[-1] + self._tRRD
@@ -533,7 +534,8 @@ class MemoryController(Stateful):
 
         is_read = request.is_read
         cas_to_data = self._tCL if is_read else self._tCWL
-        # Inlined ChannelBus.reserve: burst slot on the shared data bus.
+        # Burst slot on the shared data bus, after any write-to-read or
+        # rank-switch turnaround.
         bus = self._bus_of[flat]
         wanted = cas_earliest + cas_to_data
         ready = bus.ready

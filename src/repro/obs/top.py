@@ -9,20 +9,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.service.metrics import TIERS
+
 #: Eight-level bar glyphs for histogram sparklines.
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-#: Tiers shown in the dashboard table, in display order.
-TOP_TIERS = (
-    "executed",
-    "live",
-    "memo",
-    "dedup",
-    "cache",
-    "monitored_live",
-    "monitored_memo",
-    "monitored_dedup",
-)
 
 #: Slowest recent spans shown.
 TOP_SPANS = 5
@@ -64,7 +54,7 @@ def render_tiers(metrics: dict) -> list[str]:
         f"{'tier':<16} {'hits':>7} {'share':>6}  "
         f"{'cycles histogram':<16}  {'wall-latency':<16}"
     ]
-    for tier in TOP_TIERS:
+    for tier in TIERS:
         hits = tiers.get(tier, 0)
         if not hits:
             continue

@@ -1,8 +1,8 @@
 """Uniform snapshot protocol for the per-component ``*Stats`` dataclasses.
 
 Every statistics container in the simulator (``BankStats``,
-``ControllerStats``, ``RefreshStats``, ``TaskStats``, ``VmStats``,
-``CacheStats``) mixes in :class:`StatsBase`, which derives the whole
+``ControllerStats``, ``RefreshStats``, ``TaskStats``, ``VmStats``)
+mixes in :class:`StatsBase`, which derives the whole
 protocol from the dataclass field list:
 
 ``snapshot()``

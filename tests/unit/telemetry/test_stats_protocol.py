@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.cpu.cache import CacheStats
 from repro.dram.bank import BankStats
 from repro.dram.controller import ControllerStats
 from repro.dram.refresh.base import RefreshStats
@@ -15,7 +14,6 @@ from repro.telemetry.stats import StatsBase
 
 ALL_STATS = [
     BankStats,
-    CacheStats,
     ControllerStats,
     RefreshStats,
     TaskStats,

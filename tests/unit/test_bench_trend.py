@@ -1,4 +1,4 @@
-"""The perf-trajectory aggregator/gate in scripts/bench_trend.py."""
+"""The determinism and cost-model gate in scripts/bench_trend.py."""
 
 import importlib.util
 import json
@@ -66,13 +66,6 @@ def test_reports_load_oldest_first(tmp_path):
     write_reports(tmp_path, report("2026-02-01"), report("2026-01-01"))
     dates = [r["date"] for r in bench_trend.load_reports(tmp_path)]
     assert dates == ["2026-01-01", "2026-02-01"]
-
-
-def test_trajectory_table_has_one_row_per_report(tmp_path):
-    write_reports(tmp_path, report("2026-01-01"), report("2026-02-01"))
-    table = bench_trend.trajectory_table(bench_trend.load_reports(tmp_path))
-    assert "2026-01-01" in table and "2026-02-01" in table
-    assert "engine_event_chain" in table
 
 
 def test_gate_passes_on_matching_signature(tmp_path):
@@ -215,20 +208,6 @@ def test_gate_is_graceful_without_any_baseline(tmp_path, capsys):
         ["--dir", str(empty), "--gate", "--fresh", fresh]
     ) == 0
     assert "no trajectory yet" in capsys.readouterr().out
-
-
-def test_trend_summary_single_point_says_no_trajectory(tmp_path, capsys):
-    write_reports(tmp_path, report("2026-01-01"))
-    assert bench_trend.main(["--dir", str(tmp_path)]) == 0
-    assert "no trajectory yet" in capsys.readouterr().out
-
-
-def test_trend_summary_two_points_reports_drift():
-    reports = [report("2026-01-01", wall=1.0), report("2026-02-01", wall=1.5)]
-    summary = bench_trend.trend_summary(reports)
-    assert "2026-01-01 -> 2026-02-01" in summary
-    assert "engine_event_chain +50.0%" in summary
-    assert "end_to_end +50.0%" in summary
 
 
 def _load_script(name):

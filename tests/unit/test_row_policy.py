@@ -10,6 +10,7 @@ from repro.dram.controller import MemoryController
 from repro.dram.request import MemoryRequest, RequestType
 from repro.dram.timing import DramTiming
 from repro.errors import ConfigError, SimulationError
+from tests.conftest import BareDram
 
 
 def build(row_policy):
@@ -59,29 +60,19 @@ def test_open_policy_hits_same_row():
 def test_closed_policy_next_access_pays_act_not_pre():
     """At bank level, a closed-row access leaves the bank precharged: the
     next access to a *different* row pays ACT+CAS, never the conflict PRE."""
-    from repro.dram.bank import Bank, ChannelBus, Rank
-    from repro.dram.address import DramCoordinate
-
     config = default_system_config(refresh_scale=1024)
     timing = DramTiming.from_config(config)
 
-    def one_pass(close_row):
-        bank, rank, bus = Bank(0, 0, 0, 0), Rank(0, 0), ChannelBus()
-        req0 = MemoryRequest(
-            RequestType.READ, 0, DramCoordinate(0, 0, 0, 0, 0)
-        )
-        req0.arrive_time = 0
-        bank.service(req0, 0, timing, rank, bus, close_row=close_row)
-        req1 = MemoryRequest(
-            RequestType.READ, 0, DramCoordinate(0, 0, 0, 5, 0)
-        )
+    def one_pass(row_policy):
+        dram = BareDram(timing, row_policy=row_policy)
+        dram.access(row=0)
         t = 100_000  # far in the future: all recovery windows elapsed
-        req1.arrive_time = t
-        service = bank.service(req1, t, timing, rank, bus, close_row=close_row)
-        return service.cas_time - t, bank
+        second = dram.at(t).access(row=5)
+        dram.run()
+        return second.start_time - t, dram.bank
 
-    closed_delay, closed_bank = one_pass(close_row=True)
-    open_delay, open_bank = one_pass(close_row=False)
+    closed_delay, closed_bank = one_pass("closed")
+    open_delay, open_bank = one_pass("open")
     assert closed_delay == timing.tRCD  # ACT + CAS
     assert open_delay == timing.tRP + timing.tRCD  # PRE + ACT + CAS
     assert closed_bank.stats.row_misses == 2

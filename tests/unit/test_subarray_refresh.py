@@ -5,12 +5,11 @@ import pytest
 from repro.config.dram_configs import DramOrganization
 from repro.config.system_configs import default_system_config
 from repro.core.engine import Engine
-from repro.dram.address import AddressMapping, DramCoordinate
-from repro.dram.bank import Bank, ChannelBus, Rank
+from repro.dram.address import AddressMapping
 from repro.dram.controller import MemoryController
-from repro.dram.request import MemoryRequest, RequestType
 from repro.dram.timing import DramTiming
 from repro.errors import ConfigError
+from tests.conftest import BareDram
 
 
 @pytest.fixture
@@ -18,27 +17,21 @@ def timing():
     return DramTiming.from_config(default_system_config(refresh_scale=1024))
 
 
-def make_request(row, arrive=0):
-    coord = DramCoordinate(channel=0, rank=0, bank=0, row=row, column=0)
-    req = MemoryRequest(RequestType.READ, 0, coord)
-    req.arrive_time = arrive
-    return req
-
-
-def make_bank(num_subarrays=4, rows=64):
-    return Bank(0, 0, 0, 0, num_subarrays=num_subarrays, rows_per_bank=rows)
+def make_bank(timing, num_subarrays=4):
+    """Bank 0 of a bare controller: 64 rows per bank."""
+    return BareDram(timing, subarrays=num_subarrays).bank
 
 
 class TestSubarrayMapping:
-    def test_rows_partition_into_contiguous_subarrays(self):
-        bank = make_bank(num_subarrays=4, rows=64)
+    def test_rows_partition_into_contiguous_subarrays(self, timing):
+        bank = make_bank(timing, num_subarrays=4)
         assert bank.subarray_of_row(0) == 0
         assert bank.subarray_of_row(15) == 0
         assert bank.subarray_of_row(16) == 1
         assert bank.subarray_of_row(63) == 3
 
-    def test_single_subarray_everything_is_zero(self):
-        bank = make_bank(num_subarrays=1, rows=64)
+    def test_single_subarray_everything_is_zero(self, timing):
+        bank = make_bank(timing, num_subarrays=1)
         assert bank.subarray_of_row(63) == 0
 
     def test_config_validation(self):
@@ -47,42 +40,49 @@ class TestSubarrayMapping:
 
 
 class TestSubarrayRefreshBlocking:
+    """A refresh kicks an idle bank's next pick to the refresh's end, so
+    each test queues a read before the refresh starts: the bank's pick is
+    then already pending, and it runs during the refresh."""
+
     def test_blocks_only_the_refreshing_subarray(self, timing):
-        bank, rank, bus = make_bank(), Rank(0, 0), ChannelBus()
-        end = bank.begin_refresh(0, timing.trfc_pb, subarray=0)
-        # Row 5 is in subarray 0 -> blocked.
-        blocked = bank.service(make_request(row=5), 0, timing, rank, bus)
-        assert blocked.cas_time >= end
+        dram = BareDram(timing, subarrays=4)
+        blocked = dram.access(row=5)  # Row 5 is in subarray 0 -> blocked.
+        end = dram.refresh(timing.trfc_pb, subarray=0)
+        dram.run()
+        assert blocked.start_time >= end
         # Row 40 is in subarray 2 -> unaffected (fresh bank for clean timing).
-        bank2, rank2, bus2 = make_bank(), Rank(0, 0), ChannelBus()
-        bank2.begin_refresh(0, timing.trfc_pb, subarray=0)
-        free = bank2.service(make_request(row=40), 0, timing, rank2, bus2)
-        assert free.finish < end
+        dram2 = BareDram(timing, subarrays=4)
+        free = dram2.access(row=40)
+        dram2.refresh(timing.trfc_pb, subarray=0)
+        dram2.run()
+        assert free.finish_time < end
 
     def test_stall_attribution_for_subarray_block(self, timing):
-        bank, rank, bus = make_bank(), Rank(0, 0), ChannelBus()
-        end = bank.begin_refresh(0, 1000, subarray=1)
-        req = make_request(row=20, arrive=100)  # subarray 1
-        bank.service(req, 100, timing, rank, bus)
+        dram = BareDram(timing, subarrays=4)
+        dram.access(row=40)  # subarray 2, served at once; the bank idles after
+        dram.refresh(1000, subarray=1)
+        req = dram.at(100).access(row=20)  # subarray 1
+        dram.run()
         assert req.refresh_stall == 900
 
     def test_open_row_in_other_subarray_survives(self, timing):
-        bank, rank, bus = make_bank(), Rank(0, 0), ChannelBus()
-        bank.service(make_request(row=40), 0, timing, rank, bus)  # subarray 2
-        bank.begin_refresh(10_000, 500, subarray=0)
-        assert bank.open_row == 40
+        dram = BareDram(timing, subarrays=4)
+        dram.access(row=40)  # subarray 2
+        dram.at(10_000).refresh(500, subarray=0)
+        assert dram.bank.open_row == 40
 
     def test_open_row_in_refreshing_subarray_closed(self, timing):
-        bank, rank, bus = make_bank(), Rank(0, 0), ChannelBus()
-        bank.service(make_request(row=5), 0, timing, rank, bus)  # subarray 0
-        bank.begin_refresh(10_000, 500, subarray=0)
-        assert bank.open_row is None
+        dram = BareDram(timing, subarrays=4)
+        dram.access(row=5)  # subarray 0
+        dram.at(10_000).refresh(500, subarray=0)
+        assert dram.bank.open_row is None
 
     def test_full_bank_refresh_still_blocks_everything(self, timing):
-        bank, rank, bus = make_bank(), Rank(0, 0), ChannelBus()
-        end = bank.begin_refresh(0, timing.trfc_pb)  # no subarray arg
-        service = bank.service(make_request(row=40), 0, timing, rank, bus)
-        assert service.cas_time >= end
+        dram = BareDram(timing, subarrays=4)
+        read = dram.access(row=40)
+        end = dram.refresh(timing.trfc_pb)  # no subarray arg
+        dram.run()
+        assert read.start_time >= end
 
 
 class TestSchedulerIntegration:
