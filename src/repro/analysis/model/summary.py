@@ -11,14 +11,14 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.analysis.engine import FileContext, _NOQA_RE
 from repro.analysis.rules.determinism import _BANNED_CALLS, _RANDOM_ALLOWED
-from repro.analysis.rules.units import _suffix_of, _unit_leaves
+from repro.analysis.rules.units import _unit_leaves
 
 #: Engine scheduling entry points (see ``repro.core.engine.Engine``).
-SCHEDULE_METHODS = ("schedule", "schedule_at", "schedule_event")
+SCHEDULE_METHODS = ("schedule", "schedule_at")
 
 #: Receiver name tails that conventionally hold the engine (mirrors the
 #: RPR008 heuristic in :mod:`repro.analysis.rules.hygiene`).
@@ -521,10 +521,3 @@ class _Extractor:
 def extract_summary(ctx: FileContext) -> ModuleSummary:
     """Build the :class:`ModuleSummary` for one parsed file."""
     return _Extractor(ctx).run()
-
-
-def iter_noqa(
-    summary: ModuleSummary,
-) -> Iterator[tuple[int, Optional[tuple[str, ...]]]]:
-    """The file's suppression comments as ``(line, codes-or-None)``."""
-    yield from summary.noqa

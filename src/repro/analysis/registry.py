@@ -31,12 +31,3 @@ def all_rules() -> list["Rule"]:
     import repro.analysis.rules  # noqa: F401  (side effect: registration)
 
     return [_RULES[code] for code in sorted(_RULES)]
-
-
-def get_rule(code: str) -> "Rule":
-    import repro.analysis.rules  # noqa: F401
-
-    try:
-        return _RULES[code]
-    except KeyError:
-        raise KeyError(f"unknown rule code {code!r}") from None

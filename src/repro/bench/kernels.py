@@ -44,26 +44,6 @@ def engine_event_chain(events: int = 5000) -> int:
     return counter[0]
 
 
-def engine_handle_churn(events: int = 5000) -> int:
-    """Cancellable-event churn: handle allocation plus cancellation
-    compaction.
-
-    Half the handles are cancelled before firing, so dead-stub
-    compaction stays on the hot path.
-    """
-    engine = Engine()
-    fired = [0]
-
-    def tick(_arg=None):
-        fired[0] += 1
-
-    handles = [engine.schedule_event(i % 97 + 1, tick) for i in range(events)]
-    for handle in handles[::2]:
-        handle.cancel()
-    engine.run()
-    return fired[0]
-
-
 def engine_far_future_mix(events: int = 5000) -> int:
     """Mixed near/far delays: exercises the bucket + heap spill path."""
     engine = Engine()
@@ -584,7 +564,6 @@ class KernelResult:
 #: name -> zero-argument kernel callable returning its operation count.
 KERNELS: dict[str, Callable[[], int]] = {
     "engine_event_chain": engine_event_chain,
-    "engine_handle_churn": engine_handle_churn,
     "engine_far_future_mix": engine_far_future_mix,
     "address_decode": address_decode,
     "controller_request_stream": controller_request_stream,

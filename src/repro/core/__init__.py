@@ -1,5 +1,5 @@
 """Simulation core: event engine, full-system wiring, metrics, results."""
 
-from repro.core.engine import Engine, Event
+from repro.core.engine import Engine
 
-__all__ = ["Engine", "Event"]
+__all__ = ["Engine"]

@@ -2,7 +2,8 @@
 
 Time is measured in integer **CPU cycles**.  Events are callbacks scheduled
 at absolute times; ties are broken by insertion order, which makes every run
-fully deterministic.
+fully deterministic.  Nothing is ever cancelled: a component that may
+change its mind schedules a callback that decides what to do when it fires.
 
 Hot-path design (see docs/PERFORMANCE.md):
 
@@ -14,29 +15,15 @@ Hot-path design (see docs/PERFORMANCE.md):
   C-level int compares, the time-then-insertion-order tie-break falls out
   of list order, and the dominant schedule-soon/fire-next pattern never
   touches the dict or heap at all.  Invariants: every scheduled time has
-  exactly one bucket; ``_times`` holds exactly the keys of ``_buckets``
-  (no stale entries); ``_head_time`` is smaller than every heap time.
-* **Fire-and-forget entries are plain values.**  :meth:`Engine.schedule`
-  and :meth:`Engine.schedule_at` store the callback itself in the bucket,
-  or the tuple ``(fn, arg)`` when it carries an argument, and return
-  ``None``.  The drain loop tells the three entry kinds apart by class:
-  a tuple fires as ``fn(arg)``, an :class:`Event` is unwrapped, anything
-  else is called bare.  A 2-tuple is built at C level and dropped after
-  it fires, so the dominant path needs no wrapper object to allocate,
-  recycle or reset.
-* **Cancellable handles are the only Event objects.**  A caller that
-  needs to cancel asks for a handle with :meth:`Engine.schedule_event`.
-  Each handle is a fresh :class:`Event` that the engine never reuses:
-  cancelling after the event fired is a no-op forever, with no
-  stale-handle hazard.
-* **Liveness = ``fn is not None``** (for :class:`Event` entries; a bare
-  callable or ``(fn, arg)`` entry is always live).  A pending event has
-  its callback set; firing and cancelling both clear it.
-  ``pending_events`` and ``peek_time`` test this single field, so
-  cancelled stubs can linger in buckets without skewing any observable
-  until :meth:`Engine._compact` sweeps them out.  Compaction mutates ``_buckets``/``_times`` strictly
-  in place, so it is safe to trigger from a callback while the drain
-  loop holds local aliases to both.
+  exactly one non-empty bucket; ``_times`` holds exactly the keys of
+  ``_buckets``; ``_head_time`` is smaller than every heap time.
+* **Entries are plain values.**  :meth:`Engine.schedule` and
+  :meth:`Engine.schedule_at` store the callback itself in the bucket, or
+  the tuple ``(fn, arg)`` when it carries an argument, and return
+  ``None``.  The drain loop tells the two entry kinds apart by class: a
+  tuple fires as ``fn(arg)``, anything else is called bare.  A 2-tuple is
+  built at C level and dropped after it fires, so no wrapper object is
+  allocated, recycled or reset.
 * **One drain loop.**  :meth:`Engine.run` and :meth:`Engine.run_until`
   share :meth:`Engine._drain`, which differs between them only in the
   per-bucket horizon test.  An installed dispatch profiler is a branch
@@ -55,57 +42,11 @@ stopped on the next run call.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.core.state import INT, Codec, Stateful, field, listof, seq
 from repro.errors import CheckpointError, SimulationError
-
-#: Cancelled stubs are cheap; only compact once they outnumber the live
-#: events and are numerous enough for the O(n) sweep to pay for itself.
-_COMPACT_MIN = 64
-
-
-class Event:
-    """The cancellable handle of one scheduled callback.
-
-    Only :meth:`Engine.schedule_event` constructs these; the drain loop
-    unwraps them inline.  A handle is never reused, so a retained handle
-    stays a safe no-op forever after the event fires or is cancelled.
-    """
-
-    __slots__ = ("engine", "fn", "arg", "cancelled")
-
-    def __init__(self, fn: Optional[Callable], arg: Any, engine: "Engine"):
-        self.engine = engine
-        self.fn = fn
-        self.arg = arg
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent this event's callback from running.
-
-        Safe to call repeatedly and after the event fired (both no-ops).
-        Handles are never recycled, so a late cancel can never affect a
-        different, later-scheduled event.
-        """
-        if self.fn is None:
-            return
-        self.fn = None
-        self.arg = None
-        self.cancelled = True
-        engine = self.engine
-        cancelled = engine._cancelled + 1
-        engine._cancelled = cancelled
-        if cancelled > _COMPACT_MIN and cancelled * 2 > engine._queued_entries():
-            engine._compact()
-
-    def __repr__(self) -> str:
-        if self.cancelled:
-            state = "cancelled"
-        else:
-            state = "pending" if self.fn is not None else "fired"
-        return f"Event({state})"
 
 
 class Engine(Stateful):
@@ -126,7 +67,6 @@ class Engine(Stateful):
         "_head_time",
         "_head",
         "_spare",
-        "_cancelled",
         "_run_list",
         "_run_index",
         "_run_time",
@@ -140,7 +80,6 @@ class Engine(Stateful):
         "_buckets",
         "_times",
         "_events_processed",
-        "_cancelled",
         "_run_list",
         "_run_index",
         "_run_time",
@@ -158,7 +97,6 @@ class Engine(Stateful):
         self._buckets: dict[int, list[Callable]] = {}
         self._times: list[int] = []
         self._events_processed: int = 0
-        self._cancelled: int = 0
         # Bucket currently being drained (already detached) + resume index
         # and its time (maintained by step() and by an exception unwind;
         # the drain loop resumes from and resets them).
@@ -175,11 +113,10 @@ class Engine(Stateful):
     def schedule(self, delay: int, fn: Callable, arg: Any = None) -> None:
         """Schedule *fn* to run *delay* (integer) cycles from now.
 
-        Fire-and-forget: no handle is returned.  Use
-        :meth:`schedule_event` when the caller needs to cancel.  With
-        *arg*, the callback fires as ``fn(arg)`` — the hot paths use this
-        to pass a bound method plus its argument instead of allocating a
-        closure per event; the bucket stores the tuple ``(fn, arg)``.
+        With *arg*, the callback fires as ``fn(arg)`` — the hot paths use
+        this to pass a bound method plus its argument instead of
+        allocating a closure per event; the bucket stores the tuple
+        ``(fn, arg)``.
         """
         # The insert branch is inlined (as in schedule_at): this is the
         # hottest function in the simulator and a second call frame is
@@ -225,21 +162,8 @@ class Engine(Stateful):
             self._head = [fn]
             self._head_time = time
 
-    def schedule_event(self, delay: int, fn: Callable, arg: Any = None) -> Event:
-        """Like :meth:`schedule`, but returns a cancellable handle.
-
-        The handle is a fresh :class:`Event` the engine never reuses, so
-        holding it past the fire time and cancelling late is always a safe
-        no-op.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(fn, arg, self)
-        self.schedule_at(self.now + int(delay), event)
-        return event
-
     def schedule_at(self, time: int, fn: Callable, arg: Any = None) -> None:
-        """Schedule *fn* to run at absolute *time* (fire-and-forget)."""
+        """Schedule *fn* to run at absolute *time*."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self.now}"
@@ -302,96 +226,31 @@ class Engine(Stateful):
             return self._buckets.pop(time)
         return None
 
-    def _retire_run_list(self) -> None:
-        """Recycle a fully drained bucket (cold path: step/peek_time).
-
-        Cancelled stubs that were never drained are uncounted here."""
-        run_list = self._run_list
-        for entry in run_list:
-            if entry.__class__ is Event and entry.cancelled:
-                entry.cancelled = False
-                self._cancelled -= 1
-        run_list.clear()
-        if self._spare is None:
-            self._spare = run_list
-        self._run_list = None
-        self._run_index = 0
-
-    def _drop_dead_bucket(self, bucket: list[Callable]) -> None:
-        """Reclaim a bucket that contains only cancelled stubs."""
-        for entry in bucket:
-            entry.cancelled = False
-            self._cancelled -= 1
-        bucket.clear()
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        run_list = self._run_list
-        if run_list is not None:
-            for entry in run_list[self._run_index:]:
-                if entry.__class__ is not Event or entry.fn is not None:
-                    return self._run_time
-            self._retire_run_list()
-        if self._head_time is not None:
-            head = self._head
-            if any(e.__class__ is not Event or e.fn is not None for e in head):
-                return self._head_time
-            self._head_time = None
-            self._drop_dead_bucket(head)
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            if any(e.__class__ is not Event or e.fn is not None for e in bucket):
-                return time
-            heappop(times)
-            del buckets[time]
-            self._drop_dead_bucket(bucket)
-        return None
-
     def step(self) -> bool:
         """Run the next event.  Returns ``False`` when no events remain."""
-        while True:
-            run_list = self._run_list
+        run_list = self._run_list
+        if run_list is not None and self._run_index == len(run_list):
+            # Recycle the fully drained bucket.
+            run_list.clear()
+            if self._spare is None:
+                self._spare = run_list
+            run_list = self._run_list = None
+        if run_list is None:
+            run_list = self._take_next_bucket()
             if run_list is None:
-                run_list = self._take_next_bucket()
-                if run_list is None:
-                    return False
-                self._run_list = run_list
-                self._run_index = 0
-            index = self._run_index
-            length = len(run_list)
-            time = self._run_time
-            while index < length:
-                entry = run_list[index]
-                index += 1
-                if entry.__class__ is Event:
-                    fn = entry.fn
-                    if fn is None:
-                        # Cancelled stub: reclaim in place.
-                        if entry.cancelled:
-                            entry.cancelled = False
-                            self._cancelled -= 1
-                        continue
-                    arg = entry.arg
-                    entry.fn = None
-                    entry.arg = None
-                elif entry.__class__ is tuple:
-                    fn, arg = entry
-                else:
-                    fn = entry
-                    arg = None
-                self._run_index = index
-                self.now = time
-                self._events_processed += 1
-                if arg is None:
-                    fn()
-                else:
-                    fn(arg)
-                return True
-            self._run_index = index
-            self._retire_run_list()
+                return False
+            self._run_list = run_list
+            self._run_index = 0
+        entry = run_list[self._run_index]
+        self._run_index += 1
+        self.now = self._run_time
+        self._events_processed += 1
+        if entry.__class__ is tuple:
+            fn, arg = entry
+            fn(arg)
+        else:
+            entry()
+        return True
 
     def set_profiler(self, profiler) -> None:
         """Install (or with ``None`` remove) a dispatch profiler.
@@ -463,25 +322,6 @@ class Engine(Stateful):
                         if profiler is None:
                             fn(arg)
                             continue
-                    elif entry.__class__ is Event:
-                        fn = entry.fn
-                        if fn is None:
-                            processed -= 1
-                            if entry.cancelled:
-                                entry.cancelled = False
-                                self._cancelled -= 1
-                            continue
-                        # Mark fired before the call, as in step(), so an
-                        # exception unwind leaves the same state.
-                        arg = entry.arg
-                        entry.fn = None
-                        entry.arg = None
-                        if profiler is None:
-                            if arg is None:
-                                fn()
-                            else:
-                                fn(arg)
-                            continue
                     elif profiler is None:
                         entry()
                         continue
@@ -526,17 +366,14 @@ class Engine(Stateful):
     # -- checkpoint/restore -------------------------------------------------
 
     def snapshot_state(self, encode_entry: Callable) -> dict:
-        """Serialize the clock, counters and every live queued entry.
+        """Serialize the clock, counters and every queued entry.
 
         Callables cannot serialize, so each entry is passed through
         *encode_entry(fn, arg)* which must return a JSON-able descriptor
         (the system layer maps bound methods to (owner, method, arg)
-        descriptors).  Bucket order — and therefore the documented
-        same-cycle insertion-order tie-break — is preserved exactly.
-        Cancelled stubs are dropped; cancellable handles returned by
-        :meth:`schedule_event` cannot be captured (the handle's identity
-        would not survive the round trip), so *encode_entry* should
-        reject anything it does not recognise.
+        descriptors) and should raise on a callable it cannot describe.
+        Bucket order — and therefore the documented same-cycle
+        insertion-order tie-break — is preserved exactly.
 
         Only legal between run calls (never from inside a callback).
         """
@@ -547,21 +384,13 @@ class Engine(Stateful):
             pairs.append((self._head_time, self._head))
         for time in sorted(self._times):
             pairs.append((time, self._buckets[time]))
-        pairs.sort(key=lambda item: item[0])
         buckets = []
         for time, bucket in pairs:
-            entries = []
-            for entry in bucket:
-                if entry.__class__ is tuple:
-                    entries.append(encode_entry(*entry))
-                elif entry.__class__ is Event:
-                    if entry.fn is None:
-                        continue  # cancelled/fired stub
-                    entries.append(encode_entry(entry.fn, entry.arg))
-                else:
-                    entries.append(encode_entry(entry, None))
-            if entries:
-                buckets.append([time, entries])
+            entries = [
+                encode_entry(*entry) if entry.__class__ is tuple else encode_entry(entry, None)
+                for entry in bucket
+            ]
+            buckets.append([time, entries])
         state = super().snapshot_state()
         state["_buckets"] = buckets
         return state
@@ -593,54 +422,9 @@ class Engine(Stateful):
 
     # -- maintenance --------------------------------------------------------
 
-    def _compact(self) -> None:
-        """Sweep cancelled stubs out and rebuild the time heap in place."""
-        reclaimed = 0
-        if self._head_time is not None:
-            head = self._head
-            live = [
-                e for e in head
-                if e.__class__ is not Event or not e.cancelled
-            ]
-            if len(live) != len(head):
-                for entry in head:
-                    if entry.__class__ is Event and entry.cancelled:
-                        entry.cancelled = False
-                        reclaimed += 1
-                head[:] = live
-                if not live:
-                    self._head_time = None
-        buckets = self._buckets
-        for time in list(buckets):
-            bucket = buckets[time]
-            live = [
-                e for e in bucket
-                if e.__class__ is not Event or not e.cancelled
-            ]
-            if len(live) == len(bucket):
-                continue
-            for entry in bucket:
-                if entry.__class__ is Event and entry.cancelled:
-                    entry.cancelled = False
-                    reclaimed += 1
-            if live:
-                buckets[time] = live
-            else:
-                del buckets[time]
-        # Rebuild the heap *in place*: the drain loop holds a local alias
-        # to this exact list (and to _buckets), and cancel() can trigger a
-        # compaction from inside a callback mid-run.  Rebinding self._times
-        # would desynchronise the alias from the bucket dict.
-        times = self._times
-        times[:] = buckets
-        heapify(times)
-        # Stubs in a detached bucket mid-drain stay counted until their
-        # run list retires.
-        self._cancelled -= reclaimed
-
     def clear_pending(self) -> int:
         """Drop every queued event (test/driver helper); returns the number
-        of live events discarded.  The clock and counters are untouched."""
+        of events discarded.  The clock and counters are untouched."""
         dropped = self.pending_events
         self._head_time = None
         self._head.clear()
@@ -648,28 +432,13 @@ class Engine(Stateful):
         self._times.clear()
         self._run_list = None
         self._run_index = 0
-        self._cancelled = 0
         return dropped
 
     # -- introspection ------------------------------------------------------
 
-    def _queued_entries(self) -> int:
-        """Total queued entries, cancelled stubs included.
-
-        O(number of buckets), not O(number of entries) — this is the
-        cheap denominator for the compaction trigger (compact once stubs
-        exceed half the queue)."""
-        count = len(self._head)
-        for bucket in self._buckets.values():
-            count += len(bucket)
-        run_list = self._run_list
-        if run_list is not None:
-            count += len(run_list) - self._run_index
-        return count
-
     @property
     def events_processed(self) -> int:
-        """Total number of (non-cancelled) events executed so far.
+        """Total number of events executed so far.
 
         Updated in batches by :meth:`run`/:meth:`run_until`; only
         guaranteed current between run calls."""
@@ -677,25 +446,13 @@ class Engine(Stateful):
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events currently queued.
+        """Number of events currently queued.
 
         Computed on demand — the hot paths keep no counter."""
-        count = 0
+        count = len(self._head) + sum(map(len, self._buckets.values()))
         run_list = self._run_list
         if run_list is not None:
-            count += sum(
-                1 for e in run_list[self._run_index:]
-                if e.__class__ is not Event or e.fn is not None
-            )
-        count += sum(
-            1 for e in self._head
-            if e.__class__ is not Event or e.fn is not None
-        )
-        for bucket in self._buckets.values():
-            count += sum(
-                1 for e in bucket
-                if e.__class__ is not Event or e.fn is not None
-            )
+            count += len(run_list) - self._run_index
         return count
 
     def __repr__(self) -> str:

@@ -7,7 +7,7 @@ access latency in memory cycles (Figure 11).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def harmonic_mean(values: Sequence[float]) -> float:
@@ -17,11 +17,6 @@ def harmonic_mean(values: Sequence[float]) -> float:
     if any(v <= 0 for v in values):
         return 0.0
     return len(values) / sum(1.0 / v for v in values)
-
-
-def harmonic_mean_ipc(tasks: Iterable) -> float:
-    """Harmonic mean of per-task IPC (the paper's workload metric)."""
-    return harmonic_mean([t.stats.ipc for t in tasks])
 
 
 def speedup(value: float, baseline: float) -> float:

@@ -20,31 +20,16 @@ system enriches with the refresh schedule's view of each quantum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.telemetry.events import SchedulerPickEvent, TraceEvent
 from repro.telemetry.sinks import CallbackSink
 
 
-@dataclass(frozen=True)
-class PickRecord:
-    """One quantum dispatch decision."""
-
-    time: int
-    core_id: int
-    task_id: Optional[int]
-    task_name: str
-    refresh_bank: Optional[int]  # None when the schedule is unpredictable
-    conflict: bool  # picked task has data in the refreshed bank
-
-
 class ScheduleTracer:
-    """Records (quantum, core, task, refreshed bank) tuples for a system."""
+    """Keeps every quantum dispatch of a system as its pick event."""
 
     def __init__(self, system):
         self.system = system
-        self.records: list[PickRecord] = []
+        self.records: list[SchedulerPickEvent] = []
         self._sink = system.telemetry.subscribe(CallbackSink(self._observe))
 
     def detach(self) -> None:
@@ -52,22 +37,12 @@ class ScheduleTracer:
         self.system.telemetry.unsubscribe(self._sink)
 
     def _observe(self, event: TraceEvent) -> None:
-        if not isinstance(event, SchedulerPickEvent):
-            return
-        self.records.append(
-            PickRecord(
-                time=event.time,
-                core_id=event.core_id,
-                task_id=event.task_id,
-                task_name=event.task_name,
-                refresh_bank=event.refresh_bank,
-                conflict=event.conflict,
-            )
-        )
+        if isinstance(event, SchedulerPickEvent):
+            self.records.append(event)
 
     # -- analysis ----------------------------------------------------------------
 
-    def conflicts(self) -> list[PickRecord]:
+    def conflicts(self) -> list[SchedulerPickEvent]:
         """Dispatches where the chosen task has data in the refresh bank
         (these are exactly the quanta that can suffer refresh stalls)."""
         return [r for r in self.records if r.conflict]

@@ -280,10 +280,6 @@ class AddressMapping:
         """The per-rank bank number of a flat bank index."""
         return index % self._banks
 
-    def frames_in_bank(self, flat_bank: int) -> int:
-        """Number of page frames hosted by one bank."""
-        return self.rows_per_bank
-
     def _check_coord(self, coord: DramCoordinate) -> None:
         if not (
             0 <= coord.channel < self._channels

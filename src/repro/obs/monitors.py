@@ -568,6 +568,7 @@ def run_spec_with_monitors(
     monitors: Optional[Iterable[Monitor]] = None,
     strict: bool = False,
     telemetry: Optional[Telemetry] = None,
+    checkpoint_store=None,
 ) -> tuple["RunResult", MonitorSuite]:
     """Execute *spec* live with invariant monitors attached.
 
@@ -576,8 +577,9 @@ def run_spec_with_monitors(
     results never come from (or go to) the sweep cache, since cached
     entries carry no event stream to check.  A warm-started spec resumes
     from its warm-up prefix's snapshot exactly as
-    :func:`~repro.core.simulator.run_spec` does (the prefix itself is not
-    monitored), so its result matches the plain run's.
+    :func:`~repro.core.simulator.run_spec` does, fetched from (or stored
+    in) ``checkpoint_store`` when one is given; the prefix itself is not
+    monitored, so the result matches the plain run's.
     """
     from repro.core.simulator import build_system_from_spec, warm_started_system
 
@@ -585,7 +587,7 @@ def run_spec_with_monitors(
         telemetry = Telemetry()
     suite = MonitorSuite(monitors, strict=strict).attach(telemetry)
     if spec.warmup_scenario is not None:
-        system = warm_started_system(spec, telemetry)
+        system = warm_started_system(spec, telemetry, checkpoint_store)
         suite.bind(system, resume_time=system.engine.now)
     else:
         system = build_system_from_spec(spec, telemetry=telemetry)

@@ -29,10 +29,6 @@ class CoDesignPolicy:
     banks_per_task: int  # allowed banks per rank
 
     @property
-    def excluded_per_task(self) -> int:
-        return self.organization.banks_per_rank - self.banks_per_task
-
-    @property
     def tasks_per_core(self) -> int:
         return self.num_tasks // self.num_cores
 

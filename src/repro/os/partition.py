@@ -146,9 +146,6 @@ class PartitioningAllocator(Stateful):
         cached = sum(len(c) for c in self._bank_cache)
         return self.buddy.free_frames() + cached
 
-    def cached_frames_in_bank(self, flat_bank: int) -> int:
-        return len(self._bank_cache[flat_bank])
-
     # -- Algorithm 2 core -----------------------------------------------------------
 
     def _alloc_any(self, task: Task) -> int:

@@ -44,7 +44,8 @@ backend worker or a cache entry cannot provide:
 * monitored jobs run in-process under
   :func:`repro.obs.monitors.run_spec_with_monitors`; their results are
   memoized under a monitor-qualified key and never written to the disk
-  cache (the cache stores unmonitored payloads only).  Monitored
+  cache (the cache stores unmonitored payloads only), though a
+  warm-started one shares the service's checkpoint store.  Monitored
   resolutions count under their own ``monitored_*`` counters so the
   plain counters stay attributable to plain traffic.
 
@@ -70,7 +71,6 @@ import asyncio
 import dataclasses
 import functools
 import threading
-from collections import deque
 from typing import Callable, NamedTuple, Optional
 
 from repro import serialize
@@ -84,6 +84,7 @@ from repro.serialize import CanonicalJSON, canonical_json, encode_canonical
 from repro.service.metrics import ServiceMetrics
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.hub import Telemetry
+from repro.telemetry.sinks import RingBufferSink
 from repro.telemetry.wire import (
     MAX_FRAME_BYTES,
     WIRE_SCHEMA,
@@ -149,7 +150,7 @@ class SweepService:
         #: (lives as long as the memo entry it annotates).
         self._trace_ids: dict[str, str] = {}
         #: Newest closed spans, for the ``metrics`` op / ``obs top``.
-        self.recent_spans: deque[SpanEvent] = deque(maxlen=RECENT_SPANS)
+        self.recent_spans = RingBufferSink(RECENT_SPANS)
         #: Plain (unmonitored) simulations started (backend + live).
         self.runs_executed = 0
         #: Plain submissions that attached to an already-running job.
@@ -191,7 +192,7 @@ class SweepService:
 
     def record_span(self, event: SpanEvent) -> None:
         """Retain one closed span and forward it to the span sink."""
-        self.recent_spans.append(event)
+        self.recent_spans.emit(event)
         if self.span_sink is not None:
             self.span_sink.emit(event)
 
@@ -400,7 +401,10 @@ class SweepService:
         self.monitored_runs += 1
         loop = asyncio.get_running_loop()
         run = functools.partial(
-            run_spec_with_monitors, spec, strict=monitors == "strict"
+            run_spec_with_monitors,
+            spec,
+            strict=monitors == "strict",
+            checkpoint_store=self.checkpoint_store,
         )
         result, _suite = await loop.run_in_executor(None, run)
         return result
@@ -452,6 +456,7 @@ class SweepService:
                     spec,
                     strict=monitors == "strict",
                     telemetry=telemetry,
+                    checkpoint_store=self.checkpoint_store,
                 )
                 result, _suite = await loop.run_in_executor(None, run)
             else:
@@ -654,7 +659,7 @@ class ServiceServer:
             "counters": counters,
             "deterministic": service.metrics.deterministic_snapshot(),
             "wall": service.metrics.wall_snapshot(),
-            "recent_spans": [e.to_dict() for e in service.recent_spans],
+            "recent_spans": [e.to_dict() for e in service.recent_spans.events()],
             "text": service.metrics.render_prometheus(
                 counters=counters, info=info
             ),

@@ -31,7 +31,6 @@ from repro.telemetry.sinks import (
     ChromeTraceSink,
     EventSink,
     JsonlSink,
-    NullSink,
     RingBufferSink,
     read_jsonl,
     strip_span_walls,
@@ -61,7 +60,6 @@ __all__ = [
     "EventSink",
     "JsonlSink",
     "MetricsRegistry",
-    "NullSink",
     "PageAllocEvent",
     "RefreshCommandEvent",
     "RefreshStretchBeginEvent",

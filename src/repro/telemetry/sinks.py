@@ -5,7 +5,6 @@ Sink matrix:
 ==================  ============================================================
 Sink                Use case
 ==================  ============================================================
-:class:`NullSink`   Default: telemetry disabled, near-zero overhead.
 :class:`RingBufferSink`
                     Keep the last *N* events in memory (post-mortem peeks).
 :class:`CallbackSink`
@@ -47,13 +46,6 @@ class EventSink:
 
     def close(self) -> None:
         """Flush and release resources (default: nothing to do)."""
-
-
-class NullSink(EventSink):
-    """Discards everything."""
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
 
 
 class CallbackSink(EventSink):

@@ -29,6 +29,7 @@ from repro.service import (
     ThreadBackend,
     serve_in_thread,
 )
+from repro.service.server import RECENT_SPANS
 from repro.telemetry import ChromeTraceSink, strip_span_walls
 from repro.telemetry.wire import decode_frame
 from repro.tracing import TRACE_ID_LEN, JobTrace, mint_trace_id
@@ -86,7 +87,7 @@ def test_traced_submit_stamps_result_and_tells_the_causal_story(live):
     assert named["resolve"].detail == "executed"
     assert named["resolve"].cycles == result.simulated_cycles
     # The service kept the spans for the obs dashboard.
-    assert len(service.recent_spans) == len(spans)
+    assert len(service.recent_spans.events()) == len(spans)
 
 
 def test_untraced_payload_byte_identical_traced_adds_only_trace_id(live):
@@ -196,6 +197,21 @@ def test_metrics_op_matches_counters_exactly(live):
         f'repro_service_counter{{name="runs_executed"}} '
         f'{counters["runs_executed"]}' in text
     )
+
+
+def test_metrics_frame_keeps_the_newest_spans_oldest_first(live):
+    """Past ``RECENT_SPANS`` closed spans, the ``metrics`` frame carries
+    exactly the newest ones, in the order they closed."""
+    server, _service = live
+    spec = _spec()
+    spans = []
+    with ServiceClient(port=server.port) as client:
+        client.submit(spec)
+        while len(spans) <= RECENT_SPANS:
+            client.submit(spec, on_span=spans.append)  # resolve + memo
+        recent = client.metrics()["recent_spans"]
+    assert len(recent) == RECENT_SPANS
+    assert recent == [span.to_dict() for span in spans[-RECENT_SPANS:]]
 
 
 def test_stripped_span_trace_byte_identical_across_fresh_servers(tmp_path):

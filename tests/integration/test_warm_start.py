@@ -281,3 +281,27 @@ def test_the_service_serves_a_monitored_warm_start_then_the_plain_one(tmp_path):
     assert (m_src, p_src) == ("live", "executed")
     assert monitored.monitor_violations == []
     assert _plain_digest(monitored) == _plain_digest(plain) == _plain_digest(run_spec(spec))
+
+
+def test_a_monitored_service_job_reads_the_stored_prefix(tmp_path):
+    """Regression: the service ran monitored jobs without its checkpoint
+    store, so a monitored warm start recomputed a prefix it had stored."""
+    import asyncio
+
+    from repro.service import SweepService
+
+    plain_spec, monitored_spec = _warm_specs("WL-1", ["all_bank", "elastic"])
+    service = SweepService(cache_dir=tmp_path)
+    store = service.checkpoint_store
+
+    async def sequence():
+        await service.resolve(plain_spec)
+        hits = store.hits
+        monitored, source = await service.resolve(monitored_spec, monitors="strict")
+        return hits, monitored, source
+
+    hits, monitored, source = asyncio.run(sequence())
+    assert source == "live"
+    assert store.hits == hits + 1
+    assert monitored.monitor_violations == []
+    assert _plain_digest(monitored) == _plain_digest(run_spec(monitored_spec))

@@ -31,26 +31,6 @@ def test_now_is_monotonic(delays):
 
 
 @given(
-    delays=st.lists(st.integers(0, 1000), min_size=2, max_size=50),
-    cancel_mask=st.lists(st.booleans(), min_size=2, max_size=50),
-)
-@settings(max_examples=100, deadline=None)
-def test_cancelled_events_never_fire(delays, cancel_mask):
-    eng = Engine()
-    fired = []
-    events = []
-    for i, delay in enumerate(delays):
-        events.append(eng.schedule_event(delay, lambda i=i: fired.append(i)))
-    cancelled = {
-        i for i, (event, cancel) in enumerate(zip(events, cancel_mask))
-        if cancel and event.cancel() is None and cancel
-    }
-    eng.run()
-    assert set(fired).isdisjoint(cancelled)
-    assert set(fired) | cancelled == set(range(min(len(delays), len(cancel_mask)))) | set(fired)
-
-
-@given(
     chain_lengths=st.lists(st.integers(1, 5), min_size=1, max_size=10),
 )
 @settings(max_examples=50, deadline=None)

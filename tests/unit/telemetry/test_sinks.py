@@ -10,7 +10,6 @@ from repro.telemetry import (
     ChromeTraceSink,
     DramCommandEvent,
     JsonlSink,
-    NullSink,
     PageAllocEvent,
     RefreshCommandEvent,
     RefreshStretchBeginEvent,
@@ -50,7 +49,7 @@ def sample_events():
 def test_hub_enabled_tracks_subscriptions():
     hub = Telemetry()
     assert not hub.enabled
-    sink = hub.subscribe(NullSink())
+    sink = hub.subscribe(CallbackSink(lambda event: None))
     assert hub.enabled
     hub.unsubscribe(sink)
     assert not hub.enabled

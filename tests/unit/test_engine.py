@@ -55,15 +55,6 @@ def test_events_scheduled_during_execution_run():
     assert hits == [10, 15]
 
 
-def test_cancelled_event_does_not_fire():
-    eng = Engine()
-    hits = []
-    event = eng.schedule_event(10, lambda: hits.append("x"))
-    event.cancel()
-    eng.run_until(100)
-    assert hits == []
-
-
 def test_cannot_schedule_in_the_past():
     eng = Engine()
     eng.schedule(10, lambda: None)
@@ -90,14 +81,6 @@ def test_step_returns_false_when_empty():
     assert eng.step() is False
 
 
-def test_peek_time_skips_cancelled():
-    eng = Engine()
-    e1 = eng.schedule_event(5, lambda: None)
-    eng.schedule(9, lambda: None)
-    e1.cancel()
-    assert eng.peek_time() == 9
-
-
 def test_run_drains_queue():
     eng = Engine()
     hits = []
@@ -111,8 +94,6 @@ def test_events_processed_counter():
     eng = Engine()
     for t in range(4):
         eng.schedule(t, lambda: None)
-    cancelled = eng.schedule_event(9, lambda: None)
-    cancelled.cancel()
     eng.run_until(100)
     assert eng.events_processed == 4
 
@@ -126,16 +107,15 @@ def test_schedule_at_now_runs_this_cycle():
 
 
 def test_same_time_tie_break_with_mixed_entry_kinds():
-    """Insertion order is preserved across bare callables, cancellable
-    handles and ``(fn, arg)`` entries sharing one cycle."""
+    """Insertion order is preserved across bare callables and
+    ``(fn, arg)`` entries sharing one cycle."""
     eng = Engine()
     order = []
     eng.schedule(3, lambda: order.append("bare0"))
-    eng.schedule_event(3, lambda: order.append("handle1"))
-    eng.schedule(3, order.append, "arg2")
-    eng.schedule(3, lambda: order.append("bare3"))
+    eng.schedule(3, order.append, "arg1")
+    eng.schedule(3, lambda: order.append("bare2"))
     eng.run()
-    assert order == ["bare0", "handle1", "arg2", "bare3"]
+    assert order == ["bare0", "arg1", "bare2"]
 
 
 def test_tie_break_stable_after_pool_reuse():
@@ -152,19 +132,6 @@ def test_tie_break_stable_after_pool_reuse():
     eng.run_until(2)
     assert first == [0, 1, 2, 3]
     assert second == [0, 1, 2, 3]
-
-
-def test_cancel_is_idempotent_and_safe_after_fire_time():
-    eng = Engine()
-    hits = []
-    event = eng.schedule_event(5, lambda: hits.append("a"))
-    eng.schedule(5, lambda: hits.append("b"))
-    event.cancel()
-    event.cancel()  # repeated cancel: no-op
-    eng.run_until(5)
-    assert hits == ["b"]
-    event.cancel()  # after its cycle passed: still a no-op
-    assert eng.events_processed == 1
 
 
 class _Boom(Exception):
@@ -256,112 +223,30 @@ def test_events_processed_invariant_across_identical_specs():
                 eng.schedule(3, tick)
 
         eng.schedule(0, tick)
-        handles = [
-            eng.schedule_event(7 * i, out.append, -i) for i in range(1, 6)
-        ]
-        handles[2].cancel()
+        for i in range(1, 6):
+            eng.schedule(7 * i, out.append, -i)
         eng.run()
         return out, eng.events_processed, eng.now
 
     first = program(Engine())
     second = program(Engine())
     assert first == second
-    assert first[1] == 50 + 4
-
-
-def test_mass_cancel_from_callback_during_run():
-    """Regression: cancel() can trigger _compact() from inside a callback
-    while run() holds local aliases to _times/_buckets.  Compaction must
-    mutate both in place — rebinding _times used to desync the aliases
-    (KeyError on buckets.pop) and silently drop newly scheduled events."""
-    eng = Engine()
-    fired = []
-    handles = []
-    later = []
-
-    def driver():
-        for handle in handles[1:]:
-            handle.cancel()  # triggers repeated mid-run compactions
-        eng.schedule(500, lambda: later.append(eng.now))
-
-    eng.schedule(1, driver)
-    handles.extend(
-        eng.schedule_event(10 + i, fired.append, 10 + i) for i in range(200)
-    )
-    eng.run()
-    assert fired == [10]  # only the surviving handle fired
-    assert later == [501]  # post-compaction schedule was not dropped
-    assert eng.pending_events == 0
-    assert eng.events_processed == 3
-
-
-def test_mass_cancel_from_callback_during_run_until():
-    """Same regression as above, through the run_until() drain loop."""
-    eng = Engine()
-    fired = []
-    handles = []
-
-    def driver():
-        for handle in handles[1:]:
-            handle.cancel()
-
-    eng.schedule(1, driver)
-    handles.extend(
-        eng.schedule_event(10 + i, fired.append, 10 + i) for i in range(200)
-    )
-    eng.run_until(1000)
-    assert fired == [10]
-    assert eng.now == 1000
-    assert eng.pending_events == 0
-
-
-def test_stale_handle_cancel_cannot_kill_later_events():
-    """Regression: fired schedule_event handles are never reused, so a
-    retained handle cancelled late cannot cancel an unrelated, newly
-    scheduled event."""
-    eng = Engine()
-    hits = []
-    handle = eng.schedule_event(1, hits.append, "first")
-    eng.run_until(1)
-    assert hits == ["first"]
-    for i in range(5):
-        eng.schedule(1, hits.append, i)
-    handle.cancel()  # stale cancel between scheduling and firing
-    handle.cancel()
-    eng.run_until(2)
-    assert hits == ["first", 0, 1, 2, 3, 4]
-    assert eng.events_processed == 6
+    assert first[1] == 50 + 5
 
 
 def test_float_delays_coerce_to_int_time():
-    """Regression: schedule()/schedule_event() coerce float delays to int
-    (like schedule_at), so 5.7 lands in the t=5 bucket instead of minting
-    a float bucket key that breaks same-cycle merging and ordering."""
+    """Regression: schedule() coerces float delays to int (like
+    schedule_at), so 5.7 lands in the t=5 bucket instead of minting a
+    float bucket key that breaks same-cycle merging and ordering."""
     eng = Engine()
     order = []
     eng.schedule(5, lambda: order.append("int"))
     eng.schedule(5.7, lambda: order.append("float"))
-    eng.schedule_event(5.2, lambda: order.append("handle"))
+    eng.schedule_at(5.2, lambda: order.append("at"))
     eng.run()
-    assert order == ["int", "float", "handle"]
+    assert order == ["int", "float", "at"]
     assert eng.now == 5
     assert isinstance(eng.now, int)
-
-
-def test_pending_events_reports_live_and_compacts_stubs():
-    eng = Engine()
-    keep = [eng.schedule_event(10, lambda: None) for _ in range(10)]
-    drop = [eng.schedule_event(20, lambda: None) for _ in range(200)]
-    assert eng.pending_events == 210
-    for event in drop:
-        event.cancel()
-    # Live count excludes every cancelled stub...
-    assert eng.pending_events == 10
-    # ...and compaction physically removed most of them from the queue.
-    assert eng._queued_entries() < 100
-    eng.run()
-    assert eng.events_processed == 10
-    assert keep[0].cancel() is None  # stale handle cancel stays safe
 
 
 # -- checkpoint/restore ---------------------------------------------------
@@ -386,8 +271,8 @@ def test_snapshot_restore_preserves_same_cycle_insertion_order():
 
     rec1, rec2 = [], []
     eng1, fns1 = _tagged_engine(rec1)
-    # Interleave bare callables and arg-carrying Event entries in one
-    # bucket so the round trip has to preserve order across entry kinds.
+    # Interleave bare callables and arg-carrying entries in one bucket
+    # so the round trip has to preserve order across entry kinds.
     eng1.schedule(7, fns1["a"])
     eng1.schedule(7, fns1["b"], 1)
     eng1.schedule(7, fns1["c"])
@@ -410,16 +295,3 @@ def test_snapshot_restore_preserves_same_cycle_insertion_order():
     assert rec1 == expected
     assert rec2 == expected
     assert eng2.events_processed == eng1.events_processed == 5
-
-
-def test_snapshot_drops_cancelled_stubs():
-    rec = []
-    eng, fns = _tagged_engine(rec)
-    eng.schedule(7, fns["a"])
-    handle = eng.schedule_event(7, fns["b"])
-    handle.cancel()
-    state = eng.snapshot_state(
-        lambda fn, arg: [next(t for t, f in fns.items() if f is fn), arg]
-    )
-    # The cancelled stub never reaches the encoder.
-    assert state["_buckets"] == [[7, [["a", None]]]]
