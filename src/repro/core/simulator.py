@@ -10,7 +10,7 @@ experiment layer builds specs in bulk and fans them out across processes;
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.config.system_configs import SystemConfig, default_system_config
 from repro.core.results import RunResult
@@ -21,6 +21,9 @@ from repro.errors import CheckpointError, ConfigError
 from repro.telemetry.hub import Telemetry
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_mix
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.monitors import MonitorSuite
 
 
 def resolve_workload(
@@ -43,16 +46,14 @@ def build_system(
     **config_overrides,
 ) -> System:
     """Construct (but do not run) a fully wired :class:`System`."""
-    if config is None:
-        config = default_system_config(**config_overrides)
-    elif config_overrides:
-        config = config.with_(**config_overrides)
-        config.validate()
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    name, specs = resolve_workload(workload)
-    return System(
-        config, specs, scenario, workload_name=name, banks_per_task=banks_per_task
+    return build_system_from_spec(
+        make_run_spec(
+            workload,
+            scenario,
+            config,
+            banks_per_task=banks_per_task,
+            **config_overrides,
+        )
     )
 
 
@@ -210,6 +211,8 @@ def run_spec(
     spec: RunSpec,
     telemetry: Optional[Telemetry] = None,
     checkpoint_store=None,
+    monitors: Optional["MonitorSuite"] = None,
+    restore_span=None,
 ) -> RunResult:
     """Execute one :class:`RunSpec` — a pure, deterministic function of the
     spec's content (the engine seeds every RNG from ``config.seed``).
@@ -219,16 +222,37 @@ def run_spec(
     warm-up prefix runs (or is fetched from ``checkpoint_store``) under
     the warm-up scenario, and the measured interval resumes from its
     measurement-boundary snapshot under the target scenario
-    (:func:`warm_started_system`)."""
+    (:func:`warm_started_system`, which wraps each prefix fetch in
+    ``restore_span``).
+
+    ``monitors`` (a :class:`~repro.obs.monitors.MonitorSuite`) checks the
+    run's event stream on *telemetry* (a fresh hub when none is given)
+    and sets ``result.monitor_violations``, ``[]`` for a clean run; a
+    warm start's prefix is not monitored, and a strict suite raises
+    :class:`~repro.errors.MonitorError` at the first violation."""
+    if monitors is not None:
+        if telemetry is None:
+            telemetry = Telemetry()
+        monitors.attach(telemetry)
+    resume_time = None
     if spec.warmup_scenario is not None:
-        system = warm_started_system(spec, telemetry, checkpoint_store)
+        system = warm_started_system(
+            spec, telemetry, checkpoint_store, restore_span
+        )
+        resume_time = system.engine.now
     else:
         system = build_system_from_spec(spec, telemetry=telemetry)
-    return system.run(
+    if monitors is not None:
+        monitors.bind(system, resume_time=resume_time)
+    result = system.run(
         num_windows=spec.num_windows,
         warmup_windows=spec.warmup_windows,
         sample_windows=spec.sample_windows,
     )
+    if monitors is not None:
+        monitors.finish(system.engine.now)
+        result.monitor_violations = monitors.violations()
+    return result
 
 
 def sweep_specs(

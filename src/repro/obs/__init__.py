@@ -37,7 +37,6 @@ from repro.obs.monitors import (
     RefreshStretchMonitor,
     SchedulerConflictMonitor,
     default_monitors,
-    run_spec_with_monitors,
 )
 from repro.obs.profiler import EngineProfiler
 from repro.obs.sweepdiff import SweepDiffResult, SweepEntry, diff_sweep_dirs
@@ -60,5 +59,4 @@ __all__ = [
     "diff_files",
     "diff_payloads",
     "diff_sweep_dirs",
-    "run_spec_with_monitors",
 ]

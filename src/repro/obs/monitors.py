@@ -55,8 +55,6 @@ from repro.telemetry.hub import Telemetry
 from repro.telemetry.sinks import CallbackSink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.results import RunResult
-    from repro.core.runspec import RunSpec
     from repro.core.system import System
 
 #: Retained refresh windows per bank in the overlap monitor.  Old windows
@@ -474,7 +472,9 @@ class MonitorSuite:
     """Owns a monitor set, its sink subscription and event dispatch.
 
     Lifecycle: construct → :meth:`attach` to a telemetry hub → build the
-    system against that hub → :meth:`bind` → run → :meth:`finish`.
+    system against that hub → :meth:`bind` → run → :meth:`finish`;
+    :func:`repro.core.simulator.run_spec` does all of it given
+    ``monitors=suite``.
     Events emitted between attach and bind (page allocations happen at
     system *construction*) are buffered and replayed at bind time, once
     the monitors know the system they are checking.
@@ -562,41 +562,3 @@ class MonitorSuite:
             out[monitor.name] = entry
         return out
 
-
-def run_spec_with_monitors(
-    spec: "RunSpec",
-    monitors: Optional[Iterable[Monitor]] = None,
-    strict: bool = False,
-    telemetry: Optional[Telemetry] = None,
-    checkpoint_store=None,
-) -> tuple["RunResult", MonitorSuite]:
-    """Execute *spec* live with invariant monitors attached.
-
-    Returns ``(result, suite)``; ``result.monitor_violations`` is set
-    (``[]`` for a clean monitored run).  Always a live run — monitored
-    results never come from (or go to) the sweep cache, since cached
-    entries carry no event stream to check.  A warm-started spec resumes
-    from its warm-up prefix's snapshot exactly as
-    :func:`~repro.core.simulator.run_spec` does, fetched from (or stored
-    in) ``checkpoint_store`` when one is given; the prefix itself is not
-    monitored, so the result matches the plain run's.
-    """
-    from repro.core.simulator import build_system_from_spec, warm_started_system
-
-    if telemetry is None:
-        telemetry = Telemetry()
-    suite = MonitorSuite(monitors, strict=strict).attach(telemetry)
-    if spec.warmup_scenario is not None:
-        system = warm_started_system(spec, telemetry, checkpoint_store)
-        suite.bind(system, resume_time=system.engine.now)
-    else:
-        system = build_system_from_spec(spec, telemetry=telemetry)
-        suite.bind(system)
-    result = system.run(
-        num_windows=spec.num_windows,
-        warmup_windows=spec.warmup_windows,
-        sample_windows=spec.sample_windows,
-    )
-    suite.finish(system.engine.now)
-    result.monitor_violations = suite.violations()
-    return result, suite

@@ -4,7 +4,9 @@ The :class:`SweepService` decides *whether* a spec needs to run (dedup,
 memo, disk cache); a :class:`WorkerBackend` decides *where*.  The
 contract is deliberately tiny — ``submit(spec) -> Future[RunResult]`` —
 so a backend can run a spec right here, on a thread or in a process
-pool without the service caring:
+pool without the service caring.  Only plain jobs reach a backend: a
+streamed or monitored job needs its live event stream, so the service
+runs it in-process on an executor thread, whatever the backend.
 
 ================================  ==========================================
 Backend                           Use case
@@ -29,7 +31,10 @@ Every backend is constructed with an optional
 :func:`repro.core.simulator.run_spec`, so warm-started specs sharing a
 warm-up prefix reuse one checkpoint regardless of which worker runs them
 (a store pickles across process pools as its path alone; threads share
-the one store and its last entry in memory).
+the one store and its last entry in memory).  A traced job's worker
+opens a ``run_spec`` span around :func:`~repro.core.simulator.run_spec`
+and a ``restore`` span around each warm-up prefix fetch; the run itself
+is the untraced one, so results stay bit-identical with tracing on.
 """
 
 from __future__ import annotations
@@ -41,50 +46,9 @@ from typing import Optional
 from repro.core.checkpoint import CheckpointStore
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
-from repro.core.simulator import (
-    build_system_from_spec,
-    run_spec as execute_run_spec,
-    warm_started_system,
-)
+from repro.core.simulator import run_spec as execute_run_spec
 from repro.errors import ServiceError
 from repro.tracing import JobTrace
-
-
-def traced_run_spec(
-    spec: RunSpec,
-    checkpoint_store: Optional[CheckpointStore],
-    trace: JobTrace,
-    parent: Optional[int] = None,
-) -> RunResult:
-    """:func:`~repro.core.simulator.run_spec` wrapped in tracing spans.
-
-    Opens a ``run_spec`` root span (child of the service's ``execute``
-    span via *parent*) and, on the warm-start path, a ``restore`` child
-    around each prefix snapshot fetch/replay.  The execution itself is
-    step-for-step identical to the untraced ``run_spec`` — the same
-    warm-start path (a stored prefix that does not restore is
-    recomputed), the same build and run call — so results stay
-    bit-identical with tracing on.
-    """
-    with trace.span("run_spec", parent=parent) as root:
-        if spec.warmup_scenario is not None:
-            system = warm_started_system(
-                spec,
-                checkpoint_store=checkpoint_store,
-                restore_span=functools.partial(
-                    trace.span, "restore", parent=root.span_id
-                ),
-            )
-        else:
-            system = build_system_from_spec(spec)
-        result = system.run(
-            num_windows=spec.num_windows,
-            warmup_windows=spec.warmup_windows,
-            sample_windows=spec.sample_windows,
-        )
-        root.set(cycles=result.simulated_cycles,
-                 detail=spec.content_hash())
-    return result
 
 
 class WorkerBackend:
@@ -119,13 +83,21 @@ class WorkerBackend:
         trace: Optional[JobTrace] = None,
         parent: Optional[int] = None,
     ) -> RunResult:
-        if trace is not None:
-            return traced_run_spec(
-                spec, self.checkpoint_store, trace, parent
+        if trace is None:
+            return execute_run_spec(
+                spec, checkpoint_store=self.checkpoint_store
             )
-        return execute_run_spec(
-            spec, checkpoint_store=self.checkpoint_store
-        )
+        with trace.span("run_spec", parent=parent) as root:
+            result = execute_run_spec(
+                spec,
+                checkpoint_store=self.checkpoint_store,
+                restore_span=functools.partial(
+                    trace.span, "restore", parent=root.span_id
+                ),
+            )
+            root.set(cycles=result.simulated_cycles,
+                     detail=spec.content_hash())
+        return result
 
     def __init__(self, checkpoint_store: Optional[CheckpointStore] = None):
         self.checkpoint_store = checkpoint_store

@@ -34,20 +34,23 @@ Because ``run_spec`` is a pure function of the spec, every tier returns
 the *same* canonical result payload — a served result is byte-identical
 to a direct local ``run_spec()`` of the same spec.
 
-Telemetry streaming and monitors need a **live** event stream, which a
-backend worker or a cache entry cannot provide:
+Every simulation starts in one place, :meth:`SweepService._execute`.
+A plain job runs on the backend.  Telemetry streaming and monitors need
+a **live** event stream, which a backend worker or a cache entry cannot
+provide, so a streamed or monitored job runs
+:func:`~repro.core.simulator.run_spec` in-process on an executor
+thread, whatever the backend:
 
-* ``stream=True`` forces a fresh in-process run (events flow to the
-  client through a :class:`~repro.telemetry.wire.WireSink`); its result
-  still lands in the memo and the disk cache, and concurrent plain
-  submissions of the same spec dedup against it.
-* monitored jobs run in-process under
-  :func:`repro.obs.monitors.run_spec_with_monitors`; their results are
-  memoized under a monitor-qualified key and never written to the disk
-  cache (the cache stores unmonitored payloads only), though a
-  warm-started one shares the service's checkpoint store.  Monitored
-  resolutions count under their own ``monitored_*`` counters so the
-  plain counters stay attributable to plain traffic.
+* ``stream=True`` forces a fresh run (events flow to the client through
+  a :class:`~repro.telemetry.wire.WireSink`); its result still lands in
+  the memo and the disk cache, and concurrent plain submissions of the
+  same spec dedup against it.
+* monitored jobs run with a :class:`~repro.obs.monitors.MonitorSuite`;
+  their results are memoized under a monitor-qualified key and never
+  written to the disk cache (the cache stores unmonitored payloads
+  only), though a warm-started one shares the service's checkpoint
+  store.  Monitored resolutions count under their own ``monitored_*``
+  counters so the plain counters stay attributable to plain traffic.
 
 Observability (PR 10)
 ---------------------
@@ -297,7 +300,7 @@ class SweepService:
         if event_cb is not None:
             # Streaming needs the complete event stream of a fresh run;
             # an in-flight job or cached result cannot provide it.
-            return await self._run_live(
+            return await self._execute(
                 key, spec, monitors, event_cb, trace, root
             )
 
@@ -337,154 +340,86 @@ class SweepService:
                         cycles=cached.simulated_cycles, detail=key
                     ).close()
                 return cached, "cache"
+        # Miss everywhere: this submission starts the simulation.
+        return await self._execute(key, spec, monitors, None, trace, root)
 
-        # Miss everywhere: this submission starts the simulation.  No
-        # await between the table checks above and the insertion below,
-        # so concurrent submissions on the loop can never double-start.
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._jobs[key] = future
-        if trace is not None:
-            self._trace_ids[key] = trace.trace_id
-        try:
-            if monitors is not None:
-                if trace is not None:
-                    with trace.span("execute", parent=root.span_id) as span:
-                        result = await self._execute_monitored(spec, monitors)
-                        span.set(
-                            cycles=result.simulated_cycles, detail=key
-                        )
-                else:
-                    result = await self._execute_monitored(spec, monitors)
-                source = "live"
-            else:
-                self.runs_executed += 1
-                if trace is not None:
-                    span = trace.span("execute", parent=root.span_id)
-                    try:
-                        result = await asyncio.wrap_future(
-                            self.backend.submit(
-                                spec, trace=trace, parent=span.span_id
-                            )
-                        )
-                    except BaseException:
-                        span.set(detail="error").close()
-                        raise
-                    span.set(cycles=result.simulated_cycles, detail=key)
-                    span.close()
-                else:
-                    result = await asyncio.wrap_future(
-                        self.backend.submit(spec)
-                    )
-                source = "executed"
-            self._remember(key, spec, result)
-            if self.cache is not None and monitors is None:
-                self.cache.put(spec.content_hash(), spec, result)
-            future.set_result(result)
-            return result, source
-        except BaseException as exc:
-            future.set_exception(exc)
-            # Dedup waiters re-raise from the future; retrieving here
-            # silences the "exception never retrieved" warning when the
-            # starting submission was the only one.
-            future.exception()
-            raise
-        finally:
-            self._jobs.pop(key, None)
-
-    async def _execute_monitored(
-        self, spec: RunSpec, monitors: str
-    ) -> RunResult:
-        """Run one monitored job live on an executor thread."""
-        from repro.obs.monitors import run_spec_with_monitors
-
-        self.monitored_runs += 1
-        loop = asyncio.get_running_loop()
-        run = functools.partial(
-            run_spec_with_monitors,
-            spec,
-            strict=monitors == "strict",
-            checkpoint_store=self.checkpoint_store,
-        )
-        result, _suite = await loop.run_in_executor(None, run)
-        return result
-
-    async def _run_live(
+    async def _execute(
         self,
         key: str,
         spec: RunSpec,
         monitors: Optional[str],
-        event_cb: Callable[[dict], None],
-        trace: Optional[JobTrace] = None,
-        root=None,
+        event_cb: Optional[Callable[[dict], None]],
+        trace: Optional[JobTrace],
+        root,
     ) -> tuple[RunResult, str]:
-        """A fresh in-process run streaming its events to ``event_cb``."""
-        if monitors is None:
-            self.runs_executed += 1
-            self.live_runs += 1
-        else:
-            self.monitored_runs += 1
+        """Start one simulation.  A plain job runs on the backend
+        (``executed``); a streamed or monitored one needs its live event
+        stream, so it runs ``run_spec`` on an executor thread (``live``)."""
         loop = asyncio.get_running_loop()
+        telemetry = suite = None
+        if event_cb is not None:
+            telemetry = Telemetry()
+            telemetry.subscribe(WireSink(
+                functools.partial(loop.call_soon_threadsafe, event_cb),
+                job=spec.content_hash(),
+            ))
+        if monitors is not None:
+            from repro.obs.monitors import MonitorSuite
 
-        def send(frame: dict) -> None:
-            loop.call_soon_threadsafe(event_cb, frame)
-
-        telemetry = Telemetry()
-        telemetry.subscribe(WireSink(send, job=spec.content_hash()))
-
-        # Register so concurrent plain submissions of the same spec
-        # dedup against this live run instead of re-simulating.  If a
-        # job is already in flight under this key, the live run simply
-        # proceeds standalone (the stream still needs its own run).
+            suite = MonitorSuite(strict=monitors == "strict")
+            self.monitored_runs += 1
+        else:
+            self.runs_executed += 1
+            if event_cb is not None:
+                self.live_runs += 1
+        # Register so concurrent submissions of the same key dedup
+        # against this run.  No await between the table checks and this
+        # insertion, so submissions on the loop can never double-start;
+        # only a streamed run, which skips the checks, can find a job in
+        # flight under its key, and it then runs standalone.
         future: Optional[asyncio.Future] = None
         if key not in self._jobs:
-            future = loop.create_future()
-            self._jobs[key] = future
+            future = self._jobs[key] = loop.create_future()
             if trace is not None:
                 self._trace_ids[key] = trace.trace_id
-        span = (
-            trace.span("live", parent=root.span_id)
-            if trace is not None
-            else None
-        )
+        span = None
+        if trace is not None:
+            name = "execute" if event_cb is None else "live"
+            span = trace.span(name, parent=root.span_id)
+        live = event_cb is not None or monitors is not None
         try:
-            if monitors is not None:
-                from repro.obs.monitors import run_spec_with_monitors
-
-                run = functools.partial(
-                    run_spec_with_monitors,
-                    spec,
-                    strict=monitors == "strict",
-                    telemetry=telemetry,
-                    checkpoint_store=self.checkpoint_store,
-                )
-                result, _suite = await loop.run_in_executor(None, run)
-            else:
-                run = functools.partial(
-                    execute_run_spec,
-                    spec,
-                    telemetry=telemetry,
-                    checkpoint_store=self.checkpoint_store,
-                )
-                result = await loop.run_in_executor(None, run)
+            try:
+                if live:
+                    result = await loop.run_in_executor(None, functools.partial(
+                        execute_run_spec, spec, telemetry,
+                        self.checkpoint_store, suite,
+                    ))
+                else:
+                    result = await asyncio.wrap_future(self.backend.submit(
+                        spec, trace, span.span_id if span is not None else None
+                    ))
+            except BaseException:
+                if span is not None:
+                    span.set(detail="error").close()
+                raise
             if span is not None:
-                span.set(cycles=result.simulated_cycles, detail=key)
-                span.close()
+                span.set(cycles=result.simulated_cycles, detail=key).close()
             self._remember(key, spec, result)
             if self.cache is not None and monitors is None:
                 self.cache.put(spec.content_hash(), spec, result)
             if future is not None:
                 future.set_result(result)
-            return result, "live"
+            return result, "live" if live else "executed"
         except BaseException as exc:
-            if span is not None:
-                span.set(detail="error").close()
             if future is not None:
                 future.set_exception(exc)
+                # Dedup waiters re-raise from the future; retrieving
+                # here silences the "exception never retrieved" warning
+                # when the starting submission was the only one.
                 future.exception()
             raise
         finally:
-            if future is not None and self._jobs.get(key) is future:
+            if future is not None:
                 self._jobs.pop(key, None)
 
     def close(self) -> None:

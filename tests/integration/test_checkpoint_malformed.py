@@ -29,7 +29,7 @@ from repro.core.simulator import (
 )
 from repro.errors import CheckpointError
 from repro.serialize import content_hash
-from repro.service.backends import traced_run_spec
+from repro.service.backends import InlineBackend
 from repro.tracing import JobTrace, mint_trace_id
 
 WINDOWS = dict(num_windows=0.5, warmup_windows=0.125, refresh_scale=1024)
@@ -219,7 +219,7 @@ def test_a_traced_run_recovers_from_a_stored_prefix_that_does_not_restore(tmp_pa
     spans = []
     trace = JobTrace(mint_trace_id("bad-prefix", 0), spec.content_hash(), spans.append)
     store = CheckpointStore(tmp_path)
-    result = traced_run_spec(spec, store, trace)
+    result = InlineBackend(store).submit(spec, trace=trace).result()
     assert content_hash(result.to_dict()) == expected
     assert (store.hits, store.misses) == (0, 1)
     # One restore span per prefix fetch: the bad read and the recompute.

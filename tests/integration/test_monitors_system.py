@@ -12,7 +12,7 @@ from repro.core.results import RunResult
 from repro.core.simulator import make_run_spec, run_spec
 from repro.dram.refresh.same_bank import SameBankSequential
 from repro.errors import MonitorError
-from repro.obs.monitors import MonitorSuite, run_spec_with_monitors
+from repro.obs.monitors import MonitorSuite
 from repro.os.refresh_aware import RefreshAwareScheduler
 from repro.os.scheduler import CfsScheduler
 from repro.telemetry import Telemetry
@@ -26,7 +26,8 @@ def fast_spec(scenario="codesign", **overrides):
 
 @pytest.mark.parametrize("scenario", ["all_bank", "per_bank", "codesign"])
 def test_monitored_run_is_clean(scenario):
-    result, suite = run_spec_with_monitors(fast_spec(scenario))
+    suite = MonitorSuite()
+    result = run_spec(fast_spec(scenario), monitors=suite)
     assert result.monitor_violations == []
     # Monitors actually looked at traffic, not just stayed silent.
     summary = suite.summary()
@@ -40,7 +41,7 @@ def test_monitored_run_is_clean(scenario):
 def test_monitoring_does_not_change_the_result():
     spec = fast_spec()
     plain = run_spec(spec)
-    monitored, _ = run_spec_with_monitors(spec)
+    monitored = run_spec(spec, monitors=MonitorSuite())
     plain_dict = plain.to_dict()
     monitored_dict = monitored.to_dict()
     assert monitored_dict.pop("monitor_violations") == []
@@ -49,7 +50,7 @@ def test_monitoring_does_not_change_the_result():
 
 
 def test_monitored_result_round_trips():
-    result, _ = run_spec_with_monitors(fast_spec())
+    result = run_spec(fast_spec(), monitors=MonitorSuite())
     reloaded = RunResult.from_dict(result.to_dict())
     assert reloaded.monitor_violations == []
     assert reloaded.to_dict() == result.to_dict()
@@ -62,7 +63,7 @@ def test_mutation_oblivious_pick_trips_conflict_monitor(monkeypatch):
     monkeypatch.setattr(
         RefreshAwareScheduler, "pick_next_task", CfsScheduler.pick_next_task
     )
-    result, _ = run_spec_with_monitors(fast_spec())
+    result = run_spec(fast_spec(), monitors=MonitorSuite())
     conflicts = [
         v for v in result.monitor_violations if v.monitor == "scheduler_conflict"
     ]
@@ -81,7 +82,7 @@ def test_mutation_short_stretch_trips_stretch_monitor(monkeypatch):
         self._commands_per_bank -= 1
 
     monkeypatch.setattr(SameBankSequential, "_plan_batches", short_plan)
-    result, _ = run_spec_with_monitors(fast_spec())
+    result = run_spec(fast_spec(), monitors=MonitorSuite())
     stretch = [
         v for v in result.monitor_violations if v.monitor == "refresh_stretch"
     ]
@@ -94,7 +95,7 @@ def test_strict_mode_aborts_on_mutated_run(monkeypatch):
         RefreshAwareScheduler, "pick_next_task", CfsScheduler.pick_next_task
     )
     with pytest.raises(MonitorError, match="scheduler_conflict"):
-        run_spec_with_monitors(fast_spec(), strict=True)
+        run_spec(fast_spec(), monitors=MonitorSuite(strict=True))
 
 
 def test_eta_thresh_fallbacks_are_not_violations():
@@ -105,7 +106,8 @@ def test_eta_thresh_fallbacks_are_not_violations():
     base = fast_spec()
     config = replace(base.config, os=replace(base.config.os, eta_thresh=1))
     spec = fast_spec(config=config)
-    result, suite = run_spec_with_monitors(spec)
+    suite = MonitorSuite()
+    result = run_spec(spec, monitors=suite)
     assert result.monitor_violations == []
     summary = suite.summary()
     assert summary["scheduler_conflict"]["fallback_picks"] > 0

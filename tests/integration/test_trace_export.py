@@ -9,8 +9,6 @@ round-trips to typed events.
 
 import json
 
-import pytest
-
 from repro.__main__ import main
 from repro.core.simulator import build_system_from_spec, make_run_spec
 from repro.telemetry import (

@@ -252,14 +252,14 @@ def test_a_monitored_warm_start_resumes_the_prefix(workload, scenario):
     """Regression: the monitored path built warm-started specs cold, so
     the warm-up ran under the target scenario and the result was the
     cold run's, not ``run_spec``'s."""
-    from repro.obs.monitors import run_spec_with_monitors
+    from repro.obs.monitors import MonitorSuite
 
     (spec,) = _warm_specs(workload, [scenario])
     cold = spec.with_(warmup_scenario=None)
     expected = _plain_digest(run_spec(spec))
     assert expected != _plain_digest(run_spec(cold))  # the warm start matters here
 
-    result, _ = run_spec_with_monitors(spec, strict=True)
+    result = run_spec(spec, monitors=MonitorSuite(strict=True))
     assert result.monitor_violations == []
     assert _plain_digest(result) == expected
 

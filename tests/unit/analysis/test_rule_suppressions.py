@@ -2,8 +2,6 @@
 
 import textwrap
 
-from pathlib import Path
-
 from repro.analysis import AnalysisConfig, analyze_project
 from repro.analysis.baseline import load_baseline_entries, write_baseline
 
