@@ -44,7 +44,7 @@ from repro.core.simulator import (
 from repro.dram.refresh import available_policies
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.diff import DiffResult, ToleranceRule
+    from repro.obs.diff import DiffResult
     from repro.obs.sweepdiff import SweepDiffResult
     from repro.service.client import SweepOutcome
 

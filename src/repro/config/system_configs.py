@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro import serialize
 from repro.config.dram_configs import (
     DensityConfig,
     DramOrganization,
@@ -13,7 +14,7 @@ from repro.config.dram_configs import (
     density,
 )
 from repro.errors import ConfigError
-from repro.serialize import content_hash, dataclass_from_dict, dataclass_to_dict
+from repro.serialize import dataclass_from_dict, dataclass_to_dict
 from repro.units import KB, MB, ms
 
 
@@ -218,9 +219,16 @@ class SystemConfig:
         config.validate()
         return config
 
+    def canonical_json(self) -> serialize.CanonicalJSON:
+        """Canonical JSON text of :meth:`to_dict`, encoded on the first
+        call and stored on the instance: every spec of a sweep shares
+        one config and splices its text."""
+        return serialize.stored(self, "_canonical_json", serialize.canonical_json)
+
     def content_hash(self) -> str:
-        """Stable content hash over every resolved field."""
-        return content_hash(self)
+        """Stable content hash over every resolved field: the hash of
+        :meth:`canonical_json`."""
+        return serialize.text_hash(self.canonical_json())
 
     def validate(self) -> None:
         self.cores.validate()

@@ -11,8 +11,9 @@ Because the spec is pure data it can be:
   in-memory memo and the on-disk result cache.  It is the sha256 of
   :meth:`RunSpec.canonical_json`, and both are computed once per
   instance (the spec is deeply immutable, so neither can go stale): the
-  sweep service splices the stored text into every frame that carries
-  the spec;
+  text is spliced from the stored texts of its tasks, scenario and
+  config, and the sweep service and the result cache splice it into
+  every frame and entry that carries the spec;
 * shipped across process boundaries — the parallel
   :class:`~repro.experiments.runner.SweepRunner` fans specs out over a
   ``ProcessPoolExecutor``;
@@ -101,14 +102,24 @@ class RunSpec:
             raise ConfigError(f"invalid RunSpec override: {exc}") from None
 
     def to_dict(self) -> dict:
+        return self._layout(
+            [s.to_dict() for s in self.specs],
+            self.scenario.to_dict(),
+            self.config.to_dict(),
+        )
+
+    def _layout(self, specs, scenario, config) -> dict:
+        """The serialized field layout, the one definition behind
+        :meth:`to_dict` and :meth:`canonical_json`: *specs*, *scenario*
+        and *config* come as dicts or as their stored canonical texts."""
         # The warm-start fields are emitted only when set, so the content
         # hash of every pre-existing spec (and its cached result) is
         # unchanged by their introduction.
         data = {
             "workload_name": self.workload_name,
-            "specs": [s.to_dict() for s in self.specs],
-            "scenario": self.scenario.to_dict(),
-            "config": self.config.to_dict(),
+            "specs": specs,
+            "scenario": scenario,
+            "config": config,
             "num_windows": self.num_windows,
             "warmup_windows": self.warmup_windows,
             "banks_per_task": self.banks_per_task,
@@ -145,14 +156,20 @@ class RunSpec:
         """The spec's canonical JSON text (the hash pre-image), computed
         on the first call and stored on the instance.
 
-        Raises :class:`ConfigError` when any embedded value is not
-        serializable (rather than a bare ``TypeError`` from ``json``).
+        The text is spliced from the stored texts of the task list,
+        scenario and config, which a sweep's specs share, so each is
+        encoded once per instance, not once per spec.  Raises
+        :class:`ConfigError` when any embedded value is not serializable
+        (rather than a bare ``TypeError`` from ``json``).
         """
-        text = self.__dict__.get("_canonical_json")
-        if text is None:
-            text = serialize.canonical_json(self)
-            object.__setattr__(self, "_canonical_json", text)
-        return text
+        return serialize.stored(self, "_canonical_json", RunSpec._splice)
+
+    def _splice(self) -> serialize.CanonicalJSON:
+        return serialize.CanonicalJSON(serialize.encode_canonical(self._layout(
+            serialize.canonical_array(s.canonical_json() for s in self.specs),
+            self.scenario.canonical_json(),
+            self.config.canonical_json(),
+        )))
 
     def content_hash(self) -> str:
         """Stable content hash over the complete spec: the hash of
@@ -163,8 +180,7 @@ class RunSpec:
         instances, which compute their own; a pickled spec carries its
         text and hash along.
         """
-        key = self.__dict__.get("_content_hash")
-        if key is None:
-            key = serialize.text_hash(self.canonical_json())
-            object.__setattr__(self, "_content_hash", key)
-        return key
+        return serialize.stored(self, "_content_hash", RunSpec._hash)
+
+    def _hash(self) -> str:
+        return serialize.text_hash(self.canonical_json())

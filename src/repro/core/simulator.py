@@ -38,6 +38,19 @@ def resolve_workload(
     return "custom", specs
 
 
+def _resolve_config(
+    config: Optional[SystemConfig], overrides: dict
+) -> SystemConfig:
+    """*config* (default: the paper's, :func:`default_system_config`)
+    with *overrides* applied and validated."""
+    if config is None:
+        return default_system_config(**overrides)
+    if overrides:
+        config = config.with_(**overrides)
+        config.validate()
+    return config
+
+
 def build_system(
     workload: str | Sequence[BenchmarkSpec] = "WL-6",
     scenario: str | Scenario = "codesign",
@@ -73,11 +86,7 @@ def make_run_spec(
     fully determines the run (mix names are expanded to explicit
     :class:`BenchmarkSpec` tuples, the config is fully resolved).
     """
-    if config is None:
-        config = default_system_config(**config_overrides)
-    elif config_overrides:
-        config = config.with_(**config_overrides)
-        config.validate()
+    config = _resolve_config(config, config_overrides)
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     name, specs = resolve_workload(workload)
@@ -274,11 +283,14 @@ def sweep_specs(
     list, and every downstream layer (cache, dedup table, worker
     backends) keys on the individual specs' content hashes.  Duplicate
     cells (same content hash) are collapsed, keeping first position.
+    The config is resolved once, so every cell shares one
+    :class:`SystemConfig` and its canonical text is encoded once.
     """
     if not workloads:
         raise ConfigError("sweep_specs: workloads must not be empty")
     if not scenarios:
         raise ConfigError("sweep_specs: scenarios must not be empty")
+    config = _resolve_config(config, config_overrides)
     specs: list[RunSpec] = []
     seen: set[str] = set()
     for workload in workloads:
@@ -291,7 +303,6 @@ def sweep_specs(
                 warmup_windows=warmup_windows,
                 banks_per_task=banks_per_task,
                 sample_windows=sample_windows,
-                **config_overrides,
             )
             if warmup_scenario is not None:
                 spec = spec.with_(warmup_scenario=warmup_scenario)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro import serialize
 from repro.config.system_configs import SystemConfig
 from repro.core.engine import Engine
 from repro.core.results import RunResult, TaskResult
@@ -80,21 +81,22 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        from repro.serialize import dataclass_from_dict
-
         data = dict(data)
         try:
             data["partition"] = PartitionPolicy(data["partition"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"Scenario: bad partition policy ({exc})") from None
-        return dataclass_from_dict(cls, data)
+        return serialize.dataclass_from_dict(cls, data)
+
+    def canonical_json(self) -> serialize.CanonicalJSON:
+        """Canonical JSON text of :meth:`to_dict`, encoded on the first
+        call and stored on the instance (a spec's text splices it)."""
+        return serialize.stored(self, "_canonical_json", serialize.canonical_json)
 
     def content_hash(self) -> str:
         """Content hash over the full scenario, not just its name — two
         differently configured scenarios that share a name never alias."""
-        from repro.serialize import content_hash
-
-        return content_hash(self)
+        return serialize.text_hash(self.canonical_json())
 
 
 #: The scenarios evaluated in the paper (Section 6) plus ablations.

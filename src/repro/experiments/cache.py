@@ -1,9 +1,10 @@
 """Persistent, content-addressed cache of simulation results.
 
-Layout (all JSON, one file per run)::
+Layout (one file per run, canonical JSON: sorted keys, no whitespace,
+so the result comes first)::
 
     <root>/v<SCHEMA>/<hh>/<content-hash>.json
-        {"schema": <SCHEMA>, "spec": {...}, "result": {...}}
+        {"result":{...},"schema":"<SCHEMA>","spec":{...}}
 
 * ``<root>`` defaults to ``~/.cache/repro`` and is overridable with the
   ``REPRO_CACHE_DIR`` environment variable or the ``--cache-dir`` CLI
@@ -11,11 +12,17 @@ Layout (all JSON, one file per run)::
 * The ``v<SCHEMA>`` directory namespaces the serialization layout: any
   schema bump simply leaves old entries unread (and re-computable) —
   there is no in-place migration.
-* Corruption tolerance: a truncated, garbled or stale entry, or one
-  that is not a JSON object, is treated as a miss and recomputed; the
-  cache never crashes a sweep.  Writes are atomic (temp file +
-  ``os.replace``) so a killed run cannot leave a half-written entry
-  behind.
+* Encoded once: a put splices the result's canonical text (the sweep
+  service's memo holds it) and the spec's stored text into the entry,
+  and a hit hands back the result's bytes exactly as stored, after
+  parsing and checking the whole entry, so the service serves them
+  without encoding the result again.
+* Corruption tolerance: a truncated, garbled or stale entry, one that
+  is not a JSON object, or one in any other layout (earlier versions
+  wrote the schema first, with whitespace) is treated as a miss,
+  deleted and recomputed; the cache never crashes a sweep.
+  Writes are atomic (temp file + ``os.replace``) so a killed run cannot
+  leave a half-written entry behind.
 * Eviction: none automatic.  Entries are small (a few KB); deleting the
   cache directory (or any subset of it) at any time is always safe.
 """
@@ -25,10 +32,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+from typing import NamedTuple
 
 from repro.core.results import RESULT_SCHEMA, RunResult
 from repro.core.runspec import SPEC_SCHEMA, RunSpec
 from repro.errors import ReproError
+from repro.serialize import CanonicalJSON, canonical_json, encode_canonical
 
 #: Combined schema tag for cache entries; bumping either layout version
 #: retires every existing entry.
@@ -36,6 +45,12 @@ CACHE_SCHEMA = f"{SPEC_SCHEMA}.{RESULT_SCHEMA}"
 
 #: Environment variable overriding the cache root directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Every entry begins with this: ``result`` is its first key in sorted
+#: order.  Anything else is an entry of another layout.
+_ENTRY_HEAD = '{"result":'
+
+_decode_value = json.JSONDecoder().raw_decode
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -85,6 +100,14 @@ def read_result_entry(path: str | os.PathLike) -> tuple[dict, dict]:
     return data["spec"], data["result"]
 
 
+class CacheHit(NamedTuple):
+    """A cache hit: the checked result and its canonical JSON, the
+    entry's own bytes."""
+
+    result: RunResult
+    text: CanonicalJSON
+
+
 class ResultCache:
     """Content-addressed ``RunSpec -> RunResult`` store on disk."""
 
@@ -98,17 +121,26 @@ class ResultCache:
         """On-disk location of the entry for content-hash *key*."""
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> RunResult | None:
-        """The cached result for *key*, or None (miss/corrupt/stale)."""
+    def get(self, key: str) -> CacheHit | None:
+        """The cached result for *key* and its stored text, or None
+        (miss/corrupt/stale).
+
+        Every byte of the entry is parsed, once: the result's span, then
+        the rest of the entry, whose ``schema`` must be this version's.
+        """
         path = self.path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ValueError("entry is not a JSON object")
-            if data.get("schema") != CACHE_SCHEMA:
-                raise ValueError(f"stale schema {data.get('schema')!r}")
-            result = RunResult.from_dict(data["result"])
+                text = fh.read()
+            if not text.startswith(_ENTRY_HEAD):
+                raise ValueError("entry is not in the canonical layout")
+            data, end = _decode_value(text, len(_ENTRY_HEAD))
+            if text[end : end + 1] != ",":
+                raise ValueError("entry has no schema or spec")
+            rest = json.loads("{" + text[end + 1 :])
+            if rest.get("schema") != CACHE_SCHEMA:
+                raise ValueError(f"stale schema {rest.get('schema')!r}")
+            result = RunResult.from_dict(data)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -118,18 +150,23 @@ class ResultCache:
             self._discard(path)
             return None
         self.hits += 1
-        return result
+        return CacheHit(result, CanonicalJSON(text[len(_ENTRY_HEAD) : end]))
 
-    def put(self, key: str, spec: RunSpec, result: RunResult) -> None:
-        """Store *result* for *key* atomically; failures are non-fatal."""
+    def put(
+        self, key: str, spec: RunSpec, result: RunResult | CanonicalJSON
+    ) -> None:
+        """Store *result* for *key* atomically; failures are non-fatal.
+
+        *result* may be given as its canonical JSON text, which is
+        spliced into the entry as is, as is the spec's stored text.
+        """
         path = self.path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        payload = {
+        text = encode_canonical({
+            "result": canonical_json(result),
             "schema": CACHE_SCHEMA,
-            "spec": spec.to_dict(),
-            "result": result.to_dict(),
-        }
-        text = json.dumps(payload)  # one-shot: the C encoder
+            "spec": spec.canonical_json(),
+        })
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as fh:

@@ -162,10 +162,10 @@ class SweepRunner:
             self.memo_hits += 1
             return result
         if self.disk_cache is not None:
-            result = self.disk_cache.get(key)
-            if result is not None:
-                self._memo[key] = result
-                return result
+            cached = self.disk_cache.get(key)
+            if cached is not None:
+                self._memo[key] = cached.result
+                return cached.result
         self.runs_executed += 1
         result = execute_run_spec(spec, checkpoint_store=self.checkpoint_store)
         self._memo[key] = result
@@ -205,7 +205,7 @@ class SweepRunner:
             if self.disk_cache is not None:
                 cached = self.disk_cache.get(key)
                 if cached is not None:
-                    self._memo[key] = cached
+                    self._memo[key] = cached.result
                     continue
             pending[key] = spec
         if not pending:

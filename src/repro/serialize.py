@@ -15,9 +15,14 @@ provides the shared machinery:
 :func:`canonical_json`
     Deterministic JSON text (sorted keys, no whitespace) — the hashing
     pre-image, marked as :class:`CanonicalJSON`.
-:func:`encode_canonical`
-    The canonical encoder itself; it splices top-level values that are
-    already :class:`CanonicalJSON` text instead of encoding them again.
+:func:`encode_canonical` / :func:`canonical_array`
+    The canonical encoder itself, which splices top-level values that
+    are already :class:`CanonicalJSON` text instead of encoding them
+    again, and the array of such texts.
+:func:`stored`
+    A value computed once per frozen instance and stored on it: the
+    canonical text and content hash of a spec and of the components it
+    is spliced from.
 :func:`text_hash` / :func:`content_hash`
     Stable hex digest of canonical JSON text (every content hash goes
     through :func:`text_hash`) and of a value's canonical JSON; used as
@@ -31,7 +36,10 @@ Each value is walked once on the way to its hash: a ``to_dict`` returns
 JSON-able primitives (built with :func:`to_jsonable` where a field may
 hold anything else), so its output is used as is, never walked again.
 Text that is already canonical is never re-encoded: a spec or result
-encoded once is spliced, as is, into every frame that carries it.
+encoded once is spliced, as is, into every frame and cache entry that
+carries it, and a spec's own text is spliced from the stored texts of
+its task list, scenario and config.  :func:`canonical_json`, the
+generic walk, stays the reference those spliced texts must equal.
 """
 
 from __future__ import annotations
@@ -114,28 +122,50 @@ def encode_canonical(data) -> str:
     Byte-identical to ``json.dumps(data, sort_keys=True,
     separators=(",", ":"))``, except that a :class:`CanonicalJSON`
     value, given as *data* itself or as a top-level value of a dict, is
-    spliced in as the JSON it already is.
+    spliced in as the JSON it already is.  Raises :class:`ConfigError`
+    for a value ``json`` cannot encode.
     """
     if isinstance(data, CanonicalJSON):
         return data
-    if isinstance(data, dict) and any(
-        isinstance(v, CanonicalJSON) for v in data.values()
-    ):
-        return "{" + ",".join(
-            f"{_encode(key)}:{v if isinstance(v, CanonicalJSON) else _encode(v)}"
-            for key, v in sorted(data.items())
-        ) + "}"
-    return _encode(data)
-
-
-def canonical_json(value) -> CanonicalJSON:
-    """Deterministic JSON text for *value* (the content-hash pre-image)."""
-    data = to_jsonable(value)
     try:
-        return CanonicalJSON(encode_canonical(data))
+        if isinstance(data, dict) and any(
+            isinstance(v, CanonicalJSON) for v in data.values()
+        ):
+            return "{" + ",".join(
+                f"{_encode(key)}:{v if isinstance(v, CanonicalJSON) else _encode(v)}"
+                for key, v in sorted(data.items())
+            ) + "}"
+        return _encode(data)
     except TypeError as exc:
         # A to_dict that copies a field as is passes a stray value on.
         raise ConfigError(f"value is not JSON-serializable: {exc}") from None
+
+
+def canonical_array(texts) -> CanonicalJSON:
+    """The canonical JSON array of the canonical JSON *texts*."""
+    return CanonicalJSON("[" + ",".join(texts) + "]")
+
+
+def canonical_json(value) -> CanonicalJSON:
+    """Deterministic JSON text for *value* (the content-hash pre-image),
+    by the generic walk :func:`to_jsonable`."""
+    return CanonicalJSON(encode_canonical(to_jsonable(value)))
+
+
+def stored(obj, name: str, compute):
+    """``compute(obj)``, computed on the first call and stored on *obj*
+    under attribute *name*.
+
+    For frozen, deeply immutable instances only, whose stored value can
+    never go stale: ``dataclasses.replace`` and ``from_dict`` build new
+    instances, which compute their own, and a pickled or copied
+    instance carries its stored values along.
+    """
+    value = obj.__dict__.get(name)
+    if value is None:
+        value = compute(obj)
+        object.__setattr__(obj, name, value)
+    return value
 
 
 def text_hash(text: str) -> str:

@@ -45,7 +45,7 @@ from repro.errors import (
     ServiceUnavailable,
     WireError,
 )
-from repro.serialize import CanonicalJSON
+from repro.serialize import canonical_array
 from repro.telemetry.events import SpanEvent, TraceEvent
 from repro.telemetry.wire import decode_frame, encode_frame
 from repro.tracing import mint_trace_id, request_digest
@@ -279,9 +279,7 @@ class ServiceClient:
         if monitors is not None:
             frame["monitors"] = monitors
         if specs is not None:
-            frame["specs"] = CanonicalJSON(
-                "[" + ",".join(spec.canonical_json() for spec in specs) + "]"
-            )
+            frame["specs"] = canonical_array(spec.canonical_json() for spec in specs)
         else:
             frame["workloads"] = list(workloads or [])
             frame["scenarios"] = list(scenarios or [])

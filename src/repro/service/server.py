@@ -225,8 +225,12 @@ class SweepService:
             return entry.text
         return canonical_json(result)
 
-    def _remember(self, key: str, spec: RunSpec, result: RunResult) -> None:
-        self._memo[key] = _MemoEntry(spec, result, canonical_json(result))
+    def _remember(
+        self, key: str, spec: RunSpec, result: RunResult, text: CanonicalJSON
+    ) -> None:
+        """Memoize a completed job with its result's canonical JSON:
+        encoded once after a run, or a disk hit's bytes as stored."""
+        self._memo[key] = _MemoEntry(spec, result, text)
 
     # -- resolution ------------------------------------------------------------
 
@@ -334,12 +338,12 @@ class SweepService:
         if self.cache is not None and monitors is None:
             cached = self.cache.get(spec.content_hash())
             if cached is not None:
-                self._remember(key, spec, cached)
+                self._remember(key, spec, cached.result, cached.text)
                 if trace is not None:
                     trace.span("cache", parent=root.span_id).set(
-                        cycles=cached.simulated_cycles, detail=key
+                        cycles=cached.result.simulated_cycles, detail=key
                     ).close()
-                return cached, "cache"
+                return cached.result, "cache"
         # Miss everywhere: this submission starts the simulation.
         return await self._execute(key, spec, monitors, None, trace, root)
 
@@ -404,9 +408,10 @@ class SweepService:
                 raise
             if span is not None:
                 span.set(cycles=result.simulated_cycles, detail=key).close()
-            self._remember(key, spec, result)
+            text = canonical_json(result)
+            self._remember(key, spec, result, text)
             if self.cache is not None and monitors is None:
-                self.cache.put(spec.content_hash(), spec, result)
+                self.cache.put(spec.content_hash(), spec, text)
             if future is not None:
                 future.set_result(result)
             return result, "live" if live else "executed"

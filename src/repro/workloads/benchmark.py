@@ -16,7 +16,13 @@ from typing import NamedTuple, Optional
 
 from repro.core.state import INT, INTS, OPT_INT, Stateful
 from repro.errors import ConfigError
-from repro.serialize import dataclass_from_dict, dataclass_to_dict
+from repro.serialize import (
+    CanonicalJSON,
+    canonical_json,
+    dataclass_from_dict,
+    dataclass_to_dict,
+    stored,
+)
 
 
 class MpkiClass(enum.Enum):
@@ -87,6 +93,12 @@ class BenchmarkSpec:
 
     def to_dict(self) -> dict:
         return dataclass_to_dict(self)
+
+    def canonical_json(self) -> CanonicalJSON:
+        """Canonical JSON text of :meth:`to_dict`, encoded on the first
+        call and stored on the instance: every spec naming this task
+        splices it into its own text."""
+        return stored(self, "_canonical_json", canonical_json)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkSpec":

@@ -3,8 +3,10 @@
 ``json.dump`` streams through CPython's pure-Python encoder; only the
 one-shot ``dumps`` runs the C one.  The switch must not change a byte:
 each writer's output is compared with what ``json.dump`` writes for the
-same real payload (a cache entry, a checkpoint, and JSONL events with
-non-ASCII text and floats).
+same real payload (a checkpoint, and JSONL events with non-ASCII text
+and floats).  A cache entry, spliced from texts encoded once, is
+compared with ``json.dump``'s canonical encoding (sorted keys, no
+whitespace) of its payload.
 """
 
 import io
@@ -53,7 +55,9 @@ def test_a_cache_entry_is_what_json_dump_writes(tmp_path, spec):
     key = spec.content_hash()
     cache.put(key, spec, result)
     payload = {"schema": CACHE_SCHEMA, "spec": spec.to_dict(), "result": result.to_dict()}
-    assert cache.path(key).read_bytes() == _dumped(payload)
+    assert cache.path(key).read_bytes() == _dumped(
+        payload, sort_keys=True, separators=(",", ":")
+    )
 
 
 def test_a_checkpoint_is_what_json_dump_writes(tmp_path, spec):
