@@ -592,7 +592,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.service import SweepService, make_backend
-    from repro.service.server import DEFAULT_PORT, serve_forever
+    from repro.service.server import serve_forever
+    from repro.telemetry.wire import DEFAULT_PORT
     from repro.tracing import StructuredLog
 
     backend = make_backend(args.backend, jobs=args.jobs)
@@ -650,7 +651,7 @@ def _cmd_submit(args) -> int:
     parser = args.parser
     from repro.errors import ReproError, ServiceError
     from repro.service.client import ServiceClient
-    from repro.service.server import DEFAULT_PORT
+    from repro.telemetry.wire import DEFAULT_PORT
 
     port = args.port if args.port is not None else DEFAULT_PORT
     utility = args.ping or args.status or args.metrics or args.shutdown

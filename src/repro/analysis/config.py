@@ -30,6 +30,7 @@ class AnalysisConfig:
     #: Packages whose code must be a pure function of its inputs —
     #: RPR001 (no wall clock / unseeded randomness) binds here.
     pure_packages: tuple[str, ...] = (
+        "repro.config",
         "repro.core",
         "repro.dram",
         "repro.os",

@@ -158,7 +158,7 @@ def submit(
     collapse onto one simulation server-side.
     """
     from repro.service.client import ServiceClient
-    from repro.service.server import DEFAULT_PORT
+    from repro.telemetry.wire import DEFAULT_PORT
 
     with ServiceClient(host, port if port is not None else DEFAULT_PORT) as client:
         if isinstance(spec, RunSpec):

@@ -1,5 +1,7 @@
-"""Simulation core: event engine, full-system wiring, metrics, results."""
+"""Simulation core: event engine, full-system wiring, specs, metrics, results.
 
-from repro.core.engine import Engine
-
-__all__ = ["Engine"]
+Import the modules themselves (``repro.core.engine``,
+``repro.core.system``, ...): this package re-exports nothing, so that
+importing one of its data modules (specs, results, checkpoints) does
+not load the simulation kernel.
+"""

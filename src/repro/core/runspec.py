@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro import serialize
+from repro.config.scenarios import SCENARIOS, Scenario
 from repro.config.system_configs import SystemConfig
-from repro.core.system import Scenario
 from repro.errors import ConfigError
 from repro.workloads.benchmark import BenchmarkSpec
 
@@ -85,14 +85,11 @@ class RunSpec:
             raise ConfigError("RunSpec: banks_per_task must be >= 1")
         if self.sample_windows is not None and self.sample_windows < 1:
             raise ConfigError("RunSpec: sample_windows must be >= 1")
-        if self.warmup_scenario is not None:
-            from repro.core.system import SCENARIOS
-
-            if self.warmup_scenario not in SCENARIOS:
-                raise ConfigError(
-                    f"RunSpec: unknown warmup_scenario "
-                    f"{self.warmup_scenario!r}; known: {sorted(SCENARIOS)}"
-                )
+        if self.warmup_scenario is not None and self.warmup_scenario not in SCENARIOS:
+            raise ConfigError(
+                f"RunSpec: unknown warmup_scenario "
+                f"{self.warmup_scenario!r}; known: {sorted(SCENARIOS)}"
+            )
 
     def with_(self, **kwargs) -> "RunSpec":
         """Return a copy with the given fields replaced."""

@@ -5,6 +5,12 @@ A run is a pure function of a serializable
 workload/scenario/config into a spec, :func:`run_spec` executes it.  The
 experiment layer builds specs in bulk and fans them out across processes;
 :func:`repro.api.run` is the one-call entry point for a single run.
+
+Resolving specs needs only data types, so the simulation kernel
+(:class:`~repro.core.system.System` and everything it wires) is
+imported by the functions that build a machine, on a process's first
+simulation: a process that only resolves, hashes or serves specs never
+loads it.
 """
 
 from __future__ import annotations
@@ -12,17 +18,17 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.config.scenarios import SCENARIOS, Scenario, scenario as get_scenario
 from repro.config.system_configs import SystemConfig, default_system_config
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
-from repro.core.system import SCENARIOS, Scenario, System, scenario as get_scenario
-from repro.dram.timing import DramTiming
 from repro.errors import CheckpointError, ConfigError
 from repro.telemetry.hub import Telemetry
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_mix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.system import System
     from repro.obs.monitors import MonitorSuite
 
 
@@ -118,6 +124,8 @@ def build_system_from_spec(
     :class:`System`); a malformed one raises
     :class:`~repro.errors.CheckpointError`.
     """
+    from repro.core.system import System
+
     return System(
         spec.config,
         list(spec.specs),
@@ -157,6 +165,8 @@ def warm_start_state(spec: RunSpec, store=None) -> tuple[dict, str]:
     The state may be the store's own copy, shared with later calls:
     restore it, never change it.
     """
+    from repro.dram.timing import DramTiming
+
     prefix = prefix_spec_of(spec)
     key = prefix.content_hash()
     cycle = int(

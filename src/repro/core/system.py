@@ -10,9 +10,13 @@ returning a :class:`~repro.core.results.RunResult`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from repro import serialize
+from repro.config.scenarios import (  # the last two re-exported at this path
+    PartitionPolicy,
+    Scenario,
+    SCENARIOS as SCENARIOS,
+    scenario as scenario,
+)
 from repro.config.system_configs import SystemConfig
 from repro.core.engine import Engine
 from repro.core.results import RunResult, TaskResult
@@ -38,13 +42,13 @@ from repro.core.state import (
 from repro.cpu.core import ACCESS, Core
 from repro.dram.address import AddressMapping
 from repro.dram.controller import MemoryController
-from repro.dram.refresh import make_scheduler, validate_policy
+from repro.dram.refresh import make_scheduler
 from repro.dram.request import MemoryRequest, RequestType
 from repro.dram.timing import DramTiming
 from repro.errors import CheckpointError, ConfigError, SimulationError
 from repro.os.codesign import assign_bank_vectors
 from repro.os.page import PhysicalMemory
-from repro.os.partition import PartitioningAllocator, PartitionPolicy
+from repro.os.partition import PartitioningAllocator
 from repro.os.refresh_aware import RefreshAwareScheduler
 from repro.os.scheduler import CfsScheduler
 from repro.os.task import Task
@@ -52,107 +56,6 @@ from repro.telemetry.events import SchedulerPickEvent
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.benchmark import BenchmarkSpec, StatisticalWorkload
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A named combination of refresh policy, OS scheduler and allocator."""
-
-    name: str
-    refresh_policy: str
-    refresh_aware: bool = False
-    partition: PartitionPolicy = PartitionPolicy.NONE
-    best_effort: bool = False
-
-    def __post_init__(self):
-        # Fail at construction, not at System build time: an unknown
-        # policy name in a sweep definition surfaces immediately, with a
-        # did-you-mean suggestion.
-        validate_policy(self.refresh_policy)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "refresh_policy": self.refresh_policy,
-            "refresh_aware": self.refresh_aware,
-            "partition": self.partition.value,
-            "best_effort": self.best_effort,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        data = dict(data)
-        try:
-            data["partition"] = PartitionPolicy(data["partition"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"Scenario: bad partition policy ({exc})") from None
-        return serialize.dataclass_from_dict(cls, data)
-
-    def canonical_json(self) -> serialize.CanonicalJSON:
-        """Canonical JSON text of :meth:`to_dict`, encoded on the first
-        call and stored on the instance (a spec's text splices it)."""
-        return serialize.stored(self, "_canonical_json", serialize.canonical_json)
-
-    def content_hash(self) -> str:
-        """Content hash over the full scenario, not just its name — two
-        differently configured scenarios that share a name never alias."""
-        return serialize.text_hash(self.canonical_json())
-
-
-#: The scenarios evaluated in the paper (Section 6) plus ablations.
-SCENARIOS: dict[str, Scenario] = {
-    s.name: s
-    for s in [
-        Scenario("no_refresh", "no_refresh"),
-        Scenario("all_bank", "all_bank"),
-        Scenario("per_bank", "per_bank"),
-        Scenario("ooo_per_bank", "ooo_per_bank"),
-        Scenario("adaptive", "adaptive"),
-        Scenario("elastic", "elastic"),
-        Scenario("pausing", "pausing"),
-        # The full co-design: same-bank refresh + soft partitioning +
-        # refresh-aware scheduling (Section 5.3).
-        Scenario(
-            "codesign",
-            "same_bank",
-            refresh_aware=True,
-            partition=PartitionPolicy.SOFT,
-        ),
-        # Section 5.4.1 generalization for spilling footprints.
-        Scenario(
-            "codesign_best_effort",
-            "same_bank",
-            refresh_aware=True,
-            partition=PartitionPolicy.SOFT,
-            best_effort=True,
-        ),
-        # Hard partitioning variant (Section 5.2.1).
-        Scenario(
-            "codesign_hard",
-            "same_bank",
-            refresh_aware=True,
-            partition=PartitionPolicy.HARD,
-        ),
-        # Ablation: proposed hardware schedule without the OS changes.
-        Scenario("same_bank_hw_only", "same_bank"),
-        # Ablation: partitioning + refresh-aware OS on round-robin per-bank
-        # refresh is impossible (unpredictable); partitioning alone:
-        Scenario(
-            "partition_only",
-            "per_bank",
-            partition=PartitionPolicy.SOFT,
-        ),
-    ]
-}
-
-
-def scenario(name: str) -> Scenario:
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}"
-        ) from None
 
 
 def _no_arg(data, refs=None, current=None):

@@ -1,5 +1,4 @@
-"""CPU substrate: the interval core model."""
+"""CPU substrate: the interval core model (:mod:`repro.cpu.core`).
 
-from repro.cpu.core import Core
-
-__all__ = ["Core"]
+This package re-exports nothing; import the module itself.
+"""

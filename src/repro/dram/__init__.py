@@ -1,14 +1,8 @@
-"""DRAM substrate: timing, address mapping, banks, controller, refresh."""
+"""DRAM substrate: timing, address mapping, banks, controller, refresh.
 
-from repro.dram.address import AddressMapping
-from repro.dram.controller import MemoryController
-from repro.dram.request import MemoryRequest, RequestType
-from repro.dram.timing import DramTiming
-
-__all__ = [
-    "AddressMapping",
-    "MemoryController",
-    "MemoryRequest",
-    "RequestType",
-    "DramTiming",
-]
+Import the modules themselves (``repro.dram.controller``,
+``repro.dram.timing``, ...): this package re-exports nothing, so that
+the refresh-policy registry (:mod:`repro.dram.refresh`) and the energy
+records (:mod:`repro.dram.power`), which specs and results use, load
+without the controller and banks.
+"""

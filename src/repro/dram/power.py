@@ -12,9 +12,12 @@ milli-joules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.dram.controller import MemoryController
 from repro.serialize import dataclass_from_dict, field_names
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dram.controller import MemoryController
 
 
 @dataclass(frozen=True)

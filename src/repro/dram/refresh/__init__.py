@@ -3,11 +3,9 @@
 Policies are looked up by string key in :data:`REGISTRY`;
 :func:`make_scheduler` instantiates them and :func:`available_policies`
 lists the valid keys.  Unknown names raise :class:`ConfigError` with a
-did-you-mean suggestion, and :class:`~repro.core.system.Scenario`
+did-you-mean suggestion, and :class:`~repro.config.scenarios.Scenario`
 validates its ``refresh_policy`` against this registry at construction.
 """
-
-from difflib import get_close_matches
 
 from repro.dram.refresh.base import RefreshScheduler, RefreshStats
 from repro.dram.refresh.no_refresh import NoRefresh
@@ -47,6 +45,8 @@ def validate_policy(name: str) -> str:
     did-you-mean suggestion."""
     if name in REGISTRY:
         return name
+    from difflib import get_close_matches
+
     hint = ""
     close = get_close_matches(name, REGISTRY, n=1)
     if close:

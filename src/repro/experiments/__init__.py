@@ -3,27 +3,8 @@ figures as data (see DESIGN.md §4).
 
 Run a figure through :func:`repro.api.figure` or the ``python -m
 repro.experiments`` CLI; both look it up in
-:data:`repro.experiments.figures.FIGURES`, which this package does not
-import eagerly.
+:data:`repro.experiments.figures.FIGURES`.  This package re-exports
+nothing: the sweep service imports the result cache
+(:mod:`repro.experiments.cache`) without the sweep runner
+(:mod:`repro.experiments.runner`), which executes simulations.
 """
-
-from repro.experiments.cache import ResultCache, default_cache_dir
-from repro.experiments.runner import (
-    ExperimentProfile,
-    FULL_PROFILE,
-    QUICK_PROFILE,
-    active_profile,
-    default_jobs,
-    SweepRunner,
-)
-
-__all__ = [
-    "ExperimentProfile",
-    "FULL_PROFILE",
-    "QUICK_PROFILE",
-    "active_profile",
-    "default_jobs",
-    "ResultCache",
-    "default_cache_dir",
-    "SweepRunner",
-]

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.config.dram_configs import DDR4_1600, DramOrganization, FgrMode
+from repro.config.scenarios import PartitionPolicy, Scenario
 from repro.config.system_configs import CoreConfig, OsConfig
 from repro.core.metrics import degradation, speedup
 from repro.core.runspec import RunSpec
-from repro.core.system import Scenario
 from repro.experiments import figure5, figure9
 from repro.experiments.report import format_percent, format_table
 from repro.experiments.runner import SweepRunner
-from repro.os.partition import PartitionPolicy
 from repro.units import ms
 from repro.workloads.mixes import scaled_mix
 

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from repro.config.scenarios import Scenario
 from repro.core.checkpoint import CheckpointStore
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import make_run_spec, run_spec as execute_run_spec
-from repro.core.system import Scenario
 from repro.experiments.cache import ResultCache
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.mixes import mix_names
@@ -218,6 +217,8 @@ class SweepRunner:
             execute_run_spec, checkpoint_store=self.checkpoint_store
         )
         if self.jobs > 1 and len(items) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(self.jobs, len(items))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(

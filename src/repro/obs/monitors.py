@@ -419,7 +419,7 @@ class AllocationPartitionMonitor(Monitor):
     kinds = ("os.alloc",)
 
     def bind(self, system: "System") -> None:
-        from repro.os.partition import PartitionPolicy
+        from repro.config.scenarios import PartitionPolicy
 
         self.active = system.scenario.partition is not PartitionPolicy.NONE
         if not self.active:

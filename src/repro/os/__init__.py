@@ -1,30 +1,6 @@
-"""OS substrate: physical memory, allocators, tasks, and schedulers."""
+"""OS substrate: physical memory, allocators, tasks, and schedulers.
 
-from repro.os.buddy import BuddyAllocator
-from repro.os.page import PhysicalMemory
-from repro.os.partition import PartitionPolicy, PartitioningAllocator
-from repro.os.task import Task, TaskStats
-from repro.os.cfs import CfsRunqueue
-from repro.os.scheduler import CfsScheduler, OsScheduler
-from repro.os.refresh_aware import RefreshAwareScheduler
-from repro.os.codesign import CoDesignPolicy, assign_bank_vectors
-from repro.os.loadbalance import LoadBalancer
-from repro.os.vm import VirtualMemory, VmStats
-
-__all__ = [
-    "BuddyAllocator",
-    "PhysicalMemory",
-    "PartitionPolicy",
-    "PartitioningAllocator",
-    "Task",
-    "TaskStats",
-    "CfsRunqueue",
-    "OsScheduler",
-    "CfsScheduler",
-    "RefreshAwareScheduler",
-    "CoDesignPolicy",
-    "assign_bank_vectors",
-    "LoadBalancer",
-    "VirtualMemory",
-    "VmStats",
-]
+Import the modules themselves (``repro.os.partition``,
+``repro.os.scheduler``, ...): this package re-exports nothing, so
+importing it loads no simulator code.
+"""

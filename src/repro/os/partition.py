@@ -10,7 +10,8 @@ Per task it honors ``possible_banks_vector`` and rotates
 ``lastAllocedBank`` round-robin over the allowed banks so consecutive
 allocations stripe across banks (preserving BLP inside the partition).
 
-Modes:
+Modes (:class:`~repro.config.scenarios.PartitionPolicy`, also importable
+from here):
 
 * ``PartitionPolicy.NONE`` — bank-oblivious baseline (plain buddy order).
 * ``PartitionPolicy.SOFT`` — tasks share their allowed-bank groups; when the
@@ -23,9 +24,9 @@ Modes:
 
 from __future__ import annotations
 
-import enum
 from typing import Optional
 
+from repro.config.scenarios import PartitionPolicy
 from repro.core.state import COMPONENT, INT, INTS, Stateful, listof
 from repro.errors import OutOfMemoryError
 from repro.os.buddy import BuddyAllocator
@@ -33,12 +34,6 @@ from repro.os.page import PhysicalMemory
 from repro.os.task import Task
 from repro.telemetry.events import PageAllocEvent
 from repro.telemetry.hub import Telemetry
-
-
-class PartitionPolicy(enum.Enum):
-    NONE = "none"
-    SOFT = "soft"
-    HARD = "hard"
 
 
 class PartitioningAllocator(Stateful):

@@ -131,10 +131,15 @@ def encode_canonical(data) -> str:
         if isinstance(data, dict) and any(
             isinstance(v, CanonicalJSON) for v in data.values()
         ):
-            return "{" + ",".join(
-                f"{_encode(key)}:{v if isinstance(v, CanonicalJSON) else _encode(v)}"
-                for key, v in sorted(data.items())
-            ) + "}"
+            # One join, so each spliced text is copied once (an f-string
+            # would copy a str subclass through str.__format__ first).
+            parts = []
+            for key, v in sorted(data.items()):
+                parts += (",", _encode(key), ":",
+                          v if isinstance(v, CanonicalJSON) else _encode(v))
+            parts[0] = "{"
+            parts.append("}")
+            return "".join(parts)
         return _encode(data)
     except TypeError as exc:
         # A to_dict that copies a field as is passes a stray value on.

@@ -27,31 +27,28 @@ See ``docs/SERVICE.md`` for the protocol and dedup semantics, and
 ``docs/OBSERVABILITY.md`` §8 for tracing the serving path.
 """
 
-from repro.service.backends import (
-    BACKENDS,
-    InlineBackend,
-    ProcessPoolBackend,
-    ThreadBackend,
-    WorkerBackend,
-    make_backend,
-)
-from repro.service.client import ServiceClient, SweepOutcome, backoff_schedule
-from repro.service.metrics import ServiceMetrics, start_metrics_http
-from repro.service.server import ServiceServer, SweepService, serve_in_thread
+from repro import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "InlineBackend",
-    "ProcessPoolBackend",
-    "ServiceClient",
-    "ServiceMetrics",
-    "ServiceServer",
-    "SweepOutcome",
-    "SweepService",
-    "ThreadBackend",
-    "WorkerBackend",
-    "backoff_schedule",
-    "make_backend",
-    "serve_in_thread",
-    "start_metrics_http",
-]
+#: Each public name -> the module that defines it, imported on first
+#: access: a client process (``from repro.service.client import
+#: ServiceClient``) loads neither the server nor ``asyncio``.
+_EXPORTS = {
+    "BACKENDS": "repro.service.backends",
+    "InlineBackend": "repro.service.backends",
+    "ProcessPoolBackend": "repro.service.backends",
+    "ServiceClient": "repro.service.client",
+    "ServiceMetrics": "repro.service.metrics",
+    "ServiceServer": "repro.service.server",
+    "SweepOutcome": "repro.service.client",
+    "SweepService": "repro.service.server",
+    "ThreadBackend": "repro.service.backends",
+    "WorkerBackend": "repro.service.backends",
+    "backoff_schedule": "repro.service.client",
+    "make_backend": "repro.service.backends",
+    "serve_in_thread": "repro.service.server",
+    "start_metrics_http": "repro.service.metrics",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

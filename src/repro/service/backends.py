@@ -40,8 +40,8 @@ is the untraced one, so results stay bit-identical with tracing on.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Optional
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.results import RunResult
@@ -49,6 +49,9 @@ from repro.core.runspec import RunSpec
 from repro.core.simulator import run_spec as execute_run_spec
 from repro.errors import ServiceError
 from repro.tracing import JobTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class WorkerBackend:
@@ -197,6 +200,8 @@ class ProcessPoolBackend(WorkerBackend):
         parent: Optional[int] = None,
     ) -> "Future[RunResult]":
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         execute = functools.partial(
             execute_run_spec, checkpoint_store=self.checkpoint_store

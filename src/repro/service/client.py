@@ -47,10 +47,8 @@ from repro.errors import (
 )
 from repro.serialize import canonical_array
 from repro.telemetry.events import SpanEvent, TraceEvent
-from repro.telemetry.wire import decode_frame, encode_frame
+from repro.telemetry.wire import DEFAULT_PORT, decode_frame, encode_frame
 from repro.tracing import mint_trace_id, request_digest
-
-from repro.service.server import DEFAULT_PORT
 
 #: ``on_event`` callback signature: (event payload dict, job hash).
 EventCallback = Callable[[dict, Optional[str]], None]

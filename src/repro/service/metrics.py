@@ -23,8 +23,10 @@ op, so scrapes work even without the side port.
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from http.server import ThreadingHTTPServer
 
 #: Bucket edges (inclusive upper bounds) for simulated cycles per served
 #: result: 2^10 .. 2^32.  Fixed so snapshots from different runs align.
@@ -205,6 +207,7 @@ def start_metrics_http(metrics: ServiceMetrics, counters_fn,
     (``.server_address[1]`` has the bound port; call ``.shutdown()`` to
     stop).  ``counters_fn`` is called per scrape so the gauges are live.
     """
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     class _Handler(BaseHTTPRequestHandler):
         def do_GET(self):  # noqa: N802 - stdlib handler API

@@ -89,6 +89,7 @@ from repro.telemetry.events import SpanEvent
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.sinks import RingBufferSink
 from repro.telemetry.wire import (
+    DEFAULT_PORT,
     MAX_FRAME_BYTES,
     WIRE_SCHEMA,
     WireSink,
@@ -97,9 +98,6 @@ from repro.telemetry.wire import (
     span_frame,
 )
 from repro.tracing import JobTrace, StructuredLog, monotonic_us
-
-#: Default TCP port of ``python -m repro serve``.
-DEFAULT_PORT = 7341
 
 #: Closed spans kept in memory for ``metrics``/``obs top`` (newest last).
 RECENT_SPANS = 64

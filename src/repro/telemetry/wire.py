@@ -40,6 +40,10 @@ from repro.telemetry.sinks import EventSink
 #: ``metrics`` op.
 WIRE_SCHEMA = 2
 
+#: Default TCP port of ``python -m repro serve``, shared by the server
+#: and its clients.
+DEFAULT_PORT = 7341
+
 #: Hard cap on one encoded frame (guards the server against unbounded
 #: lines from a confused client; generous for any real spec or result).
 MAX_FRAME_BYTES = 16 * 1024 * 1024

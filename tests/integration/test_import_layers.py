@@ -1,0 +1,205 @@
+"""The simulation kernel loads with a process's first simulation.
+
+Resolving, serving and submitting specs needs only the data, cache,
+wire and service layers.  Each check starts a fresh interpreter, since
+the test process itself has long since loaded everything:
+
+* the set-up path of a served sweep (``import repro``, the Figure-10
+  and a warm-started matrix through ``api.sweep_specs``, a
+  ``SweepService`` on a thread and a client ping) loads no kernel
+  module, no HTTP server and no process pool;
+* a client process loads neither ``asyncio`` nor the server;
+* the first job the service executes loads the kernel, and its result
+  is the direct run's;
+* every compatibility name resolves, on first access, to the object its
+  defining module holds.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.service
+from repro.core.simulator import make_run_spec, run_spec
+from repro.serialize import canonical_json
+
+SRC = Path(repro.__file__).resolve().parents[1]
+
+FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
+
+#: Modules the set-up path must not load: the kernel (engine, system,
+#: controller and banks, cores, OS layer), the local sweep runner, and
+#: the stdlib modules only the metrics side port, process pools and
+#: did-you-mean hints need.
+NOT_ON_SETUP_PATH = (
+    "repro.core.system",
+    "repro.core.engine",
+    "repro.cpu.core",
+    "repro.dram.controller",
+    "repro.dram.bank",
+    "repro.dram.request",
+    "repro.experiments.runner",
+    "http.server",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "difflib",
+)
+
+KERNEL = ("repro.core.system", "repro.core.engine", "repro.dram.controller")
+
+SETUP_PATH = f"""
+import json, sys, tempfile
+import repro
+from repro import api
+
+specs = [
+    spec
+    for density in (16, 24, 32)
+    for spec in api.sweep_specs(
+        [f"WL-{{i}}" for i in range(1, 11)], ["all_bank", "per_bank", "codesign"],
+        seed=1, refresh_scale=1024, num_windows=1.0, warmup_windows=0.25,
+        density_gbit=density,
+    )
+]
+specs += api.sweep_specs(
+    ["WL-6", "WL-1"], ["per_bank", "codesign", "elastic", "partition_only"],
+    refresh_scale=1024, num_windows=1.0, warmup_windows=1.5,
+    warmup_scenario="per_bank",
+)
+assert len(specs) == 98
+
+from repro.serialize import canonical_json
+from repro.service import ServiceClient, SweepService, serve_in_thread
+
+service = SweepService(cache_dir=tempfile.mkdtemp())
+server, thread = serve_in_thread(service)
+client = ServiceClient(port=server.port, timeout=120)
+assert client.ping()["type"] == "pong"
+before = sorted(sys.modules)
+
+spec = api.make_run_spec("WL-9", "per_bank", **{FAST!r})
+result, source = client.submit(spec)
+client.shutdown()
+client.close()
+thread.join(timeout=60)
+print(json.dumps({{
+    "before": before, "after": sorted(sys.modules), "source": source,
+    "result": canonical_json(result),
+}}))
+"""
+
+
+def _fresh(code: str) -> str:
+    """Run *code* in a fresh interpreter that imports this checkout's
+    ``repro``; returns its standard output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _loaded(modules, names) -> list[str]:
+    return sorted(
+        m for m in modules
+        if m in names or m.startswith(("repro.cpu.", "repro.os."))
+    )
+
+
+@pytest.fixture(scope="module")
+def served():
+    return json.loads(_fresh(SETUP_PATH).splitlines()[-1])
+
+
+def test_the_setup_path_of_a_served_sweep_loads_no_kernel(served):
+    assert _loaded(served["before"], NOT_ON_SETUP_PATH) == []
+
+
+def test_the_first_executed_job_loads_the_kernel_and_matches_a_direct_run(served):
+    assert served["source"] == "executed"
+    assert set(KERNEL).isdisjoint(served["before"])
+    assert set(KERNEL) <= set(served["after"])
+    assert served["result"] == canonical_json(run_spec(make_run_spec("WL-9", "per_bank", **FAST)))
+
+
+def test_a_client_loads_neither_asyncio_nor_the_server():
+    code = """
+import socket, sys
+from repro.service.client import ServiceClient
+from repro import api
+from repro.errors import ServiceUnavailable
+
+probe = socket.socket()
+probe.bind(("127.0.0.1", 0))
+port = probe.getsockname()[1]
+probe.close()
+spec = api.make_run_spec("WL-9", "per_bank")
+try:
+    api.submit(spec, port=port)
+except ServiceUnavailable:
+    pass
+else:
+    raise SystemExit("a closed port accepted a submission")
+print(" ".join(sorted(sys.modules)))
+"""
+    modules = _fresh(code).split()
+    assert "repro.service.client" in modules
+    assert [m for m in modules if m in ("asyncio", "repro.service.server")] == []
+    assert _loaded(modules, NOT_ON_SETUP_PATH) == []
+
+
+@pytest.mark.parametrize("package", [repro, repro.service], ids=lambda p: p.__name__)
+def test_every_public_name_resolves_to_its_defining_module(package):
+    code = f"""
+import importlib, sys
+import {package.__name__} as package
+assert not any(name in vars(package) for name in package._EXPORTS), "resolved eagerly"
+for name, module_name in package._EXPORTS.items():
+    value = getattr(package, name)
+    module = importlib.import_module(module_name)
+    if module_name == package.__name__ + "." + name:
+        assert value is module, name
+    else:
+        assert value is vars(module)[name], name
+        assert getattr(value, "__module__", module_name) == module_name, name
+namespace = {{}}
+exec("from {package.__name__} import *", namespace)
+assert set(namespace) - {{"__builtins__"}} == set(package.__all__), namespace.keys()
+for name in package.__all__:
+    assert namespace[name] is getattr(package, name), name
+print("ok")
+"""
+    assert _fresh(code).strip() == "ok"
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    assert not hasattr(repro, "nope")
+    assert not hasattr(repro.service, "nope")
+
+
+def test_moved_names_stay_importable_at_their_old_paths():
+    scenarios = importlib.import_module("repro.config.scenarios")
+    system = importlib.import_module("repro.core.system")
+    partition = importlib.import_module("repro.os.partition")
+    server = importlib.import_module("repro.service.server")
+    wire = importlib.import_module("repro.telemetry.wire")
+    assert system.Scenario is scenarios.Scenario
+    assert system.SCENARIOS is scenarios.SCENARIOS
+    assert system.scenario is scenarios.scenario
+    assert partition.PartitionPolicy is scenarios.PartitionPolicy
+    assert server.DEFAULT_PORT == wire.DEFAULT_PORT == 7341
+    assert repro.System is system.System
+    assert repro.service.SweepService is server.SweepService

@@ -6,7 +6,6 @@ from repro.config.system_configs import (
     CacheConfig,
     CoreConfig,
     OsConfig,
-    SystemConfig,
     default_system_config,
 )
 from repro.errors import ConfigError
