@@ -52,7 +52,7 @@ from pathlib import Path
 import argparse
 
 from repro import available_scenarios, available_workloads
-from repro.core.simulator import build_system_from_spec, make_run_spec, sweep_specs
+from repro.core.simulator import build_system_from_spec, sweep_specs
 from repro.telemetry import ChromeTraceSink, JsonlSink, Telemetry
 from repro.units import ms
 
@@ -81,7 +81,7 @@ def _suffixed(path: str, name: str, multi: bool) -> str:
     return str(p.with_name(f"{p.stem}.{name}{p.suffix}"))
 
 
-def _checkpoint_sink(spec, name: str, args, multi: bool):
+def _checkpoint_sink(spec, args, multi: bool):
     """A ``system.run`` checkpoint sink writing files under
     ``--checkpoint-dir``, halting after ``--checkpoint-halt`` writes."""
     from repro.core.checkpoint import save_checkpoint
@@ -91,7 +91,7 @@ def _checkpoint_sink(spec, name: str, args, multi: bool):
 
     def sink(cycle: int, state: dict) -> bool:
         path = directory / _suffixed(
-            f"ckpt-{cycle}.json", name, multi
+            f"ckpt-{cycle}.json", spec.scenario.name, multi
         )
         save_checkpoint(path, spec, cycle, state)
         written.append(path)
@@ -103,7 +103,7 @@ def _checkpoint_sink(spec, name: str, args, multi: bool):
     return sink
 
 
-def _run_observed(spec, name: str, args, multi: bool, resume=None):
+def _run_observed(spec, args, multi: bool, resume=None):
     """Execute one spec live with the requested sinks/monitors attached.
 
     ``resume = (cycle, state)`` continues from a checkpoint: the system
@@ -112,6 +112,7 @@ def _run_observed(spec, name: str, args, multi: bool, resume=None):
     with the pre-checkpoint shard's stream.  Returns ``None`` when a
     ``--checkpoint-halt`` barrier stopped the run before completion.
     """
+    name = spec.scenario.name
     telemetry = Telemetry()
     chrome = jsonl = suite = profiler = None
     # Attach before system construction: page allocations are emitted
@@ -142,7 +143,7 @@ def _run_observed(spec, name: str, args, multi: bool, resume=None):
             system.engine.set_profiler(profiler)
         sink = None
         if args.checkpoint_every is not None:
-            sink = _checkpoint_sink(spec, name, args, multi)
+            sink = _checkpoint_sink(spec, args, multi)
         result = system.run(
             num_windows=spec.num_windows,
             warmup_windows=spec.warmup_windows,
@@ -156,14 +157,7 @@ def _run_observed(spec, name: str, args, multi: bool, resume=None):
         telemetry.close()
     if result is None:
         print(f"  halted at checkpoint (cycle {system.engine.now})")
-        if chrome is not None:
-            out = _suffixed(args.trace, name, multi)
-            chrome.write(out)
-            print(f"  wrote trace {out}")
-        if jsonl is not None:
-            print(f"  wrote events {jsonl.path} ({jsonl.written} lines)")
-        return None
-    if suite is not None:
+    elif suite is not None:
         suite.finish(system.engine.now)
         result.monitor_violations = suite.violations()
         counts = ", ".join(
@@ -174,7 +168,7 @@ def _run_observed(spec, name: str, args, multi: bool, resume=None):
         print(f"  monitors           : {counts}")
         for violation in result.monitor_violations:
             print(f"    VIOLATION {violation}")
-    if profiler is not None:
+    if result is not None and profiler is not None:
         out = _suffixed(args.profile, name, multi)
         report = profiler.report()
         # Deterministic dispatch-work counters ride along with the wall
@@ -187,10 +181,14 @@ def _run_observed(spec, name: str, args, multi: bool, resume=None):
     if chrome is not None:
         out = _suffixed(args.trace, name, multi)
         chrome.write(out)
-        print(f"  wrote trace {out} ({len(chrome.trace()['traceEvents'])} events)")
+        events = (
+            "" if result is None
+            else f" ({len(chrome.trace()['traceEvents'])} events)"
+        )
+        print(f"  wrote trace {out}{events}")
     if jsonl is not None:
         print(f"  wrote events {jsonl.path} ({jsonl.written} lines)")
-    if args.metrics_out:
+    if result is not None and args.metrics_out:
         out = _suffixed(args.metrics_out, name, multi)
         system.metrics().write(out)
         print(f"  wrote metrics {out}")
@@ -200,8 +198,9 @@ def _run_observed(spec, name: str, args, multi: bool, resume=None):
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    """Execution flags shared by every subcommand that runs or serves."""
+def common_parent() -> argparse.ArgumentParser:
+    """Execution flags shared by every subcommand that runs or serves,
+    and by ``python -m repro.experiments``."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker parallelism "
@@ -272,7 +271,7 @@ def _observe_parent() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common, spec, observe = _common_parent(), _spec_parent(), _observe_parent()
+    common, spec, observe = common_parent(), _spec_parent(), _observe_parent()
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="DRAM refresh co-design simulator: run one spec, sweep "
@@ -304,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resume a run from a checkpoint file; the "
                             "workload/scenario positionals must be omitted "
                             "(they are recorded in the checkpoint)")
-    run_p.set_defaults(func=_cmd_run, parser=run_p)
+    # run has no --out and no --warmup-scenario.
+    run_p.set_defaults(
+        func=_cmd_run, parser=run_p, out=None, warmup_scenario=None
+    )
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -419,20 +421,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_names(parser, value: str, kind: str, known) -> list[str]:
-    names = [item.strip() for item in value.split(",") if item.strip()]
-    if not names:
-        parser.error(f"no {kind} given")
-    for name in names:
-        if name not in known:
-            parser.error(f"unknown {kind} {name!r}; known: {list(known)}")
-    return names
+def _names(value: str) -> list[str]:
+    """The names of a comma-separated list."""
+    return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _matrix_specs(args, parser, workloads: list[str], scenarios: list[str]):
-    """workload x scenario RunSpecs from the shared spec flags."""
+def _matrix_specs(args, workloads: list[str], scenarios: list[str]):
+    """workload x scenario RunSpecs from the shared spec flags: the one
+    spec builder of ``run``, ``sweep`` and ``submit``.  Unknown names
+    and invalid flags are usage errors."""
     from repro.errors import ConfigError
 
+    parser = args.parser
+
+    for names, kind, known in (
+        (workloads, "workload", available_workloads()),
+        (scenarios, "scenario", available_scenarios()),
+    ):
+        if not names:
+            parser.error(f"no {kind} given")
+        for name in names:
+            if name not in known:
+                parser.error(f"unknown {kind} {name!r}; known: {list(known)}")
     try:
         return sweep_specs(
             workloads,
@@ -449,6 +459,37 @@ def _matrix_specs(args, parser, workloads: list[str], scenarios: list[str]):
         )
     except ConfigError as exc:
         parser.error(str(exc))
+
+
+def _resolve(args, specs) -> list:
+    """Results of *specs* through the memo, the disk cache and the
+    process pool (``run`` and ``sweep``, as :func:`repro.api.sweep`)."""
+    from repro.experiments.runner import SweepRunner
+
+    runner = SweepRunner(
+        jobs=args.jobs, cache_dir=args.cache_dir, use_cache=not args.no_cache
+    )
+    return runner.resolve(specs)
+
+
+def _write_outputs(args, pairs: list, listed: bool = False) -> None:
+    """Write ``--out`` and ``--json`` for ``(spec, result)`` *pairs* in
+    submission order.  ``--json`` holds one result object, or a list when
+    *listed* or when there are several."""
+    if args.out:
+        from repro.experiments.cache import write_result_entries
+
+        write_result_entries(args.out, pairs)
+        print(f"  wrote {len(pairs)} entries to {args.out}")
+    if args.json and pairs:
+        payload = [result_to_dict(result) for _, result in pairs]
+        with open(args.json, "w") as f:
+            json.dump(
+                payload if listed or len(payload) > 1 else payload[0],
+                f,
+                indent=2,
+            )
+        print(f"  wrote {args.json}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -474,119 +515,59 @@ def _cmd_run(args) -> int:
             return 1
         provenance = f"{ckpt_spec.content_hash()}@{cycle}"
         specs = [ckpt_spec.with_(resume_from=provenance)]
-        scenarios = [ckpt_spec.scenario.name]
         resume = (cycle, state)
         print(f"resuming {args.resume} (cycle {cycle}, {provenance})")
+    elif args.workload is None or args.scenario is None:
+        parser.error("workload and scenario are required (or use --resume)")
     else:
-        if args.workload is None or args.scenario is None:
-            parser.error("workload and scenario are required (or use --resume)")
-        if args.workload not in available_workloads():
-            parser.error(
-                f"unknown workload {args.workload!r}; "
-                f"known: {available_workloads()}"
-            )
-        scenarios = _split_names(
-            parser, args.scenario, "scenario", available_scenarios()
-        )
-
-        specs = [
-            make_run_spec(
-                args.workload,
-                name,
-                num_windows=args.windows,
-                warmup_windows=args.warmup,
-                banks_per_task=args.banks_per_task,
-                sample_windows=args.timeseries,
-                density_gbit=args.density,
-                trefw_ps=ms(args.trefw_ms),
-                refresh_scale=args.refresh_scale,
-                seed=args.seed,
-            )
-            for name in scenarios
-        ]
+        specs = _matrix_specs(args, [args.workload], _names(args.scenario))
 
     observed = (
         args.trace or args.trace_jsonl or args.metrics_out
         or args.monitors or args.profile
         or args.checkpoint_every is not None or resume is not None
     )
-    results = []
     if observed:
         # Event sinks, monitors, profiles and checkpointing need a live
         # run: execute each spec in-process instead of through the cache.
         from repro.errors import CheckpointError, MonitorError
 
-        for spec, name in zip(specs, scenarios):
+        pairs = []
+        for spec in specs:
             try:
                 result = _run_observed(
-                    spec, name, args, multi=len(specs) > 1, resume=resume
+                    spec, args, multi=len(specs) > 1, resume=resume
                 )
             except MonitorError as exc:
-                print(f"monitor violation ({name}): {exc}", file=sys.stderr)
+                print(
+                    f"monitor violation ({spec.scenario.name}): {exc}",
+                    file=sys.stderr,
+                )
                 return 2
             except CheckpointError as exc:
                 print(f"cannot resume {args.resume}: {exc}", file=sys.stderr)
                 return 1
             if result is not None:
-                results.append(result)
+                pairs.append((spec, result))
     else:
-        # Resolve through the sweep runner: disk cache + parallel fan-out.
-        from repro.experiments.runner import SweepRunner
+        pairs = list(zip(specs, _resolve(args, specs)))
 
-        runner = SweepRunner(
-            jobs=args.jobs, cache_dir=args.cache_dir, use_cache=not args.no_cache
-        )
-        if len(specs) > 1:
-            runner.prefetch(specs)
-        results = [runner.run_spec(spec) for spec in specs]
-
-    for result in results:
+    for _, result in pairs:
         print(result.summary())
         if result.energy is not None:
             print(f"  energy             : {result.energy}")
-    if args.json and results:
-        payload = (
-            result_to_dict(results[0])
-            if len(results) == 1
-            else [result_to_dict(r) for r in results]
-        )
-        with open(args.json, "w") as f:
-            json.dump(payload, f, indent=2)
-        print(f"  wrote {args.json}")
-    if args.monitors and any(r.monitor_violations for r in results):
+    _write_outputs(args, pairs)
+    if args.monitors and any(r.monitor_violations for _, r in pairs):
         return 1
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    parser = args.parser
-    workloads = _split_names(
-        parser, args.workloads, "workload", available_workloads()
-    )
-    scenarios = _split_names(
-        parser, args.scenarios, "scenario", available_scenarios()
-    )
-    specs = _matrix_specs(args, parser, workloads, scenarios)
-
-    from repro.experiments.runner import SweepRunner
-
-    runner = SweepRunner(
-        jobs=args.jobs, cache_dir=args.cache_dir, use_cache=not args.no_cache
-    )
-    runner.prefetch(specs)
-    results = [runner.run_spec(spec) for spec in specs]
-    for result in results:
+    specs = _matrix_specs(args, _names(args.workloads), _names(args.scenarios))
+    pairs = list(zip(specs, _resolve(args, specs)))
+    for _, result in pairs:
         print(result.summary())
-    if args.out:
-        from repro.experiments.cache import write_result_entry
-
-        for spec, result in zip(specs, results):
-            write_result_entry(args.out, spec, result)
-        print(f"  wrote {len(specs)} entries to {args.out}")
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump([result_to_dict(r) for r in results], f, indent=2)
-        print(f"  wrote {args.json}")
+    _write_outputs(args, pairs, listed=True)
     return 0
 
 
@@ -657,28 +638,15 @@ def _cmd_submit(args) -> int:
     utility = args.ping or args.status or args.metrics or args.shutdown
     if not utility:
         if args.workload is not None and args.scenario is not None:
-            workloads = [args.workload]
-            scenarios = _split_names(
-                parser, args.scenario, "scenario", available_scenarios()
-            )
-            if args.workload not in available_workloads():
-                parser.error(
-                    f"unknown workload {args.workload!r}; "
-                    f"known: {available_workloads()}"
-                )
+            workloads, scenarios = [args.workload], _names(args.scenario)
         elif args.workloads is not None and args.scenarios is not None:
-            workloads = _split_names(
-                parser, args.workloads, "workload", available_workloads()
-            )
-            scenarios = _split_names(
-                parser, args.scenarios, "scenario", available_scenarios()
-            )
+            workloads, scenarios = _names(args.workloads), _names(args.scenarios)
         else:
             parser.error(
                 "give WORKLOAD SCENARIO positionals or --workloads/--scenarios "
                 "(or one of --ping/--status/--shutdown)"
             )
-        specs = _matrix_specs(args, parser, workloads, scenarios)
+        specs = _matrix_specs(args, workloads, scenarios)
 
     try:
         client = ServiceClient(
@@ -749,22 +717,11 @@ def _cmd_submit(args) -> int:
         )
 
     by_hash = {spec.content_hash(): spec for spec in specs}
-    if args.out:
-        from repro.experiments.cache import write_result_entry
-
-        for job, result in outcome.results.items():
-            write_result_entry(args.out, by_hash[job], result)
-        print(f"  wrote {len(outcome.results)} entries to {args.out}")
-    if args.json and outcome.results:
-        ordered = outcome.in_order()
-        payload = (
-            result_to_dict(ordered[0])
-            if len(ordered) == 1
-            else [result_to_dict(r) for r in ordered]
-        )
-        with open(args.json, "w") as f:
-            json.dump(payload, f, indent=2)
-        print(f"  wrote {args.json}")
+    _write_outputs(args, [
+        (by_hash[job], outcome.results[job])
+        for job in outcome.jobs
+        if job in outcome.results
+    ])
     for job, message in outcome.errors.items():
         label = outcome.sources.get(job, "error")
         print(f"job {job[:12]} failed ({label}): {message}", file=sys.stderr)

@@ -115,13 +115,14 @@ def sweep(
 
     Decomposes through :func:`sweep_specs`, resolves through the
     memo/disk-cache/process-pool tiers of
-    :class:`~repro.experiments.runner.SweepRunner` (``jobs`` worker
-    processes), and returns results keyed by spec content hash.  With
+    :meth:`SweepRunner.resolve <repro.experiments.runner.SweepRunner.resolve>`
+    (``jobs`` worker processes), as ``python -m repro run`` and ``sweep``
+    do, and returns results keyed by spec content hash.  With
     ``out`` set, one ``<hash>.json`` spec+result entry is written per
     cell — the directory format ``repro.obs diff`` and the service CLI
     share.
     """
-    from repro.experiments.cache import write_result_entry
+    from repro.experiments.cache import write_result_entries
     from repro.experiments.runner import SweepRunner
 
     specs = sweep_specs(
@@ -133,12 +134,10 @@ def sweep(
         **config_overrides,
     )
     runner = SweepRunner(jobs=jobs, cache_dir=cache_dir, use_cache=use_cache)
-    runner.prefetch(specs)
-    results = {spec.content_hash(): runner.run_spec(spec) for spec in specs}
+    pairs = list(zip(specs, runner.resolve(specs)))
     if out is not None:
-        for spec in specs:
-            write_result_entry(out, spec, results[spec.content_hash()])
-    return results
+        write_result_entries(out, pairs)
+    return {spec.content_hash(): result for spec, result in pairs}
 
 
 def submit(

@@ -181,7 +181,7 @@ class System:
             self.scheduler = CfsScheduler(self.engine, self.cores, quantum)
         for i, task in enumerate(self.tasks):
             self.scheduler.add_task(task, cpu=i % len(self.cores))
-        self.scheduler.subscribe(self._emit_pick)
+        self.scheduler.on_pick = self._emit_pick
 
         self.load_balancer = None
         if config.os.load_balance:
@@ -270,7 +270,7 @@ class System:
     # -- telemetry ---------------------------------------------------------------
 
     def _emit_pick(self, time: int, core_id: int, task) -> None:
-        """Pick observer installed on the scheduler: enriches the raw
+        """The scheduler's ``on_pick`` callback: enriches the raw
         dispatch with the refresh schedule's view (which bank will be
         refresh-busy mid-quantum, and whether the task has data there)."""
         if not self.telemetry.enabled:

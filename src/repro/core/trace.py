@@ -30,11 +30,7 @@ class ScheduleTracer:
     def __init__(self, system):
         self.system = system
         self.records: list[SchedulerPickEvent] = []
-        self._sink = system.telemetry.subscribe(CallbackSink(self._observe))
-
-    def detach(self) -> None:
-        """Stop recording (unsubscribes from the event stream)."""
-        self.system.telemetry.unsubscribe(self._sink)
+        system.telemetry.subscribe(CallbackSink(self._observe))
 
     def _observe(self, event: TraceEvent) -> None:
         if isinstance(event, SchedulerPickEvent):

@@ -324,7 +324,11 @@ class MemoryController(Stateful):
                     all_bank=False,
                 )
             )
-        self._kick(flat, at=end)
+        if subarray is None or bank_obj.num_subarrays == 1:
+            # The whole bank is blocked: its next pick waits for the end.
+            # A subarray refresh leaves the pick alone; the pick delays
+            # (and charges) only a request into the refreshing subarray.
+            self._kick(flat, at=end)
         return end
 
     def refresh_rank(self, channel: int, rank: int, trfc: int) -> int:

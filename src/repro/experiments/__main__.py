@@ -22,6 +22,7 @@ import argparse
 import sys
 import time
 
+from repro.__main__ import common_parent
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.report import format_run_stats
 from repro.experiments.runner import FULL_PROFILE, QUICK_PROFILE, SweepRunner
@@ -31,6 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's evaluation figures.",
+        parents=[common_parent()],
     )
     parser.add_argument(
         "experiment",
@@ -42,20 +44,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=["quick", "full"],
         default="quick",
         help="simulation effort per data point (default: quick)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for sweep points "
-             "(default: REPRO_JOBS or the CPU count)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="persistent result-cache directory "
-             "(default: REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent result cache",
     )
     parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",

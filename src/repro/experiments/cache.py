@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from repro.core.results import RESULT_SCHEMA, RunResult
 from repro.core.runspec import SPEC_SCHEMA, RunSpec
@@ -83,6 +83,16 @@ def write_result_entry(
         json.dump(result_entry_payload(spec, result), fh, indent=2)
         fh.write("\n")
     return path
+
+
+def write_result_entries(
+    directory: str | os.PathLike, pairs: Iterable[tuple[RunSpec, RunResult]]
+) -> None:
+    """Write a sweep directory: one entry per ``(spec, result)`` pair.
+    ``sweep --out``, ``submit --out`` and :func:`repro.api.sweep` all
+    write through here."""
+    for spec, result in pairs:
+        write_result_entry(directory, spec, result)
 
 
 def read_result_entry(path: str | os.PathLike) -> tuple[dict, dict]:

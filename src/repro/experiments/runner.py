@@ -155,22 +155,18 @@ class SweepRunner:
 
     def run_spec(self, spec: RunSpec) -> RunResult:
         """Resolve one spec: memo -> disk cache -> execute."""
-        key = spec.content_hash()
-        result = self._memo.get(key)
+        result = self._memo.get(spec.content_hash())
         if result is not None:
             self.memo_hits += 1
             return result
-        if self.disk_cache is not None:
-            cached = self.disk_cache.get(key)
-            if cached is not None:
-                self._memo[key] = cached.result
-                return cached.result
-        self.runs_executed += 1
-        result = execute_run_spec(spec, checkpoint_store=self.checkpoint_store)
-        self._memo[key] = result
-        if self.disk_cache is not None:
-            self.disk_cache.put(key, spec, result)
-        return result
+        self.prefetch([spec])
+        return self._memo[spec.content_hash()]
+
+    def resolve(self, specs: Sequence[RunSpec]) -> list[RunResult]:
+        """The results of *specs*, in order: one :meth:`prefetch` of the
+        batch, then a memo read per spec."""
+        self.prefetch(specs)
+        return [self.run_spec(spec) for spec in specs]
 
     def run(
         self,
@@ -195,6 +191,7 @@ class SweepRunner:
         single job or a single miss makes a pool pointless).  After
         prefetching, every ``run()`` call covered by *specs* is a memo
         hit.  Returns the number of simulations executed.
+        :meth:`run_spec` resolves a memo miss through here too.
         """
         pending: dict[str, RunSpec] = {}
         for spec in specs:

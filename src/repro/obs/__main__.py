@@ -1,8 +1,10 @@
 """CLI for observability tooling.
 
-``python -m repro.obs diff a b`` compares two JSON artifacts; exit
-codes follow :class:`~repro.obs.diff.DiffResult`: 0 identical,
-1 differences all within tolerance, 2 regression (or usage error).
+``python -m repro.obs diff a b`` compares two JSON artifacts through
+:func:`repro.api.diff`; exit codes follow
+:class:`~repro.obs.diff.DiffResult`: 0 identical, 1 differences all
+within tolerance, 2 regression (or usage error, such as a file that is
+not JSON).
 Given two *directories* instead of files, the diff runs sweep-level:
 entries are matched by spec content hash, each matched pair diffs
 leaf-by-leaf under the same tolerance rules, and specs present on only
@@ -22,10 +24,9 @@ slowest recent spans (:mod:`repro.obs.top`).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from repro.obs.diff import ToleranceRule, diff_files
+from repro.obs.diff import ToleranceRule
 
 
 def _parse_rule(text: str, kind: str) -> ToleranceRule:
@@ -191,18 +192,12 @@ def main(argv=None) -> int:
             f"-> {args.out}"
         )
         return 0
-    rules = args.tol + args.abs_tol
-    a_is_dir, b_is_dir = os.path.isdir(args.a), os.path.isdir(args.b)
-    if a_is_dir != b_is_dir:
-        parser.error(
-            "diff needs two files or two directories, not one of each"
-        )
-    if a_is_dir:
-        from repro.obs.sweepdiff import diff_sweep_dirs
+    from repro import api
 
-        result = diff_sweep_dirs(args.a, args.b, rules=rules)
-    else:
-        result = diff_files(args.a, args.b, rules=rules)
+    try:
+        result = api.diff(args.a, args.b, rules=args.tol + args.abs_tol)
+    except ValueError as exc:  # a file and a directory, or a non-JSON file
+        parser.error(str(exc))
     if not args.quiet:
         print(result.report())
     return result.exit_code

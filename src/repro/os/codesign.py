@@ -13,24 +13,8 @@ computes each task's ``possible_banks_vector`` such that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config.dram_configs import DramOrganization
 from repro.errors import ConfigError
-
-
-@dataclass(frozen=True)
-class CoDesignPolicy:
-    """Resolved co-design parameters for one run."""
-
-    num_tasks: int
-    num_cores: int
-    organization: DramOrganization
-    banks_per_task: int  # allowed banks per rank
-
-    @property
-    def tasks_per_core(self) -> int:
-        return self.num_tasks // self.num_cores
 
 
 def default_banks_per_task(

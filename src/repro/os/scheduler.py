@@ -12,7 +12,7 @@ the alignment the co-design exploits.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.engine import Engine
 from repro.core.state import BOOL, COMPONENTS, INT, Stateful
@@ -25,7 +25,7 @@ from repro.os.task import Task
 class OsScheduler(Stateful):
     """Base scheduler: owns runqueues and the quantum tick.
 
-    Pick observers are runtime wiring and are not checkpointed; the queued
+    ``on_pick`` is runtime wiring and is not checkpointed; the queued
     ``_tick`` event is captured by the engine snapshot.
     """
 
@@ -45,34 +45,11 @@ class OsScheduler(Stateful):
         self.quantum_cycles = quantum_cycles
         self.runqueues = [CfsRunqueue(core.core_id) for core in cores]
         self.context_switches = 0
-        # Observers called as fn(time, core_id, task_or_None) after every
-        # quantum dispatch; managed through subscribe()/unsubscribe().
-        self._pick_observers: list = []
+        #: Called as ``on_pick(time, core_id, task_or_None)`` after every
+        #: quantum dispatch; ``System`` turns it into pick events on its
+        #: telemetry hub, the public way to watch picks.
+        self.on_pick: Optional[Callable[[int, int, Optional[Task]], None]] = None
         self._started = False
-
-    # -- pick observation --------------------------------------------------------------
-
-    @property
-    def pick_observers(self) -> tuple:
-        """Read-only view of the subscribed pick observers.
-
-        Mutate through :meth:`subscribe` / :meth:`unsubscribe`; appending
-        to this view is a silent no-op, which is why it is a tuple.
-        """
-        return tuple(self._pick_observers)
-
-    def subscribe(self, observer):
-        """Register ``observer(time, core_id, task_or_None)`` to run after
-        every quantum dispatch; returns it as the unsubscribe handle."""
-        self._pick_observers.append(observer)
-        return observer
-
-    def unsubscribe(self, observer) -> None:
-        """Remove a subscribed observer; unknown observers are ignored."""
-        try:
-            self._pick_observers.remove(observer)
-        except ValueError:
-            pass
 
     # -- task admission --------------------------------------------------------------
 
@@ -113,8 +90,8 @@ class OsScheduler(Stateful):
                 runqueue.dequeue(chosen)
                 self.context_switches += 1
             core.run_task(chosen, quantum_end)
-            for observer in self._pick_observers:
-                observer(self.engine.now, core.core_id, chosen)
+            if self.on_pick is not None:
+                self.on_pick(self.engine.now, core.core_id, chosen)
         self.engine.schedule(self.quantum_cycles, self._tick)
 
     # -- policy ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Everything here follows the repo-wide determinism split:
 
 * **deterministic** — per-tier request counts and the *simulated-cycles*
   histogram (how much simulation each served result represents) are
-  pure functions of the request stream.  They are what CI compares and
-  what must agree exactly with :meth:`SweepService.counters`.
+  pure functions of the request stream.  They are what CI compares.
+  The request counts are the service's one tier ledger: a resolution is
+  counted when its tier is decided, failed ones included, and
+  :meth:`SweepService.counters` is read from it.
 * **wall-clock** — the *service-latency* histogram (microseconds from
   request arrival to served result) is an artifact for operators and is
   never part of a gated comparison.
@@ -89,9 +91,10 @@ class Histogram:
 class ServiceMetrics:
     """Thread-safe per-tier request metrics for one :class:`SweepService`.
 
-    One :meth:`observe` per served result, tagged with the resolution
-    tier that answered it.  All tiers are pre-declared (:data:`TIERS`)
-    so the exposition's label set is stable from the first scrape.
+    One :meth:`count` per resolution, when its tier is decided, and one
+    :meth:`observe` per completed result.  All tiers are pre-declared
+    (:data:`TIERS`) so the exposition's label set is stable from the
+    first scrape.
     """
 
     def __init__(self):
@@ -100,15 +103,30 @@ class ServiceMetrics:
         self._cycles = {tier: Histogram(CYCLE_BUCKETS) for tier in TIERS}
         self._wall = {tier: Histogram(WALL_BUCKETS_US) for tier in TIERS}
 
-    def observe(self, tier: str, simulated_cycles: int, wall_us: int) -> None:
+    def _register(self, tier: str) -> None:
+        if tier not in self._hits:
+            self._hits[tier] = 0
+            self._cycles[tier] = Histogram(CYCLE_BUCKETS)
+            self._wall[tier] = Histogram(WALL_BUCKETS_US)
+
+    def count(self, tier: str) -> None:
+        """Count one resolution under *tier*; it stays counted if it
+        then fails."""
         with self._lock:
-            if tier not in self._hits:
-                self._hits[tier] = 0
-                self._cycles[tier] = Histogram(CYCLE_BUCKETS)
-                self._wall[tier] = Histogram(WALL_BUCKETS_US)
+            self._register(tier)
             self._hits[tier] += 1
+
+    def observe(self, tier: str, simulated_cycles: int, wall_us: int) -> None:
+        """Record one completed result in *tier*'s histograms."""
+        with self._lock:
+            self._register(tier)
             self._cycles[tier].observe(simulated_cycles)
             self._wall[tier].observe(wall_us)
+
+    def tier_counts(self) -> dict[str, int]:
+        """The ledger: resolutions counted per tier."""
+        with self._lock:
+            return dict(self._hits)
 
     def deterministic_snapshot(self) -> dict:
         """Gate-safe view: tier hit counts and simulated-cycles
@@ -155,8 +173,9 @@ class ServiceMetrics:
                     lines.append(
                         f'repro_service_counter{{name="{key}"}} {value}'
                     )
-        lines.append("# HELP repro_service_requests_total Served results "
-                     "by resolution tier (deterministic).")
+        lines.append("# HELP repro_service_requests_total Resolutions by "
+                     "tier, counted when the tier is decided, failed ones "
+                     "included (deterministic).")
         lines.append("# TYPE repro_service_requests_total counter")
         for tier in sorted(det["tiers"]):
             lines.append(

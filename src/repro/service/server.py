@@ -54,9 +54,11 @@ thread, whatever the backend:
 
 Observability (PR 10)
 ---------------------
-Every resolution is observed by an always-on
-:class:`~repro.service.metrics.ServiceMetrics` (per-tier hit counts,
-simulated-cycles histograms, wall-latency histograms).  When the client
+Every resolution is counted once, when its tier is decided, in an
+always-on :class:`~repro.service.metrics.ServiceMetrics`: the one tier
+ledger, failed resolutions included, that :meth:`SweepService.counters`
+reads.  Every completed one also lands in its tier's simulated-cycles
+and wall-latency histograms.  When the client
 opted into tracing (a ``trace`` id on the request frame, wire v2), the
 service opens one span per resolution step — ``resolve`` root, then
 ``memo``/``dedup``/``cache``/``execute``/``live`` children, with
@@ -141,7 +143,8 @@ class SweepService:
         #: Optional :class:`~repro.telemetry.sinks.EventSink` receiving
         #: every closed span (``serve --span-jsonl`` / Chrome export).
         self.span_sink = span_sink
-        #: Per-tier latency histograms and hit counts (always on).
+        #: The tier ledger (one count per resolution, when its tier is
+        #: decided) and the per-tier histograms of completed results.
         self.metrics = ServiceMetrics()
         #: In-flight jobs: job key -> asyncio.Future[RunResult].
         self._jobs: dict[str, asyncio.Future] = {}
@@ -152,40 +155,30 @@ class SweepService:
         self._trace_ids: dict[str, str] = {}
         #: Newest closed spans, for the ``metrics`` op / ``obs top``.
         self.recent_spans = RingBufferSink(RECENT_SPANS)
-        #: Plain (unmonitored) simulations started (backend + live).
-        self.runs_executed = 0
-        #: Plain submissions that attached to an already-running job.
-        self.dedup_hits = 0
-        #: Plain submissions answered from the in-memory memo.
-        self.memo_hits = 0
-        #: Plain live in-process runs (streamed).
-        self.live_runs = 0
-        #: Monitored simulations started (always live, never cached).
-        self.monitored_runs = 0
-        #: Monitored submissions answered from the memo.
-        self.monitored_memo_hits = 0
-        #: Monitored submissions that attached to a running job.
-        self.monitored_dedup_hits = 0
 
     # -- introspection ---------------------------------------------------------
 
     def counters(self) -> dict:
         """Deterministic counter snapshot (the ``status`` frame body).
 
-        Monitored jobs (keyed ``<hash>+monitors:<mode>``) count under
-        ``monitored_*`` so per-tier attribution survives mixing plain
-        and monitored traffic — these values match the ``metrics``
-        exposition exactly (``executed + live == runs_executed`` etc.).
+        Read from the one tier ledger, :attr:`metrics`, which counts a
+        resolution when its tier is decided, failed ones included, so
+        these values and the ``metrics`` exposition's tiers agree exactly
+        (``executed + live == runs_executed`` etc.).  ``runs_executed``
+        counts plain simulations started; monitored jobs (keyed
+        ``<hash>+monitors:<mode>``) count under ``monitored_*`` so
+        per-tier attribution survives mixing plain and monitored traffic.
         """
+        tiers = self.metrics.tier_counts()
         return {
-            "runs_executed": self.runs_executed,
-            "dedup_hits": self.dedup_hits,
-            "memo_hits": self.memo_hits,
+            "runs_executed": tiers["executed"] + tiers["live"],
+            "dedup_hits": tiers["dedup"],
+            "memo_hits": tiers["memo"],
             "disk_hits": self.cache.hits if self.cache is not None else 0,
-            "live_runs": self.live_runs,
-            "monitored_runs": self.monitored_runs,
-            "monitored_memo_hits": self.monitored_memo_hits,
-            "monitored_dedup_hits": self.monitored_dedup_hits,
+            "live_runs": tiers["live"],
+            "monitored_runs": tiers["monitored_live"],
+            "monitored_memo_hits": tiers["monitored_memo"],
+            "monitored_dedup_hits": tiers["monitored_dedup"],
             "inflight": len(self._jobs),
             "backend": self.backend.name,
             "caching": self.cache is not None,
@@ -206,6 +199,11 @@ class SweepService:
         so they must never alias (or be served for) a plain submission.
         """
         return job if monitors is None else f"{job}+monitors:{monitors}"
+
+    @staticmethod
+    def _tier(source: str, monitors: Optional[str]) -> str:
+        """The ledger tier of a resolution answered from *source*."""
+        return source if monitors is None else f"monitored_{source}"
 
     def memo_spec(self, key: str) -> Optional[RunSpec]:
         """The spec of the memo entry under job *key*, if any: validated
@@ -267,7 +265,7 @@ class SweepService:
                     error=str(exc),
                 )
             raise
-        tier = source if monitors is None else f"monitored_{source}"
+        tier = self._tier(source, monitors)
         self.metrics.observe(
             tier, result.simulated_cycles, max(0, monotonic_us() - t0)
         )
@@ -308,10 +306,7 @@ class SweepService:
 
         memo = self._memo.get(key)
         if memo is not None:
-            if monitors is None:
-                self.memo_hits += 1
-            else:
-                self.monitored_memo_hits += 1
+            self.metrics.count(self._tier("memo", monitors))
             if trace is not None:
                 trace.span("memo", parent=root.span_id).set(
                     cycles=memo.result.simulated_cycles, detail=key
@@ -319,10 +314,7 @@ class SweepService:
             return memo.result, "memo"
         inflight = self._jobs.get(key)
         if inflight is not None:
-            if monitors is None:
-                self.dedup_hits += 1
-            else:
-                self.monitored_dedup_hits += 1
+            self.metrics.count(self._tier("dedup", monitors))
             if trace is None:
                 return await inflight, "dedup"
             span = trace.span("dedup", parent=root.span_id)
@@ -336,6 +328,7 @@ class SweepService:
         if self.cache is not None and monitors is None:
             cached = self.cache.get(spec.content_hash())
             if cached is not None:
+                self.metrics.count("cache")
                 self._remember(key, spec, cached.result, cached.text)
                 if trace is not None:
                     trace.span("cache", parent=root.span_id).set(
@@ -369,11 +362,9 @@ class SweepService:
             from repro.obs.monitors import MonitorSuite
 
             suite = MonitorSuite(strict=monitors == "strict")
-            self.monitored_runs += 1
-        else:
-            self.runs_executed += 1
-            if event_cb is not None:
-                self.live_runs += 1
+        live = event_cb is not None or monitors is not None
+        source = "live" if live else "executed"
+        self.metrics.count(self._tier(source, monitors))
         # Register so concurrent submissions of the same key dedup
         # against this run.  No await between the table checks and this
         # insertion, so submissions on the loop can never double-start;
@@ -388,7 +379,6 @@ class SweepService:
         if trace is not None:
             name = "execute" if event_cb is None else "live"
             span = trace.span(name, parent=root.span_id)
-        live = event_cb is not None or monitors is not None
         try:
             try:
                 if live:
@@ -412,7 +402,7 @@ class SweepService:
                 self.cache.put(spec.content_hash(), spec, text)
             if future is not None:
                 future.set_result(result)
-            return result, "live" if live else "executed"
+            return result, source
         except BaseException as exc:
             if future is not None:
                 future.set_exception(exc)

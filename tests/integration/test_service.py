@@ -73,8 +73,8 @@ def test_concurrent_identical_submissions_run_once(tmp_path):
     outcomes = asyncio.run(fan_out())
     sources = sorted(source for _, source in outcomes)
     assert sources == ["dedup"] * 4 + ["executed"]
-    assert service.runs_executed == 1
-    assert service.dedup_hits == 4
+    assert service.counters()["runs_executed"] == 1
+    assert service.counters()["dedup_hits"] == 4
     expected = _canon(run_spec(spec))
     assert all(_canon(result) == expected for result, _ in outcomes)
 
@@ -115,7 +115,7 @@ def test_memo_then_disk_cache_tiers(tmp_path):
     result, third = asyncio.run(rebooted.resolve(spec))
     assert third == "cache"
     assert _canon(result) == _canon(run_spec(spec))
-    assert rebooted.runs_executed == 0
+    assert rebooted.counters()["runs_executed"] == 0
 
 
 def test_distinct_specs_do_not_dedup(tmp_path):
@@ -129,7 +129,7 @@ def test_distinct_specs_do_not_dedup(tmp_path):
 
     outcomes = asyncio.run(both())
     assert [source for _, source in outcomes] == ["executed", "executed"]
-    assert service.runs_executed == 2
+    assert service.counters()["runs_executed"] == 2
 
 
 def test_warm_started_spec_byte_identical(tmp_path):
@@ -205,7 +205,10 @@ class _HoldUntilJoined(ThreadBackend):
 
     def _execute(self, spec, trace=None, parent=None):
         deadline = time.monotonic() + 60
-        while self.service.dedup_hits < 1 and time.monotonic() < deadline:
+        while (
+            self.service.counters()["dedup_hits"] < 1
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.001)
         return super()._execute(spec, trace, parent)
 
@@ -244,7 +247,7 @@ def test_two_socket_clients_dedup_one_simulation(held):
     assert set(outcomes) == {"a", "b"}
     sources = sorted(source for _, source in outcomes.values())
     assert sources == ["dedup", "executed"]
-    assert service.runs_executed == 1
+    assert service.counters()["runs_executed"] == 1
     payloads = {_canon(result) for result, _ in outcomes.values()}
     assert payloads == {_canon(run_spec(spec))}
 
@@ -482,10 +485,42 @@ def test_job_raising_a_non_repro_error_is_answered(tmp_path):
             with pytest.raises(ServiceError, match="backend exploded"):
                 client.submit(specs[0])
             # The failure was not memoized: the service retries it.
-            assert service.runs_executed == 3
+            assert service.counters()["runs_executed"] == 3
     finally:
         server.stop()
         thread.join(timeout=10)
+
+
+def test_failed_jobs_keep_counters_and_metrics_tiers_in_agreement(tmp_path):
+    """A failed execution and a dedup join of it are each counted once,
+    in the one tier ledger: the ``status`` counters and the ``metrics``
+    frame's deterministic tiers agree, and only completed results reach
+    the histograms."""
+    spec = _spec("all_bank")  # _FailingBackend fails every all_bank run
+    service = SweepService(backend=_FailingBackend(), cache_dir=tmp_path)
+
+    async def execute_and_join():
+        return await asyncio.gather(
+            service.resolve(spec), service.resolve(spec),
+            return_exceptions=True,
+        )
+
+    outcomes = asyncio.run(execute_and_join())
+    assert [type(outcome) for outcome in outcomes] == [RuntimeError] * 2
+    server, thread = serve_in_thread(service)
+    try:
+        with ServiceClient(port=server.port, timeout=5) as client:
+            counters = client.status()
+            frame = client.metrics()
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+    tiers = frame["deterministic"]["tiers"]
+    assert frame["counters"] == counters
+    assert counters["runs_executed"] == tiers["executed"] + tiers["live"] == 1
+    assert counters["dedup_hits"] == tiers["dedup"] == 1
+    cycles = frame["deterministic"]["cycles"]
+    assert cycles["executed"]["count"] == cycles["dedup"]["count"] == 0
 
 
 def test_non_object_cache_entry_is_recomputed_by_a_restart(tmp_path):

@@ -156,7 +156,7 @@ def test_payload_differing_in_seed_is_parsed_and_run(served):
     assert job != spec.content_hash()
     assert echo["config"]["seed"] == spec.config.seed + 1
     assert _canon(result) == _canon(run_spec(other))
-    assert service.runs_executed == 2
+    assert service.counters()["runs_executed"] == 2
 
 
 def test_payload_differing_only_in_type_is_parsed_as_its_own_spec(served):

@@ -4,6 +4,12 @@ from repro.obs.top import render_tiers
 from repro.service.metrics import TIERS, ServiceMetrics
 
 
+def served(metrics, tier, simulated_cycles, wall_us):
+    """One completed resolution: counted, then observed."""
+    metrics.count(tier)
+    metrics.observe(tier, simulated_cycles, wall_us)
+
+
 def frame(metrics):
     """The parts of a ``metrics`` frame the tier table reads."""
     return {
@@ -15,9 +21,9 @@ def frame(metrics):
 def test_every_served_tier_gets_a_row_in_service_order():
     metrics = ServiceMetrics()
     for tier in reversed(TIERS):
-        metrics.observe(tier, simulated_cycles=4096, wall_us=100)
+        served(metrics, tier, simulated_cycles=4096, wall_us=100)
     for _ in range(len(TIERS)):
-        metrics.observe("memo", simulated_cycles=4096, wall_us=100)
+        served(metrics, "memo", simulated_cycles=4096, wall_us=100)
     header, *rows = render_tiers(frame(metrics))
     assert header.split()[:3] == ["tier", "hits", "share"]
     cells = [row.split() for row in rows]
@@ -30,7 +36,7 @@ def test_every_served_tier_gets_a_row_in_service_order():
 
 def test_unserved_tiers_are_left_out():
     metrics = ServiceMetrics()
-    metrics.observe("cache", simulated_cycles=4096, wall_us=100)
+    served(metrics, "cache", simulated_cycles=4096, wall_us=100)
     _, row = render_tiers(frame(metrics))
     assert row.split()[:3] == ["cache", "1", "100.0%"]
 

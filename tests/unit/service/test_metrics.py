@@ -10,6 +10,13 @@ from repro.service.metrics import (
 )
 
 
+def served(metrics, tier, simulated_cycles, wall_us):
+    """One completed resolution: counted when its tier is decided, then
+    observed."""
+    metrics.count(tier)
+    metrics.observe(tier, simulated_cycles, wall_us)
+
+
 def test_histogram_buckets_are_inclusive_upper_bounds():
     hist = Histogram((10, 100, 1000))
     for value in (1, 10, 11, 100, 5000):
@@ -31,8 +38,8 @@ def test_empty_buckets_are_omitted_from_snapshots():
 
 def test_deterministic_snapshot_excludes_wall_everywhere():
     metrics = ServiceMetrics()
-    metrics.observe("executed", 20_000, wall_us=123_456)
-    metrics.observe("memo", 20_000, wall_us=7)
+    served(metrics, "executed", 20_000, wall_us=123_456)
+    served(metrics, "memo", 20_000, wall_us=7)
     det = metrics.deterministic_snapshot()
     assert det["tiers"]["executed"] == 1
     assert det["tiers"]["memo"] == 1
@@ -47,9 +54,9 @@ def test_deterministic_snapshot_excludes_wall_everywhere():
 def test_identical_request_streams_render_identical_prometheus_text():
     def build():
         metrics = ServiceMetrics()
-        metrics.observe("executed", 20_000, wall_us=999)
-        metrics.observe("memo", 20_000, wall_us=1)
-        metrics.observe("memo", 40_000, wall_us=2)
+        served(metrics, "executed", 20_000, wall_us=999)
+        served(metrics, "memo", 20_000, wall_us=1)
+        served(metrics, "memo", 40_000, wall_us=2)
         return metrics
 
     counters = {"runs_executed": 1, "memo_hits": 2, "caching": True}
@@ -57,9 +64,9 @@ def test_identical_request_streams_render_identical_prometheus_text():
     # Deterministic sections match exactly even though wall inputs differ
     # run to run — strip the artifact histogram before comparing.
     b = ServiceMetrics()
-    b.observe("executed", 20_000, wall_us=123)
-    b.observe("memo", 20_000, wall_us=456)
-    b.observe("memo", 40_000, wall_us=789)
+    served(b, "executed", 20_000, wall_us=123)
+    served(b, "memo", 20_000, wall_us=456)
+    served(b, "memo", 40_000, wall_us=789)
     b_text = b.render_prometheus(counters=counters, info={"backend": "inline"})
 
     def deterministic_lines(text):
@@ -75,9 +82,9 @@ def test_identical_request_streams_render_identical_prometheus_text():
 
 def test_prometheus_histogram_lines_are_cumulative():
     metrics = ServiceMetrics()
-    metrics.observe("memo", 1024, wall_us=1)
-    metrics.observe("memo", 20_000, wall_us=1)
-    metrics.observe("memo", 1 << 40, wall_us=1)  # overflow bucket
+    served(metrics, "memo", 1024, wall_us=1)
+    served(metrics, "memo", 20_000, wall_us=1)
+    served(metrics, "memo", 1 << 40, wall_us=1)  # overflow bucket
     text = metrics.render_prometheus()
     assert ('repro_service_simulated_cycles_bucket'
             '{tier="memo",le="1024"} 1') in text
@@ -88,15 +95,24 @@ def test_prometheus_histogram_lines_are_cumulative():
     assert 'repro_service_simulated_cycles_count{tier="memo"} 3' in text
 
 
+def test_a_resolution_that_fails_is_counted_but_not_observed():
+    metrics = ServiceMetrics()
+    metrics.count("executed")
+    assert metrics.tier_counts()["executed"] == 1
+    det = metrics.deterministic_snapshot()
+    assert det["tiers"]["executed"] == 1
+    assert det["cycles"]["executed"]["count"] == 0
+
+
 def test_unknown_tier_is_auto_registered():
     metrics = ServiceMetrics()
-    metrics.observe("weird_tier", 10, wall_us=1)
+    served(metrics, "weird_tier", 10, wall_us=1)
     assert metrics.deterministic_snapshot()["tiers"]["weird_tier"] == 1
 
 
 def test_http_exposition_serves_live_counters():
     metrics = ServiceMetrics()
-    metrics.observe("executed", 20_000, wall_us=5)
+    served(metrics, "executed", 20_000, wall_us=5)
     counters = {"runs_executed": 1}
     server = start_metrics_http(
         metrics, lambda: counters, info={"backend": "thread"}, port=0

@@ -175,3 +175,44 @@ def test_submit_unreachable_server_exits_one(capsys):
     # Port 1 is never listening; the CLI reports instead of tracebacking.
     assert main(["submit", "--ping", "--port", "1"]) == 1
     assert "cannot reach" in capsys.readouterr().err
+
+
+def test_front_ends_write_identical_artifacts(live_server, tmp_path, capsys):
+    """``run``, ``sweep``, ``submit`` and ``api.sweep`` share one spec
+    builder, one resolver and one writer per artifact: the same matrix
+    gives byte-identical ``--json`` files and ``--out`` directories."""
+    from repro import api
+
+    matrix = ["--workloads", "WL-9", "--scenarios", "all_bank,per_bank"]
+    spec_flags = FAST[:-1]  # submit takes no --no-cache
+    assert main([
+        "run", "WL-9", "all_bank,per_bank", *FAST, "--jobs", "1",
+        "--json", str(tmp_path / "run.json"),
+    ]) == 0
+    assert main([
+        "sweep", *matrix, *FAST, "--jobs", "1",
+        "--json", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "sweep"),
+    ]) == 0
+    assert main([
+        "submit", *matrix, *spec_flags, "--port", str(live_server.port),
+        "--json", str(tmp_path / "submit.json"), "--out", str(tmp_path / "submit"),
+    ]) == 0
+    api.sweep(
+        ["WL-9"], ["all_bank", "per_bank"], jobs=1, use_cache=False,
+        out=tmp_path / "api", num_windows=0.25, warmup_windows=0.05,
+        refresh_scale=1024,
+    )
+    capsys.readouterr()
+
+    written = (tmp_path / "run.json").read_bytes()
+    assert len(json.loads(written)) == 2
+    assert (tmp_path / "sweep.json").read_bytes() == written
+    assert (tmp_path / "submit.json").read_bytes() == written
+
+    def entries(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    swept = entries(tmp_path / "sweep")
+    assert len(swept) == 2
+    assert entries(tmp_path / "submit") == swept
+    assert entries(tmp_path / "api") == swept

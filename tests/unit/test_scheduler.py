@@ -122,34 +122,6 @@ def test_context_switch_counter():
     assert scheduler.context_switches >= 10
 
 
-def test_subscribe_observers_fire_per_quantum():
-    engine, cores, scheduler = build(num_cores=1, quantum=100)
-    seen = []
-    handle = scheduler.subscribe(lambda t, core_id, task: seen.append((t, core_id)))
-    scheduler.add_task(make_task("a"), cpu=0)
-    scheduler.start()
-    engine.run_until(1000)
-    assert len(seen) >= 10
-    assert all(core_id == 0 for _, core_id in seen)
-    scheduler.unsubscribe(handle)
-    count = len(seen)
-    engine.run_until(2000)
-    assert len(seen) == count
-    scheduler.unsubscribe(handle)  # unknown handle: ignored
-
-
-def test_pick_observers_view_is_read_only():
-    engine, cores, scheduler = build()
-    handle = scheduler.subscribe(lambda *args: None)
-    view = scheduler.pick_observers
-    assert isinstance(view, tuple)
-    assert view == (handle,)
-    with pytest.raises(AttributeError):
-        scheduler.pick_observers = []
-    # Mutating the snapshot cannot alter the subscription list.
-    assert scheduler.pick_observers == (handle,)
-
-
 def test_start_twice_raises():
     engine, cores, scheduler = build()
     scheduler.add_task(make_task("a"))

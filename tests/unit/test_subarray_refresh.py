@@ -40,9 +40,10 @@ class TestSubarrayMapping:
 
 
 class TestSubarrayRefreshBlocking:
-    """A refresh kicks an idle bank's next pick to the refresh's end, so
-    each test queues a read before the refresh starts: the bank's pick is
-    then already pending, and it runs during the refresh."""
+    """A whole-bank refresh pushes an idle bank's next pick to the
+    refresh's end; a subarray refresh does not, so a read that reaches
+    the bank during one is picked on arrival and delayed (and charged)
+    only if it targets the refreshing subarray."""
 
     def test_blocks_only_the_refreshing_subarray(self, timing):
         dram = BareDram(timing, subarrays=4)
@@ -64,6 +65,17 @@ class TestSubarrayRefreshBlocking:
         req = dram.at(100).access(row=20)  # subarray 1
         dram.run()
         assert req.refresh_stall == 900
+
+    def test_read_reaching_an_idle_bank_mid_refresh(self, timing):
+        dram = BareDram(timing, subarrays=4)
+        end = dram.refresh(1000, subarray=1)
+        other = dram.access(row=40)  # subarray 2: not blocked
+        blocked = dram.at(100).access(row=20)  # subarray 1
+        dram.run()
+        assert other.start_time < end
+        assert blocked.start_time >= end
+        # The stall a whole-bank refresh of the same length charges.
+        assert blocked.refresh_stall == 900
 
     def test_open_row_in_other_subarray_survives(self, timing):
         dram = BareDram(timing, subarrays=4)
