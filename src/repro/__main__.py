@@ -13,7 +13,7 @@ Usage::
     python -m repro sweep --workloads WL-6,WL-8 --scenarios all_bank,codesign \
         --out results/           # hash-keyed spec+result entries
 
-    python -m repro serve --backend thread --port 7341   # sweep service
+    python -m repro serve --jobs 4 --port 7341           # sweep service
     python -m repro serve --metrics-port 9100 --log-jsonl service.log \
         --span-jsonl spans.jsonl                         # ... observed
     python -m repro submit WL-6 codesign                 # ... and use it
@@ -339,15 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Start the sweep service: clients submit specs/sweeps "
                     "over a line-oriented JSON protocol; identical concurrent "
                     "submissions collapse onto one simulation "
-                    "(see docs/SERVICE.md).",
+                    "(see docs/SERVICE.md).  With --jobs 1 jobs run on one "
+                    "worker thread; with more, plain jobs run on a pool of "
+                    "that many processes.",
     )
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="bind address (default 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=None,
                          help="TCP port (default 7341; 0 picks a free port)")
-    serve_p.add_argument("--backend", default="thread",
-                         choices=["inline", "thread", "process"],
-                         help="where simulations execute (default: thread)")
     serve_p.add_argument("--metrics-port", type=int, default=None,
                          metavar="PORT",
                          help="also serve the Prometheus text exposition "
@@ -572,16 +571,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service import SweepService, make_backend
+    from repro.experiments.runner import default_jobs
+    from repro.service import SweepService
     from repro.service.server import serve_forever
     from repro.telemetry.wire import DEFAULT_PORT
     from repro.tracing import StructuredLog
 
-    backend = make_backend(args.backend, jobs=args.jobs)
     log = StructuredLog(path=args.log_jsonl) if args.log_jsonl else None
     span_sink = JsonlSink(args.span_jsonl) if args.span_jsonl else None
     service = SweepService(
-        backend=backend,
+        jobs=args.jobs if args.jobs is not None else default_jobs(),
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         log=log,
@@ -595,7 +594,7 @@ def _cmd_serve(args) -> int:
             service.metrics,
             service.counters,
             info={
-                "backend": backend.name,
+                "backend": service.backend,
                 "caching": str(service.cache is not None).lower(),
             },
             host=args.host,
@@ -610,7 +609,7 @@ def _cmd_serve(args) -> int:
         )
         print(
             f"repro service listening on {server.host}:{server.port} "
-            f"(backend={backend.name}, "
+            f"(backend={service.backend}, "
             f"caching={'on' if service.cache is not None else 'off'}"
             f"{exposition})",
             flush=True,
@@ -624,7 +623,7 @@ def _cmd_serve(args) -> int:
     finally:
         if metrics_server is not None:
             metrics_server.shutdown()
-        backend.close()
+        service.close()
     return 0
 
 

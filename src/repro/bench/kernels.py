@@ -437,36 +437,38 @@ def _service_spec():
 def service_roundtrip(submissions: int = 6) -> int:
     """In-process submit loop through the full service resolution path.
 
-    Drives one :class:`~repro.service.server.SweepService` (inline
-    backend, tempdir cache) through the execute tier and then
-    ``submissions - 1`` memo hits, then reboots a fresh service over the
-    same cache directory for one disk-cache hit.  Returns requests
+    Drives one :class:`~repro.service.server.SweepService` (``jobs=1``,
+    so the one run is on its worker thread; tempdir cache) through the
+    execute tier and then ``submissions - 1`` memo hits, then reboots a
+    fresh service over the same cache directory for one disk-cache hit.
+    Both services are closed before the cache is removed.  Returns requests
     served — a pure function of *submissions* — while the wall time
     captures per-request service overhead (key hashing, tier checks,
     metrics observation) rather than simulation work.
     """
     import asyncio
+    import contextlib
     import shutil
     import tempfile
 
     from repro.service.server import SweepService
 
     spec = _service_spec()
+
+    async def drive(svc, count):
+        n = 0
+        for _ in range(count):
+            await svc.resolve(spec)
+            n += 1
+        return n
+
     cache_dir = tempfile.mkdtemp(prefix="bench-service-")
     served = 0
     try:
-        service = SweepService(cache_dir=cache_dir)
-
-        async def drive(svc, count):
-            n = 0
-            for _ in range(count):
-                await svc.resolve(spec)
-                n += 1
-            return n
-
-        served += asyncio.run(drive(service, submissions))
-        rebooted = SweepService(cache_dir=cache_dir)
-        served += asyncio.run(drive(rebooted, 1))
+        with contextlib.closing(SweepService(cache_dir=cache_dir)) as service:
+            served += asyncio.run(drive(service, submissions))
+        with contextlib.closing(SweepService(cache_dir=cache_dir)) as rebooted:
+            served += asyncio.run(drive(rebooted, 1))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     return served
@@ -484,23 +486,24 @@ def service_tier_histograms(submissions: int = 6) -> dict:
     latency shape is trend information, not a gate.
     """
     import asyncio
+    import contextlib
     import shutil
     import tempfile
 
     from repro.service.server import SweepService
 
     spec = _service_spec()
+
+    async def drive(svc, count):
+        for _ in range(count):
+            await svc.resolve(spec)
+
     cache_dir = tempfile.mkdtemp(prefix="bench-service-")
     try:
-        service = SweepService(cache_dir=cache_dir)
-
-        async def drive(svc, count):
-            for _ in range(count):
-                await svc.resolve(spec)
-
-        asyncio.run(drive(service, submissions))
-        rebooted = SweepService(cache_dir=cache_dir)
-        asyncio.run(drive(rebooted, 1))
+        with contextlib.closing(SweepService(cache_dir=cache_dir)) as service:
+            asyncio.run(drive(service, submissions))
+        with contextlib.closing(SweepService(cache_dir=cache_dir)) as rebooted:
+            asyncio.run(drive(rebooted, 1))
         return {
             "first": service.metrics.deterministic_snapshot(),
             "rebooted": rebooted.metrics.deterministic_snapshot(),

@@ -29,6 +29,7 @@ import pathlib
 
 from repro.core.runspec import SPEC_SCHEMA, RunSpec
 from repro.errors import ConfigError, ReproError
+from repro.serialize import discard_file, write_atomic
 
 #: Version tag for the snapshot payload layout.  Combined with
 #: SPEC_SCHEMA so either bump retires existing checkpoints.
@@ -49,21 +50,10 @@ def checkpoint_payload(spec: RunSpec, cycle: int, state: dict) -> dict:
 def save_checkpoint(
     path: str | os.PathLike, spec: RunSpec, cycle: int, state: dict
 ) -> pathlib.Path:
-    """Atomically write one checkpoint file; returns its path."""
+    """Atomically write one checkpoint file; returns its path.  A failed
+    write raises ``OSError``."""
     path = pathlib.Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(checkpoint_payload(spec, cycle, state))
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
+    write_atomic(path, json.dumps(checkpoint_payload(spec, cycle, state)))
     return path
 
 
@@ -152,7 +142,7 @@ class CheckpointStore:
             return None
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
-            self._discard(path)
+            discard_file(path)
             return None
         self.hits += 1
         self._last = (key, int(cycle), state)
@@ -166,7 +156,7 @@ class CheckpointStore:
         last = self._last
         if last is not None and last[0] == key and last[1] == cycle:
             self._last = None
-        self._discard(self.path(key, cycle))
+        discard_file(self.path(key, cycle))
 
     def put(self, key: str, spec: RunSpec, cycle: int, state: dict) -> None:
         """Store a snapshot atomically and keep it in memory; disk
@@ -174,12 +164,5 @@ class CheckpointStore:
         self._last = (key, int(cycle), state)
         try:
             save_checkpoint(self.path(key, cycle), spec, cycle, state)
-        except OSError:
-            pass
-
-    @staticmethod
-    def _discard(path: pathlib.Path) -> None:
-        try:
-            path.unlink()
         except OSError:
             pass

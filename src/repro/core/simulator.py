@@ -290,8 +290,8 @@ def sweep_specs(
 
     This is the job-decomposition step shared by the local sweep CLI,
     :func:`repro.api.sweep` and the sweep service: a sweep *is* its spec
-    list, and every downstream layer (cache, dedup table, worker
-    backends) keys on the individual specs' content hashes.  Duplicate
+    list, and every downstream layer (cache, dedup table, workers) keys
+    on the individual specs' content hashes.  Duplicate
     cells (same content hash) are collapsed, keeping first position.
     The config is resolved once, so every cell shares one
     :class:`SystemConfig` and its canonical text is encoded once.

@@ -37,7 +37,13 @@ from typing import Iterable, NamedTuple
 from repro.core.results import RESULT_SCHEMA, RunResult
 from repro.core.runspec import SPEC_SCHEMA, RunSpec
 from repro.errors import ReproError
-from repro.serialize import CanonicalJSON, canonical_json, encode_canonical
+from repro.serialize import (
+    CanonicalJSON,
+    canonical_json,
+    discard_file,
+    encode_canonical,
+    write_atomic,
+)
 
 #: Combined schema tag for cache entries; bumping either layout version
 #: retires every existing entry.
@@ -157,7 +163,7 @@ class ResultCache:
         except (OSError, ValueError, KeyError, TypeError, ReproError):
             # Corrupt or stale entry: drop it and recompute.
             self.misses += 1
-            self._discard(path)
+            discard_file(path)
             return None
         self.hits += 1
         return CacheHit(result, CanonicalJSON(text[len(_ENTRY_HEAD) : end]))
@@ -170,25 +176,13 @@ class ResultCache:
         *result* may be given as its canonical JSON text, which is
         spliced into the entry as is, as is the spec's stored text.
         """
-        path = self.path(key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         text = encode_canonical({
             "result": canonical_json(result),
             "schema": CACHE_SCHEMA,
             "spec": spec.canonical_json(),
         })
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            write_atomic(self.path(key), text)
         except OSError:
             # A read-only or full filesystem degrades to "no cache".
-            self._discard(tmp)
-
-    @staticmethod
-    def _discard(path: pathlib.Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
             pass

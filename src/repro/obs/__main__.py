@@ -193,10 +193,11 @@ def main(argv=None) -> int:
         )
         return 0
     from repro import api
+    from repro.errors import ConfigError
 
     try:
         result = api.diff(args.a, args.b, rules=args.tol + args.abs_tol)
-    except ValueError as exc:  # a file and a directory, or a non-JSON file
+    except (ValueError, ConfigError) as exc:  # a file and a directory, or a non-JSON file
         parser.error(str(exc))
     if not args.quiet:
         print(result.report())

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Optional
 
+from repro.errors import ConfigError
+
 #: Sentinel for "key absent on this side" (distinct from an explicit null).
 _MISSING = object()
 
@@ -162,9 +164,17 @@ def diff_payloads(
 def diff_files(
     path_a, path_b, rules: Optional[list[ToleranceRule]] = None
 ) -> DiffResult:
-    """Compare two JSON files (result, metrics, or profile payloads)."""
-    with open(path_a, "r", encoding="utf-8") as fa:
-        payload_a = json.load(fa)
-    with open(path_b, "r", encoding="utf-8") as fb:
-        payload_b = json.load(fb)
-    return diff_payloads(payload_a, payload_b, rules)
+    """Compare two JSON files (result, metrics, or profile payloads).
+
+    A file that is not one whole JSON document raises
+    :class:`~repro.errors.ConfigError` naming it.
+    """
+    return diff_payloads(_load_json(path_a), _load_json(path_b), rules)
+
+
+def _load_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # torn, not JSON, or not UTF-8
+        raise ConfigError(f"{path}: not a whole JSON document ({exc})") from None

@@ -6,7 +6,7 @@ DIR`` and the result cache itself write (the layouts share one payload
 shape, ``{"spec": ..., "result": ...}``; see
 :func:`repro.experiments.cache.read_result_entry`).  Because entries are
 keyed by the spec's *content*, two directories produced by different
-machines, runners, or service backends can be compared without any
+machines, runners, or sweep services can be compared without any
 filename or ordering convention: a Figure-9-scale sweep regresses in one
 command.
 

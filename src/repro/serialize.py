@@ -31,6 +31,10 @@ provides the shared machinery:
     Strict flat-dataclass reconstruction (unknown keys are a
     :class:`~repro.errors.ConfigError`, so stale cache entries fail
     loudly enough to be recomputed rather than mis-parsed).
+:func:`write_atomic` / :func:`discard_file`
+    How a result-cache entry or a checkpoint file reaches the disk (a
+    temp file beside it, then ``os.replace``) and how a bad one is
+    dropped.
 
 Each value is walked once on the way to its hash: a ``to_dict`` returns
 JSON-able primitives (built with :func:`to_jsonable` where a field may
@@ -49,6 +53,8 @@ import enum
 import functools
 import hashlib
 import json
+import os
+import pathlib
 
 from repro.errors import ConfigError
 
@@ -194,3 +200,29 @@ def dataclass_from_dict(cls, data: dict):
             f"{cls.__name__}: unknown field(s) {sorted(unknown)}"
         )
     return cls(**data)
+
+
+def write_atomic(path: pathlib.Path, text: str) -> None:
+    """Write *text* to *path*, creating its directory, through a temp
+    file beside it and ``os.replace``: a reader sees the old file or the
+    whole new one, never a part.  On ``OSError`` the temp file is
+    removed and the error raised; each caller decides whether a failed
+    write matters."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        discard_file(tmp)
+        raise
+
+
+def discard_file(path: pathlib.Path) -> None:
+    """Remove *path* if it can be removed; a missing or undeletable file
+    is no error."""
+    try:
+        path.unlink()
+    except OSError:
+        pass

@@ -5,16 +5,13 @@ perfect dedup key — this package puts an async job API in front of
 :func:`repro.core.simulator.run_spec` so that *one* simulation runs per
 unique spec no matter how many clients ask:
 
-:mod:`repro.service.backends`
-    The :class:`WorkerBackend` execution seam — inline (tests), thread
-    pool, and process pool (generalizing the
-    :class:`~repro.experiments.runner.SweepRunner` fan-out).
 :mod:`repro.service.server`
     :class:`SweepService` (job table, future-per-hash in-flight dedup,
     memo + disk-cache tiers, warm-start via the PR 6
-    :class:`~repro.core.checkpoint.CheckpointStore`) and the asyncio
-    socket front-end :class:`ServiceServer` speaking the line-oriented
-    frame protocol of :mod:`repro.telemetry.wire`.
+    :class:`~repro.core.checkpoint.CheckpointStore`, and execution on
+    one worker thread or, with ``jobs > 1``, a process pool) and the
+    asyncio socket front-end :class:`ServiceServer` speaking the
+    line-oriented frame protocol of :mod:`repro.telemetry.wire`.
 :mod:`repro.service.client`
     :class:`ServiceClient`, the blocking client used by
     ``python -m repro submit`` and :func:`repro.api.submit`.
@@ -33,18 +30,12 @@ from repro import lazy_exports
 #: access: a client process (``from repro.service.client import
 #: ServiceClient``) loads neither the server nor ``asyncio``.
 _EXPORTS = {
-    "BACKENDS": "repro.service.backends",
-    "InlineBackend": "repro.service.backends",
-    "ProcessPoolBackend": "repro.service.backends",
     "ServiceClient": "repro.service.client",
     "ServiceMetrics": "repro.service.metrics",
     "ServiceServer": "repro.service.server",
     "SweepOutcome": "repro.service.client",
     "SweepService": "repro.service.server",
-    "ThreadBackend": "repro.service.backends",
-    "WorkerBackend": "repro.service.backends",
     "backoff_schedule": "repro.service.client",
-    "make_backend": "repro.service.backends",
     "serve_in_thread": "repro.service.server",
     "start_metrics_http": "repro.service.metrics",
 }

@@ -27,6 +27,8 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Optional
 
+from repro.errors import ServiceError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from http.server import ThreadingHTTPServer
 
@@ -51,6 +53,15 @@ TIERS = (
     "monitored_memo",
     "monitored_dedup",
 )
+
+
+def _check_tier(tier: str) -> None:
+    """Reject a tier outside :data:`TIERS`, so a misspelled tier at a call
+    site fails instead of going missing from the ledger."""
+    if tier not in TIERS:
+        raise ServiceError(
+            f"unknown service tier {tier!r}; declared: {', '.join(TIERS)}"
+        )
 
 
 class Histogram:
@@ -94,7 +105,7 @@ class ServiceMetrics:
     One :meth:`count` per resolution, when its tier is decided, and one
     :meth:`observe` per completed result.  All tiers are pre-declared
     (:data:`TIERS`) so the exposition's label set is stable from the
-    first scrape.
+    first scrape; any other tier raises :class:`ServiceError`.
     """
 
     def __init__(self):
@@ -103,23 +114,17 @@ class ServiceMetrics:
         self._cycles = {tier: Histogram(CYCLE_BUCKETS) for tier in TIERS}
         self._wall = {tier: Histogram(WALL_BUCKETS_US) for tier in TIERS}
 
-    def _register(self, tier: str) -> None:
-        if tier not in self._hits:
-            self._hits[tier] = 0
-            self._cycles[tier] = Histogram(CYCLE_BUCKETS)
-            self._wall[tier] = Histogram(WALL_BUCKETS_US)
-
     def count(self, tier: str) -> None:
         """Count one resolution under *tier*; it stays counted if it
         then fails."""
+        _check_tier(tier)
         with self._lock:
-            self._register(tier)
             self._hits[tier] += 1
 
     def observe(self, tier: str, simulated_cycles: int, wall_us: int) -> None:
         """Record one completed result in *tier*'s histograms."""
+        _check_tier(tier)
         with self._lock:
-            self._register(tier)
             self._cycles[tier].observe(simulated_cycles)
             self._wall[tier].observe(wall_us)
 

@@ -7,8 +7,8 @@ Two layers, separable for testing:
   in-flight dedup** (concurrent identical submissions collapse onto one
   running job), the persistent content-addressed disk cache shared with
   :class:`~repro.experiments.runner.SweepRunner`, and finally execution
-  on a pluggable :class:`~repro.service.backends.WorkerBackend`.
-  Warm-started specs reuse the service-wide
+  on the service's own worker thread or, with ``jobs > 1``, its process
+  pool.  Warm-started specs reuse the service-wide
   :class:`~repro.core.checkpoint.CheckpointStore`.
 * :class:`ServiceServer` — the asyncio socket front-end speaking the
   line-oriented frame protocol of :mod:`repro.telemetry.wire`.
@@ -27,19 +27,22 @@ in flight; every other submission observes one of:
 ``cache``
     present in the on-disk result cache (possibly from another process);
 ``executed`` / ``live``
-    this submission started the simulation (on the backend / in-process
-    with telemetry attached).
+    this submission started the simulation (a plain run / an in-process
+    run with telemetry or monitors attached).
 
 Because ``run_spec`` is a pure function of the spec, every tier returns
 the *same* canonical result payload — a served result is byte-identical
 to a direct local ``run_spec()`` of the same spec.
 
-Every simulation starts in one place, :meth:`SweepService._execute`.
-A plain job runs on the backend.  Telemetry streaming and monitors need
-a **live** event stream, which a backend worker or a cache entry cannot
-provide, so a streamed or monitored job runs
-:func:`~repro.core.simulator.run_spec` in-process on an executor
-thread, whatever the backend:
+Every simulation starts in one place, :meth:`SweepService._execute`,
+and where it runs follows from one value, ``jobs``.  A job that runs in
+this process runs on the service's one worker thread, one job at a
+time, so the event loop keeps answering while it simulates.  With
+``jobs == 1`` every job runs there; with ``jobs > 1`` plain jobs run on
+a pool of ``jobs`` worker processes instead.  Telemetry streaming and
+monitors need a **live** event stream, which a worker process or a
+cache entry cannot provide, so a streamed or monitored job always runs
+:func:`~repro.core.simulator.run_spec` on the worker thread:
 
 * ``stream=True`` forces a fresh run (events flow to the client through
   a :class:`~repro.telemetry.wire.WireSink`); its result still lands in
@@ -62,7 +65,7 @@ and wall-latency histograms.  When the client
 opted into tracing (a ``trace`` id on the request frame, wire v2), the
 service opens one span per resolution step — ``resolve`` root, then
 ``memo``/``dedup``/``cache``/``execute``/``live`` children, with
-``run_spec``/``restore`` grandchildren inside the worker — and stamps
+``run_spec``/``restore`` grandchildren on the worker thread — and stamps
 the served result copy with the trace id (the memo and the disk cache
 always store the *unstamped* payload, so caching stays byte-identical
 with tracing on or off).  A dedup-joined traced submission is stamped
@@ -76,6 +79,7 @@ import asyncio
 import dataclasses
 import functools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Optional
 
 from repro import serialize
@@ -115,30 +119,36 @@ class _MemoEntry(NamedTuple):
 
 
 class SweepService:
-    """Job table + dedup + cache tiers over a worker backend."""
+    """Job table + dedup + cache tiers over ``jobs`` workers.
+
+    ``jobs`` is the one execution value: one worker thread for every job
+    when it is 1, and a pool of ``jobs`` processes for plain jobs above
+    (see the module docstring).  Each executor is made by the first job
+    that needs it and shut down by :meth:`close`, so a service that
+    answers only from its memo and the disk cache starts none.
+    """
 
     def __init__(
         self,
-        backend=None,
+        jobs: int = 1,
         cache_dir=None,
         use_cache: bool = True,
         log: Optional[StructuredLog] = None,
         span_sink=None,
     ):
+        if jobs < 1:
+            raise ServiceError(f"SweepService: jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
         self.cache = ResultCache(cache_dir) if use_cache else None
+        #: Shared by every job: the worker thread uses it (and its last
+        #: prefix in memory) directly, a worker process gets a pickled
+        #: copy that carries only its path.
         self.checkpoint_store = (
             CheckpointStore(cache_dir) if use_cache else None
         )
-        if backend is None:
-            from repro.service.backends import InlineBackend
-
-            backend = InlineBackend(checkpoint_store=self.checkpoint_store)
-        elif backend.checkpoint_store is None:
-            # A backend constructed without its own store adopts the
-            # service-wide one, so warm-start prefixes are shared no
-            # matter which worker runs them.
-            backend.checkpoint_store = self.checkpoint_store
-        self.backend = backend
+        #: The worker thread and the process pool, made on first use.
+        self._thread: Optional[ThreadPoolExecutor] = None
+        self._pool = None
         self.log = log
         #: Optional :class:`~repro.telemetry.sinks.EventSink` receiving
         #: every closed span (``serve --span-jsonl`` / Chrome export).
@@ -157,6 +167,13 @@ class SweepService:
         self.recent_spans = RingBufferSink(RECENT_SPANS)
 
     # -- introspection ---------------------------------------------------------
+
+    @property
+    def backend(self) -> str:
+        """Where plain jobs run, as ``pong``, ``status`` and the metrics
+        info label report it: ``thread`` for ``jobs == 1``, else
+        ``process``."""
+        return "thread" if self.jobs == 1 else "process"
 
     def counters(self) -> dict:
         """Deterministic counter snapshot (the ``status`` frame body).
@@ -180,7 +197,7 @@ class SweepService:
             "monitored_memo_hits": tiers["monitored_memo"],
             "monitored_dedup_hits": tiers["monitored_dedup"],
             "inflight": len(self._jobs),
-            "backend": self.backend.name,
+            "backend": self.backend,
             "caching": self.cache is not None,
         }
 
@@ -347,9 +364,10 @@ class SweepService:
         trace: Optional[JobTrace],
         root,
     ) -> tuple[RunResult, str]:
-        """Start one simulation.  A plain job runs on the backend
-        (``executed``); a streamed or monitored one needs its live event
-        stream, so it runs ``run_spec`` on an executor thread (``live``)."""
+        """Start one simulation: a plain job (``executed``) on the worker
+        thread, or on the process pool when ``jobs > 1``; a streamed or
+        monitored one (``live``) needs its live event stream, so it runs
+        on the worker thread whatever ``jobs`` is."""
         loop = asyncio.get_running_loop()
         telemetry = suite = None
         if event_cb is not None:
@@ -381,15 +399,31 @@ class SweepService:
             span = trace.span(name, parent=root.span_id)
         try:
             try:
-                if live:
-                    result = await loop.run_in_executor(None, functools.partial(
-                        execute_run_spec, spec, telemetry,
-                        self.checkpoint_store, suite,
-                    ))
+                if live or self.jobs == 1:
+                    if self._thread is None:
+                        self._thread = ThreadPoolExecutor(
+                            max_workers=1, thread_name_prefix="repro-svc"
+                        )
+                    executor = self._thread
+                    # Only a plain job's run opens worker spans.
+                    call = functools.partial(
+                        self._run, spec, telemetry, suite,
+                        None if live else trace,
+                        span.span_id if span is not None else None,
+                    )
                 else:
-                    result = await asyncio.wrap_future(self.backend.submit(
-                        spec, trace, span.span_id if span is not None else None
-                    ))
+                    if self._pool is None:
+                        from concurrent.futures import ProcessPoolExecutor
+
+                        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                    executor = self._pool
+                    # A JobTrace holds a live emit callable and does not
+                    # pickle, so a worker process opens no spans.
+                    call = functools.partial(
+                        execute_run_spec, spec,
+                        checkpoint_store=self.checkpoint_store,
+                    )
+                result = await loop.run_in_executor(executor, call)
             except BaseException:
                 if span is not None:
                     span.set(detail="error").close()
@@ -415,8 +449,44 @@ class SweepService:
             if future is not None:
                 self._jobs.pop(key, None)
 
+    def _run(
+        self,
+        spec: RunSpec,
+        telemetry: Optional[Telemetry],
+        suite,
+        trace: Optional[JobTrace],
+        parent: Optional[int],
+    ) -> RunResult:
+        """Run *spec* in this process, with the hub and monitor suite of
+        a live job; called on the worker thread.
+
+        With a :class:`~repro.tracing.JobTrace` it opens a ``run_spec``
+        span under *parent* (the ``execute`` span) and a ``restore`` span
+        around each warm-up prefix fetch.  The run itself is the untraced
+        one, so results stay bit-identical with tracing on.
+        """
+        if trace is None:
+            return execute_run_spec(
+                spec, telemetry, self.checkpoint_store, suite
+            )
+        with trace.span("run_spec", parent=parent) as root:
+            result = execute_run_spec(
+                spec, telemetry, self.checkpoint_store, suite,
+                restore_span=functools.partial(
+                    trace.span, "restore", parent=root.span_id
+                ),
+            )
+            root.set(cycles=result.simulated_cycles,
+                     detail=spec.content_hash())
+        return result
+
     def close(self) -> None:
-        self.backend.close()
+        """Shut down the executors, after the jobs they hold finish, and
+        close the span sink and the log.  Idempotent."""
+        for executor in (self._thread, self._pool):
+            if executor is not None:
+                executor.shutdown(wait=True)
+        self._thread = self._pool = None
         if self.span_sink is not None:
             self.span_sink.close()
         if self.log is not None:
@@ -568,7 +638,7 @@ class ServiceServer:
             "spec_schema": SPEC_SCHEMA,
             "result_schema": RESULT_SCHEMA,
             "version": __version__,
-            "backend": self.service.backend.name,
+            "backend": self.service.backend,
         }
 
     def _metrics_frame(self, rid) -> dict:
@@ -578,7 +648,7 @@ class ServiceServer:
         service = self.service
         counters = service.counters()
         info = {
-            "backend": service.backend.name,
+            "backend": service.backend,
             "caching": str(service.cache is not None).lower(),
         }
         return {
@@ -723,7 +793,7 @@ class ServiceServer:
                     "error": str(exc),
                 }
             except Exception as exc:
-                # Whatever a job raises (a backend bug included) answers
+                # Whatever a job raises (a worker bug included) answers
                 # that job alone: the other jobs and ``done`` still follow.
                 source = "error"
                 reply = {

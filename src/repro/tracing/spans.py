@@ -1,8 +1,8 @@
 """Deterministic trace ids and span lifecycles.
 
 A *trace* covers one client submission end to end; a *span* is one
-closed interval of the request path inside it (a resolution tier, a
-backend execution, a warm-start restore).  The design splits every span
+closed interval of the request path inside it (a resolution tier, an
+execution, a warm-start restore).  The design splits every span
 along the ``bench_report`` convention:
 
 * **deterministic fields** — trace id, span id, name, job, parent,
@@ -130,7 +130,7 @@ class JobTrace:
     """Span factory for one ``(trace_id, job)`` pair.
 
     Hands out sequential span ids under a lock (spans may close on the
-    event loop, a worker thread, or the backend pool) and forwards each
+    event loop or the service's worker thread) and forwards each
     closed span to ``emit``.  ``clock`` is injectable so tests can pin
     wall fields to known values; it must return nanoseconds.
     """

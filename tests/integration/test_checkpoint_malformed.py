@@ -11,6 +11,7 @@ finish.  The CLI and the checkpoint store handle the same errors: a
 not restore is a miss.
 """
 
+import asyncio
 import copy
 import json
 import random
@@ -29,7 +30,7 @@ from repro.core.simulator import (
 )
 from repro.errors import CheckpointError
 from repro.serialize import content_hash
-from repro.service.backends import InlineBackend
+from repro.service import SweepService
 from repro.tracing import JobTrace, mint_trace_id
 
 WINDOWS = dict(num_windows=0.5, warmup_windows=0.125, refresh_scale=1024)
@@ -218,12 +219,20 @@ def test_a_traced_run_recovers_from_a_stored_prefix_that_does_not_restore(tmp_pa
 
     spans = []
     trace = JobTrace(mint_trace_id("bad-prefix", 0), spec.content_hash(), spans.append)
-    store = CheckpointStore(tmp_path)
-    result = InlineBackend(store).submit(spec, trace=trace).result()
-    assert content_hash(result.to_dict()) == expected
+    service = SweepService(cache_dir=tmp_path)
+    try:
+        result, source = asyncio.run(service.resolve(spec, trace=trace))
+    finally:
+        service.close()
+    payload = result.to_dict()
+    assert (source, payload.pop("trace_id")) == ("executed", trace.trace_id)
+    assert content_hash(payload) == expected
+    store = service.checkpoint_store
     assert (store.hits, store.misses) == (0, 1)
     # One restore span per prefix fetch: the bad read and the recompute.
-    assert [s.name for s in spans] == ["restore", "restore", "run_spec"]
+    assert [s.name for s in spans] == [
+        "restore", "restore", "run_spec", "execute", "resolve"
+    ]
     # The entry was rewritten and now restores.
     rewritten = json.loads(entry.read_text())
     assert len(rewritten["state"]["controller"]["banks"]) == 16

@@ -1,12 +1,14 @@
 """Every way the sweep service executes a job, pinned case by case.
 
 A job is cold or warm-started from a ``per_bank`` prefix; plain,
-streamed, monitored, or streamed and monitored; traced or not; and run
-on the inline or the thread backend.  Each of the 32 cases goes through
-``SweepService.resolve`` on a fresh service and must report its source
-tag, move exactly its counters, open exactly its spans, stream events
-if and only if it is streamed, carry ``monitor_violations`` only when
-monitored, and serve ``run_spec``'s result.
+streamed, monitored, or streamed and monitored; traced or not; and
+served with ``jobs=1`` (every job on the worker thread, ``thread``) or
+``jobs=2`` (plain jobs on the process pool, ``process``).  Each of the
+32 cases goes through ``SweepService.resolve`` on a fresh service and
+must report its source tag, move exactly its counters, open exactly its
+spans, stream events if and only if it is streamed, carry
+``monitor_violations`` only when monitored, and serve ``run_spec``'s
+result.
 """
 
 import asyncio
@@ -18,7 +20,7 @@ from repro.errors import MonitorError
 from repro.os.refresh_aware import RefreshAwareScheduler
 from repro.os.scheduler import CfsScheduler
 from repro.serialize import content_hash
-from repro.service import InlineBackend, SweepService, ThreadBackend
+from repro.service import SweepService
 from repro.tracing import JobTrace, mint_trace_id
 
 WINDOWS = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
@@ -33,7 +35,8 @@ KINDS = {
     "streamed+monitored": (True, "collect"),
 }
 
-BACKENDS = {"inline": InlineBackend, "thread": lambda: ThreadBackend(jobs=1)}
+#: Where plain jobs run (the service's ``backend`` counter) -> ``jobs``.
+JOBS = {"thread": 1, "process": 2}
 
 #: Counters a fresh service moves for each job kind (all others stay).
 COUNTERS = {
@@ -80,8 +83,9 @@ def _counters(service) -> dict:
     }
 
 
-def _expected_spans(kind, key, spec, result, provenance):
-    """(span id, name, parent, cycles, detail) of a traced job's spans."""
+def _expected_spans(kind, key, spec, result, provenance, backend):
+    """(span id, name, parent, cycles, detail) of a traced job's spans.
+    A plain job run in a worker process opens no spans there."""
     streamed, monitors = KINDS[kind]
     cycles = result.simulated_cycles
     source = "executed" if kind == "plain" else "live"
@@ -90,14 +94,14 @@ def _expected_spans(kind, key, spec, result, provenance):
         (0, "resolve", None, cycles, tier),
         (1, "live" if streamed else "execute", 0, cycles, key),
     ]
-    if kind == "plain":
+    if kind == "plain" and backend == "thread":
         spans.append((2, "run_spec", 1, cycles, spec.content_hash()))
         if provenance is not None:
             spans.append((3, "restore", 2, 0, provenance))
     return spans
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", sorted(JOBS))
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("kind", list(KINDS))
 @pytest.mark.parametrize("start", list(STARTS))
@@ -105,7 +109,8 @@ def test_execution_matrix(tmp_path, reference, start, kind, traced, backend):
     streamed, monitors = KINDS[kind]
     spec = _spec(start)
     expected_digest, provenance = reference[start]
-    service = SweepService(backend=BACKENDS[backend](), cache_dir=tmp_path)
+    service = SweepService(jobs=JOBS[backend], cache_dir=tmp_path)
+    assert service.counters()["backend"] == backend
     events, spans = [], []
     trace = (
         JobTrace(mint_trace_id("matrix", 0), spec.content_hash(), spans.append)
@@ -143,7 +148,9 @@ def test_execution_matrix(tmp_path, reference, start, kind, traced, backend):
         (s.span_id, s.name, s.parent, s.cycles, s.detail) for s in spans
     )
     if traced:
-        assert got == _expected_spans(kind, key, spec, result, provenance)
+        assert got == _expected_spans(
+            kind, key, spec, result, provenance, backend
+        )
         assert {s.trace_id for s in spans} == {trace.trace_id}
     else:
         assert got == []

@@ -11,6 +11,8 @@ the test process itself has long since loaded everything:
 * a client process loads neither ``asyncio`` nor the server;
 * the first job the service executes loads the kernel, and its result
   is the direct run's;
+* a restarted service that serves a sweep wholly from the disk cache
+  starts no executor thread;
 * every compatibility name resolves, on first access, to the object its
   defining module holds.
 """
@@ -56,7 +58,7 @@ NOT_ON_SETUP_PATH = (
 KERNEL = ("repro.core.system", "repro.core.engine", "repro.dram.controller")
 
 SETUP_PATH = f"""
-import json, sys, tempfile
+import json, sys, tempfile, threading
 import repro
 from repro import api
 
@@ -79,7 +81,8 @@ assert len(specs) == 98
 from repro.serialize import canonical_json
 from repro.service import ServiceClient, SweepService, serve_in_thread
 
-service = SweepService(cache_dir=tempfile.mkdtemp())
+cache_dir = tempfile.mkdtemp()
+service = SweepService(cache_dir=cache_dir)
 server, thread = serve_in_thread(service)
 client = ServiceClient(port=server.port, timeout=120)
 assert client.ping()["type"] == "pong"
@@ -90,9 +93,18 @@ result, source = client.submit(spec)
 client.shutdown()
 client.close()
 thread.join(timeout=60)
+
+restart = SweepService(cache_dir=cache_dir)
+server, thread = serve_in_thread(restart)
+with ServiceClient(port=server.port, timeout=120) as client:
+    outcome = client.sweep(specs=[spec])
+    threads = sorted(t.name for t in threading.enumerate())
+    client.shutdown()
+thread.join(timeout=60)
 print(json.dumps({{
     "before": before, "after": sorted(sys.modules), "source": source,
     "result": canonical_json(result),
+    "restart_sources": list(outcome.sources.values()), "restart_threads": threads,
 }}))
 """
 
@@ -133,6 +145,11 @@ def test_the_first_executed_job_loads_the_kernel_and_matches_a_direct_run(served
     assert set(KERNEL).isdisjoint(served["before"])
     assert set(KERNEL) <= set(served["after"])
     assert served["result"] == canonical_json(run_spec(make_run_spec("WL-9", "per_bank", **FAST)))
+
+
+def test_a_restart_sweep_served_from_disk_starts_no_executor_thread(served):
+    assert served["restart_sources"] == ["cache"]
+    assert served["restart_threads"] == ["MainThread", "repro-service"]
 
 
 def test_a_client_loads_neither_asyncio_nor_the_server():

@@ -17,7 +17,6 @@ import json
 import threading
 import time
 import weakref
-from concurrent.futures import Future
 
 import pytest
 
@@ -26,13 +25,7 @@ from repro.core.runspec import RunSpec
 from repro.core.simulator import make_run_spec, run_spec, sweep_specs
 from repro.errors import ServiceError
 from repro.experiments.cache import ResultCache
-from repro.service import (
-    InlineBackend,
-    ServiceClient,
-    SweepService,
-    ThreadBackend,
-    serve_in_thread,
-)
+from repro.service import ServiceClient, SweepService, serve_in_thread
 from repro.service import server as server_module
 from repro.telemetry.wire import encode_frame
 
@@ -60,9 +53,7 @@ def test_resolve_matches_direct_run_spec(tmp_path):
 
 def test_concurrent_identical_submissions_run_once(tmp_path):
     """The tentpole guarantee: N concurrent submissions, one simulation."""
-    service = SweepService(
-        backend=ThreadBackend(jobs=2), cache_dir=tmp_path
-    )
+    service = SweepService(cache_dir=tmp_path)
     spec = _spec()
 
     async def fan_out():
@@ -141,9 +132,10 @@ def test_warm_started_spec_byte_identical(tmp_path):
     result, source = asyncio.run(service.resolve(spec))
     assert source == "executed"
     assert _canon(result) == _canon(run_spec(spec))
-    # The warm-up prefix checkpoint landed in the service-wide store,
-    # shared with the backend.
-    assert service.backend.checkpoint_store is service.checkpoint_store
+    # The worker computed the warm-up prefix into the service-wide store.
+    store = service.checkpoint_store
+    assert (store.hits, store.misses) == (0, 1)
+    assert len(list(store.root.glob("*/*.json"))) == 1
 
 
 def test_monitored_jobs_never_alias_plain_ones(tmp_path):
@@ -178,14 +170,11 @@ def test_monitored_jobs_never_alias_plain_ones(tmp_path):
 
 @pytest.fixture
 def live(tmp_path):
-    service = SweepService(
-        backend=ThreadBackend(jobs=2), cache_dir=tmp_path / "cache"
-    )
+    service = SweepService(cache_dir=tmp_path / "cache")
     server, thread = serve_in_thread(service)
     yield server, service
     server.stop()
     thread.join(timeout=10)
-    service.backend.close()
 
 
 def test_served_result_byte_identical(live):
@@ -197,32 +186,27 @@ def test_served_result_byte_identical(live):
     assert _canon(result) == _canon(run_spec(spec))
 
 
-class _HoldUntilJoined(ThreadBackend):
+class _HoldUntilJoined(SweepService):
     """Holds each run until a second submission has joined it, so two
     submissions are in flight together by construction."""
 
-    service = None
-
-    def _execute(self, spec, trace=None, parent=None):
+    def _run(self, spec, *args):
         deadline = time.monotonic() + 60
         while (
-            self.service.counters()["dedup_hits"] < 1
+            self.counters()["dedup_hits"] < 1
             and time.monotonic() < deadline
         ):
             time.sleep(0.001)
-        return super()._execute(spec, trace, parent)
+        return super()._run(spec, *args)
 
 
 @pytest.fixture
 def held(tmp_path):
-    backend = _HoldUntilJoined(jobs=2)
-    service = SweepService(backend=backend, cache_dir=tmp_path / "cache")
-    backend.service = service
+    service = _HoldUntilJoined(cache_dir=tmp_path / "cache")
     server, thread = serve_in_thread(service)
     yield server, service
     server.stop()
     thread.join(timeout=10)
-    service.backend.close()
 
 
 def test_two_socket_clients_dedup_one_simulation(held):
@@ -250,6 +234,50 @@ def test_two_socket_clients_dedup_one_simulation(held):
     assert service.counters()["runs_executed"] == 1
     payloads = {_canon(result) for result, _ in outcomes.values()}
     assert payloads == {_canon(run_spec(spec))}
+
+
+class _HoldUntilReleased(SweepService):
+    """Holds each run on the worker thread until the test releases it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.entered = threading.Event()
+        self.released = threading.Event()
+
+    def _run(self, spec, *args):
+        self.entered.set()
+        self.released.wait(60)
+        return super()._run(spec, *args)
+
+
+def test_the_loop_answers_status_while_a_job_runs(tmp_path):
+    """With ``jobs=1`` a job runs on the worker thread, so the event loop
+    answers another connection's ``status`` while the job is held."""
+    service = _HoldUntilReleased(cache_dir=tmp_path)
+    server, thread = serve_in_thread(service)
+    spec = _spec()
+    outcome = {}
+    try:
+        with ServiceClient(port=server.port, timeout=60) as submitter:
+            submit = threading.Thread(
+                target=lambda: outcome.update(answer=submitter.submit(spec))
+            )
+            submit.start()
+            assert service.entered.wait(60)
+            with ServiceClient(port=server.port, timeout=10) as watcher:
+                counters = watcher.status()
+            assert (counters["inflight"], counters["runs_executed"]) == (1, 1)
+            assert "answer" not in outcome
+            service.released.set()
+            submit.join(timeout=120)
+            assert not submit.is_alive()
+    finally:
+        service.released.set()
+        server.stop()
+        thread.join(timeout=10)
+    result, source = outcome["answer"]
+    assert source == "executed"
+    assert _canon(result) == _canon(run_spec(spec))
 
 
 def test_sweep_submission_and_counters(live):
@@ -336,7 +364,7 @@ def test_sweep_frame_over_64_kib_is_answered_in_full(tmp_path):
     )
     request = {"op": "sweep", "specs": [spec.to_dict() for spec in specs]}
     assert len(encode_frame(request)) > 64 * 1024
-    service = SweepService(backend=InlineBackend(), cache_dir=tmp_path)
+    service = SweepService(cache_dir=tmp_path)
     server, thread = serve_in_thread(service)
     try:
         with ServiceClient(port=server.port) as client:
@@ -353,7 +381,7 @@ def test_line_over_frame_limit_is_a_service_error(tmp_path, monkeypatch):
     """An oversized line is answered with an error frame, and the
     connection stays usable for the next request."""
     monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 4096)
-    service = SweepService(backend=InlineBackend(), cache_dir=tmp_path)
+    service = SweepService(cache_dir=tmp_path)
     server, thread = serve_in_thread(service)
     try:
         with ServiceClient(port=server.port) as client:
@@ -367,7 +395,7 @@ def test_line_over_frame_limit_is_a_service_error(tmp_path, monkeypatch):
 
 
 def test_shutdown_via_client(tmp_path):
-    service = SweepService(backend=InlineBackend(), cache_dir=tmp_path)
+    service = SweepService(cache_dir=tmp_path)
     server, thread = serve_in_thread(service)
     with ServiceClient(port=server.port) as client:
         client.shutdown()
@@ -379,7 +407,7 @@ def test_shutdown_via_client(tmp_path):
 
 
 def _serve(cache_dir):
-    service = SweepService(backend=InlineBackend(), cache_dir=cache_dir)
+    service = SweepService(cache_dir=cache_dir)
     server, thread = serve_in_thread(service)
     return server, thread
 
@@ -438,7 +466,7 @@ def test_stopped_service_is_freed_without_the_cyclic_gc(tmp_path):
     gc.collect()
     gc.disable()
     try:
-        service = SweepService(backend=InlineBackend(), cache_dir=tmp_path)
+        service = SweepService(cache_dir=tmp_path)
         server, thread = serve_in_thread(service)
         with ServiceClient(port=server.port, timeout=60) as client:
             client.sweep(specs=specs)
@@ -457,32 +485,30 @@ def test_stopped_service_is_freed_without_the_cyclic_gc(tmp_path):
 # -- job and request failures --------------------------------------------------
 
 
-class _FailingBackend(InlineBackend):
-    """Runs every spec except ``all_bank`` ones, whose future raises a
+class _FailingService(SweepService):
+    """Runs every spec except ``all_bank`` ones, whose run raises a
     plain ``RuntimeError`` (not a ``ReproError``)."""
 
-    def submit(self, spec, trace=None, parent=None):
-        if spec.scenario.name != "all_bank":
-            return super().submit(spec, trace=trace, parent=parent)
-        future = Future()
-        future.set_exception(RuntimeError("backend exploded"))
-        return future
+    def _run(self, spec, *args):
+        if spec.scenario.name == "all_bank":
+            raise RuntimeError("job exploded")
+        return super()._run(spec, *args)
 
 
 def test_job_raising_a_non_repro_error_is_answered(tmp_path):
     """The failing job gets its error frame, the other job its result,
     and the sweep its done frame: the client never waits it out."""
     specs = sweep_specs(["WL-9"], ["all_bank", "per_bank"], **FAST)
-    service = SweepService(backend=_FailingBackend(), cache_dir=tmp_path)
+    service = _FailingService(cache_dir=tmp_path)
     server, thread = serve_in_thread(service)
     try:
         with ServiceClient(port=server.port, timeout=5) as client:
             outcome = client.sweep(specs=specs)
             failed, served = (spec.content_hash() for spec in specs)
-            assert outcome.errors == {failed: "RuntimeError: backend exploded"}
+            assert outcome.errors == {failed: "RuntimeError: job exploded"}
             assert outcome.sources == {failed: "error", served: "executed"}
             assert _canon(outcome.results[served]) == _canon(run_spec(specs[1]))
-            with pytest.raises(ServiceError, match="backend exploded"):
+            with pytest.raises(ServiceError, match="job exploded"):
                 client.submit(specs[0])
             # The failure was not memoized: the service retries it.
             assert service.counters()["runs_executed"] == 3
@@ -496,8 +522,8 @@ def test_failed_jobs_keep_counters_and_metrics_tiers_in_agreement(tmp_path):
     in the one tier ledger: the ``status`` counters and the ``metrics``
     frame's deterministic tiers agree, and only completed results reach
     the histograms."""
-    spec = _spec("all_bank")  # _FailingBackend fails every all_bank run
-    service = SweepService(backend=_FailingBackend(), cache_dir=tmp_path)
+    spec = _spec("all_bank")  # _FailingService fails every all_bank run
+    service = _FailingService(cache_dir=tmp_path)
 
     async def execute_and_join():
         return await asyncio.gather(

@@ -1,10 +1,12 @@
 """The sweep service's wire path: what a client receives, byte for byte.
 
 * **Golden bytes** — the sha256 of every byte a ``ServiceClient``
-  receives in a scripted session is pinned.  The digest was recorded
-  when every frame was still encoded from dicts, so it proves that
-  splicing stored canonical text and coalescing writes left the byte
-  stream unchanged.
+  receives in a scripted session is pinned.  The digest was first
+  recorded when every frame was still encoded from dicts, so it proves
+  that splicing stored canonical text and coalescing writes left the
+  byte stream unchanged.  It was re-recorded once, when the ``done``
+  frames' ``counters.backend`` went from ``inline`` to ``thread``; the
+  23 decoded frames differ in that value and nothing else.
 * **Payload reuse** — a received spec whose canonical text matches a
   memo entry is answered from it; anything else is parsed as new.
 * **Robustness** — mangled request lines get ``error`` frames and leave
@@ -18,7 +20,6 @@ import hashlib
 import json
 import random
 import socket
-from concurrent.futures import Future
 
 import pytest
 
@@ -26,14 +27,14 @@ from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import make_run_spec, run_spec, sweep_specs
 from repro.errors import ServiceError
-from repro.service import InlineBackend, ServiceClient, SweepService, serve_in_thread
+from repro.service import ServiceClient, SweepService, serve_in_thread
 from repro.telemetry.wire import decode_frame, encode_frame
 
 FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
 
 #: sha256 of the 23 frames (43,403 bytes) the golden session receives.
 GOLDEN_SESSION_SHA256 = (
-    "630e8930db0f09e40249b2492761c7b0ad4d7a703997795362a128f2e36b4da6"
+    "0d10d6e5cac4a6bfffde45894f5f7ca0fb628bef331c1329d74ce60791274311"
 )
 
 
@@ -68,7 +69,7 @@ def test_client_receives_the_golden_byte_stream(tmp_path):
     frames = 0
     sources = []
     for phase in ("first", "restart"):
-        service = SweepService(backend=InlineBackend(), cache_dir=tmp_path)
+        service = SweepService(cache_dir=tmp_path)
         server, thread = serve_in_thread(service)
         with ServiceClient(port=server.port, timeout=60) as client:
             client._file = recorder = _Recorder(client._file, digest)
@@ -94,7 +95,7 @@ def test_client_receives_the_golden_byte_stream(tmp_path):
 
 @pytest.fixture
 def served(tmp_path):
-    service = SweepService(backend=InlineBackend(), cache_dir=tmp_path)
+    service = SweepService(cache_dir=tmp_path)
     server, thread = serve_in_thread(service)
     with ServiceClient(port=server.port, timeout=60) as client:
         yield client, service
@@ -191,20 +192,18 @@ def test_spec_that_is_not_an_object_gets_an_error_frame(served):
 # -- mangled request lines -------------------------------------------------------
 
 
-class _OnlyBackend(InlineBackend):
+class _OnlyService(SweepService):
     """Simulates one spec; any other gets a job error, so a mutation
     that happens to form a new valid spec costs no simulation."""
 
-    def __init__(self, spec):
-        super().__init__()
+    def __init__(self, spec, **kwargs):
+        super().__init__(**kwargs)
         self.spec = spec
 
-    def submit(self, spec, trace=None, parent=None):
-        if spec == self.spec:
-            return super().submit(spec, trace=trace, parent=parent)
-        future = Future()
-        future.set_exception(ServiceError("not simulated in this test"))
-        return future
+    def _run(self, spec, *args):
+        if spec != self.spec:
+            raise ServiceError("not simulated in this test")
+        return super()._run(spec, *args)
 
 
 def _mutations(line: bytes, count: int, rng: random.Random):
@@ -225,7 +224,7 @@ def test_fuzzed_submit_frames_get_error_frames_or_correct_answers(tmp_path):
         refresh_scale=1024,
     )
     expected = _canon(run_spec(spec))
-    service = SweepService(backend=_OnlyBackend(spec), cache_dir=tmp_path)
+    service = _OnlyService(spec, cache_dir=tmp_path)
     server, thread = serve_in_thread(service)
     line = encode_frame({"id": 1, "op": "submit", "spec": spec.canonical_json()})
     rng = random.Random(20261017)

@@ -23,12 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.simulator import make_run_spec, run_spec, sweep_specs
-from repro.service import (
-    ServiceClient,
-    SweepService,
-    ThreadBackend,
-    serve_in_thread,
-)
+from repro.service import ServiceClient, SweepService, serve_in_thread
 from repro.service.server import RECENT_SPANS
 from repro.telemetry import ChromeTraceSink, strip_span_walls
 from repro.telemetry.wire import decode_frame
@@ -49,14 +44,11 @@ def _canon(result) -> str:
 
 @pytest.fixture
 def live(tmp_path):
-    service = SweepService(
-        backend=ThreadBackend(jobs=2), cache_dir=tmp_path / "cache"
-    )
+    service = SweepService(cache_dir=tmp_path / "cache")
     server, thread = serve_in_thread(service)
     yield server, service
     server.stop()
     thread.join(timeout=10)
-    service.backend.close()
 
 
 def _by_name(spans):
@@ -130,9 +122,7 @@ def test_warm_start_execute_span_parents_restore_span(live):
 def test_dedup_joined_clients_observe_the_executors_trace_id(tmp_path):
     """Satellite: all five concurrent traced submissions share the trace
     id of the one that actually executed."""
-    service = SweepService(
-        backend=ThreadBackend(jobs=2), cache_dir=tmp_path
-    )
+    service = SweepService(cache_dir=tmp_path)
     spec = _spec("all_bank")
     job = spec.content_hash()
     events = []
@@ -162,7 +152,7 @@ def test_dedup_joined_clients_observe_the_executors_trace_id(tmp_path):
     result, source = asyncio.run(service.resolve(spec, trace=late))
     assert source == "memo"
     assert result.trace_id == executor_trace
-    service.backend.close()
+    service.close()
 
 
 def test_metrics_op_matches_counters_exactly(live):
@@ -219,9 +209,7 @@ def test_stripped_span_trace_byte_identical_across_fresh_servers(tmp_path):
     byte-for-byte once wall fields are stripped."""
 
     def run_sequence(cache_dir):
-        service = SweepService(
-            backend=ThreadBackend(jobs=2), cache_dir=cache_dir
-        )
+        service = SweepService(cache_dir=cache_dir)
         server, thread = serve_in_thread(service)
         try:
             sink = ChromeTraceSink()
@@ -236,7 +224,6 @@ def test_stripped_span_trace_byte_identical_across_fresh_servers(tmp_path):
         finally:
             server.stop()
             thread.join(timeout=10)
-            service.backend.close()
 
     a = run_sequence(tmp_path / "a")
     b = run_sequence(tmp_path / "b")

@@ -211,20 +211,24 @@ def test_a_pickled_store_carries_its_path_but_not_the_state(tmp_path):
 
 
 def test_threads_sharing_the_store_memory_restore_identically(tmp_path):
-    from repro.service.backends import ThreadBackend
+    from concurrent.futures import ThreadPoolExecutor
 
     specs = _warm_specs("WL-6", WARMSTART_SCENARIOS)
     expected = [content_hash(run_spec(spec).to_dict()) for spec in specs]
     store = CheckpointStore(tmp_path)
-    backend = ThreadBackend(jobs=4, checkpoint_store=store)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        futures = [backend.submit(spec) for spec in specs]
-        digests = [content_hash(f.result(timeout=120).to_dict()) for f in futures]
+        with ThreadPoolExecutor(4) as pool:
+            futures = [
+                pool.submit(run_spec, spec, checkpoint_store=store)
+                for spec in specs
+            ]
+            digests = [
+                content_hash(f.result(timeout=120).to_dict()) for f in futures
+            ]
     finally:
         sys.setswitchinterval(interval)
-        backend.close()
     assert digests == expected
     # The state the siblings shared is still the prefix's snapshot.
     _, key, cycle = _prefix_key(specs[0])

@@ -1,9 +1,11 @@
 """Cross-run diff: flattening, tolerance rules, severities, CLI."""
 
 import json
+import re
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.obs.diff import ToleranceRule, diff_files, diff_payloads
 from repro.obs.__main__ import main as obs_main
 
@@ -113,6 +115,20 @@ def test_diff_files_and_cli(tmp_path, capsys):
     assert obs_main(["diff", str(a), str(b)]) == 2
     assert "hmean_ipc" in capsys.readouterr().out
     assert obs_main(["diff", str(a), str(b), "--tol", "hmean_ipc=0.5"]) == 1
+
+
+def test_a_torn_file_is_named(tmp_path, capsys):
+    torn = tmp_path / "torn.json"
+    ok = tmp_path / "ok.json"
+    torn.write_text('{"a": 1')
+    ok.write_text(json.dumps(PAYLOAD))
+    for a, b in ((torn, ok), (ok, torn)):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(torn))}: not a whole JSON"):
+            diff_files(a, b)
+    with pytest.raises(SystemExit) as exit_:
+        obs_main(["diff", str(torn), str(ok)])
+    assert exit_.value.code == 2
+    assert f"{torn}: not a whole JSON document" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_rule(tmp_path):

@@ -2,8 +2,12 @@
 
 import urllib.request
 
+import pytest
+
+from repro.errors import ServiceError
 from repro.service.metrics import (
     CYCLE_BUCKETS,
+    TIERS,
     Histogram,
     ServiceMetrics,
     start_metrics_http,
@@ -60,21 +64,21 @@ def test_identical_request_streams_render_identical_prometheus_text():
         return metrics
 
     counters = {"runs_executed": 1, "memo_hits": 2, "caching": True}
-    a = build().render_prometheus(counters=counters, info={"backend": "inline"})
+    a = build().render_prometheus(counters=counters, info={"backend": "thread"})
     # Deterministic sections match exactly even though wall inputs differ
     # run to run — strip the artifact histogram before comparing.
     b = ServiceMetrics()
     served(b, "executed", 20_000, wall_us=123)
     served(b, "memo", 20_000, wall_us=456)
     served(b, "memo", 40_000, wall_us=789)
-    b_text = b.render_prometheus(counters=counters, info={"backend": "inline"})
+    b_text = b.render_prometheus(counters=counters, info={"backend": "thread"})
 
     def deterministic_lines(text):
         return [line for line in text.splitlines()
                 if "wall_latency" not in line]
 
     assert deterministic_lines(a) == deterministic_lines(b_text)
-    assert 'repro_service_info{backend="inline"} 1' in a
+    assert 'repro_service_info{backend="thread"} 1' in a
     assert 'repro_service_counter{name="caching"} 1' in a
     assert 'repro_service_counter{name="runs_executed"} 1' in a
     assert 'repro_service_requests_total{tier="memo"} 2' in a
@@ -104,10 +108,16 @@ def test_a_resolution_that_fails_is_counted_but_not_observed():
     assert det["cycles"]["executed"]["count"] == 0
 
 
-def test_unknown_tier_is_auto_registered():
+def test_an_undeclared_tier_is_rejected_and_counts_nothing():
     metrics = ServiceMetrics()
-    served(metrics, "weird_tier", 10, wall_us=1)
-    assert metrics.deterministic_snapshot()["tiers"]["weird_tier"] == 1
+    served(metrics, "executed", 20_000, wall_us=5)
+    before = metrics.deterministic_snapshot()
+    with pytest.raises(ServiceError, match="'exectued'"):
+        metrics.count("exectued")
+    with pytest.raises(ServiceError, match="'exectued'"):
+        metrics.observe("exectued", 10, 1)
+    assert metrics.tier_counts() == {tier: int(tier == "executed") for tier in TIERS}
+    assert metrics.deterministic_snapshot() == before
 
 
 def test_http_exposition_serves_live_counters():

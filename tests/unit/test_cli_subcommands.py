@@ -102,16 +102,13 @@ def test_sweep_rejects_unknown_workload():
 
 @pytest.fixture
 def live_server(tmp_path):
-    from repro.service import SweepService, ThreadBackend, serve_in_thread
+    from repro.service import SweepService, serve_in_thread
 
-    service = SweepService(
-        backend=ThreadBackend(jobs=2), cache_dir=tmp_path / "svc-cache"
-    )
+    service = SweepService(cache_dir=tmp_path / "svc-cache")
     server, thread = serve_in_thread(service)
     yield server
     server.stop()
     thread.join(timeout=10)
-    service.backend.close()
 
 
 def test_submit_matrix_and_out_entries(live_server, tmp_path, capsys):
