@@ -1,60 +1,48 @@
-"""Unit tests for the worker-backend seam."""
+"""Where the sweep service runs a plain job, ``SweepService.backend``:
+its one worker thread at ``jobs == 1``, a process pool above."""
 
-import json
+import asyncio
+import threading
 
 import pytest
 
-from repro.core.simulator import make_run_spec, run_spec
-from repro.errors import ServiceError
-from repro.service.backends import (
-    BACKENDS,
-    InlineBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.core.simulator import run_spec, sweep_specs
+from repro.serialize import canonical_json
+from repro.service import SweepService
 
 FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
 
-
-def _spec(scenario="per_bank"):
-    return make_run_spec("WL-9", scenario, **FAST)
-
-
-def _canon(result):
-    return json.dumps(result.to_dict(), sort_keys=True)
+#: Backend name -> the ``jobs`` value that selects it.
+JOBS = {"thread": 1, "process": 2}
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_each_backend_matches_direct_run_spec(name):
-    spec = _spec()
-    backend = make_backend(name, jobs=1)
+def _resolve_all(service, specs):
+    async def sweep():
+        return await asyncio.gather(*(service.resolve(spec) for spec in specs))
+
+    return asyncio.run(sweep())
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_each_backend_matches_direct_run_spec(tmp_path, name):
+    specs = sweep_specs(["WL-9"], ["all_bank", "per_bank"], **FAST)
+    service = SweepService(jobs=JOBS[name], cache_dir=tmp_path)
     try:
-        result = backend.submit(spec).result(timeout=120)
+        outcomes = _resolve_all(service, specs)
     finally:
-        backend.close()
-    assert _canon(result) == _canon(run_spec(spec))
+        service.close()
+    assert service.counters()["backend"] == name
+    assert [source for _, source in outcomes] == ["executed"] * 2
+    for spec, (result, _) in zip(specs, outcomes):
+        served = service.result_json(spec.content_hash(), result)
+        assert served == canonical_json(run_spec(spec))
 
 
-def test_inline_backend_surfaces_errors_through_future():
-    backend = InlineBackend()
-    # Anything that blows up inside run_spec must come back through the
-    # future, exactly like a process-pool failure would.
-    future = backend.submit(object())
-    assert future.exception() is not None
-
-
-def test_thread_backend_close_is_idempotent():
-    backend = ThreadBackend(jobs=1)
-    backend.submit(_spec()).result(timeout=120)
-    backend.close()
-    backend.close()
-
-
-def test_thread_backend_rejects_bad_job_count():
-    with pytest.raises(ServiceError):
-        ThreadBackend(jobs=0)
-
-
-def test_make_backend_rejects_unknown_name():
-    with pytest.raises(ServiceError, match="unknown backend"):
-        make_backend("quantum")
+def test_thread_backend_close_is_idempotent(tmp_path):
+    specs = sweep_specs(["WL-9"], ["per_bank"], **FAST)
+    service = SweepService(jobs=1, cache_dir=tmp_path)
+    _resolve_all(service, specs)
+    service.close()
+    service.close()
+    workers = [t for t in threading.enumerate() if t.name.startswith("repro-svc")]
+    assert workers == []

@@ -1,38 +1,12 @@
 """Where the sweep service runs a job follows from one value, ``jobs``."""
 
-import asyncio
-
 import pytest
 
-from repro.core.simulator import run_spec, sweep_specs
 from repro.errors import ServiceError
-from repro.serialize import canonical_json
 from repro.service import SweepService
-
-FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_a_service_needs_at_least_one_job(jobs):
     with pytest.raises(ServiceError, match="jobs must be >= 1"):
         SweepService(jobs=jobs, use_cache=False)
-
-
-@pytest.mark.parametrize("jobs,backend", [(1, "thread"), (2, "process")])
-def test_a_sweep_serves_run_specs_bytes(tmp_path, jobs, backend):
-    specs = sweep_specs(["WL-9"], ["all_bank", "per_bank"], **FAST)
-    service = SweepService(jobs=jobs, cache_dir=tmp_path)
-
-    async def sweep():
-        return await asyncio.gather(*(service.resolve(spec) for spec in specs))
-
-    try:
-        outcomes = asyncio.run(sweep())
-    finally:
-        service.close()
-    service.close()  # idempotent
-    assert service.counters()["backend"] == backend
-    assert [source for _, source in outcomes] == ["executed"] * 2
-    for spec, (result, _) in zip(specs, outcomes):
-        served = service.result_json(spec.content_hash(), result)
-        assert served == canonical_json(run_spec(spec))
