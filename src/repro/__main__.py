@@ -198,11 +198,22 @@ def _run_observed(spec, args, multi: bool, resume=None):
 # -- argument plumbing ---------------------------------------------------------
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` value: a whole number of workers, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def common_parent() -> argparse.ArgumentParser:
     """Execution flags shared by every subcommand that runs or serves,
     and by ``python -m repro.experiments``."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--jobs", type=int, default=None, metavar="N",
+    parent.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                         help="worker parallelism "
                              "(default: REPRO_JOBS or the CPU count)")
     parent.add_argument("--cache-dir", default=None, metavar="PATH",

@@ -29,7 +29,7 @@ import pathlib
 
 from repro.core.runspec import SPEC_SCHEMA, RunSpec
 from repro.errors import ConfigError, ReproError
-from repro.serialize import discard_file, write_atomic
+from repro.serialize import discard_file, encode_canonical, text_hash, write_atomic
 
 #: Version tag for the snapshot payload layout.  Combined with
 #: SPEC_SCHEMA so either bump retires existing checkpoints.
@@ -123,7 +123,12 @@ class CheckpointStore:
         return self.root / key[:2] / f"{key}-{int(cycle)}.json"
 
     def get(self, key: str, cycle: int) -> dict | None:
-        """The stored snapshot state for ``(key, cycle)``, or None."""
+        """The stored snapshot state for ``(key, cycle)``, or None.
+
+        A disk entry is a hit only when its spec's canonical text hashes
+        to *key*; one that holds another prefix's state is a miss,
+        discarded like a corrupt one.
+        """
         last = self._last
         if last is not None and last[0] == key and last[1] == cycle:
             self.hits += 1
@@ -136,6 +141,8 @@ class CheckpointStore:
                 raise ValueError("entry is not a JSON object")
             if data.get("schema") != SCHEMA_TAG:
                 raise ValueError(f"stale schema {data.get('schema')!r}")
+            if text_hash(encode_canonical(data["spec"])) != key:
+                raise ValueError("entry holds another spec's state")
             state = data["state"]
         except FileNotFoundError:
             self.misses += 1

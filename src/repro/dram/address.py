@@ -44,8 +44,10 @@ class DramCoordinate(NamedTuple):
         return (self.channel, self.rank, self.bank)
 
 
-#: Module-level binding of the C-level coordinate constructor (see
-#: address_to_coordinate).
+#: Module-level binding of the coordinate constructor used per access
+#: (see address_to_coordinate).  ``namedtuple._make`` is a Python
+#: classmethod, ``tuple.__new__`` plus a length check (CPython 3.10-3.12),
+#: so each call still runs one Python frame.
 _coord_make = DramCoordinate._make
 
 #: Frame-number field orders (low/fastest-changing field first).
@@ -248,9 +250,9 @@ class AddressMapping:
         coord = self._frame_cache.get(frame)
         if coord is None:
             coord = self.frame_to_coordinate(frame)
-        # _make is classmethod(tuple.__new__): builds the tuple at C level,
-        # skipping the generated __new__'s Python frame on this per-access
-        # path (bound once at function definition, not per call).
+        # _make is a Python classmethod (tuple.__new__ plus a length
+        # check), not a C-level constructor: one Python frame per access,
+        # bound once at module level rather than looked up per call.
         return _coord_make((coord[0], coord[1], coord[2], coord[3], column))
 
     def frame_offset_to_address(self, frame: int, offset: int = 0) -> int:

@@ -14,14 +14,18 @@ so the result comes first)::
   there is no in-place migration.
 * Encoded once: a put splices the result's canonical text (the sweep
   service's memo holds it) and the spec's stored text into the entry,
-  and a hit hands back the result's bytes exactly as stored, after
-  parsing and checking the whole entry, so the service serves them
-  without encoding the result again.
-* Corruption tolerance: a truncated, garbled or stale entry, one that
-  is not a JSON object, or one in any other layout (earlier versions
-  wrote the schema first, with whitespace) is treated as a miss,
-  deleted and recomputed; the cache never crashes a sweep.
-  Writes are atomic (temp file + ``os.replace``) so a killed run cannot
+  and a hit hands back the result's bytes exactly as stored, so the
+  service serves them without encoding the result again.
+* The hit rule: a lookup is by spec, not by key alone.  The entry's
+  result is parsed and checked in full, and the text after it must be,
+  byte for byte, this version's schema and the looked-up spec's
+  canonical text.  Anything else is a miss, deleted and recomputed: a
+  truncated, garbled or stale entry, one that is not a JSON object, one
+  in any other layout (earlier versions wrote the schema first, with
+  whitespace), and another spec's entry filed under this key.  The
+  cache never crashes a sweep, and never serves one run another run's
+  result.
+* Writes are atomic (temp file + ``os.replace``) so a killed run cannot
   leave a half-written entry behind.
 * Eviction: none automatic.  Entries are small (a few KB); deleting the
   cache directory (or any subset of it) at any time is always safe.
@@ -37,13 +41,7 @@ from typing import Iterable, NamedTuple
 from repro.core.results import RESULT_SCHEMA, RunResult
 from repro.core.runspec import SPEC_SCHEMA, RunSpec
 from repro.errors import ReproError
-from repro.serialize import (
-    CanonicalJSON,
-    canonical_json,
-    discard_file,
-    encode_canonical,
-    write_atomic,
-)
+from repro.serialize import CanonicalJSON, canonical_json, discard_file, write_atomic
 
 #: Combined schema tag for cache entries; bumping either layout version
 #: retires every existing entry.
@@ -52,9 +50,11 @@ CACHE_SCHEMA = f"{SPEC_SCHEMA}.{RESULT_SCHEMA}"
 #: Environment variable overriding the cache root directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Every entry begins with this: ``result`` is its first key in sorted
-#: order.  Anything else is an entry of another layout.
+#: An entry is ``_ENTRY_HEAD + result + _SPEC_HEAD + spec + "}"``: the
+#: canonical JSON of ``{"result", "schema", "spec"}``, keys in sorted
+#: order.  Anything else is an entry of another layout or version.
 _ENTRY_HEAD = '{"result":'
+_SPEC_HEAD = f',"schema":{json.dumps(CACHE_SCHEMA)},"spec":'
 
 _decode_value = json.JSONDecoder().raw_decode
 
@@ -137,25 +137,25 @@ class ResultCache:
         """On-disk location of the entry for content-hash *key*."""
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> CacheHit | None:
-        """The cached result for *key* and its stored text, or None
-        (miss/corrupt/stale).
+    def get(self, spec: RunSpec) -> CacheHit | None:
+        """The cached result for *spec* and its stored text, or None
+        (miss/corrupt/stale/misfiled).
 
-        Every byte of the entry is parsed, once: the result's span, then
-        the rest of the entry, whose ``schema`` must be this version's.
+        The result's span is parsed and checked in full
+        (``RunResult.from_dict``); the text after it must be exactly
+        this version's schema and *spec*'s canonical text, compared byte
+        for byte rather than parsed.  Any other entry under *spec*'s key
+        is a miss, deleted and recomputed.
         """
-        path = self.path(key)
+        path = self.path(spec.content_hash())
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
             if not text.startswith(_ENTRY_HEAD):
                 raise ValueError("entry is not in the canonical layout")
             data, end = _decode_value(text, len(_ENTRY_HEAD))
-            if text[end : end + 1] != ",":
-                raise ValueError("entry has no schema or spec")
-            rest = json.loads("{" + text[end + 1 :])
-            if rest.get("schema") != CACHE_SCHEMA:
-                raise ValueError(f"stale schema {rest.get('schema')!r}")
+            if text[end:] != _SPEC_HEAD + spec.canonical_json() + "}":
+                raise ValueError("entry is not this spec's, in this layout")
             result = RunResult.from_dict(data)
         except FileNotFoundError:
             self.misses += 1
@@ -176,11 +176,8 @@ class ResultCache:
         *result* may be given as its canonical JSON text, which is
         spliced into the entry as is, as is the spec's stored text.
         """
-        text = encode_canonical({
-            "result": canonical_json(result),
-            "schema": CACHE_SCHEMA,
-            "spec": spec.canonical_json(),
-        })
+        text = (_ENTRY_HEAD + canonical_json(result)
+                + _SPEC_HEAD + spec.canonical_json() + "}")
         try:
             write_atomic(self.path(key), text)
         except OSError:

@@ -199,7 +199,7 @@ class SweepRunner:
             if key in self._memo or key in pending:
                 continue
             if self.disk_cache is not None:
-                cached = self.disk_cache.get(key)
+                cached = self.disk_cache.get(spec)
                 if cached is not None:
                     self._memo[key] = cached.result
                     continue

@@ -191,15 +191,24 @@ def content_hash(value) -> str:
 
 
 def dataclass_from_dict(cls, data: dict):
-    """Reconstruct a flat dataclass from *data*, rejecting unknown keys."""
+    """Reconstruct a flat dataclass from *data*, rejecting unknown keys.
+
+    The instance is built first; the key set is only diffed against the
+    field table when construction raises ``TypeError``, so an unknown
+    field is a :class:`ConfigError` (with or without a missing one) and
+    a missing field alone stays a ``TypeError``.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{cls.__name__}: expected a dict, got {type(data).__name__}")
-    unknown = set(data).difference(field_names(cls))
-    if unknown:
-        raise ConfigError(
-            f"{cls.__name__}: unknown field(s) {sorted(unknown)}"
-        )
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError:
+        unknown = set(data).difference(field_names(cls))
+        if unknown:
+            raise ConfigError(
+                f"{cls.__name__}: unknown field(s) {sorted(unknown)}"
+            ) from None
+        raise
 
 
 def write_atomic(path: pathlib.Path, text: str) -> None:

@@ -343,7 +343,7 @@ class SweepService:
             span.set(cycles=result.simulated_cycles, detail=key).close()
             return result, "dedup"
         if self.cache is not None and monitors is None:
-            cached = self.cache.get(spec.content_hash())
+            cached = self.cache.get(spec)
             if cached is not None:
                 self.metrics.count("cache")
                 self._remember(key, spec, cached.result, cached.text)

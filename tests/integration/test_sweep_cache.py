@@ -80,11 +80,12 @@ NOT_OBJECTS = ["[]", "123", '"x"', "null"]
 
 @pytest.mark.parametrize("text", NOT_OBJECTS)
 def test_result_cache_entry_not_an_object_is_a_miss(tmp_path, text):
+    spec = make_runner(tmp_path).spec("WL-9", "per_bank")
     cache = ResultCache(tmp_path)
-    path = cache.path("abcdef0123456789")
+    path = cache.path(spec.content_hash())
     path.parent.mkdir(parents=True)
     path.write_text(text)
-    assert cache.get("abcdef0123456789") is None
+    assert cache.get(spec) is None
     assert (cache.hits, cache.misses) == (0, 1)
     assert not path.exists()  # discarded, to be recomputed
 

@@ -95,7 +95,7 @@ def test_a_truncated_cache_entry_is_a_miss_and_deleted(tmp_path):
         cache = ResultCache(tmp_path)
         path = cache.path(key)
         path.write_bytes(data[:cut])
-        assert cache.get(key) is None, cut
+        assert cache.get(spec) is None, cut
         assert (cache.hits, cache.misses) == (0, 1)
         assert not path.exists()
 

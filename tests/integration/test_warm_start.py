@@ -195,6 +195,34 @@ def test_a_bad_state_in_memory_is_discarded_and_recomputed(tmp_path):
     assert CheckpointStore(tmp_path).get(key, cycle) == state
 
 
+def test_a_prefix_filed_under_another_key_is_a_miss(tmp_path):
+    specs = [
+        sweep_specs(["WL-9"], ["codesign"], warmup_scenario=warmup, **WINDOWS)[0]
+        for warmup in ("per_bank", "all_bank")
+    ]
+    expected = [content_hash(run_spec(spec).to_dict()) for spec in specs]
+    assert expected[0] != expected[1]
+    store = CheckpointStore(tmp_path)
+    entries = []
+    for spec in specs:
+        _, provenance = warm_start_state(spec, store)
+        key, cycle = provenance.split("@")
+        entries.append((key, int(cycle)))
+    assert entries[0][1] == entries[1][1]
+    # Each key now holds the other warm-up scenario's prefix.
+    paths = [store.path(key, cycle) for key, cycle in entries]
+    texts = [path.read_bytes() for path in paths]
+    for path, text in zip(paths, reversed(texts)):
+        path.write_bytes(text)
+
+    for spec, digest, (key, cycle) in zip(specs, expected, entries):
+        fresh = CheckpointStore(tmp_path)
+        assert content_hash(run_spec(spec, checkpoint_store=fresh).to_dict()) == digest
+        assert (fresh.hits, fresh.misses) == (0, 1)
+        # The recomputed prefix was written back under its own key.
+        assert CheckpointStore(tmp_path).get(key, cycle) is not None
+
+
 def test_a_pickled_store_carries_its_path_but_not_the_state(tmp_path):
     (spec,) = _warm_specs("WL-9", ["codesign"])
     _, key, cycle = _prefix_key(spec)

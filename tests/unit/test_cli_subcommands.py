@@ -44,6 +44,25 @@ def test_no_arguments_errors():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "WL-9", "per_bank", *FAST],
+    ["sweep", "--workloads", "WL-9", "--scenarios", "per_bank", *FAST],
+    ["serve", "--no-cache"],
+    ["experiments", "figure11", "--no-cache"],
+], ids=["run", "sweep", "serve", "experiments"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(argv, jobs, capsys):
+    from repro.experiments.__main__ import main as experiments_main
+
+    command, args = (
+        (experiments_main, argv[1:]) if argv[0] == "experiments" else (main, argv)
+    )
+    with pytest.raises(SystemExit) as exc:
+        command([*args, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs: must be at least 1" in capsys.readouterr().err
+
+
 def test_unknown_scenario_errors_via_subcommand():
     with pytest.raises(SystemExit):
         main(["run", "WL-9", "quantum_refresh", *FAST])

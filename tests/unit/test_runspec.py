@@ -16,7 +16,12 @@ from repro.core.system import SCENARIOS, Scenario
 from repro.dram.power import EnergyBreakdown
 from repro.errors import ConfigError
 from repro.os.partition import PartitionPolicy
-from repro.serialize import canonical_json, content_hash, to_jsonable
+from repro.serialize import (
+    canonical_json,
+    content_hash,
+    dataclass_from_dict,
+    to_jsonable,
+)
 
 
 def json_roundtrip(obj):
@@ -217,6 +222,28 @@ def test_canonical_json_is_stable():
 def test_to_jsonable_rejects_non_string_keys():
     with pytest.raises(ConfigError, match="keys must be strings"):
         to_jsonable({1: "x"})
+
+
+_TASK = TaskResult(
+    task_id=0, name="t", instructions=10, scheduled_cycles=20, quanta=1,
+    reads_completed=2, avg_read_latency_cycles=3.5, refresh_stall_cycles=4,
+).to_dict()
+
+
+@pytest.mark.parametrize("data, error, message", [
+    ({**_TASK, "bogus": 1}, ConfigError, "TaskResult: unknown field(s) ['bogus']"),
+    ({k: v for k, v in _TASK.items() if k != "name"}, TypeError,
+     "missing 1 required positional argument: 'name'"),
+    ({**{k: v for k, v in _TASK.items() if k != "name"}, "bogus": 1, "extra": 2},
+     ConfigError, "TaskResult: unknown field(s) ['bogus', 'extra']"),
+    ([_TASK], ConfigError, "TaskResult: expected a dict, got list"),
+], ids=["unknown", "missing", "unknown-and-missing", "not-a-dict"])
+def test_dataclass_from_dict_error_paths(data, error, message):
+    with pytest.raises(Exception) as exc:
+        dataclass_from_dict(TaskResult, data)
+    assert exc.type is error
+    assert message in str(exc.value)
+    assert dataclass_from_dict(TaskResult, _TASK).to_dict() == _TASK
 
 
 # -- RunSpec identity: the content hash, computed once per instance --------------
