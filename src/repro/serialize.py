@@ -39,10 +39,11 @@ provides the shared machinery:
 Each value is walked once on the way to its hash: a ``to_dict`` returns
 JSON-able primitives (built with :func:`to_jsonable` where a field may
 hold anything else), so its output is used as is, never walked again.
-Text that is already canonical is never re-encoded: a spec or result
-encoded once is spliced, as is, into every frame and cache entry that
-carries it, and a spec's own text is spliced from the stored texts of
-its task list, scenario and config.  :func:`canonical_json`, the
+Text that is already canonical is never re-encoded: a result encoded
+once is spliced, as is, into every frame and cache entry that carries
+it, a spec's text into every cache entry (a request frame carries it as
+a JSON string), and a spec's own text is spliced from the stored texts
+of its task list, scenario and config.  :func:`canonical_json`, the
 generic walk, stays the reference those spliced texts must equal.
 """
 

@@ -14,14 +14,17 @@ deterministic and testable) and raises
 :class:`~repro.errors.ServiceUnavailable` once the budget is spent.
 
 Specs travel as the canonical JSON text each ``RunSpec`` keeps beside
-its content hash, spliced into the request frame as is.
+its content hash, sent as a JSON string (wire v3,
+:func:`~repro.telemetry.wire.spec_payload`).  A ``result`` frame carries
+the job's hash, its source and the result, not the spec: a caller keys
+results by the specs it sent.
 
-Tracing (wire v2): pass ``trace=True`` to ``submit``/``sweep`` and the
-client mints a deterministic trace id — ``sha256(request digest :
-submission counter)`` — that the server threads through every
-resolution tier and stamps onto the served result copy
-(``RunResult.trace_id``).  Closed spans stream back as ``span`` frames
-and land on :attr:`SweepOutcome.spans`.
+Tracing: pass ``trace=True`` to ``submit``/``sweep`` and the client
+mints a deterministic trace id — ``sha256(request digest : submission
+counter)``, the digest covering the spec text as sent — that the server
+threads through every resolution tier and stamps onto the served result
+copy (``RunResult.trace_id``).  Closed spans stream back as ``span``
+frames and land on :attr:`SweepOutcome.spans`.
 
 >>> from repro.service import ServiceClient
 >>> with ServiceClient(port=7341) as client:          # doctest: +SKIP
@@ -45,9 +48,13 @@ from repro.errors import (
     ServiceUnavailable,
     WireError,
 )
-from repro.serialize import canonical_array
 from repro.telemetry.events import SpanEvent, TraceEvent
-from repro.telemetry.wire import DEFAULT_PORT, decode_frame, encode_frame
+from repro.telemetry.wire import (
+    DEFAULT_PORT,
+    decode_frame,
+    encode_frame,
+    spec_payload,
+)
 from repro.tracing import mint_trace_id, request_digest
 
 #: ``on_event`` callback signature: (event payload dict, job hash).
@@ -81,7 +88,6 @@ class SweepOutcome:
 
     jobs: list[str] = field(default_factory=list)
     results: dict[str, RunResult] = field(default_factory=dict)
-    specs: dict[str, dict] = field(default_factory=dict)
     sources: dict[str, str] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
@@ -233,7 +239,7 @@ class ServiceClient:
         """
         request = {
             "op": "submit",
-            "spec": spec.canonical_json(),
+            "spec": spec_payload(spec.canonical_json()),
             "stream": bool(stream or on_event),
             "monitors": monitors,
         }
@@ -277,7 +283,7 @@ class ServiceClient:
         if monitors is not None:
             frame["monitors"] = monitors
         if specs is not None:
-            frame["specs"] = canonical_array(spec.canonical_json() for spec in specs)
+            frame["specs"] = [spec_payload(spec.canonical_json()) for spec in specs]
         else:
             frame["workloads"] = list(workloads or [])
             frame["scenarios"] = list(scenarios or [])
@@ -321,7 +327,6 @@ class ServiceClient:
                 job = frame["job"]
                 result = RunResult.from_dict(frame["result"])
                 outcome.results[job] = result
-                outcome.specs[job] = frame.get("spec", {})
                 outcome.sources[job] = frame.get("source", "?")
                 if on_result is not None:
                     on_result(job, result, outcome.sources[job])

@@ -61,16 +61,18 @@ Every resolution is counted once, when its tier is decided, in an
 always-on :class:`~repro.service.metrics.ServiceMetrics`: the one tier
 ledger, failed resolutions included, that :meth:`SweepService.counters`
 reads.  Every completed one also lands in its tier's simulated-cycles
-and wall-latency histograms.  When the client
-opted into tracing (a ``trace`` id on the request frame, wire v2), the
-service opens one span per resolution step — ``resolve`` root, then
+and wall-latency histograms.  When the client opted into tracing (a
+``trace`` id on the request frame), the service opens one span per
+resolution step — ``resolve`` root, then
 ``memo``/``dedup``/``cache``/``execute``/``live`` children, with
 ``run_spec``/``restore`` grandchildren on the worker thread — and stamps
 the served result copy with the trace id (the memo and the disk cache
 always store the *unstamped* payload, so caching stays byte-identical
 with tracing on or off).  A dedup-joined traced submission is stamped
 with the trace id of the submission that *started* the execution
-(``_trace_ids``), which is the causal truth the spans tell.
+(``_trace_ids``), which is the causal truth the spans tell; a memo
+answer carries the trace id of the traced execution that produced its
+result, and otherwise its own.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from repro.core.runspec import RunSpec
 from repro.core.simulator import run_spec as execute_run_spec, sweep_specs
 from repro.errors import MonitorError, ReproError, ServiceError
 from repro.experiments.cache import ResultCache
-from repro.serialize import CanonicalJSON, canonical_json, encode_canonical
+from repro.serialize import CanonicalJSON, canonical_json
 from repro.service.metrics import ServiceMetrics
 from repro.telemetry.events import SpanEvent
 from repro.telemetry.hub import Telemetry
@@ -102,6 +104,8 @@ from repro.telemetry.wire import (
     decode_frame,
     encode_frame,
     span_frame,
+    spec_data,
+    spec_text,
 )
 from repro.tracing import JobTrace, StructuredLog, monotonic_us
 
@@ -160,8 +164,9 @@ class SweepService:
         self._jobs: dict[str, asyncio.Future] = {}
         #: Completed jobs this server lifetime: job key -> _MemoEntry.
         self._memo: dict[str, _MemoEntry] = {}
-        #: Trace id of the traced submission that started each job
-        #: (lives as long as the memo entry it annotates).
+        #: Trace id of the traced execution that produced each memo
+        #: entry's result, set or cleared by every execution that
+        #: completes (lives as long as the memo entry it annotates).
         self._trace_ids: dict[str, str] = {}
         #: Newest closed spans, for the ``metrics`` op / ``obs top``.
         self.recent_spans = RingBufferSink(RECENT_SPANS)
@@ -224,8 +229,8 @@ class SweepService:
 
     def memo_spec(self, key: str) -> Optional[RunSpec]:
         """The spec of the memo entry under job *key*, if any: validated
-        when it was first parsed or built, so a received payload with the
-        same canonical text can reuse it."""
+        when it was first parsed or built, so received spec text that
+        hashes to *key* can reuse it."""
         entry = self._memo.get(key)
         return entry.spec if entry is not None else None
 
@@ -242,7 +247,7 @@ class SweepService:
         self, key: str, spec: RunSpec, result: RunResult, text: CanonicalJSON
     ) -> None:
         """Memoize a completed job with its result's canonical JSON:
-        encoded once after a run, or a disk hit's bytes as stored."""
+        encoded once where the job ran, or a disk hit's bytes as stored."""
         self._memo[key] = _MemoEntry(spec, result, text)
 
     # -- resolution ------------------------------------------------------------
@@ -299,7 +304,8 @@ class SweepService:
         if trace is not None:
             # The stamped copy is what the client sees; the memo and
             # the disk cache keep the unstamped original.  A dedup join
-            # inherits the trace id of the execution it attached to.
+            # inherits the trace id of the execution it attached to, a
+            # memo answer that of the execution that produced its result.
             result = dataclasses.replace(
                 result, trace_id=self._trace_ids.get(key, trace.trace_id)
             )
@@ -367,7 +373,9 @@ class SweepService:
         """Start one simulation: a plain job (``executed``) on the worker
         thread, or on the process pool when ``jobs > 1``; a streamed or
         monitored one (``live``) needs its live event stream, so it runs
-        on the worker thread whatever ``jobs`` is."""
+        on the worker thread whatever ``jobs`` is.  The result is encoded
+        and, unless the job is monitored, written to the disk cache where
+        the job ran, so no file call holds up the event loop."""
         loop = asyncio.get_running_loop()
         telemetry = suite = None
         if event_cb is not None:
@@ -391,8 +399,7 @@ class SweepService:
         future: Optional[asyncio.Future] = None
         if key not in self._jobs:
             future = self._jobs[key] = loop.create_future()
-            if trace is not None:
-                self._trace_ids[key] = trace.trace_id
+        cache = self.cache if monitors is None else None
         span = None
         if trace is not None:
             name = "execute" if event_cb is None else "live"
@@ -410,6 +417,7 @@ class SweepService:
                         self._run, spec, telemetry, suite,
                         None if live else trace,
                         span.span_id if span is not None else None,
+                        cache,
                     )
                 else:
                     if self._pool is None:
@@ -420,20 +428,23 @@ class SweepService:
                     # A JobTrace holds a live emit callable and does not
                     # pickle, so a worker process opens no spans.
                     call = functools.partial(
-                        execute_run_spec, spec,
-                        checkpoint_store=self.checkpoint_store,
+                        _run_in_process, spec, self.checkpoint_store, cache
                     )
-                result = await loop.run_in_executor(executor, call)
+                result, text = await loop.run_in_executor(executor, call)
             except BaseException:
                 if span is not None:
                     span.set(detail="error").close()
                 raise
             if span is not None:
                 span.set(cycles=result.simulated_cycles, detail=key).close()
-            text = canonical_json(result)
             self._remember(key, spec, result, text)
-            if self.cache is not None and monitors is None:
-                self.cache.put(spec.content_hash(), spec, text)
+            # Stamped on memo answers and, once the future is set, on
+            # dedup joins: the trace id of this run, which produced the
+            # memo entry, or none.  A failed run changes neither.
+            if trace is not None:
+                self._trace_ids[key] = trace.trace_id
+            else:
+                self._trace_ids.pop(key, None)
             if future is not None:
                 future.set_result(result)
             return result, source
@@ -456,9 +467,11 @@ class SweepService:
         suite,
         trace: Optional[JobTrace],
         parent: Optional[int],
-    ) -> RunResult:
+        cache: Optional[ResultCache],
+    ) -> tuple[RunResult, CanonicalJSON]:
         """Run *spec* in this process, with the hub and monitor suite of
-        a live job; called on the worker thread.
+        a live job; called on the worker thread.  Returns the result and
+        its canonical JSON, written to *cache* when one is given.
 
         With a :class:`~repro.tracing.JobTrace` it opens a ``run_spec``
         span under *parent* (the ``execute`` span) and a ``restore`` span
@@ -466,19 +479,20 @@ class SweepService:
         one, so results stay bit-identical with tracing on.
         """
         if trace is None:
-            return execute_run_spec(
+            result = execute_run_spec(
                 spec, telemetry, self.checkpoint_store, suite
             )
-        with trace.span("run_spec", parent=parent) as root:
-            result = execute_run_spec(
-                spec, telemetry, self.checkpoint_store, suite,
-                restore_span=functools.partial(
-                    trace.span, "restore", parent=root.span_id
-                ),
-            )
-            root.set(cycles=result.simulated_cycles,
-                     detail=spec.content_hash())
-        return result
+        else:
+            with trace.span("run_spec", parent=parent) as root:
+                result = execute_run_spec(
+                    spec, telemetry, self.checkpoint_store, suite,
+                    restore_span=functools.partial(
+                        trace.span, "restore", parent=root.span_id
+                    ),
+                )
+                root.set(cycles=result.simulated_cycles,
+                         detail=spec.content_hash())
+        return result, _store(spec, result, cache)
 
     def close(self) -> None:
         """Shut down the executors, after the jobs they hold finish, and
@@ -694,16 +708,17 @@ class ServiceServer:
         )
 
     def _received_spec(self, payload) -> RunSpec:
-        """The spec a received payload describes.
+        """The spec a received payload's text describes.
 
-        The payload is hashed first: when its canonical text hashes to a
-        memo key, the memo entry's spec is the spec ``from_dict`` would
-        build, so it is reused.  Anything else is parsed (and rejected)
-        by ``from_dict`` as new.
+        The text is hashed exactly as received: when it hashes to a memo
+        key it is that entry's spec's canonical text, so the entry's spec
+        is reused with no parse and no encode.  Any other text (another
+        key order included) is parsed and validated as a new spec, keyed
+        by its own canonical hash.
         """
-        key = serialize.text_hash(encode_canonical(payload))
-        spec = self.service.memo_spec(key)
-        return spec if spec is not None else RunSpec.from_dict(payload)
+        text = spec_text(payload)
+        spec = self.service.memo_spec(serialize.text_hash(text))
+        return spec if spec is not None else RunSpec.from_dict(spec_data(text))
 
     async def _op_submit(self, frame: dict, rid, outbox: "_Outbox") -> None:
         send = outbox.send
@@ -778,7 +793,6 @@ class ServiceServer:
                     "id": rid,
                     "job": job,
                     "source": source,
-                    "spec": spec.canonical_json(),
                     "result": self.service.result_json(
                         self.service.job_key(job, monitors), result
                     ),
@@ -867,6 +881,28 @@ class _Outbox:
             self._size = 0
             if not self._writer.is_closing():  # else the client went away
                 self._writer.write(data)
+
+
+def _store(
+    spec: RunSpec, result: RunResult, cache: Optional[ResultCache]
+) -> CanonicalJSON:
+    """The canonical JSON of *result*, written under *spec* to *cache*
+    when one is given; called where the job ran."""
+    text = canonical_json(result)
+    if cache is not None:
+        cache.put(spec.content_hash(), spec, text)
+    return text
+
+
+def _run_in_process(
+    spec: RunSpec,
+    checkpoint_store: Optional[CheckpointStore],
+    cache: Optional[ResultCache],
+) -> tuple[RunResult, CanonicalJSON]:
+    """A plain job in a pool process: its result and canonical JSON,
+    written to the (pickled) *cache* there."""
+    result = execute_run_spec(spec, checkpoint_store=checkpoint_store)
+    return result, _store(spec, result, cache)
 
 
 def _error_text(exc: Exception) -> str:

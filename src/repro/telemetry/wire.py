@@ -15,6 +15,11 @@ can check compatibility before submitting work.  Both sides speak
 exactly one version: a frame tagged with any other is rejected with a
 ``WireError`` (the server answers it with an ``error`` frame).
 
+A request carries each spec as its canonical JSON text inside a JSON
+string (:func:`spec_payload`), so the server can hash the text exactly
+as it arrived and find a memoized spec without parsing or encoding it
+again; :func:`spec_text` and :func:`spec_data` read it back.
+
 :class:`WireSink` is the bridge from the in-process event stream to the
 wire: an :class:`~repro.telemetry.sinks.EventSink` (the PR 3 sink
 interface) that renders each event as a ``telemetry`` frame and hands it
@@ -37,8 +42,9 @@ from repro.telemetry.sinks import EventSink
 #: Version tag of the line-oriented frame layout.  Bump on incompatible
 #: changes to frame structure; v2 added trace/span context (a ``trace``
 #: key on request frames, ``span`` frames streamed back) and the
-#: ``metrics`` op.
-WIRE_SCHEMA = 2
+#: ``metrics`` op; v3 sends specs as text (:func:`spec_payload`) and
+#: stops echoing the spec in ``result`` frames.
+WIRE_SCHEMA = 3
 
 #: Default TCP port of ``python -m repro serve``, shared by the server
 #: and its clients.
@@ -53,9 +59,9 @@ def encode_frame(frame: dict) -> bytes:
     """Canonical single-line encoding of *frame* (adds the ``v`` tag).
 
     A top-level value that is already
-    :class:`~repro.serialize.CanonicalJSON` text (a spec or result
-    encoded once) is spliced in, not encoded again; the frame is
-    byte-identical either way.
+    :class:`~repro.serialize.CanonicalJSON` text (a result encoded
+    once) is spliced in, not encoded again; the frame is byte-identical
+    either way.
     """
     if "v" not in frame:
         frame = {"v": WIRE_SCHEMA, **frame}
@@ -90,6 +96,50 @@ def decode_frame(line: bytes | str) -> dict:
             f"this side speaks v={WIRE_SCHEMA}"
         )
     return frame
+
+
+def spec_payload(text: str) -> str:
+    """How a ``submit`` frame's ``spec`` (and each entry of a ``sweep``
+    frame's ``specs``) carries a spec: its canonical JSON *text*, sent
+    as a JSON string.
+
+    Returned as a plain ``str``, which :func:`encode_frame` quotes; a
+    :class:`~repro.serialize.CanonicalJSON` value would be spliced in as
+    an object instead.
+    """
+    return str(text)
+
+
+def spec_text(payload) -> str:
+    """The spec text a received spec payload carries.
+
+    Raises :class:`~repro.errors.WireError` unless *payload* is a
+    string: an object is the layout of older wire versions.
+    """
+    if not isinstance(payload, str):
+        raise WireError(
+            "a spec is sent as its canonical JSON text, got "
+            f"{type(payload).__name__}"
+        )
+    return payload
+
+
+def spec_data(text: str) -> dict:
+    """Received spec *text* parsed into the dict
+    :meth:`~repro.core.runspec.RunSpec.from_dict` takes.
+
+    Raises :class:`~repro.errors.WireError` unless the text is a JSON
+    object.
+    """
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise WireError(f"spec text is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise WireError(
+            f"spec text must be a JSON object, got {type(data).__name__}"
+        )
+    return data
 
 
 def telemetry_frame(event: TraceEvent, job: Optional[str] = None) -> dict:

@@ -17,6 +17,7 @@ import json
 import threading
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -280,6 +281,36 @@ def test_the_loop_answers_status_while_a_job_runs(tmp_path):
     assert _canon(result) == _canon(run_spec(spec))
 
 
+def test_a_served_cold_sweep_writes_the_cache_off_the_event_loop(
+    tmp_path, monkeypatch
+):
+    """At ``jobs=1`` each executed result is encoded and written to the
+    disk cache on the worker thread that ran it, so no file call waits
+    for the interpreter lock on the event loop while the next job runs."""
+    threads = []
+    put = ResultCache.put
+
+    def recording(cache, *args):
+        threads.append(threading.current_thread())
+        return put(cache, *args)
+
+    monkeypatch.setattr(ResultCache, "put", recording)
+    server, thread = _serve(tmp_path)
+    try:
+        with ServiceClient(port=server.port, timeout=60) as client:
+            outcome = client.sweep(
+                workloads=["WL-9"], scenarios=["all_bank", "per_bank"],
+                options=FAST,
+            )
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+    assert set(outcome.sources.values()) == {"executed"}
+    assert len(threads) == 2
+    assert thread not in threads  # the event loop's thread
+    assert all(t.name.startswith("repro-svc") for t in threads)
+
+
 def test_sweep_submission_and_counters(live):
     server, service = live
     specs = sweep_specs(["WL-9"], ["all_bank", "per_bank"], **FAST)
@@ -331,7 +362,7 @@ def test_ping_and_status_frames(live):
     server, _service = live
     with ServiceClient(port=server.port) as client:
         hello = client.ping()
-        assert hello["wire"] == 2
+        assert hello["wire"] == 3
         assert hello["version"] == repro.__version__
         assert hello["backend"] == "thread"
         counters = client.status()
@@ -455,6 +486,60 @@ def test_server_hashes_each_received_spec_once(tmp_path, hash_calls, monkeypatch
         server.stop()
         thread.join(timeout=10)
     assert restart.jobs == cold.jobs
+
+
+def test_resolve_and_cache_lookups_agree_with_the_counters(
+    tmp_path, monkeypatch
+):
+    """The agreement a traced benchmark run checks: every answer passes
+    through ``SweepService.resolve`` and every disk lookup through
+    ``ResultCache.get``, so the sources ``resolve`` returns, counted per
+    tier, and the lookups that missed match the service's own counters
+    over a cold sweep, memo resubmissions and a restart served from
+    disk."""
+    sources, lookups = Counter(), Counter()
+    resolve, get = SweepService.resolve, ResultCache.get
+
+    async def counting_resolve(service, *args, **kwargs):
+        result, source = await resolve(service, *args, **kwargs)
+        sources[source] += 1
+        return result, source
+
+    def counting_get(cache, spec):
+        hit = get(cache, spec)
+        lookups["miss" if hit is None else "hit"] += 1
+        return hit
+
+    monkeypatch.setattr(SweepService, "resolve", counting_resolve)
+    monkeypatch.setattr(ResultCache, "get", counting_get)
+    specs = sweep_specs(["WL-9"], ["all_bank", "per_bank"], **FAST)
+    counters, misses = Counter(), 0
+    for _phase in ("cold", "restart"):
+        service = SweepService(cache_dir=tmp_path)
+        server, thread = serve_in_thread(service)
+        try:
+            with ServiceClient(port=server.port, timeout=60) as client:
+                assert client.sweep(
+                    workloads=["WL-9"], scenarios=["all_bank", "per_bank"],
+                    options=FAST,
+                ).ok
+                for spec in specs + specs:
+                    assert client.submit(spec)[1] == "memo"
+        finally:
+            server.stop()
+            thread.join(timeout=10)
+        snapshot = service.counters()
+        counters.update({key: snapshot[key]
+                         for key in ("runs_executed", "memo_hits", "disk_hits")})
+        misses += service.cache.misses
+    assert sources == {"executed": 2, "memo": 8, "cache": 2}
+    assert counters == {
+        "runs_executed": sources["executed"],
+        "memo_hits": sources["memo"],
+        "disk_hits": sources["cache"],
+    }
+    assert misses == lookups["miss"] == 2
+    assert lookups["hit"] == sources["cache"]
 
 
 def test_stopped_service_is_freed_without_the_cyclic_gc(tmp_path):

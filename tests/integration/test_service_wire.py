@@ -4,11 +4,14 @@
   receives in a scripted session is pinned.  The digest was first
   recorded when every frame was still encoded from dicts, so it proves
   that splicing stored canonical text and coalescing writes left the
-  byte stream unchanged.  It was re-recorded once, when the ``done``
-  frames' ``counters.backend`` went from ``inline`` to ``thread``; the
-  23 decoded frames differ in that value and nothing else.
-* **Payload reuse** — a received spec whose canonical text matches a
-  memo entry is answered from it; anything else is parsed as new.
+  byte stream unchanged.  It was re-recorded twice, and each time the
+  23 decoded frames differed in the stated values and nothing else:
+  when the ``done`` frames' ``counters.backend`` went from ``inline`` to
+  ``thread``, and at wire v3, where the ``v`` tag went from 2 to 3 and
+  ``result`` frames stopped echoing the spec.
+* **Payload reuse** — received spec text that is a memo entry's
+  canonical text is answered from it with no parse; anything else is
+  parsed as new.
 * **Robustness** — mangled request lines get ``error`` frames and leave
   the connection usable.
 * **Coalescing** — frames leave in one write per event-loop pass, and a
@@ -23,18 +26,19 @@ import socket
 
 import pytest
 
+from repro import serialize
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import make_run_spec, run_spec, sweep_specs
 from repro.errors import ServiceError
 from repro.service import ServiceClient, SweepService, serve_in_thread
-from repro.telemetry.wire import decode_frame, encode_frame
+from repro.telemetry.wire import decode_frame, encode_frame, spec_payload
 
 FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
 
-#: sha256 of the 23 frames (43,403 bytes) the golden session receives.
+#: sha256 of the 23 frames (20,975 bytes) the golden session receives.
 GOLDEN_SESSION_SHA256 = (
-    "0d10d6e5cac4a6bfffde45894f5f7ca0fb628bef331c1329d74ce60791274311"
+    "7033444bd3506f7a05b59000e32bd8bc1605309bfdfd039915857655109a2e82"
 )
 
 
@@ -90,7 +94,7 @@ def test_client_receives_the_golden_byte_stream(tmp_path):
     assert digest.hexdigest() == GOLDEN_SESSION_SHA256
 
 
-# -- reusing the memoized spec for a received payload ----------------------------
+# -- reusing the memoized spec for received spec text ---------------------------
 
 
 @pytest.fixture
@@ -103,13 +107,17 @@ def served(tmp_path):
     thread.join(timeout=10)
 
 
-def _submit_payload(client, payload):
-    """Submit a raw ``spec`` payload; returns ``(job, source, spec echo,
-    result)``."""
-    outcome = client._submit_frames({"op": "submit", "spec": payload})
+def _submit_text(client, text):
+    """Submit raw spec *text*; returns ``(job, source, result)``."""
+    outcome = client._submit_frames({"op": "submit", "spec": text})
     assert outcome.ok, outcome.errors
     (job,) = outcome.jobs
-    return job, outcome.sources[job], outcome.specs[job], outcome.results[job]
+    return job, outcome.sources[job], outcome.results[job]
+
+
+def _text(data) -> str:
+    """*data* as JSON text in its own key order, without whitespace."""
+    return json.dumps(data, separators=(",", ":"))
 
 
 def _reordered(value):
@@ -121,27 +129,56 @@ def _reordered(value):
     return value
 
 
-def test_payload_with_reordered_keys_is_answered_from_the_memo(
-    served, monkeypatch
+@pytest.fixture
+def parses(monkeypatch):
+    """Every payload ``RunSpec.from_dict`` parses while the test runs."""
+    calls = []
+    original = RunSpec.from_dict.__func__
+
+    def counting(cls, data):
+        calls.append(data)
+        return original(cls, data)
+
+    monkeypatch.setattr(RunSpec, "from_dict", classmethod(counting))
+    return calls
+
+
+def test_canonical_text_is_answered_from_the_memo_unparsed(
+    served, parses, hash_calls, monkeypatch
 ):
+    """The text is hashed as received; no spec is parsed or encoded."""
+    client, service = served
+    spec = make_run_spec("WL-9", "per_bank", **FAST)
+    assert client.submit(spec)[1] == "executed"
+    key = spec.content_hash()
+    encoded = []
+    encode = serialize._encode
+    monkeypatch.setattr(
+        serialize, "_encode", lambda data: encoded.append(data) or encode(data)
+    )
+    parses.clear()
+    hash_calls.clear()
+    job, source, result = _submit_text(client, str(spec.canonical_json()))
+    assert (job, source) == (key, "memo")
+    assert parses == []
+    assert hash_calls == [spec.canonical_json()]
+    assert spec.to_dict() not in encoded
+    assert _canon(result) == _canon(run_spec(spec))
+
+
+def test_payload_with_reordered_keys_is_answered_from_the_memo(served, parses):
+    """Text in another key order misses the no-parse path: it is parsed
+    once and answered from the memo under the canonical hash."""
     client, service = served
     spec = make_run_spec("WL-9", "per_bank", **FAST)
     _result, source = client.submit(spec)
     assert source == "executed"
-    parses = []
-    original = RunSpec.from_dict.__func__
-
-    def counting(cls, data):
-        parses.append(data)
-        return original(cls, data)
-
-    monkeypatch.setattr(RunSpec, "from_dict", classmethod(counting))
     payload = _reordered(spec.to_dict())
     assert list(payload) != list(spec.to_dict())
-    job, source, echo, result = _submit_payload(client, payload)
+    parses.clear()
+    job, source, result = _submit_text(client, _text(payload))
     assert (job, source) == (spec.content_hash(), "memo")
-    assert parses == []
-    assert echo == spec.to_dict()
+    assert parses == [payload]
     assert _canon(result) == _canon(run_spec(spec))
 
 
@@ -152,18 +189,18 @@ def test_payload_differing_in_seed_is_parsed_and_run(served):
     payload = spec.to_dict()
     payload["config"] = {**payload["config"], "seed": payload["config"]["seed"] + 1}
     other = RunSpec.from_dict(payload)
-    job, source, echo, result = _submit_payload(client, payload)
+    job, source, result = _submit_text(client, serialize.encode_canonical(payload))
     assert (job, source) == (other.content_hash(), "executed")
     assert job != spec.content_hash()
-    assert echo["config"]["seed"] == spec.config.seed + 1
+    assert service.memo_spec(job).config.seed == spec.config.seed + 1
     assert _canon(result) == _canon(run_spec(other))
     assert service.counters()["runs_executed"] == 2
 
 
 def test_payload_differing_only_in_type_is_parsed_as_its_own_spec(served):
     """``num_windows`` sent as ``2`` is not the memoized ``2.0`` spec:
-    its canonical text differs, so it is parsed, and answered exactly as
-    a direct run of the parsed spec."""
+    its text differs, so it is parsed, and answered exactly as a direct
+    run of the parsed spec."""
     client, service = served
     spec = make_run_spec(
         "WL-9", "per_bank", num_windows=2.0, warmup_windows=0.05,
@@ -172,20 +209,31 @@ def test_payload_differing_only_in_type_is_parsed_as_its_own_spec(served):
     client.submit(spec)
     payload = {**spec.to_dict(), "num_windows": 2}
     parsed = RunSpec.from_dict(payload)
-    job, source, echo, result = _submit_payload(client, payload)
+    job, source, result = _submit_text(client, serialize.encode_canonical(payload))
     assert source == "executed"
     assert job == parsed.content_hash() != spec.content_hash()
-    assert type(echo["num_windows"]) is int
+    assert type(service.memo_spec(job).num_windows) is int
     assert _canon(result) == _canon(run_spec(parsed))
 
 
 def test_spec_that_is_not_an_object_gets_an_error_frame(served):
+    """A ``spec`` that is not text (an object included: the layout of
+    older wire versions), or text that is not a JSON object, is
+    answered with an error frame; the connection stays usable."""
     client, service = served
     spec = make_run_spec("WL-9", "per_bank", **FAST)
     client.submit(spec)
-    for payload in ([spec.to_dict()], "spec", 7, None):
-        with pytest.raises(ServiceError, match="expected a dict"):
+    for payload in (spec.to_dict(), [str(spec.canonical_json())], 7, None):
+        with pytest.raises(ServiceError, match="canonical JSON text, got"):
             client._submit_frames({"op": "submit", "spec": payload})
+    for text in ("spec", str(spec.canonical_json())[:-1], ""):
+        with pytest.raises(ServiceError, match="not valid JSON"):
+            client._submit_frames({"op": "submit", "spec": text})
+    for text in (_text([spec.to_dict()]), "7", "null"):
+        with pytest.raises(ServiceError, match="must be a JSON object"):
+            client._submit_frames({"op": "submit", "spec": text})
+    with pytest.raises(ServiceError, match="canonical JSON text, got dict"):
+        client._submit_frames({"op": "sweep", "specs": [spec.to_dict()]})
     assert client.ping()["type"] == "pong"
 
 
@@ -226,7 +274,9 @@ def test_fuzzed_submit_frames_get_error_frames_or_correct_answers(tmp_path):
     expected = _canon(run_spec(spec))
     service = _OnlyService(spec, cache_dir=tmp_path)
     server, thread = serve_in_thread(service)
-    line = encode_frame({"id": 1, "op": "submit", "spec": spec.canonical_json()})
+    line = encode_frame(
+        {"id": 1, "op": "submit", "spec": spec_payload(spec.canonical_json())}
+    )
     rng = random.Random(20261017)
     answers = []
     try:
@@ -263,9 +313,7 @@ def test_fuzzed_submit_frames_get_error_frames_or_correct_answers(tmp_path):
     assert len(closing) >= 200
     for frame in answers:
         if frame["type"] == "result":
-            echo = RunSpec.from_dict(frame["spec"])
-            assert echo == spec
-            assert frame["job"] == echo.content_hash()
+            assert frame["job"] == spec.content_hash()
             assert _canon(RunResult.from_dict(frame["result"])) == expected
 
 
@@ -297,12 +345,13 @@ def test_memo_submit_is_answered_in_one_socket_write(served, monkeypatch):
 def test_sweep_past_the_high_water_mark_arrives_whole_and_in_order(
     served, monkeypatch
 ):
-    """30 memo answers (~140 KiB) overflow the transport's 64 KiB
+    """60 memo answers (~120 KiB) overflow the transport's 64 KiB
     high-water mark mid-pass; every frame still arrives, in order."""
     client, _service = served
     specs = sweep_specs(
         [f"WL-{n}" for n in range(1, 11)],
-        ["all_bank", "per_bank", "codesign"],
+        ["all_bank", "per_bank", "codesign", "elastic", "pausing",
+         "ooo_per_bank"],
         num_windows=0.02, warmup_windows=0.01, refresh_scale=1024,
     )
     first = client.sweep(specs=specs)

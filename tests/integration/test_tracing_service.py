@@ -155,6 +155,55 @@ def test_dedup_joined_clients_observe_the_executors_trace_id(tmp_path):
     service.close()
 
 
+class _FailsOnce(SweepService):
+    """Its first run raises; every later run simulates."""
+
+    failed = False
+
+    def _run(self, spec, *args):
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("first run fails")
+        return super()._run(spec, *args)
+
+
+def test_memo_answers_carry_the_trace_id_of_the_run_that_produced_them(
+    tmp_path,
+):
+    """A memo answer is stamped with the trace id of the traced
+    execution that produced its result, and otherwise with its own: not
+    with that of a failed run, nor of one an untraced run replaced."""
+    service = _FailsOnce(cache_dir=tmp_path)
+    spec = _spec("all_bank")
+    job = spec.content_hash()
+    events = []
+
+    def trace(name):
+        return JobTrace(name * TRACE_ID_LEN, job, events.append)
+
+    async def sequence():
+        with pytest.raises(RuntimeError, match="first run fails"):
+            await service.resolve(spec, trace=trace("a"))
+        assert (await service.resolve(spec))[1] == "executed"
+        after_failure = await service.resolve(spec, trace=trace("b"))
+        # A traced streamed run produces the memo entry, then an
+        # untraced one replaces it.
+        assert (await service.resolve(
+            spec, event_cb=events.append, trace=trace("c")
+        ))[1] == "live"
+        after_traced = await service.resolve(spec, trace=trace("d"))
+        assert (await service.resolve(spec, event_cb=events.append))[1] == "live"
+        after_untraced = await service.resolve(spec, trace=trace("e"))
+        return after_failure, after_traced, after_untraced
+
+    outcomes = asyncio.run(sequence())
+    service.close()
+    assert [source for _, source in outcomes] == ["memo"] * 3
+    assert [result.trace_id for result, _ in outcomes] == [
+        "b" * TRACE_ID_LEN, "c" * TRACE_ID_LEN, "e" * TRACE_ID_LEN,
+    ]
+
+
 def test_metrics_op_matches_counters_exactly(live):
     server, service = live
     spec_a, spec_b = _spec("per_bank"), _spec("all_bank")

@@ -17,6 +17,9 @@ from repro.telemetry.wire import (
     event_from_frame,
     span_frame,
     span_from_frame,
+    spec_data,
+    spec_payload,
+    spec_text,
     telemetry_frame,
 )
 
@@ -41,7 +44,7 @@ def test_encode_is_canonical_single_line():
     text = line.decode("utf-8")
     assert text.count("\n") == 1
     # sort_keys + tight separators: byte-stable across runs.
-    assert text == '{"a":{"y":3,"z":2},"b":1,"v":2}\n'
+    assert text == '{"a":{"y":3,"z":2},"b":1,"v":3}\n'
 
 
 def test_spliced_text_encodes_byte_identical_to_the_dicts():
@@ -82,15 +85,17 @@ def test_spliced_text_encodes_byte_identical_to_the_dicts():
 
 
 def test_decode_accepts_every_supported_version():
-    """One version is supported: frames of the old v1 are refused."""
+    """One version is supported: frames of the old v1 and v2 are
+    refused (a v2 peer sends specs as objects and reads an echo)."""
     assert decode_frame(encode_frame({"type": "ping"}))["v"] == WIRE_SCHEMA
-    line = json.dumps({"v": 1, "type": "ping"}).encode("utf-8")
-    with pytest.raises(WireError, match="wire schema mismatch"):
-        decode_frame(line)
+    for old in (1, 2):
+        line = json.dumps({"v": old, "type": "ping"}).encode("utf-8")
+        with pytest.raises(WireError, match="wire schema mismatch"):
+            decode_frame(line)
 
 
 def test_decode_rejects_wrong_version():
-    line = encode_frame({"type": "ping"}).replace(b'"v":2', b'"v":99')
+    line = encode_frame({"type": "ping"}).replace(b'"v":3', b'"v":99')
     with pytest.raises(WireError, match="wire schema mismatch"):
         decode_frame(line)
 
@@ -107,6 +112,27 @@ def test_decode_rejects_garbage():
         decode_frame(b"[1,2,3]")
     with pytest.raises(WireError, match="not UTF-8"):
         decode_frame(b"\xff\xfe")
+
+
+def test_a_spec_crosses_the_wire_as_its_canonical_text():
+    """The client side's payload is a JSON string holding the spec's
+    canonical text, and the server side reads back exactly that text."""
+    spec = make_run_spec("WL-9", "per_bank", num_windows=0.02,
+                         warmup_windows=0.01, refresh_scale=1024)
+    payload = spec_payload(spec.canonical_json())
+    assert type(payload) is str and payload == spec.canonical_json()
+    line = encode_frame({"op": "submit", "spec": payload})
+    assert json.loads(line)["spec"] == spec.canonical_json()
+    received = spec_text(decode_frame(line)["spec"])
+    assert received == spec.canonical_json()
+    assert spec_data(received) == spec.to_dict()
+    for other in (spec.to_dict(), [payload], 7, None):
+        with pytest.raises(WireError, match="canonical JSON text, got"):
+            spec_text(other)
+    with pytest.raises(WireError, match="not valid JSON"):
+        spec_data(payload[:-1])
+    with pytest.raises(WireError, match="must be a JSON object, got list"):
+        spec_data("[" + payload + "]")
 
 
 def test_telemetry_frame_round_trips_typed_event():
