@@ -51,9 +51,7 @@ from pathlib import Path
 
 import argparse
 
-from repro import available_scenarios, available_workloads
-from repro.core.simulator import build_system_from_spec, sweep_specs
-from repro.telemetry import ChromeTraceSink, JsonlSink, Telemetry
+from repro.config.scenarios import SCENARIOS
 from repro.units import ms
 
 
@@ -112,6 +110,10 @@ def _run_observed(spec, args, multi: bool, resume=None):
     with the pre-checkpoint shard's stream.  Returns ``None`` when a
     ``--checkpoint-halt`` barrier stopped the run before completion.
     """
+    from repro.core.simulator import build_system_from_spec
+    from repro.telemetry.hub import Telemetry
+    from repro.telemetry.sinks import ChromeTraceSink, JsonlSink
+
     name = spec.scenario.name
     telemetry = Telemetry()
     chrome = jsonl = suite = profiler = None
@@ -209,9 +211,25 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def resolve_jobs(parser: argparse.ArgumentParser, jobs: int | None) -> int:
+    """The worker count: ``--jobs`` when given, else ``REPRO_JOBS`` or
+    the CPU count.  A ``REPRO_JOBS`` that ``--jobs`` would reject is a
+    usage error too."""
+    if jobs is not None:
+        return jobs
+    from repro.errors import ConfigError
+    from repro.experiments.cache import default_jobs
+
+    try:
+        return default_jobs()
+    except ConfigError as exc:
+        parser.error(str(exc))
+
+
 def common_parent() -> argparse.ArgumentParser:
     """Execution flags shared by every subcommand that runs or serves,
-    and by ``python -m repro.experiments``."""
+    and by ``python -m repro.experiments`` (which reads ``--jobs``
+    through :func:`resolve_jobs`)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                         help="worker parallelism "
@@ -305,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help="refresh/OS scenario, or a comma-separated list of them "
-             f"(known: {', '.join(available_scenarios())}); omitted when "
+             f"(known: {', '.join(sorted(SCENARIOS))}); omitted when "
              "resuming from a checkpoint",
     )
     run_p.add_argument("--json", metavar="PATH", default=None,
@@ -332,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated Table 2 mix names")
     sweep_p.add_argument("--scenarios", required=True, metavar="A,B,...",
                          help="comma-separated scenario names "
-                              f"(known: {', '.join(available_scenarios())})")
+                              f"(known: {', '.join(sorted(SCENARIOS))})")
     sweep_p.add_argument("--warmup-scenario", default=None, metavar="NAME",
                          help="warm-start every cell from this scenario's "
                               "warm-up prefix (checkpointed once per prefix)")
@@ -440,6 +458,11 @@ def _matrix_specs(args, workloads: list[str], scenarios: list[str]):
     """workload x scenario RunSpecs from the shared spec flags: the one
     spec builder of ``run``, ``sweep`` and ``submit``.  Unknown names
     and invalid flags are usage errors."""
+    from repro.core.simulator import (
+        available_scenarios,
+        available_workloads,
+        sweep_specs,
+    )
     from repro.errors import ConfigError
 
     parser = args.parser
@@ -582,16 +605,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.experiments.runner import default_jobs
     from repro.service import SweepService
     from repro.service.server import serve_forever
+    from repro.telemetry.sinks import JsonlSink
     from repro.telemetry.wire import DEFAULT_PORT
     from repro.tracing import StructuredLog
 
     log = StructuredLog(path=args.log_jsonl) if args.log_jsonl else None
     span_sink = JsonlSink(args.span_jsonl) if args.span_jsonl else None
     service = SweepService(
-        jobs=args.jobs if args.jobs is not None else default_jobs(),
+        jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         log=log,
@@ -634,6 +657,7 @@ def _cmd_serve(args) -> int:
     finally:
         if metrics_server is not None:
             metrics_server.shutdown()
+            metrics_server.server_close()
         service.close()
     return 0
 
@@ -717,6 +741,8 @@ def _cmd_submit(args) -> int:
                 print(f"  wrote events {args.stream}")
 
     if args.trace_spans is not None:
+        from repro.telemetry.sinks import ChromeTraceSink
+
         sink = ChromeTraceSink()
         for span in outcome.spans:
             sink.emit(span)
@@ -748,6 +774,8 @@ def _cmd_submit(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "jobs" in vars(args):  # run, sweep and serve
+        args.jobs = resolve_jobs(args.parser, args.jobs)
     return args.func(args)
 
 

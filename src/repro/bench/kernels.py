@@ -256,7 +256,7 @@ class _ComputeWorkload:
     mlp = 1
 
     def next_access(self, task):
-        from repro.workloads.benchmark import MemAccess
+        from repro.workloads.generator import MemAccess
 
         return MemAccess(100, 50, None)
 
@@ -314,7 +314,7 @@ def partition_churn(pages: int = 2000) -> int:
 def _access_stream(draws: int) -> list:
     """Body of :func:`workload_access_stream`: the accesses themselves."""
     from repro.os.task import Task
-    from repro.workloads.benchmark import StatisticalWorkload
+    from repro.workloads.generator import StatisticalWorkload
     from repro.workloads.mixes import workload_mix
 
     _, _, _, mapping = _dram_fixture()

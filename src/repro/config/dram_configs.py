@@ -148,6 +148,20 @@ def density(gbit: int) -> DensityConfig:
         ) from None
 
 
+#: Address layouts by name (``SystemConfig.address_layout``): the
+#: frame-number field order :class:`~repro.dram.address.AddressMapping`
+#: decodes with, low/fastest-changing field first.
+#: ``interleaved`` (default): consecutive frames rotate channels then banks
+#: — the DRAM-oblivious layout of Section 2.3, giving any task natural
+#: bank-level parallelism.  ``bank_contiguous``: consecutive frames walk
+#: the rows of one bank first — contiguous allocations stay in one bank.
+LAYOUTS: dict[str, tuple[str, ...]] = {
+    "interleaved": ("channel", "bank", "rank", "row"),
+    "bank_contiguous": ("row", "channel", "bank", "rank"),
+    "rank_interleaved": ("channel", "rank", "bank", "row"),
+}
+
+
 @dataclass(frozen=True)
 class DramOrganization:
     """Channel/rank/bank geometry (Table 1: 1 channel, 2 ranks/DIMM,

@@ -10,6 +10,7 @@ from repro.config.dram_configs import (
     DramOrganization,
     DramTimingSpec,
     DDR3_1600,
+    LAYOUTS,
     FgrMode,
     density,
 )
@@ -148,7 +149,7 @@ class SystemConfig:
     write_drain_low: int = 32
     write_drain_high: int = 54
     row_policy: str = "open"  # Table 1: open-row; "closed" = auto-precharge
-    address_layout: str = "interleaved"  # see repro.dram.address.LAYOUTS
+    address_layout: str = "interleaved"  # a name in LAYOUTS
     seed: int = 1
 
     @property
@@ -245,8 +246,6 @@ class SystemConfig:
             raise ConfigError("write drain watermarks must satisfy 0 < low < high <= depth")
         if self.row_policy not in ("open", "closed"):
             raise ConfigError(f"row_policy must be 'open' or 'closed', got {self.row_policy!r}")
-        from repro.dram.address import LAYOUTS
-
         if self.address_layout not in LAYOUTS:
             raise ConfigError(
                 f"unknown address_layout {self.address_layout!r}; "

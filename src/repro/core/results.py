@@ -1,6 +1,13 @@
 """Result containers produced by a simulation run.
 
-Both containers round-trip losslessly through plain JSON dicts
+A :class:`RunResult` holds one :class:`TaskResult` per task, and may hold
+an :class:`EnergyBreakdown` and a :class:`Timeseries`.  These are the
+records only: the energy model that computes a breakdown
+(:mod:`repro.dram.power`) and the sampler that fills a timeseries
+(:mod:`repro.telemetry.timeseries`) are part of the simulation kernel,
+so reading, caching and serving results loads neither.
+
+Every container round-trips losslessly through plain JSON dicts
 (``to_dict`` / ``from_dict``) so results can live in the on-disk sweep
 cache and cross process boundaries; equality after a round trip is exact
 (JSON preserves float bit patterns via shortest-repr).
@@ -8,17 +15,124 @@ cache and cross process boundaries; equality after a round trip is exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.metrics import harmonic_mean
-from repro.dram.power import EnergyBreakdown
 from repro.errors import ConfigError
 from repro.serialize import dataclass_from_dict, field_names
-from repro.telemetry.timeseries import Timeseries
 
 #: Version tag for the serialized result layout.  Bump whenever a field is
 #: added/removed/renamed so stale disk-cache entries are recomputed.
 RESULT_SCHEMA = 4
+
+
+@dataclass
+class EnergyBreakdown:
+    """Energy per component over one measured interval, in millijoules."""
+
+    background_mj: float
+    activate_mj: float
+    read_mj: float
+    write_mj: float
+    refresh_mj: float
+    elapsed_ns: float
+
+    @property
+    def total_mj(self) -> float:
+        return (
+            self.background_mj
+            + self.activate_mj
+            + self.read_mj
+            + self.write_mj
+            + self.refresh_mj
+        )
+
+    @property
+    def refresh_fraction(self) -> float:
+        total = self.total_mj
+        return self.refresh_mj / total if total > 0 else 0.0
+
+    @property
+    def average_power_mw(self) -> float:
+        if self.elapsed_ns <= 0:
+            return 0.0
+        # mJ / ns = 1e6 W = 1e9 mW.
+        return self.total_mj * 1e9 / self.elapsed_ns
+
+    def __str__(self) -> str:
+        return (
+            f"EnergyBreakdown(total={self.total_mj:.3f}mJ, "
+            f"refresh={self.refresh_mj:.3f}mJ [{self.refresh_fraction:.1%}], "
+            f"avg={self.average_power_mw:.0f}mW)"
+        )
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in field_names(EnergyBreakdown)}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EnergyBreakdown":
+        return dataclass_from_dict(cls, data)
+
+
+@dataclass
+class TimeseriesSample:
+    """Aggregates over one sampling interval ending at cycle ``t``."""
+
+    t: int
+    instructions: int
+    ipc: float
+    reads_completed: int
+    refresh_stall_fraction: float
+    queue_depth: int
+
+    def to_dict(self) -> dict:
+        return {
+            "t": self.t,
+            "instructions": self.instructions,
+            "ipc": self.ipc,
+            "reads_completed": self.reads_completed,
+            "refresh_stall_fraction": self.refresh_stall_fraction,
+            "queue_depth": self.queue_depth,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TimeseriesSample":
+        return dataclass_from_dict(cls, data)
+
+
+@dataclass
+class Timeseries:
+    """One run's sampled timeline."""
+
+    interval_cycles: int
+    samples: list[TimeseriesSample] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        return {
+            "interval_cycles": self.interval_cycles,
+            "samples": [s.to_dict() for s in self.samples],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Timeseries":
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"Timeseries: expected a dict, got {type(data).__name__}"
+            )
+        data = dict(data)
+        try:
+            samples = [
+                TimeseriesSample.from_dict(s) for s in data.pop("samples", [])
+            ]
+        except (TypeError, AttributeError) as exc:
+            raise ConfigError(f"Timeseries: malformed payload ({exc})") from None
+        return dataclass_from_dict(cls, {**data, "samples": samples})
+
+    def metric(self, name: str) -> list:
+        """One column across all samples (e.g. ``metric("ipc")``)."""
+        if name not in {f.name for f in fields(TimeseriesSample)}:
+            raise ConfigError(f"unknown timeseries metric {name!r}")
+        return [getattr(s, name) for s in self.samples]
 
 
 @dataclass

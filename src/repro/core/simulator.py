@@ -23,13 +23,13 @@ from repro.config.system_configs import SystemConfig, default_system_config
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.errors import CheckpointError, ConfigError
-from repro.telemetry.hub import Telemetry
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_mix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import System
     from repro.obs.monitors import MonitorSuite
+    from repro.telemetry.hub import Telemetry
 
 
 def resolve_workload(
@@ -251,6 +251,8 @@ def run_spec(
     :class:`~repro.errors.MonitorError` at the first violation."""
     if monitors is not None:
         if telemetry is None:
+            from repro.telemetry.hub import Telemetry
+
             telemetry = Telemetry()
         monitors.attach(telemetry)
     resume_time = None

@@ -55,7 +55,8 @@ from repro.os.task import Task
 from repro.telemetry.events import SchedulerPickEvent
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.registry import MetricsRegistry
-from repro.workloads.benchmark import BenchmarkSpec, StatisticalWorkload
+from repro.workloads.benchmark import BenchmarkSpec
+from repro.workloads.generator import StatisticalWorkload
 
 
 def _no_arg(data, refs=None, current=None):

@@ -39,6 +39,7 @@ from repro.core.state import (
 from repro.dram.controller import MemoryController
 from repro.dram.request import MemoryRequest, RequestType
 from repro.errors import SimulationError
+from repro.workloads.generator import MemAccess
 
 
 #: Max pure-compute gaps folded into one fast-forward wake-up.  Bounds the
@@ -61,8 +62,6 @@ _ROB_ENTRIES = listof(seq(INT, BOOL))
 
 
 def _decode_access(data, refs=None, current=None):
-    from repro.workloads.benchmark import MemAccess  # import cycle guard
-
     return MemAccess(*_ACCESS_FIELDS.decode(data))
 
 

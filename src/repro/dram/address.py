@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.config.dram_configs import DramOrganization
+from repro.config.dram_configs import LAYOUTS, DramOrganization
 from repro.errors import AddressMapError
 
 #: Frame-decode memo bound.  Cleared (deterministically, by insertion
@@ -50,17 +50,6 @@ class DramCoordinate(NamedTuple):
 #: so each call still runs one Python frame.
 _coord_make = DramCoordinate._make
 
-#: Frame-number field orders (low/fastest-changing field first).
-#: ``interleaved`` (default): consecutive frames rotate channels then banks
-#: — the DRAM-oblivious layout of Section 2.3, giving any task natural
-#: bank-level parallelism.  ``bank_contiguous``: consecutive frames walk
-#: the rows of one bank first — contiguous allocations stay in one bank.
-LAYOUTS: dict[str, tuple[str, ...]] = {
-    "interleaved": ("channel", "bank", "rank", "row"),
-    "bank_contiguous": ("row", "channel", "bank", "rank"),
-    "rank_interleaved": ("channel", "rank", "bank", "row"),
-}
-
 
 class AddressMapping:
     """Maps physical addresses and frame numbers onto DRAM coordinates.
@@ -68,7 +57,8 @@ class AddressMapping:
     One DRAM row (4KB by default) holds exactly one OS page, so a frame
     number maps to a single (channel, rank, bank, row) and the column is
     selected by the in-page offset.  The frame-number bit layout is
-    selected by *layout* (see :data:`LAYOUTS`); this is exactly the
+    selected by *layout* (a name in
+    :data:`~repro.config.dram_configs.LAYOUTS`); this is exactly the
     hardware mapping the co-design exposes to the OS.
     """
 

@@ -6,7 +6,8 @@ accrues with wall-clock time, and refresh energy accrues with
 refresh-busy time.  Defaults are representative DDR3-1600 x8-rank values;
 they are configurable because the *relative* comparison across refresh
 schemes (e.g. Elastic Refresh's motivation) is the point, not absolute
-milli-joules.
+milli-joules.  The record it returns, :class:`EnergyBreakdown`, lives
+with the other result records in :mod:`repro.core.results`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.serialize import dataclass_from_dict, field_names
+from repro.core.results import EnergyBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.controller import MemoryController
@@ -33,54 +34,6 @@ class DramEnergyParams:
 
     def cycles_to_ns(self, cycles: int) -> float:
         return cycles / self.cpu_freq_ghz
-
-
-@dataclass
-class EnergyBreakdown:
-    """Energy per component over one measured interval, in millijoules."""
-
-    background_mj: float
-    activate_mj: float
-    read_mj: float
-    write_mj: float
-    refresh_mj: float
-    elapsed_ns: float
-
-    @property
-    def total_mj(self) -> float:
-        return (
-            self.background_mj
-            + self.activate_mj
-            + self.read_mj
-            + self.write_mj
-            + self.refresh_mj
-        )
-
-    @property
-    def refresh_fraction(self) -> float:
-        total = self.total_mj
-        return self.refresh_mj / total if total > 0 else 0.0
-
-    @property
-    def average_power_mw(self) -> float:
-        if self.elapsed_ns <= 0:
-            return 0.0
-        # mJ / ns = 1e6 W = 1e9 mW.
-        return self.total_mj * 1e9 / self.elapsed_ns
-
-    def __str__(self) -> str:
-        return (
-            f"EnergyBreakdown(total={self.total_mj:.3f}mJ, "
-            f"refresh={self.refresh_mj:.3f}mJ [{self.refresh_fraction:.1%}], "
-            f"avg={self.average_power_mw:.0f}mW)"
-        )
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in field_names(EnergyBreakdown)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergyBreakdown":
-        return dataclass_from_dict(cls, data)
 
 
 def estimate_energy(

@@ -22,7 +22,7 @@ import argparse
 import sys
 import time
 
-from repro.__main__ import common_parent
+from repro.__main__ import common_parent, resolve_jobs
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.report import format_run_stats
 from repro.experiments.runner import FULL_PROFILE, QUICK_PROFILE, SweepRunner
@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     profile = FULL_PROFILE if args.profile == "full" else QUICK_PROFILE
     runner = SweepRunner(
         profile,
-        jobs=args.jobs,
+        jobs=resolve_jobs(parser, args.jobs),
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )

@@ -29,6 +29,11 @@ so the result comes first)::
   leave a half-written entry behind.
 * Eviction: none automatic.  Entries are small (a few KB); deleting the
   cache directory (or any subset of it) at any time is always safe.
+
+The sweep runner and the sweep service both read their defaults here:
+the cache root (:func:`default_cache_dir`) and the worker count
+(:func:`default_jobs`), so serving needs neither the runner nor the
+simulation kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Iterable, NamedTuple
 
 from repro.core.results import RESULT_SCHEMA, RunResult
 from repro.core.runspec import SPEC_SCHEMA, RunSpec
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.serialize import CanonicalJSON, canonical_json, discard_file, write_atomic
 
 #: Combined schema tag for cache entries; bumping either layout version
@@ -49,6 +54,9 @@ CACHE_SCHEMA = f"{SPEC_SCHEMA}.{RESULT_SCHEMA}"
 
 #: Environment variable overriding the cache root directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Environment variable setting the default worker count.
+JOBS_ENV = "REPRO_JOBS"
 
 #: An entry is ``_ENTRY_HEAD + result + _SPEC_HEAD + spec + "}"``: the
 #: canonical JSON of ``{"result", "schema", "spec"}``, keys in sorted
@@ -65,6 +73,27 @@ def default_cache_dir() -> pathlib.Path:
     if env:
         return pathlib.Path(env)
     return pathlib.Path.home() / ".cache" / "repro"
+
+
+def default_jobs() -> int:
+    """``$REPRO_JOBS`` if set, else the CPU count.
+
+    A set value is read as ``--jobs`` is: anything but a whole number of
+    at least 1 raises :class:`~repro.errors.ConfigError` naming the
+    variable.
+    """
+    env = os.environ.get(JOBS_ENV)
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(
+            f"{JOBS_ENV} must be a whole number of at least 1, got {env!r}"
+        )
+    return jobs
 
 
 def result_entry_payload(spec: RunSpec, result: RunResult) -> dict:

@@ -34,24 +34,9 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import make_run_spec, run_spec as execute_run_spec
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, default_jobs
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.mixes import mix_names
-
-#: Environment variable setting the default worker-process count.
-JOBS_ENV = "REPRO_JOBS"
-
-
-def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default: CPU count)."""
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
 
 @dataclass(frozen=True)
 class ExperimentProfile:

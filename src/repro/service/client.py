@@ -38,7 +38,7 @@ from __future__ import annotations
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.results import RunResult
 from repro.core.runspec import RunSpec
@@ -48,20 +48,23 @@ from repro.errors import (
     ServiceUnavailable,
     WireError,
 )
-from repro.telemetry.events import SpanEvent, TraceEvent
 from repro.telemetry.wire import (
     DEFAULT_PORT,
     decode_frame,
     encode_frame,
     spec_payload,
+    span_from_frame,
 )
 from repro.tracing import mint_trace_id, request_digest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.events import SpanEvent
 
 #: ``on_event`` callback signature: (event payload dict, job hash).
 EventCallback = Callable[[dict, Optional[str]], None]
 
 #: ``on_span`` callback signature: one closed span as it streams in.
-SpanCallback = Callable[[SpanEvent], None]
+SpanCallback = Callable[["SpanEvent"], None]
 
 
 def backoff_schedule(
@@ -319,7 +322,7 @@ class ServiceClient:
                 if on_event is not None:
                     on_event(frame["event"], frame.get("job"))
             elif kind == "span":
-                span = TraceEvent.from_dict(frame["span"])
+                span = span_from_frame(frame)
                 outcome.spans.append(span)
                 if on_span is not None:
                     on_span(span)

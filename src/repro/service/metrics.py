@@ -228,8 +228,10 @@ def start_metrics_http(metrics: ServiceMetrics, counters_fn,
                        host: str = "127.0.0.1",
                        port: int = 0) -> ThreadingHTTPServer:
     """Serve ``GET /metrics`` in a daemon thread; returns the server
-    (``.server_address[1]`` has the bound port; call ``.shutdown()`` to
-    stop).  ``counters_fn`` is called per scrape so the gauges are live.
+    (``.server_address[1]`` has the bound port).  To stop it, call
+    ``.shutdown()``, which ends the serving loop, then
+    ``.server_close()``, which closes the listening socket.
+    ``counters_fn`` is called per scrape so the gauges are live.
     """
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 

@@ -82,7 +82,7 @@ import dataclasses
 import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from repro import serialize
 from repro.core.checkpoint import CheckpointStore
@@ -93,8 +93,6 @@ from repro.errors import MonitorError, ReproError, ServiceError
 from repro.experiments.cache import ResultCache
 from repro.serialize import CanonicalJSON, canonical_json
 from repro.service.metrics import ServiceMetrics
-from repro.telemetry.events import SpanEvent
-from repro.telemetry.hub import Telemetry
 from repro.telemetry.sinks import RingBufferSink
 from repro.telemetry.wire import (
     DEFAULT_PORT,
@@ -108,6 +106,10 @@ from repro.telemetry.wire import (
     spec_text,
 )
 from repro.tracing import JobTrace, StructuredLog, monotonic_us
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.events import SpanEvent
+    from repro.telemetry.hub import Telemetry
 
 #: Closed spans kept in memory for ``metrics``/``obs top`` (newest last).
 RECENT_SPANS = 64
@@ -379,6 +381,8 @@ class SweepService:
         loop = asyncio.get_running_loop()
         telemetry = suite = None
         if event_cb is not None:
+            from repro.telemetry.hub import Telemetry  # loads with streaming
+
             telemetry = Telemetry()
             telemetry.subscribe(WireSink(
                 functools.partial(loop.call_soon_threadsafe, event_cb),

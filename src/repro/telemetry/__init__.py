@@ -10,78 +10,52 @@ Three pillars (see ``docs/OBSERVABILITY.md``):
   including a Chrome trace-event exporter loadable in Perfetto;
 * :class:`Timeseries` — windowed samples (IPC, queue depth, refresh-stall
   fraction) attached to :class:`~repro.core.results.RunResult`.
+
+Every name below is imported from its module on first access
+(:func:`repro.lazy_exports`), so ``import repro.telemetry.wire`` loads
+neither the event classes nor the hub: the serving path needs only the
+wire format, and the rest loads with the first traced, streamed or
+simulated job.
 """
 
-from repro.telemetry.events import (
-    EVENT_TYPES,
-    DramCommandEvent,
-    PageAllocEvent,
-    RefreshCommandEvent,
-    RefreshStretchBeginEvent,
-    RefreshStretchEndEvent,
-    SchedulerPickEvent,
-    SpanEvent,
-    TaskMigrationEvent,
-    TraceEvent,
-)
-from repro.telemetry.hub import Telemetry
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.sinks import (
-    CallbackSink,
-    ChromeTraceSink,
-    EventSink,
-    JsonlSink,
-    RingBufferSink,
-    read_jsonl,
-    strip_span_walls,
-)
-from repro.telemetry.stats import StatsBase
-from repro.telemetry.timeseries import (
-    Timeseries,
-    TimeseriesSample,
-    TimeseriesSampler,
-)
-from repro.telemetry.wire import (
-    WIRE_SCHEMA,
-    WireSink,
-    decode_frame,
-    encode_frame,
-    event_from_frame,
-    span_frame,
-    span_from_frame,
-    telemetry_frame,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EVENT_TYPES",
-    "CallbackSink",
-    "ChromeTraceSink",
-    "DramCommandEvent",
-    "EventSink",
-    "JsonlSink",
-    "MetricsRegistry",
-    "PageAllocEvent",
-    "RefreshCommandEvent",
-    "RefreshStretchBeginEvent",
-    "RefreshStretchEndEvent",
-    "RingBufferSink",
-    "SchedulerPickEvent",
-    "SpanEvent",
-    "StatsBase",
-    "TaskMigrationEvent",
-    "Telemetry",
-    "Timeseries",
-    "TimeseriesSample",
-    "TimeseriesSampler",
-    "TraceEvent",
-    "WIRE_SCHEMA",
-    "WireSink",
-    "decode_frame",
-    "encode_frame",
-    "event_from_frame",
-    "read_jsonl",
-    "span_frame",
-    "span_from_frame",
-    "strip_span_walls",
-    "telemetry_frame",
-]
+#: Each public name -> the module that defines it, imported on first
+#: access.
+_EXPORTS = {
+    "EVENT_TYPES": "repro.telemetry.events",
+    "DramCommandEvent": "repro.telemetry.events",
+    "PageAllocEvent": "repro.telemetry.events",
+    "RefreshCommandEvent": "repro.telemetry.events",
+    "RefreshStretchBeginEvent": "repro.telemetry.events",
+    "RefreshStretchEndEvent": "repro.telemetry.events",
+    "SchedulerPickEvent": "repro.telemetry.events",
+    "SpanEvent": "repro.telemetry.events",
+    "TaskMigrationEvent": "repro.telemetry.events",
+    "TraceEvent": "repro.telemetry.events",
+    "Telemetry": "repro.telemetry.hub",
+    "MetricsRegistry": "repro.telemetry.registry",
+    "CallbackSink": "repro.telemetry.sinks",
+    "ChromeTraceSink": "repro.telemetry.sinks",
+    "EventSink": "repro.telemetry.sinks",
+    "JsonlSink": "repro.telemetry.sinks",
+    "RingBufferSink": "repro.telemetry.sinks",
+    "read_jsonl": "repro.telemetry.sinks",
+    "strip_span_walls": "repro.telemetry.sinks",
+    "StatsBase": "repro.telemetry.stats",
+    "Timeseries": "repro.core.results",
+    "TimeseriesSample": "repro.core.results",
+    "TimeseriesSampler": "repro.telemetry.timeseries",
+    "WIRE_SCHEMA": "repro.telemetry.wire",
+    "WireSink": "repro.telemetry.wire",
+    "decode_frame": "repro.telemetry.wire",
+    "encode_frame": "repro.telemetry.wire",
+    "event_from_frame": "repro.telemetry.wire",
+    "span_frame": "repro.telemetry.wire",
+    "span_from_frame": "repro.telemetry.wire",
+    "telemetry_frame": "repro.telemetry.wire",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

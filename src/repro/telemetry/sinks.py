@@ -23,19 +23,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigError
-from repro.telemetry.events import (
-    DramCommandEvent,
-    RefreshCommandEvent,
-    RefreshStretchBeginEvent,
-    RefreshStretchEndEvent,
-    SchedulerPickEvent,
-    SpanEvent,
-    TaskMigrationEvent,
-    TraceEvent,
-)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.events import SpanEvent, TraceEvent
 
 
 class EventSink:
@@ -136,6 +129,8 @@ def read_jsonl(path) -> list[TraceEvent]:
     :class:`~repro.errors.ConfigError` naming the path and the 1-based
     line number.
     """
+    from repro.telemetry.events import TraceEvent
+
     events = []
     with open(path, "rb") as f:
         for number, raw in enumerate(f, 1):
@@ -208,9 +203,13 @@ class ChromeTraceSink(EventSink):
     # -- event intake ---------------------------------------------------------
 
     def emit(self, event: TraceEvent) -> None:
-        if isinstance(event, RefreshStretchBeginEvent):
+        # Dispatch on the ``kind`` tag each event class declares (the same
+        # tag JSONL lines and wire frames carry), so this module needs no
+        # event class at import.
+        kind = event.kind
+        if kind == "refresh.stretch_begin":
             self._open_stretch = (event.bank, event.time)
-        elif isinstance(event, RefreshStretchEndEvent):
+        elif kind == "refresh.stretch_end":
             if self._open_stretch is not None:
                 bank, begin = self._open_stretch
                 self._open_stretch = None
@@ -224,7 +223,7 @@ class ChromeTraceSink(EventSink):
                     "tid": self.TID_STRETCH,
                     "args": {"bank": bank},
                 })
-        elif isinstance(event, RefreshCommandEvent):
+        elif kind == "dram.refresh":
             name = "REF" if event.all_bank else f"REFpb b{event.bank}"
             self._slices.append({
                 "name": name,
@@ -240,7 +239,7 @@ class ChromeTraceSink(EventSink):
                     "bank": event.bank,
                 },
             })
-        elif isinstance(event, SchedulerPickEvent):
+        elif kind == "sched.pick":
             self._cores.add(event.core_id)
             if event.task_id is None:
                 return  # idle quantum: leave the track empty
@@ -258,7 +257,7 @@ class ChromeTraceSink(EventSink):
                     "conflict": event.conflict,
                 },
             })
-        elif isinstance(event, TaskMigrationEvent):
+        elif kind == "os.migrate":
             self._cores.add(event.dst_cpu)
             self._slices.append({
                 "name": f"migrate t{event.task_id}",
@@ -270,7 +269,7 @@ class ChromeTraceSink(EventSink):
                 "tid": event.dst_cpu,
                 "args": {"task_id": event.task_id, "from": event.src_cpu},
             })
-        elif isinstance(event, DramCommandEvent):
+        elif kind == "dram.cmd":
             if not self.include_dram_commands:
                 self.dropped += 1
                 return
@@ -288,7 +287,7 @@ class ChromeTraceSink(EventSink):
                     "refresh_stall": event.refresh_stall,
                 },
             })
-        elif isinstance(event, SpanEvent):
+        elif kind == "trace.span":
             self._span_events.append(event)
         else:
             self.dropped += 1

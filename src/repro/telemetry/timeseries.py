@@ -8,83 +8,20 @@ Each sample covers one interval and reports aggregate IPC, the
 instantaneous controller queue depth, and the refresh-stall fraction of
 the reads completing inside the interval — the quantities the paper's
 timeline figures (9-11) are drawn from, now available from any run.
+The records it fills, :class:`Timeseries` and :class:`TimeseriesSample`,
+live with the other result records in :mod:`repro.core.results`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
+from repro.core.results import Timeseries, TimeseriesSample
 from repro.core.state import INT, Stateful, record
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import System
-
-
-@dataclass
-class TimeseriesSample:
-    """Aggregates over one sampling interval ending at cycle ``t``."""
-
-    t: int
-    instructions: int
-    ipc: float
-    reads_completed: int
-    refresh_stall_fraction: float
-    queue_depth: int
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "instructions": self.instructions,
-            "ipc": self.ipc,
-            "reads_completed": self.reads_completed,
-            "refresh_stall_fraction": self.refresh_stall_fraction,
-            "queue_depth": self.queue_depth,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimeseriesSample":
-        from repro.serialize import dataclass_from_dict
-
-        return dataclass_from_dict(cls, data)
-
-
-@dataclass
-class Timeseries:
-    """One run's sampled timeline."""
-
-    interval_cycles: int
-    samples: list[TimeseriesSample] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "interval_cycles": self.interval_cycles,
-            "samples": [s.to_dict() for s in self.samples],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Timeseries":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"Timeseries: expected a dict, got {type(data).__name__}"
-            )
-        data = dict(data)
-        try:
-            samples = [
-                TimeseriesSample.from_dict(s) for s in data.pop("samples", [])
-            ]
-        except (TypeError, AttributeError) as exc:
-            raise ConfigError(f"Timeseries: malformed payload ({exc})") from None
-        from repro.serialize import dataclass_from_dict
-
-        return dataclass_from_dict(cls, {**data, "samples": samples})
-
-    def metric(self, name: str) -> list:
-        """One column across all samples (e.g. ``metric("ipc")``)."""
-        if name not in {f.name for f in fields(TimeseriesSample)}:
-            raise ConfigError(f"unknown timeseries metric {name!r}")
-        return [getattr(s, name) for s in self.samples]
 
 
 class TimeseriesSampler(Stateful):

@@ -31,13 +31,14 @@ collect frames in a plain list.
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import WireError
 from repro.serialize import encode_canonical
-from repro.telemetry.events import TraceEvent
-
 from repro.telemetry.sinks import EventSink
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.events import TraceEvent
 
 #: Version tag of the line-oriented frame layout.  Bump on incompatible
 #: changes to frame structure; v2 added trace/span context (a ``trace``
@@ -157,6 +158,8 @@ def event_from_frame(frame: dict) -> TraceEvent:
     """Reconstruct the typed event inside a ``telemetry`` frame."""
     if frame.get("type") != "telemetry" or "event" not in frame:
         raise WireError(f"not a telemetry frame: {frame.get('type')!r}")
+    from repro.telemetry.events import TraceEvent  # loads with streaming
+
     return TraceEvent.from_dict(frame["event"])
 
 
@@ -173,6 +176,8 @@ def span_from_frame(frame: dict) -> TraceEvent:
     a ``span`` frame."""
     if frame.get("type") != "span" or "span" not in frame:
         raise WireError(f"not a span frame: {frame.get('type')!r}")
+    from repro.telemetry.events import TraceEvent  # loads with tracing
+
     return TraceEvent.from_dict(frame["span"])
 
 

@@ -28,10 +28,12 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.serialize import canonical_json
-from repro.telemetry.events import SpanEvent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.events import SpanEvent
 
 #: Hex length of a trace id (matches ``repro.serialize.HASH_LEN`` so
 #: trace ids read like the spec hashes they travel with).
@@ -105,6 +107,8 @@ class Span:
             raise RuntimeError(f"span {self.name!r} already closed")
         self._closed = True
         end_ns = self._trace.clock()
+        from repro.telemetry.events import SpanEvent  # loads with tracing
+
         event = SpanEvent(
             time=self.span_id,
             trace_id=self._trace.trace_id,

@@ -6,13 +6,17 @@ the test process itself has long since loaded everything:
 
 * the set-up path of a served sweep (``import repro``, the Figure-10
   and a warm-started matrix through ``api.sweep_specs``, a
-  ``SweepService`` on a thread and a client ping) loads no kernel
-  module, no HTTP server and no process pool;
-* a client process loads neither ``asyncio`` nor the server;
+  ``SweepService`` on a thread and a client ping) loads the data layer
+  only: no kernel module, no refresh scheduler, no checkpoint-state
+  codec, no energy model, sampler or event class, no HTTP server and
+  no process pool;
+* a client process, and the ``submit`` command, load neither
+  ``asyncio`` nor the server nor any of the above;
 * the first job the service executes loads the kernel, and its result
   is the direct run's;
 * a restarted service that serves a sweep wholly from the disk cache
   starts no executor thread;
+* ``make_scheduler`` imports the one scheduler module it builds from;
 * every compatibility name resolves, on first access, to the object its
   defining module holds.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +35,7 @@ import pytest
 
 import repro
 import repro.service
+import repro.telemetry
 from repro.core.simulator import make_run_spec, run_spec
 from repro.serialize import canonical_json
 
@@ -37,23 +43,51 @@ SRC = Path(repro.__file__).resolve().parents[1]
 
 FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
 
+#: The refresh scheduler modules: imported one at a time, by
+#: ``make_scheduler``, when a simulation first builds one.
+SCHEDULERS = (
+    "repro.dram.refresh.base",
+    "repro.dram.refresh.no_refresh",
+    "repro.dram.refresh.all_bank",
+    "repro.dram.refresh.per_bank_rr",
+    "repro.dram.refresh.same_bank",
+    "repro.dram.refresh.ooo_per_bank",
+    "repro.dram.refresh.adaptive",
+    "repro.dram.refresh.elastic",
+    "repro.dram.refresh.pausing",
+)
+
 #: Modules the set-up path must not load: the kernel (engine, system,
-#: controller and banks, cores, OS layer), the local sweep runner, and
-#: the stdlib modules only the metrics side port, process pools and
-#: did-you-mean hints need.
+#: controller and banks, cores, OS layer, refresh schedulers, the
+#: checkpoint-state codecs, the address mapping, the energy model and
+#: the telemetry hub, registry, stats and sampler), the event classes,
+#: the local sweep runner, and the stdlib modules only the metrics side
+#: port, process pools and did-you-mean hints need.
 NOT_ON_SETUP_PATH = (
     "repro.core.system",
     "repro.core.engine",
+    "repro.core.state",
     "repro.cpu.core",
+    "repro.dram.address",
     "repro.dram.controller",
     "repro.dram.bank",
+    "repro.dram.power",
     "repro.dram.request",
+    *SCHEDULERS,
+    "repro.telemetry.events",
+    "repro.telemetry.hub",
+    "repro.telemetry.registry",
+    "repro.telemetry.stats",
+    "repro.telemetry.timeseries",
     "repro.experiments.runner",
     "http.server",
     "multiprocessing",
     "concurrent.futures.process",
     "difflib",
 )
+
+#: The most ``repro`` modules the set-up path may load.
+SETUP_PATH_MODULES = 36
 
 KERNEL = ("repro.core.system", "repro.core.engine", "repro.dram.controller")
 
@@ -136,8 +170,16 @@ def served():
     return json.loads(_fresh(SETUP_PATH).splitlines()[-1])
 
 
+def _repro(modules) -> list[str]:
+    return [m for m in modules if m == "repro" or m.startswith("repro.")]
+
+
 def test_the_setup_path_of_a_served_sweep_loads_no_kernel(served):
     assert _loaded(served["before"], NOT_ON_SETUP_PATH) == []
+
+
+def test_the_setup_path_loads_only_the_data_layer(served):
+    assert len(_repro(served["before"])) <= SETUP_PATH_MODULES, _repro(served["before"])
 
 
 def test_the_first_executed_job_loads_the_kernel_and_matches_a_direct_run(served):
@@ -178,7 +220,48 @@ print(" ".join(sorted(sys.modules)))
     assert _loaded(modules, NOT_ON_SETUP_PATH) == []
 
 
-@pytest.mark.parametrize("package", [repro, repro.service], ids=lambda p: p.__name__)
+def test_the_submit_command_loads_neither_the_kernel_nor_the_server():
+    """``python -m repro submit --ping`` to a closed port, under
+    ``-X importtime`` as the CI ``service`` job runs it."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "submit", "--ping",
+         "--port", str(port)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "cannot reach repro service" in done.stderr
+    modules = [
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
+    assert "repro.service.client" in modules
+    assert [m for m in modules if m in ("asyncio", "repro.service.server")] == []
+    assert _loaded(modules, NOT_ON_SETUP_PATH) == []
+    assert "repro.core.simulator" not in modules
+
+
+def test_make_scheduler_imports_only_the_scheduler_it_builds():
+    code = """
+import sys
+from repro.dram.refresh import make_scheduler
+make_scheduler("same_bank")
+print(" ".join(sorted(m for m in sys.modules if m.startswith("repro.dram.refresh."))))
+"""
+    assert _fresh(code).split() == ["repro.dram.refresh.base", "repro.dram.refresh.same_bank"]
+
+
+@pytest.mark.parametrize(
+    "package", [repro, repro.service, repro.telemetry], ids=lambda p: p.__name__
+)
 def test_every_public_name_resolves_to_its_defining_module(package):
     code = f"""
 import importlib, sys
@@ -205,6 +288,7 @@ print("ok")
 def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(repro, "nope")
     assert not hasattr(repro.service, "nope")
+    assert not hasattr(repro.telemetry, "nope")
 
 
 def test_moved_names_stay_importable_at_their_old_paths():

@@ -14,8 +14,8 @@ from typing import Optional
 
 import pytest
 
-from repro.config.dram_configs import DramOrganization
-from repro.dram.address import LAYOUTS, AddressMapping
+from repro.config.dram_configs import LAYOUTS, DramOrganization
+from repro.dram.address import AddressMapping
 from repro.errors import AddressMapError
 from repro.os.buddy import BuddyAllocator
 from repro.os.page import PhysicalMemory

@@ -17,7 +17,7 @@ from repro.dram.timing import DramTiming
 from repro.os.refresh_aware import RefreshAwareScheduler
 from repro.os.scheduler import CfsScheduler
 from repro.os.task import Task
-from repro.workloads.benchmark import MemAccess
+from repro.workloads.generator import MemAccess
 
 
 class ComputeWorkload:

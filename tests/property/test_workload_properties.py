@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from repro.config.dram_configs import DramOrganization
 from repro.dram.address import AddressMapping
 from repro.os.task import Task
-from repro.workloads.benchmark import (
-    AccessPattern,
-    BenchmarkSpec,
-    StatisticalWorkload,
-)
+from repro.workloads.benchmark import AccessPattern, BenchmarkSpec
+from repro.workloads.generator import StatisticalWorkload
 
 specs = st.builds(
     BenchmarkSpec,

@@ -22,12 +22,8 @@ from repro.os.page import PhysicalMemory
 from repro.os.partition import PartitioningAllocator, PartitionPolicy
 from repro.os.task import Task
 from repro.os.vm import VirtualMemory
-from repro.workloads.benchmark import (
-    AccessPattern,
-    BenchmarkSpec,
-    MemAccess,
-    StatisticalWorkload,
-)
+from repro.workloads.benchmark import AccessPattern, BenchmarkSpec
+from repro.workloads.generator import MemAccess, StatisticalWorkload
 from repro.workloads.mixes import WORKLOAD_MIXES, workload_mix
 
 DRAWS = 20_000

@@ -145,3 +145,4 @@ def test_http_exposition_serves_live_counters():
             assert 'name="runs_executed"} 5' in resp.read().decode("utf-8")
     finally:
         server.shutdown()
+        server.server_close()

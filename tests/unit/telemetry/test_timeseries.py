@@ -106,7 +106,7 @@ def test_sampler_is_exact_inside_a_folded_compute_chain():
     from repro.dram.timing import DramTiming
     from repro.os.task import Task
     from repro.telemetry.timeseries import TimeseriesSampler
-    from repro.workloads.benchmark import MemAccess
+    from repro.workloads.generator import MemAccess
 
     class ComputeWorkload:
         name = "compute"

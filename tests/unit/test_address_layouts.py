@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.config.dram_configs import DramOrganization
-from repro.dram.address import LAYOUTS, AddressMapping
+from repro.config.dram_configs import LAYOUTS, DramOrganization
+from repro.dram.address import AddressMapping
 from repro.errors import AddressMapError, ConfigError
 
 

@@ -8,12 +8,8 @@ from repro.config.dram_configs import DramOrganization
 from repro.dram.address import AddressMapping
 from repro.errors import ConfigError
 from repro.os.task import Task
-from repro.workloads.benchmark import (
-    AccessPattern,
-    BenchmarkSpec,
-    MpkiClass,
-    StatisticalWorkload,
-)
+from repro.workloads.benchmark import AccessPattern, BenchmarkSpec, MpkiClass
+from repro.workloads.generator import StatisticalWorkload
 
 
 @pytest.fixture

@@ -1,6 +1,11 @@
 """Unit tests for the python -m repro subcommand CLI."""
 
 import json
+import re
+import socket
+import threading
+import time
+import urllib.request
 
 import pytest
 
@@ -44,23 +49,44 @@ def test_no_arguments_errors():
         main([])
 
 
-@pytest.mark.parametrize("argv", [
+JOBS_COMMANDS = pytest.mark.parametrize("argv", [
     ["run", "WL-9", "per_bank", *FAST],
     ["sweep", "--workloads", "WL-9", "--scenarios", "per_bank", *FAST],
     ["serve", "--no-cache"],
     ["experiments", "figure11", "--no-cache"],
 ], ids=["run", "sweep", "serve", "experiments"])
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_below_one_is_a_usage_error(argv, jobs, capsys):
+
+
+def _jobs_command(argv):
     from repro.experiments.__main__ import main as experiments_main
 
-    command, args = (
-        (experiments_main, argv[1:]) if argv[0] == "experiments" else (main, argv)
-    )
+    return (experiments_main, argv[1:]) if argv[0] == "experiments" else (main, argv)
+
+
+@JOBS_COMMANDS
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(argv, jobs, capsys):
+    command, args = _jobs_command(argv)
     with pytest.raises(SystemExit) as exc:
         command([*args, "--jobs", jobs])
     assert exc.value.code == 2
     assert "argument --jobs: must be at least 1" in capsys.readouterr().err
+
+
+@JOBS_COMMANDS
+@pytest.mark.parametrize("value", ["0", "-1", "four"])
+def test_a_repro_jobs_that_jobs_would_reject_is_a_usage_error(
+    argv, value, monkeypatch, capsys
+):
+    monkeypatch.setenv("REPRO_JOBS", value)
+    command, args = _jobs_command(argv)
+    with pytest.raises(SystemExit) as exc:
+        command(args)
+    assert exc.value.code == 2
+    assert (
+        f"REPRO_JOBS must be a whole number of at least 1, got {value!r}"
+        in capsys.readouterr().err
+    )
 
 
 def test_unknown_scenario_errors_via_subcommand():
@@ -185,6 +211,48 @@ def test_submit_ping_and_status(live_server, capsys):
 def test_submit_requires_a_target(live_server):
     with pytest.raises(SystemExit):
         main(["submit", "--port", str(live_server.port)])
+
+
+def test_serve_closes_its_metrics_socket_when_it_stops(monkeypatch, capsys):
+    """``serve --metrics-port`` stops the HTTP endpoint with the service:
+    once ``serve`` returns, its listening socket is closed and a new
+    connection to that port is refused."""
+    from repro.service import metrics
+    from repro.service.client import ServiceClient
+
+    # Hold on to the endpoint, so its socket outlives the serve call
+    # unless serve closes it.
+    started = []
+    start = metrics.start_metrics_http
+
+    def start_and_keep(*args, **kwargs):
+        started.append(start(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(metrics, "start_metrics_http", start_and_keep)
+    exit_codes = []
+    thread = threading.Thread(target=lambda: exit_codes.append(main([
+        "serve", "--port", "0", "--metrics-port", "0", "--no-cache", "--jobs", "1",
+    ])))
+    thread.start()
+    out, deadline = "", time.monotonic() + 60
+    while "listening" not in out and time.monotonic() < deadline:
+        out += capsys.readouterr().out
+        time.sleep(0.01)
+    port, metrics_port = map(int, re.search(
+        r"listening on [^ ]+:(\d+) .*metrics on :(\d+)", out
+    ).groups())
+    with urllib.request.urlopen(
+        f"http://127.0.0.1:{metrics_port}/metrics", timeout=10
+    ) as resp:
+        assert resp.status == 200
+    with ServiceClient(port=port) as client:
+        client.shutdown()
+    thread.join(timeout=60)
+    assert exit_codes == [0]
+    assert [server.socket.fileno() for server in started] == [-1]
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", metrics_port), timeout=10).close()
 
 
 def test_submit_unreachable_server_exits_one(capsys):

@@ -11,7 +11,7 @@ from repro.dram.address import AddressMapping
 from repro.dram.controller import MemoryController
 from repro.dram.timing import DramTiming
 from repro.os.task import Task
-from repro.workloads.benchmark import MemAccess
+from repro.workloads.generator import MemAccess
 
 
 class ScriptedWorkload:

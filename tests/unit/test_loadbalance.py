@@ -15,7 +15,7 @@ from repro.dram.timing import DramTiming
 from repro.os.loadbalance import LoadBalancer
 from repro.os.scheduler import CfsScheduler
 from repro.os.task import Task
-from repro.workloads.benchmark import MemAccess
+from repro.workloads.generator import MemAccess
 
 
 class ComputeWorkload:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import api
-from repro.dram.power import DramEnergyParams, EnergyBreakdown
+from repro.core.results import EnergyBreakdown
+from repro.dram.power import DramEnergyParams
 
 FAST = dict(num_windows=0.5, warmup_windows=0.1, refresh_scale=512)
 

@@ -16,7 +16,7 @@ from repro.dram.timing import DramTiming
 from repro.errors import SchedulerError
 from repro.os.refresh_aware import RefreshAwareScheduler
 from repro.os.task import Task
-from repro.workloads.benchmark import MemAccess
+from repro.workloads.generator import MemAccess
 
 
 class ComputeWorkload:

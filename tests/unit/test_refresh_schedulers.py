@@ -3,8 +3,10 @@
 import pytest
 
 from repro.config.dram_configs import DramOrganization
+from repro.config.scenarios import SCENARIOS, Scenario
 from repro.config.system_configs import default_system_config
 from repro.core.engine import Engine
+from repro.core.simulator import make_run_spec, run_spec
 from repro.dram.address import AddressMapping
 from repro.dram.controller import MemoryController
 from repro.dram.refresh import (
@@ -13,6 +15,8 @@ from repro.dram.refresh import (
     make_scheduler,
 )
 from repro.dram.refresh.adaptive import AdaptiveRefresh
+from repro.dram.refresh.base import RefreshScheduler
+from repro.dram.refresh.per_bank_rr import PerBankRoundRobin
 from repro.dram.timing import DramTiming
 from repro.errors import ConfigError
 
@@ -42,6 +46,39 @@ def test_registry_contents():
 def test_unknown_policy_suggests_close_match():
     with pytest.raises(ConfigError, match="did you mean 'same_bank'"):
         make_scheduler("samebank")
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_each_builtin_policy_names_the_scheduler_it_builds(name):
+    module, _, cls = REGISTRY[name].rpartition(".")
+    scheduler = make_scheduler(name)
+    assert isinstance(scheduler, RefreshScheduler)
+    assert (type(scheduler).__module__, type(scheduler).__name__) == (module, cls)
+    assert make_scheduler(name) is not scheduler
+
+
+def test_a_registered_scheduler_class_runs_a_spec_end_to_end(monkeypatch):
+    """A class assigned to ``REGISTRY``, with a scenario added to
+    ``SCENARIOS``, as ``examples/custom_refresh_policy.py`` does."""
+    built = []
+
+    class RecordingRoundRobin(PerBankRoundRobin):
+        name = "recording"
+
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setitem(REGISTRY, "recording", RecordingRoundRobin)
+    monkeypatch.setitem(SCENARIOS, "recording", Scenario("recording", "recording"))
+    fast = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
+    result = run_spec(make_run_spec("WL-9", "recording", **fast))
+    reference = run_spec(make_run_spec("WL-9", "per_bank", **fast))
+    assert [type(s) for s in built] == [RecordingRoundRobin]
+    assert result.scenario == "recording"
+    assert result.refresh_commands == built[0].stats.commands_issued > 0
+    assert result.refresh_commands == reference.refresh_commands
+    assert result.hmean_ipc == reference.hmean_ipc
 
 
 class TestNoRefresh:

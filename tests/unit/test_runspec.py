@@ -13,7 +13,7 @@ from repro.core.results import RunResult, TaskResult
 from repro.core.runspec import RunSpec
 from repro.core.simulator import make_run_spec, run_spec
 from repro.core.system import SCENARIOS, Scenario
-from repro.dram.power import EnergyBreakdown
+from repro.core.results import EnergyBreakdown
 from repro.errors import ConfigError
 from repro.os.partition import PartitionPolicy
 from repro.serialize import (

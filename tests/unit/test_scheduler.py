@@ -15,7 +15,7 @@ from repro.dram.timing import DramTiming
 from repro.errors import SchedulerError
 from repro.os.scheduler import CfsScheduler
 from repro.os.task import Task
-from repro.workloads.benchmark import MemAccess
+from repro.workloads.generator import MemAccess
 
 
 class ComputeWorkload:
