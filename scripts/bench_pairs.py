@@ -9,12 +9,13 @@ host's speed over the session falls on both sides alike.
 Usage::
 
     python scripts/bench_pairs.py PARENT CHANGE --workload wl6_codesign_long \\
-        --seeds 1,2 --pairs 10 --seconds 30
+        --seeds 1,2 --pairs 10
 
 Each run is the benchmark's declared command (``command`` in the
 change's ``BENCHMARK.json``) with ``--workload W --seed S --seconds N
---trace 0``, started in the tree's root with ``PYTHONDONTWRITEBYTECODE=1``,
-so every run compiles the simulator from source.  The script refuses to
+--trace 0``, N being the file's ``run_seconds``, started in the tree's
+root with ``PYTHONDONTWRITEBYTECODE=1``, so every run compiles the
+simulator from source.  The script refuses to
 start while either tree holds a ``__pycache__`` under ``src/``: a stale
 one in a single tree skips that tree's compile and skews every set-up
 reading.
@@ -66,11 +67,11 @@ def _value(v: float) -> str:
 
 
 def run_once(command: list[str], tree: Path, workload: str, seed: int,
-             seconds: int) -> dict:
+             seconds: str) -> dict:
     """One benchmark run in *tree*; its last output line, parsed."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", seconds, "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -80,7 +81,7 @@ def run_once(command: list[str], tree: Path, workload: str, seed: int,
 
 
 def run_pairs(trees: dict[str, Path], command: list[str], workload: str,
-              seed: int, pairs: int, seconds: int) -> dict:
+              seed: int, pairs: int, seconds: str) -> dict:
     """*pairs* alternated runs of each side at one seed: ``{side: [result,
     ...]}`` in pair order, results as ``perfbench/run.py`` prints them."""
     runs: dict[str, list] = {side: [] for side in trees}
@@ -172,7 +173,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="1",
                         help="comma-separated seeds, each run in its own pairs")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
               "(odd pairs run the parent first)", flush=True)
         try:
             runs = run_pairs(trees, benchmark["command"], args.workload, seed,
-                             args.pairs, args.seconds)
+                             args.pairs, str(benchmark["run_seconds"]))
         except RunFailed as exc:
             print(f"FAILED {exc}", file=sys.stderr)
             return 1

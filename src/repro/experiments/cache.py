@@ -30,10 +30,12 @@ so the result comes first)::
 * Eviction: none automatic.  Entries are small (a few KB); deleting the
   cache directory (or any subset of it) at any time is always safe.
 
-The sweep runner and the sweep service both read their defaults here:
-the cache root (:func:`default_cache_dir`) and the worker count
-(:func:`default_jobs`), so serving needs neither the runner nor the
-simulation kernel.
+Two defaults live here, so that reading them needs neither the runner
+nor the simulation kernel: the cache root (:func:`default_cache_dir`),
+which every :class:`ResultCache` opened without a root uses, and the
+worker count (:func:`default_jobs`), which ``SweepRunner`` and the
+``run``, ``sweep``, ``serve`` and ``python -m repro.experiments``
+commands read.
 """
 
 from __future__ import annotations

@@ -67,7 +67,9 @@ NOT_ON_SETUP_PATH = (
     "repro.core.system",
     "repro.core.engine",
     "repro.core.state",
+    "repro.cpu",
     "repro.cpu.core",
+    "repro.os",
     "repro.dram.address",
     "repro.dram.controller",
     "repro.dram.bank",
@@ -159,9 +161,11 @@ def _fresh(code: str) -> str:
 
 
 def _loaded(modules, names) -> list[str]:
+    """The *modules* among *names*, in the CPU or OS layer, or in the
+    refresh package below its table of names."""
     return sorted(
         m for m in modules
-        if m in names or m.startswith(("repro.cpu.", "repro.os."))
+        if m in names or m.startswith(("repro.cpu.", "repro.os.", "repro.dram.refresh."))
     )
 
 
@@ -220,24 +224,40 @@ print(" ".join(sorted(sys.modules)))
     assert _loaded(modules, NOT_ON_SETUP_PATH) == []
 
 
-def test_the_submit_command_loads_neither_the_kernel_nor_the_server():
-    """``python -m repro submit --ping`` to a closed port, under
-    ``-X importtime`` as the CI ``service`` job runs it."""
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
+@pytest.mark.parametrize("live", [False, True], ids=["closed_port", "live_server"])
+def test_the_submit_command_loads_neither_the_kernel_nor_the_server(live, tmp_path):
+    """``python -m repro submit --ping`` under ``-X importtime``, to a
+    closed port and to a live server.  The CI ``service`` job runs this
+    test as its client-import check, so this file keeps the one list."""
+    if live:
+        service = repro.service.SweepService(cache_dir=tmp_path / "cache")
+        server, thread = repro.service.serve_in_thread(service)
+        port = server.port
+    else:
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
     )
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "repro", "submit", "--ping",
-         "--port", str(port)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 1, done.stderr
-    assert "cannot reach repro service" in done.stderr
+    try:
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "submit", "--ping",
+             "--port", str(port)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+    finally:
+        if live:
+            server.stop()
+            thread.join(timeout=10)
+    if live:
+        assert done.returncode == 0, done.stderr
+        assert '"pong"' in done.stdout
+    else:
+        assert done.returncode == 1, done.stderr
+        assert "cannot reach repro service" in done.stderr
     modules = [
         line.rsplit("|", 1)[1].strip()
         for line in done.stderr.splitlines()

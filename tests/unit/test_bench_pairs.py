@@ -54,7 +54,8 @@ def trees(tmp_path):
         (tree / "src" / "repro").mkdir(parents=True)
         (tree / "result.json").write_text(json.dumps({"setup_s": setup_s}))
         (tree / "BENCHMARK.json").write_text(json.dumps({
-            "command": [sys.executable, str(stub)], "end_to_end": END_TO_END,
+            "command": [sys.executable, str(stub)], "run_seconds": 5,
+            "end_to_end": END_TO_END,
         }))
         out[side] = tree
     return out
@@ -70,7 +71,7 @@ def _runs(tmp_path) -> list:
 def _main(trees, *extra) -> int:
     return bench_pairs.main([
         str(trees["parent"]), str(trees["change"]), "--workload", "wl6_codesign_long",
-        "--seconds", "5", *extra,
+        *extra,
     ])
 
 
