@@ -25,9 +25,10 @@ both sides' medians with quartiles, the change of the median, the pairs
 the change won (ties count for neither), and a verdict against the
 metric's bound:
 
-* ``gain``: the change won at least nine tenths of the pairs and its
-  median beats the parent's by more than the parent's interquartile
-  range;
+* ``gain``: over at least ten pairs, the change won at least nine
+  tenths of them and its median beats the parent's by more than the
+  parent's interquartile range (with fewer pairs such a win reads
+  ``unresolved``: one pair's range is 0, so any win would count);
 * ``WORSE``: the change's median is worse than the parent's by more
   than the bound;
 * ``unresolved``: neither, and the parent's interquartile range is
@@ -51,6 +52,8 @@ from pathlib import Path
 
 #: Share of the pairs the change must win for a gain.
 WIN_SHARE = 0.9
+#: Fewest pairs that can show a gain.
+MIN_PAIRS = 10
 
 
 class RunFailed(Exception):
@@ -118,7 +121,7 @@ def compare(parent: list[float], change: list[float], better: str,
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     delta = (c_median - p_median) / p_median if p_median else 0.0
     if won >= WIN_SHARE * len(parent) and sign * (c_median - p_median) > p3 - p1:
-        verdict = "gain"
+        verdict = "gain" if len(parent) >= MIN_PAIRS else "unresolved"
     elif -sign * delta > bound:
         verdict = "WORSE"
     elif p_median and (p3 - p1) / abs(p_median) > bound:
@@ -188,8 +191,10 @@ def main(argv: list[str] | None = None) -> int:
 
     failed = []
     for seed in seeds:
+        few = (f"; a win over fewer than {MIN_PAIRS} pairs reads unresolved"
+               if args.pairs < MIN_PAIRS else "")
         print(f"{args.workload} seed {seed}: {args.pairs} pairs "
-              "(odd pairs run the parent first)", flush=True)
+              f"(odd pairs run the parent first{few})", flush=True)
         try:
             runs = run_pairs(trees, benchmark["command"], args.workload, seed,
                              args.pairs, str(benchmark["run_seconds"]))

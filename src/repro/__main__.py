@@ -46,6 +46,7 @@ Exit codes with ``--monitors``: 0 clean, 1 violations collected,
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -620,22 +621,14 @@ def _cmd_serve(args) -> int:
         log=log,
         span_sink=span_sink,
     )
+    port = args.port if args.port is not None else DEFAULT_PORT
     metrics_server = None
-    if args.metrics_port is not None:
-        from repro.service.metrics import start_metrics_http
-
-        metrics_server = start_metrics_http(
-            service.metrics,
-            service.counters,
-            info={
-                "backend": service.backend,
-                "caching": str(service.cache is not None).lower(),
-            },
-            host=args.host,
-            port=args.metrics_port,
-        )
+    # The port whose bind comes next; None once the service listens.
+    binding = args.metrics_port
 
     def ready(server) -> None:
+        nonlocal binding
+        binding = None
         exposition = (
             f", metrics on :{metrics_server.server_address[1]}"
             if metrics_server is not None
@@ -649,11 +642,32 @@ def _cmd_serve(args) -> int:
             flush=True,
         )
 
-    port = args.port if args.port is not None else DEFAULT_PORT
     try:
+        if args.metrics_port is not None:
+            from repro.service.metrics import start_metrics_http
+
+            metrics_server = start_metrics_http(
+                service.metrics,
+                service.counters,
+                info={
+                    "backend": service.backend,
+                    "caching": str(service.cache is not None).lower(),
+                },
+                host=args.host,
+                port=args.metrics_port,
+            )
+        binding = port
         serve_forever(service, args.host, port, on_ready=ready)
     except KeyboardInterrupt:
         pass
+    except OSError as exc:
+        if binding is None:
+            raise
+        # asyncio rewraps a bind error with the address in its text; the
+        # errno's own message reads the same for both servers.
+        reason = os.strerror(exc.errno) if (exc.errno or 0) > 0 else exc
+        print(f"cannot serve on {args.host}:{binding}: {reason}", file=sys.stderr)
+        return 1
     finally:
         if metrics_server is not None:
             metrics_server.shutdown()

@@ -17,13 +17,16 @@ Hot-path design (see docs/PERFORMANCE.md):
   touches the dict or heap at all.  Invariants: every scheduled time has
   exactly one non-empty bucket; ``_times`` holds exactly the keys of
   ``_buckets``; ``_head_time`` is smaller than every heap time.
-* **Entries are plain values.**  :meth:`Engine.schedule` and
-  :meth:`Engine.schedule_at` store the callback itself in the bucket, or
-  the tuple ``(fn, arg)`` when it carries an argument, and return
-  ``None``.  The drain loop tells the two entry kinds apart by class: a
-  tuple fires as ``fn(arg)``, anything else is called bare.  A 2-tuple is
-  built at C level and dropped after it fires, so no wrapper object is
-  allocated, recycled or reset.
+* **One insert branch; entries are plain values.**
+  :meth:`Engine.schedule` checks its delay and calls
+  :meth:`Engine.schedule_at` with ``now + delay``, so one branch inserts
+  every entry (the hot callers, the cores and the memory controller,
+  compute absolute times and call ``schedule_at`` directly).  It stores the
+  callback itself in the bucket, or the tuple ``(fn, arg)`` when it
+  carries an argument, and returns ``None``.  The drain loop tells the
+  two entry kinds apart by class: a tuple fires as ``fn(arg)``, anything
+  else is called bare.  A 2-tuple is built at C level and dropped after
+  it fires, so no wrapper object is allocated, recycled or reset.
 * **One drain loop.**  :meth:`Engine.run` and :meth:`Engine.run_until`
   share :meth:`Engine._drain`, which differs between them only in the
   per-bucket horizon test.  An installed dispatch profiler is a branch
@@ -118,18 +121,22 @@ class Engine(Stateful):
         allocating a closure per event; the bucket stores the tuple
         ``(fn, arg)``.
         """
-        # The insert branch is inlined (as in schedule_at): this is the
-        # hottest function in the simulator and a second call frame is
-        # measurable.
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self.now + delay
+        self.schedule_at(self.now + delay, fn, arg)
+
+    def schedule_at(self, time: int, fn: Callable, arg: Any = None) -> None:
+        """Schedule *fn* to run at absolute *time* (see :meth:`schedule`)."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time}, current time is {self.now}"
+            )
         if time.__class__ is not int:
-            # Match schedule_at's int() coercion: float delays must not
-            # mint float bucket keys (5.000001 != 5 would split a bucket
-            # and change ordering between otherwise identical runs).  The
-            # class check is ~5x cheaper than an unconditional int() on
-            # this, the hottest line in the simulator.
+            # Float times must not mint float bucket keys (5.000001 != 5
+            # would split a bucket and change ordering between otherwise
+            # identical runs).  The class check is ~5x cheaper than an
+            # unconditional int() on this, the hottest call in the
+            # simulator.
             time = int(time)
         if arg is not None:
             fn = (fn, arg)
@@ -157,48 +164,6 @@ class Engine(Stateful):
                 bucket.append(fn)
         else:
             # New earliest time: demote the head bucket into the calendar.
-            self._buckets[head_time] = self._head
-            heappush(self._times, head_time)  # repro: noqa[RPR004] int keys are totally ordered; ties merge into one bucket
-            self._head = [fn]
-            self._head_time = time
-
-    def schedule_at(self, time: int, fn: Callable, arg: Any = None) -> None:
-        """Schedule *fn* to run at absolute *time*."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time}, current time is {self.now}"
-            )
-        if time.__class__ is not int:
-            # Same float-key guard as schedule(); see the comment there.
-            time = int(time)
-        if arg is not None:
-            fn = (fn, arg)
-        # Same insert branch as schedule(), inlined: schedule_at is the
-        # controller hot path's scheduling call and a second frame is
-        # measurable.
-        head_time = self._head_time
-        if head_time is None:
-            times = self._times
-            if not times or time < times[0]:
-                self._head_time = time
-                self._head.append(fn)
-            else:
-                bucket = self._buckets.get(time)
-                if bucket is None:
-                    self._buckets[time] = [fn]
-                    heappush(times, time)  # repro: noqa[RPR004] int keys are totally ordered; ties merge into one bucket
-                else:
-                    bucket.append(fn)
-        elif time == head_time:
-            self._head.append(fn)
-        elif time > head_time:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [fn]
-                heappush(self._times, time)  # repro: noqa[RPR004] int keys are totally ordered; ties merge into one bucket
-            else:
-                bucket.append(fn)
-        else:
             self._buckets[head_time] = self._head
             heappush(self._times, head_time)  # repro: noqa[RPR004] int keys are totally ordered; ties merge into one bucket
             self._head = [fn]

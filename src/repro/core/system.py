@@ -143,8 +143,6 @@ class System:
             self.timing,
             config.organization,
             self.mapping,
-            read_queue_depth=config.read_queue_depth,
-            write_queue_depth=config.write_queue_depth,
             write_drain_low=config.write_drain_low,
             write_drain_high=config.write_drain_high,
             row_policy=config.row_policy,

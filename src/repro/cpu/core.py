@@ -150,7 +150,7 @@ class Core(Stateful):
         # bound-method allocation per scheduled issue or issued read.
         self._decode = controller.mapping.address_to_coordinate
         self._enqueue = controller.enqueue
-        self._schedule = engine.schedule
+        self._schedule_at = engine.schedule_at
         self._issue = self._issue
         self._on_read_complete = self._on_read_complete
 
@@ -255,7 +255,7 @@ class Core(Stateful):
         self._pending_gap_start = now + offset - gap
         self._pending_gap_cycles = gap
         self._pending_instructions = access.instructions
-        self._schedule(offset, self._issue, (self._epoch, access))
+        self._schedule_at(now + offset, self._issue, (self._epoch, access))
 
     def sync_accounting(self, now: Optional[int] = None) -> None:
         """Credit fully-elapsed fast-forward chain gaps up to *now*.

@@ -27,9 +27,9 @@ class DramCoordinate(NamedTuple):
     """A fully decoded DRAM location.
 
     A NamedTuple rather than a dataclass: the controller decodes one of
-    these per memory access, and C-level tuple construction keeps that
-    path cheap.  Immutable, ordered, hashable — same contract as the
-    frozen dataclass it replaced.
+    these per memory access, and building a tuple is cheaper than
+    initialising a dataclass.  Immutable, ordered, hashable — same
+    contract as the frozen dataclass it replaced.
     """
 
     channel: int
@@ -45,9 +45,9 @@ class DramCoordinate(NamedTuple):
 
 
 #: Module-level binding of the coordinate constructor used per access
-#: (see address_to_coordinate).  ``namedtuple._make`` is a Python
-#: classmethod, ``tuple.__new__`` plus a length check (CPython 3.10-3.12),
-#: so each call still runs one Python frame.
+#: and per frame decode.  ``namedtuple._make`` is a Python classmethod,
+#: ``tuple.__new__`` plus a length check (CPython 3.10-3.12), so each
+#: call still runs one Python frame.
 _coord_make = DramCoordinate._make
 
 
@@ -93,40 +93,17 @@ class AddressMapping:
         )
         self.page_bytes = organization.row_size_bytes
         self.total_bytes = self.total_frames * self.page_bytes
-        # -- decode acceleration (pure precomputation; no semantic change) --
-        # Per-layout divisor chain, unrolled into a parallel tuple so the
-        # decode loop needs no dict lookups.
-        self._field_chain = tuple(
-            (field, self._field_sizes[field]) for field in self._fields
-        )
-        # All-power-of-two field sizes (every real organization): decode a
-        # frame with four shift/mask pairs instead of the divmod loop.
-        # Stored flat, in channel/rank/bank/row order.
-        sizes = [self._field_sizes[field] for field in self._fields]
-        if all(size & (size - 1) == 0 for size in sizes):
-            shift = 0
-            by_field = {}
-            for field, size in self._field_chain:
-                by_field[field] = (shift, size - 1)
-                shift += size.bit_length() - 1
-            self._decode_shifts: tuple[int, ...] | None = (
-                *by_field["channel"],
-                *by_field["rank"],
-                *by_field["bank"],
-                *by_field["row"],
-            )
-        else:  # pragma: no cover - exotic configs keep the divmod path
-            self._decode_shifts = None
-        # (divisor, size) of the channel, rank and bank fields in the
-        # layout's mixed radix, for frame_to_bank_index.  Valid for every
-        # field size, so non-power-of-two row counts (24 Gb) need no
-        # fallback.
+        # (divisor, size) of the channel, rank, bank and row fields in the
+        # layout's mixed radix: field f of a frame is ``frame // d_f % s_f``.
         divisor = 1
         radix = {}
-        for field, size in self._field_chain:
+        for field in self._fields:
+            size = self._field_sizes[field]
             radix[field] = (divisor, size)
             divisor *= size
-        self._bank_radix = (*radix["channel"], *radix["rank"], *radix["bank"])
+        self._radix = (
+            *radix["channel"], *radix["rank"], *radix["bank"], *radix["row"]
+        )
         # Frame -> (channel, rank, bank, row) memo; frames repeat heavily
         # within a run (every access to a page hits the same frame).
         self._frame_cache: dict[int, DramCoordinate] = {}
@@ -163,30 +140,11 @@ class AddressMapping:
             raise AddressMapError(
                 f"frame {frame} out of range [0, {self.total_frames})"
             )
-        shifts = self._decode_shifts
-        if shifts is not None:
-            cs, cm, rs, rm, bs, bm, ws, wm = shifts
-            coord = DramCoordinate._make(
-                (
-                    (frame >> cs) & cm,
-                    (frame >> rs) & rm,
-                    (frame >> bs) & bm,
-                    (frame >> ws) & wm,
-                    0,
-                )
-            )
-        else:  # pragma: no cover - exotic configs keep the divmod path
-            values = {}
-            rest = frame
-            for field, size in self._field_chain:
-                rest, values[field] = divmod(rest, size)
-            coord = DramCoordinate(
-                channel=values["channel"],
-                rank=values["rank"],
-                bank=values["bank"],
-                row=values["row"],
-                column=0,
-            )
+        cd, channels, rd, ranks, bd, banks, wd, rows = self._radix
+        coord = _coord_make(
+            (frame // cd % channels, frame // rd % ranks, frame // bd % banks,
+             frame // wd % rows, 0)
+        )
         cache = self._frame_cache
         if len(cache) >= _FRAME_CACHE_MAX:
             cache.clear()
@@ -218,7 +176,7 @@ class AddressMapping:
             raise AddressMapError(
                 f"frame {frame} out of range [0, {self.total_frames})"
             )
-        cd, channels, rd, ranks, bd, banks = self._bank_radix
+        cd, channels, rd, ranks, bd, banks, _, _ = self._radix
         return (
             frame // cd % channels * ranks + frame // rd % ranks
         ) * banks + frame // bd % banks

@@ -120,8 +120,6 @@ class MemoryController(Stateful):
         timing: DramTiming,
         organization: DramOrganization,
         mapping: AddressMapping,
-        read_queue_depth: int = 64,
-        write_queue_depth: int = 64,
         write_drain_low: int = 32,
         write_drain_high: int = 54,
         row_policy: str = "open",
@@ -134,8 +132,6 @@ class MemoryController(Stateful):
         self.timing = timing
         self.org = organization
         self.mapping = mapping
-        self.read_queue_depth = read_queue_depth
-        self.write_queue_depth = write_queue_depth
         self.write_drain_low = write_drain_low
         self.write_drain_high = write_drain_high
         self.row_policy = row_policy
@@ -261,12 +257,6 @@ class MemoryController(Stateful):
 
     # -- admission ---------------------------------------------------------------
 
-    def can_accept_read(self) -> bool:
-        return self.read_count < self.read_queue_depth
-
-    def can_accept_write(self) -> bool:
-        return self.write_count < self.write_queue_depth
-
     def enqueue(self, request: MemoryRequest) -> None:
         """Accept a request into its bank queue and kick the bank."""
         coord = request.coord
@@ -328,7 +318,7 @@ class MemoryController(Stateful):
             # The whole bank is blocked: its next pick waits for the end.
             # A subarray refresh leaves the pick alone; the pick delays
             # (and charges) only a request into the refreshing subarray.
-            self._kick(flat, at=end)
+            self._kick(flat, end)
         return end
 
     def refresh_rank(self, channel: int, rank: int, trfc: int) -> int:
@@ -356,7 +346,7 @@ class MemoryController(Stateful):
         self._kick_rank(base, end)
         return end
 
-    # -- introspection (used by OOO refresh and AR) --------------------------------
+    # -- introspection (used by the refresh schedulers) ----------------------------
 
     def queued_requests_per_bank(self) -> list[int]:
         """Read+write occupancy per flat bank index.
@@ -367,18 +357,15 @@ class MemoryController(Stateful):
         """
         return self._occupancy
 
-    def bus_for_channel(self, channel: int) -> ChannelBus:
-        return self.buses[channel]
-
     # -- scheduling ------------------------------------------------------------------
 
-    def _kick(self, flat: int, at: Optional[int] = None) -> None:
-        """Ensure a pick event is pending for bank *flat*."""
+    def _kick(self, flat: int, at: int) -> None:
+        """Ensure a pick event is pending for bank *flat*, at *at* or now,
+        whichever is later."""
         if self._pick_pending[flat]:
             return
         self._pick_pending[flat] = True
-        now = self.engine.now
-        when = now if at is None else max(at, now)
+        when = max(at, self.engine.now)
         self.engine.schedule_at(when, self._pick, flat)
 
     def _kick_rank(self, base: int, end: int) -> None:

@@ -43,19 +43,19 @@ class AdaptiveRefresh(RefreshScheduler):
         self.mode_switches = 0
 
     def start(self) -> None:
-        mc = self.controller
-        trefi = self.timing.trefi_ab
-        for channel in range(mc.org.channels):
-            for rank in range(mc.org.ranks_per_channel):
-                offset = rank * trefi // mc.org.ranks_per_channel
-                self._schedule_rank(channel, rank, offset)
-        self.engine.schedule(trefi * self.decision_intervals, self._decide)
+        for channel, rank, offset in self._rank_stagger():
+            # Bound method + arg tuple (not a closure) so the queued event
+            # can be captured as a checkpoint descriptor.
+            self.engine.schedule(offset, self._fire_rank, (channel, rank))
+        self.engine.schedule(
+            self.timing.trefi_ab * self.decision_intervals, self._decide
+        )
 
     # -- mode adaptation ---------------------------------------------------------
 
     def _decide(self) -> None:
         now = self.engine.now
-        bus = self.controller.bus_for_channel(0)
+        bus = self.controller.buses[0]
         elapsed = max(1, now - self._last_decision_time)
         busy = bus.busy_cycles - self._last_busy_cycles
         utilization = busy / elapsed
@@ -79,17 +79,9 @@ class AdaptiveRefresh(RefreshScheduler):
     def _trfc(self) -> int:
         return max(1, round(self.timing.trfc_ab / self._mode.trfc_divisor))
 
-    def _schedule_rank(self, channel: int, rank: int, at: int) -> None:
-        # Bound method + arg tuple (not a closure) so the queued event can
-        # be captured as a checkpoint descriptor.
-        self.engine.schedule(at, self._fire_rank, (channel, rank))
-
     def _fire_rank(self, key: tuple[int, int]) -> None:
         channel, rank = key
-        mode = self._mode
         self.controller.refresh_rank(channel, rank, self._trfc())
-        base_flat = self.controller.mapping.flat_bank_index(channel, rank, 0)
-        units = 1.0 / mode.trefi_divisor
-        for bank in range(self.controller.org.banks_per_rank):
-            self.stats.record(base_flat + bank, row_units=units)
-        self._schedule_rank(channel, rank, self._trefi())
+        units = 1.0 / self._mode.trefi_divisor
+        self._record_rank(self._rank_banks(channel, rank), units)
+        self.engine.schedule(self._trefi(), self._fire_rank, key)

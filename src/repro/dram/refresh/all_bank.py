@@ -30,22 +30,15 @@ class AllBankRefresh(RefreshScheduler):
 
     def start(self) -> None:
         mc = self.controller
-        trefi = self.timing.trefi_ab
-        self._trefi = trefi
+        self._trefi = self.timing.trefi_ab
         self._trfc = self.timing.trfc_ab
         self._banks_per_rank = mc.org.banks_per_rank
-        for channel in range(mc.org.channels):
-            for rank in range(mc.org.ranks_per_channel):
-                offset = rank * trefi // mc.org.ranks_per_channel
-                base_flat = mc.mapping.flat_bank_index(channel, rank, 0)
-                self.engine.schedule(
-                    offset, self._fire, (channel, rank, base_flat)
-                )
+        for channel, rank, offset in self._rank_stagger():
+            base_flat = mc.mapping.flat_bank_index(channel, rank, 0)
+            self.engine.schedule(offset, self._fire, (channel, rank, base_flat))
 
     def _fire(self, ctx: tuple[int, int, int]) -> None:
         channel, rank, base_flat = ctx
         self.controller.refresh_rank(channel, rank, self._trfc)
-        record = self.stats.record
-        for bank in range(self._banks_per_rank):
-            record(base_flat + bank, row_units=1.0)
+        self._record_rank(range(base_flat, base_flat + self._banks_per_rank))
         self.engine.schedule(self._trefi, self._fire, ctx)

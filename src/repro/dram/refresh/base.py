@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.state import Stateful, record
 from repro.telemetry.hub import Telemetry
@@ -79,6 +79,39 @@ class RefreshScheduler(Stateful):
         events and starts the new policy mid-run instead.
         """
         raise NotImplementedError
+
+    # -- rank-level refresh (all_bank, adaptive, elastic, pausing) ------------
+
+    def _rank_stagger(self) -> Iterator[tuple[int, int, int]]:
+        """``(channel, rank, offset)`` of every rank in flat order, rank *r*
+        of a channel starting ``r * tREFI_ab / ranks`` cycles from now
+        (Figure 2a)."""
+        org = self.controller.org
+        trefi = self.timing.trefi_ab
+        ranks = org.ranks_per_channel
+        for channel in range(org.channels):
+            for rank in range(ranks):
+                yield channel, rank, rank * trefi // ranks
+
+    def _rank_banks(self, channel: int, rank: int) -> range:
+        """Flat indices of the banks of one rank."""
+        base = self.controller.mapping.flat_bank_index(channel, rank, 0)
+        return range(base, base + self.controller.org.banks_per_rank)
+
+    def _record_rank(self, banks: range, row_units: float = 1.0) -> None:
+        """Count one row group refreshed in every bank of *banks*."""
+        record = self.stats.record
+        for flat in banks:
+            record(flat, row_units)
+
+    def _rank_busy(self, banks: range) -> bool:
+        """True when any bank of *banks* has a queued request; the scan
+        stops at the first such bank."""
+        queued = self.controller.queued_requests_per_bank()
+        for flat in banks:
+            if queued[flat]:
+                return True
+        return False
 
     # -- OS-visible schedule (co-design hardware/software interface) ---------
 

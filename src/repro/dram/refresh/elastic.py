@@ -38,15 +38,11 @@ class ElasticRefresh(RefreshScheduler):
         self.idle_refreshes = 0
 
     def start(self) -> None:
-        mc = self.controller
-        trefi = self.timing.trefi_ab
-        for channel in range(mc.org.channels):
-            for rank in range(mc.org.ranks_per_channel):
-                key = (channel, rank)
-                self._debt[key] = 0
-                offset = rank * trefi // mc.org.ranks_per_channel
-                self.engine.schedule(offset, self._accrue, key)
-                self.engine.schedule(offset, self._poll, key)
+        for channel, rank, offset in self._rank_stagger():
+            key = (channel, rank)
+            self._debt[key] = 0
+            self.engine.schedule(offset, self._accrue, key)
+            self.engine.schedule(offset, self._poll, key)
 
     # -- debt accrual: one obligation per tREFI -------------------------------
 
@@ -63,27 +59,15 @@ class ElasticRefresh(RefreshScheduler):
     # -- idle detection ---------------------------------------------------------
 
     def _poll(self, key: tuple[int, int]) -> None:
-        if self._debt[key] > 0 and self._rank_idle(key):
+        if self._debt[key] > 0 and not self._rank_busy(self._rank_banks(*key)):
             self._issue(key)
             self.idle_refreshes += 1
         self.engine.schedule(
             self.timing.trefi_ab // self.CHECK_DIVISOR, self._poll, key
         )
 
-    def _rank_idle(self, key: tuple[int, int]) -> bool:
-        channel, rank = key
-        mc = self.controller
-        queued = mc.queued_requests_per_bank()
-        base = mc.mapping.flat_bank_index(channel, rank, 0)
-        return all(
-            queued[base + bank] == 0 for bank in range(mc.org.banks_per_rank)
-        )
-
     def _issue(self, key: tuple[int, int]) -> None:
         channel, rank = key
-        mc = self.controller
-        mc.refresh_rank(channel, rank, self.timing.trfc_ab)
-        base = mc.mapping.flat_bank_index(channel, rank, 0)
-        for bank in range(mc.org.banks_per_rank):
-            self.stats.record(base + bank, row_units=1.0)
+        self.controller.refresh_rank(channel, rank, self.timing.trfc_ab)
+        self._record_rank(self._rank_banks(channel, rank))
         self._debt[key] -= 1

@@ -33,14 +33,8 @@ class RefreshPausing(RefreshScheduler):
         self.forced_completions = 0
 
     def start(self) -> None:
-        mc = self.controller
-        trefi = self.timing.trefi_ab
-        for channel in range(mc.org.channels):
-            for rank in range(mc.org.ranks_per_channel):
-                offset = rank * trefi // mc.org.ranks_per_channel
-                self.engine.schedule(
-                    offset, self._begin_command, (channel, rank)
-                )
+        for channel, rank, offset in self._rank_stagger():
+            self.engine.schedule(offset, self._begin_command, (channel, rank))
 
     def _begin_command(self, key: tuple[int, int]) -> None:
         # Bound method + arg tuple (not a closure) so the queued event can
@@ -53,23 +47,21 @@ class RefreshPausing(RefreshScheduler):
     def _run_segments(self, ctx: tuple[int, int, int, int]) -> None:
         channel, rank, remaining, deadline = ctx
         if remaining == 0:
-            base = self.controller.mapping.flat_bank_index(channel, rank, 0)
-            for bank in range(self.controller.org.banks_per_rank):
-                self.stats.record(base + bank, row_units=1.0)
+            self._record_rank(self._rank_banks(channel, rank))
             return
         segment = max(1, self.timing.trfc_ab // self.SEGMENTS)
         now = self.engine.now
         # Forced completion: the rest must fit before the deadline.
         must_finish_by = deadline - remaining * segment
         if now >= must_finish_by:
-            if remaining == self.SEGMENTS:
-                pass  # command never got to pause
             self.forced_completions += 1
             for _ in range(remaining):
                 self.controller.refresh_rank(channel, rank, segment)
             self._run_segments((channel, rank, 0, deadline))
             return
-        if self._rank_has_demand(channel, rank) and remaining < self.SEGMENTS:
+        if remaining < self.SEGMENTS and self._rank_busy(
+            self._rank_banks(channel, rank)
+        ):
             # Pause: let demand through, re-check shortly.
             self.pauses += 1
             self.engine.schedule(
@@ -81,12 +73,4 @@ class RefreshPausing(RefreshScheduler):
         end = self.controller.refresh_rank(channel, rank, segment)
         self.engine.schedule_at(
             end, self._run_segments, (channel, rank, remaining - 1, deadline)
-        )
-
-    def _rank_has_demand(self, channel: int, rank: int) -> bool:
-        mc = self.controller
-        queued = mc.queued_requests_per_bank()
-        base = mc.mapping.flat_bank_index(channel, rank, 0)
-        return any(
-            queued[base + bank] > 0 for bank in range(mc.org.banks_per_rank)
         )

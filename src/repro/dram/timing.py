@@ -66,21 +66,6 @@ class DramTiming:
         proposed same-bank schedule: tREFW / total_banks."""
         return self.trefw // self.total_banks
 
-    @property
-    def read_hit_latency(self) -> int:
-        """Unloaded row-buffer-hit read latency (CAS + burst)."""
-        return self.tCL + self.tBL
-
-    @property
-    def read_miss_latency(self) -> int:
-        """Unloaded row-closed read latency (ACT + CAS + burst)."""
-        return self.tRCD + self.tCL + self.tBL
-
-    @property
-    def read_conflict_latency(self) -> int:
-        """Unloaded row-conflict read latency (PRE + ACT + CAS + burst)."""
-        return self.tRP + self.tRCD + self.tCL + self.tBL
-
     @staticmethod
     def from_config(config: SystemConfig) -> "DramTiming":
         """Derive CPU-cycle timing from a :class:`SystemConfig`."""

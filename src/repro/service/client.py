@@ -101,12 +101,6 @@ class SweepOutcome:
     def ok(self) -> bool:
         return not self.errors
 
-    def in_order(self) -> list[RunResult]:
-        """Results in submission order (failed jobs omitted)."""
-        return [
-            self.results[job] for job in self.jobs if job in self.results
-        ]
-
 
 class ServiceClient:
     """Line-frame client over one blocking TCP connection."""

@@ -5,8 +5,9 @@ of its canonical result JSON (``json.dumps(result.to_dict(),
 sort_keys=True)``) with a recorded value.  Every scenario runs on a
 memory-heavy mix (WL-6) and a light one (WL-1); one run each covers
 cold-start demand paging, a warm start from a ``per_bank`` warm-up
-prefix and time-series sampling.  A checkpoint payload captured at the
-WL-6 codesign warm-up boundary is pinned the same way.
+prefix and time-series sampling, and two runs (all-bank and codesign)
+cover a 24 Gb device.  A checkpoint payload captured at the WL-6
+codesign warm-up boundary is pinned the same way.
 
 A change that moves one RNG draw or reorders two events within a cycle
 changes these digests, so hot-path rewrites that must stay
@@ -58,6 +59,8 @@ SCENARIO_DIGESTS = {
 }
 
 VARIANT_DIGESTS = {
+    "all_bank_24gb": "55314f629f0bd52c777589c1ce1ba5dc98dcc83e996bb417fcb16bebe90d239c",
+    "codesign_24gb": "4875fac1fb221a346416062116a81fb11fea68d5f6acc2d599562235993404e3",
     "demand_paging_cold": "522a8b9a431af9220787b5bcc3e18d806f4783e946ee46576c58c61aa8fbae47",
     "sampled": "371c52abeb947b17f8337d996237d991842e40c92fc2ec8aca85b986064d881b",
     "warm_start_per_bank": "4cde1f7c6122ab89637f58b5fb774f51a80b202d1255b446be30db025badb75e",
@@ -74,6 +77,12 @@ def _digest(payload) -> str:
 
 
 def _variant_spec(name):
+    if name.endswith("_24gb"):
+        # 384 rows per bank: the only density whose frame decode is not a
+        # power-of-two radix in every field.
+        return make_run_spec(
+            "WL-6", name.removesuffix("_24gb"), density_gbit=24, **FAST
+        )
     if name == "demand_paging_cold":
         return make_run_spec(
             "WL-6", "codesign", os=OsConfig(demand_paging=True, prefault=False),

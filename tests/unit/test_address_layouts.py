@@ -42,6 +42,34 @@ def test_balance_every_layout(org, layout):
     assert set(counts.values()) == {8}
 
 
+def _divmod_decode(org, rows, layout, frame):
+    """(channel, rank, bank, row) of *frame*: the layout's fields, least
+    significant first, peeled off with divmod."""
+    sizes = {
+        "channel": org.channels,
+        "rank": org.ranks_per_channel,
+        "bank": org.banks_per_rank,
+        "row": rows,
+    }
+    values = {}
+    for field in LAYOUTS[layout]:
+        frame, values[field] = divmod(frame, sizes[field])
+    return values["channel"], values["rank"], values["bank"], values["row"]
+
+
+@pytest.mark.parametrize("rows", [128, 256, 384, 512])  # 8, 16, 24, 32 Gb
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_every_frame_decodes_as_divmod(layout, rows):
+    # Two channels, so that every field of every layout is wider than one.
+    org = DramOrganization(channels=2)
+    mapping = AddressMapping(org, rows, layout=layout)
+    for frame in range(mapping.total_frames):
+        channel, rank, bank, row = _divmod_decode(org, rows, layout, frame)
+        assert mapping.frame_to_coordinate(frame) == (channel, rank, bank, row, 0)
+        flat = (channel * org.ranks_per_channel + rank) * org.banks_per_rank + bank
+        assert mapping.frame_to_bank_index(frame) == flat
+
+
 def test_interleaved_stripes_banks(org):
     mapping = AddressMapping(org, 8, layout="interleaved")
     banks = [mapping.frame_to_coordinate(f).bank for f in range(8)]

@@ -92,10 +92,12 @@ def test_pairs_alternate_and_each_metric_is_compared(trees, tmp_path, capsys):
     rows = {line.split()[0]: line for line in out.splitlines()
             if line.startswith(("setup_s", "hmean_ipc", "sim_kips"))}
     assert set(rows) == {"setup_s", "hmean_ipc"}  # sim_kips: not reported
-    assert "4/4" in rows["setup_s"] and rows["setup_s"].endswith("gain")
+    # Four pairs all won: too few to call a gain, and the header says so.
+    assert "4/4" in rows["setup_s"] and rows["setup_s"].endswith("unresolved")
     assert "-17.7%" in rows["setup_s"] and "25%" in rows["setup_s"]
     assert "0/4" in rows["hmean_ipc"] and rows["hmean_ipc"].endswith("within bound")
     assert out.count("seed 1: 4 pairs") == out.count("seed 2: 4 pairs") == 1
+    assert out.count("fewer than 10 pairs reads unresolved") == 2
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
@@ -123,12 +125,16 @@ def test_a_run_that_exits_non_zero_stops_the_session(trees, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("better, parent, change, verdict", [
-    ("lower", [1.0, 1.1, 1.0, 1.05], [0.8, 0.82, 0.81, 0.8], "gain"),
+    ("lower", 5 * [1.0, 1.1], 5 * [0.8, 0.82], "gain"),
     ("lower", [1.0, 1.1, 1.0, 1.05], [1.4, 1.3, 1.35, 1.4], "WORSE"),
     ("lower", [1.0, 1.1, 1.0, 1.05], [1.02, 1.0, 1.1, 1.01], "within bound"),
     ("lower", [1.0, 2.0, 1.0, 2.0], [1.1, 1.9, 1.2, 1.8], "unresolved"),
-    ("higher", [1.0, 1.1, 1.0, 1.05], [1.4, 1.3, 1.35, 1.4], "gain"),
+    ("higher", 5 * [1.0, 1.1], 5 * [1.4, 1.3], "gain"),
     ("higher", [1.0, 1.1, 1.0, 1.05], [0.7, 0.72, 0.71, 0.7], "WORSE"),
+    # Every pair won, but four pairs are too few to call a gain.
+    ("lower", [1.0, 1.1, 1.0, 1.05], [0.8, 0.82, 0.81, 0.8], "unresolved"),
+    ("higher", [1.0, 1.1, 1.0, 1.05], [1.4, 1.3, 1.35, 1.4], "unresolved"),
+    ("lower", [1.0], [0.9], "unresolved"),
 ])
 def test_verdicts_against_the_bound(better, parent, change, verdict):
     assert bench_pairs.compare(parent, change, better, 0.25)["verdict"] == verdict

@@ -255,6 +255,32 @@ def test_serve_closes_its_metrics_socket_when_it_stops(monkeypatch, capsys):
         socket.create_connection(("127.0.0.1", metrics_port), timeout=10).close()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--port"], ["--port", "0", "--metrics-port"],
+], ids=["port", "metrics-port"])
+def test_serve_on_a_busy_port_fails_in_one_line(flags, monkeypatch, capsys):
+    """A port already in use ends ``serve`` with exit 1 and one stderr
+    line naming it, not a traceback, and the service is still closed."""
+    from repro.service import SweepService
+
+    closed = []
+    close = SweepService.close
+
+    def close_and_count(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(SweepService, "close", close_and_count)
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        assert main(["serve", *flags, str(port), "--no-cache", "--jobs", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cannot serve on 127.0.0.1:{port}: ")
+    assert len(closed) == 1
+
+
 def test_submit_unreachable_server_exits_one(capsys):
     # Port 1 is never listening; the CLI reports instead of tracebacking.
     assert main(["submit", "--ping", "--port", "1"]) == 1

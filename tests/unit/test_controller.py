@@ -174,14 +174,6 @@ def test_queued_requests_per_bank(setup):
     assert sum(counts) >= 3
 
 
-def test_admission_helpers(setup):
-    engine, mapping, mc = setup
-    assert mc.can_accept_read()
-    assert mc.can_accept_write()
-    mc.read_count = mc.read_queue_depth
-    assert not mc.can_accept_read()
-
-
 def test_stats_row_hit_rate(setup):
     engine, mapping, mc = setup
     done = []

@@ -225,7 +225,7 @@ class TestAdaptiveRefresh:
         engine, timing, mc, sched = build("adaptive")
         sched.start()
         # Fake a busy bus by inflating the busy counter mid-run.
-        bus = mc.bus_for_channel(0)
+        bus = mc.buses[0]
 
         def load_bus():
             bus.busy_cycles += timing.trefi_ab * AdaptiveRefresh.decision_intervals

@@ -81,13 +81,6 @@ def test_fgr_modes_scale_trefi_and_trfc():
     assert x4.trfc_ab == pytest.approx(x1.trfc_ab / 1.63, rel=0.01)
 
 
-def test_unloaded_latency_helpers():
-    timing = make()
-    assert timing.read_hit_latency == timing.tCL + timing.tBL
-    assert timing.read_miss_latency == timing.read_hit_latency + timing.tRCD
-    assert timing.read_conflict_latency == timing.read_miss_latency + timing.tRP
-
-
 def test_rejects_non_integer_clock_ratio():
     from repro.config.system_configs import CoreConfig
 
