@@ -22,10 +22,7 @@ def main() -> None:
     rows = []
     for density in (8, 16, 24, 32):
         config = default_system_config(density_gbit=density)
-        rows_per_bank = max(
-            1, config.bank_capacity_bytes // config.organization.row_size_bytes
-        )
-        mapping = AddressMapping(config.organization, rows_per_bank)
+        mapping = AddressMapping(config.organization, config.rows_per_bank_sim)
         memory = PhysicalMemory(mapping)
         allocator = PartitioningAllocator(memory, PartitionPolicy.SOFT)
         vectors = assign_bank_vectors(len(specs), 2, config.organization)

@@ -11,20 +11,17 @@ machine-checked.
 Entry points
 ------------
 
-``python -m repro.analysis [paths] [--format json|sarif] [--baseline ...]``
+``python -m repro.analysis [paths] [--format json|sarif]``
     CLI used by CI and developers (see :mod:`repro.analysis.cli`).
-:func:`analyze_paths`
-    Library API: run every registered rule over a set of files/dirs.
 :func:`analyze_project`
-    Same, but returns the full :class:`AnalysisReport` (findings and
-    run statistics).
+    Library API: run every registered rule over a set of files/dirs and
+    return the :class:`AnalysisReport` (findings and run statistics).
 
 The rule catalog (``RPR001`` .. ``RPR015``) lives in
 :mod:`repro.analysis.rules`; per-file rules see one AST at a time while
 project rules (``RPR011+``) run over the whole-program model in
-:mod:`repro.analysis.model`.  Suppressions use ``# repro: noqa[CODE]``
-comments and a checked-in baseline file grandfathers pre-existing
-findings (:mod:`repro.analysis.baseline`); RPR015 audits both for
+:mod:`repro.analysis.model`.  A ``# repro: noqa[CODE]`` comment is the
+one way to suppress a finding, and RPR015 audits every such comment for
 staleness.
 """
 
@@ -39,8 +36,6 @@ from repro.analysis.engine import (
     ProjectContext,
     ProjectRule,
     Rule,
-    analyze_file,
-    analyze_paths,
     analyze_project,
 )
 from repro.analysis.registry import all_rules, register
@@ -55,8 +50,6 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "all_rules",
-    "analyze_file",
-    "analyze_paths",
     "analyze_project",
     "register",
 ]

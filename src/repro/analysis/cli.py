@@ -1,7 +1,7 @@
 """Command-line interface: ``python -m repro.analysis [paths] ...``.
 
-Exit codes: ``0`` clean, ``1`` findings reported, ``2`` usage or
-environment error (unreadable baseline, unknown rule code).
+Exit codes: ``0`` clean, ``1`` findings reported, ``2`` usage error
+(unknown rule code).
 """
 
 from __future__ import annotations
@@ -11,16 +11,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    filter_baselined,
-    load_baseline_entries,
-    write_baseline,
-)
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import analyze_project
 from repro.analysis.registry import all_rules
-from repro.errors import ConfigError
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -43,25 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=str(DEFAULT_BASELINE),
-        default=None,
-        metavar="PATH",
-        help=(
-            "suppress findings recorded in this baseline file "
-            f"(default path when given bare: {DEFAULT_BASELINE})"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        nargs="?",
-        const=str(DEFAULT_BASELINE),
-        default=None,
-        metavar="PATH",
-        help="write current findings to a baseline file and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -103,48 +77,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_ERROR
     config = AnalysisConfig(select=select)
 
-    baseline_entries = None
-    if args.baseline is not None:
-        try:
-            baseline_entries = load_baseline_entries(Path(args.baseline))
-        except ConfigError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_ERROR
-
-    report = analyze_project(
-        [Path(p) for p in args.paths],
-        config,
-        rules=rules,
-        baseline_entries=baseline_entries,
-        baseline_path=args.baseline,
-    )
-    findings = report.findings
+    report = analyze_project([Path(p) for p in args.paths], config)
     if args.stats:
         sys.stderr.write(report.stats.render() + "\n")
-
-    if args.write_baseline is not None:
-        count = write_baseline(Path(args.write_baseline), findings)
-        out.write(
-            f"wrote baseline {args.write_baseline} "
-            f"({count} finding(s) grandfathered)\n"
-        )
-        return EXIT_CLEAN
-
-    suppressed = 0
-    if baseline_entries is not None:
-        findings, suppressed = filter_baselined(findings, set(baseline_entries))
 
     if args.format == "json":
         from repro.analysis.reporters import render_json
 
-        rendered = render_json(findings, suppressed)
+        rendered = render_json(report.findings)
     elif args.format == "sarif":
         from repro.analysis.reporters import render_sarif
 
-        rendered = render_sarif(findings, rules=rules, suppressed_count=suppressed)
+        rendered = render_sarif(report.findings, rules=rules)
     else:
         from repro.analysis.reporters import render_text
 
-        rendered = render_text(findings, suppressed)
+        rendered = render_text(report.findings)
     out.write(rendered + "\n")
-    return EXIT_FINDINGS if findings else EXIT_CLEAN
+    return EXIT_FINDINGS if report.findings else EXIT_CLEAN

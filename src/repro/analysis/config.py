@@ -13,7 +13,7 @@ is pointed at a sub-tree or a test fixture laid out like the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def module_in(module: str, prefixes: tuple[str, ...]) -> bool:
@@ -103,9 +103,6 @@ class AnalysisConfig:
 
     #: Restrict the run to these codes (``None`` = every registered rule).
     select: frozenset[str] | None = None
-
-    #: File name globs never analyzed.
-    exclude: tuple[str, ...] = field(default=())
 
     def rule_enabled(self, code: str) -> bool:
         return self.select is None or code in self.select

@@ -4,23 +4,16 @@ One :class:`FileContext` is built per file — it owns the parsed tree, the
 module name derived from the path, and an import-alias table so rules can
 resolve ``t.time()`` back to ``time.time`` — and every enabled rule runs
 against it.  Findings landing on a line carrying a matching
-``# repro: noqa[CODE]`` comment are dropped before reporting.
+``# repro: noqa[CODE]`` comment token are dropped before reporting.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Iterator, Optional
-
-#: Suppression comment: hash + ``repro: noqa``, bare (all codes) or
-#: with a code list like ``[RPR001]`` / ``[RPR001,RPR004]``.
-_NOQA_RE = re.compile(
-    r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?", re.IGNORECASE
-)
 
 #: Code reserved for files the analyzer itself cannot process.
 PARSE_ERROR_CODE = "RPR000"
@@ -102,19 +95,13 @@ class ProjectContext:
         model,
         config,
         raw_findings: Optional[list[Finding]] = None,
-        baseline_entries: Optional[dict] = None,
-        baseline_path: Optional[str] = None,
         known_codes: frozenset[str] = frozenset(),
     ):
         self.model = model
         self.config = config
-        #: Raw (pre-noqa, pre-baseline) findings of every non-audit rule;
-        #: only populated for audit rules.
+        #: Raw (pre-noqa) findings of every non-audit rule; only
+        #: populated for audit rules.
         self.raw_findings = raw_findings if raw_findings is not None else []
-        #: Baseline fingerprint -> recorded entry info, when a baseline
-        #: is in play (RPR015 dead-entry audit); None otherwise.
-        self.baseline_entries = baseline_entries
-        self.baseline_path = baseline_path
         self.known_codes = known_codes
 
 
@@ -144,10 +131,9 @@ class FileContext:
         source: str,
         tree: ast.Module,
         config,
-        display_path: Optional[str] = None,
     ):
         self.path = path
-        self.display_path = display_path or str(path)
+        self.display_path = str(path)
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
@@ -205,21 +191,6 @@ class FileContext:
 
         return module_in(self.module_name, prefixes)
 
-    # -- suppressions ------------------------------------------------------------
-
-    def suppressed(self, finding: Finding) -> bool:
-        """True when the finding's line carries a matching noqa comment."""
-        if not 1 <= finding.line <= len(self.lines):
-            return False
-        match = _NOQA_RE.search(self.lines[finding.line - 1])
-        if match is None:
-            return False
-        codes = match.group("codes")
-        if codes is None:
-            return True
-        allowed = {c.strip().upper() for c in codes.split(",") if c.strip()}
-        return finding.code.upper() in allowed
-
 
 # -- drivers ---------------------------------------------------------------------
 
@@ -247,90 +218,22 @@ class AnalysisReport:
     stats: AnalysisStats
 
 
-def _parse(path: Path, display: str):
-    """(source, tree) or a one-element RPR000 finding list."""
+def _parse(path: Path):
+    """(source, tree) or the RPR000 finding for an unreadable file."""
     try:
         source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(path))
+        return (source, ast.parse(source, filename=str(path))), None
     except (OSError, SyntaxError, ValueError) as exc:
-        return None, [
-            Finding(
-                code=PARSE_ERROR_CODE,
-                path=display,
-                line=getattr(exc, "lineno", None) or 1,
-                col=1,
-                message=f"could not analyze file: {exc}",
-            )
-        ]
-    return (source, tree), []
-
-
-def _split_rules(rules: Optional[Iterable[Rule]]):
-    from repro.analysis.registry import all_rules
-
-    rules_list = list(rules) if rules is not None else all_rules()
-    file_rules = [r for r in rules_list if not isinstance(r, ProjectRule)]
-    project_rules = [
-        r for r in rules_list if isinstance(r, ProjectRule) and not r.audit
-    ]
-    audit_rules = [
-        r for r in rules_list if isinstance(r, ProjectRule) and r.audit
-    ]
-    return rules_list, file_rules, project_rules, audit_rules
-
-
-def analyze_file(
-    path: Path,
-    config,
-    rules: Optional[Iterable[Rule]] = None,
-    display_path: Optional[str] = None,
-) -> list[Finding]:
-    """Run every enabled rule over one file; returns sorted findings.
-
-    Project rules run against a single-file model, so class-local
-    interprocedural rules (snapshot coverage, event wiring) work here
-    too; cross-file edges obviously need :func:`analyze_project`.
-    """
-    display = display_path or str(path)
-    parsed, errors = _parse(path, display)
-    if parsed is None:
-        return errors
-    source, tree = parsed
-    ctx = FileContext(path, source, tree, config, display_path=display)
-    rules_list, file_rules, project_rules, audit_rules = _split_rules(rules)
-    known_codes = frozenset(r.code for r in rules_list)
-
-    raw: list[Finding] = []
-    for rule in file_rules:
-        if config.rule_enabled(rule.code):
-            raw.extend(rule.check(ctx))
-    if project_rules or audit_rules:
-        from repro.analysis.model.project import ProjectModel
-        from repro.analysis.model.summary import extract_summary
-
-        model = ProjectModel([extract_summary(ctx)])
-        pctx = ProjectContext(model, config, known_codes=known_codes)
-        for rule in project_rules:
-            if config.rule_enabled(rule.code):
-                raw.extend(rule.check_project(pctx))
-        audit_ctx = ProjectContext(
-            model,
-            config,
-            raw_findings=sorted(raw, key=Finding.sort_key),
-            known_codes=known_codes,
+        return None, Finding(
+            code=PARSE_ERROR_CODE,
+            path=str(path),
+            line=getattr(exc, "lineno", None) or 1,
+            col=1,
+            message=f"could not analyze file: {exc}",
         )
-        for rule in audit_rules:
-            if config.rule_enabled(rule.code):
-                raw.extend(rule.check_project(audit_ctx))
-    findings = [
-        f
-        for f in raw
-        if f.code == "RPR015" or not ctx.suppressed(f)
-    ]
-    return sorted(findings, key=Finding.sort_key)
 
 
-def discover_files(paths: Iterable[Path], config) -> list[Path]:
+def discover_files(paths: Iterable[Path]) -> list[Path]:
     """Expand files/directories into a sorted, de-duplicated .py file list."""
     out: set[Path] = set()
     for path in paths:
@@ -342,115 +245,80 @@ def discover_files(paths: Iterable[Path], config) -> list[Path]:
             )
         elif path.suffix == ".py":
             out.add(path)
-    if config.exclude:
-        out = {
-            p
-            for p in out
-            if not any(p.match(pattern) for pattern in config.exclude)
-        }
     return sorted(out)
 
 
-def analyze_project(
-    paths: Iterable[Path],
-    config,
-    rules: Optional[Iterable[Rule]] = None,
-    baseline_entries: Optional[dict] = None,
-    baseline_path: Optional[str] = None,
-) -> AnalysisReport:
+def analyze_project(paths: Iterable[Path], config) -> AnalysisReport:
     """Whole-program analysis of every ``.py`` file under *paths*.
 
     Per-file rules run on each parsed file; project rules then run once
     over the model assembled from every file's summary, and the audit
     rules last, over the raw finding set.
     """
-    t0 = perf_counter()
-    rules_list, file_rules, project_rules, audit_rules = _split_rules(rules)
-    known_codes = frozenset(r.code for r in rules_list)
-    enabled = [r for r in rules_list if config.rule_enabled(r.code)]
-
     from repro.analysis.model.project import ProjectModel
     from repro.analysis.model.summary import ModuleSummary, extract_summary
+    from repro.analysis.registry import all_rules
 
-    files = discover_files(paths, config)
-    summaries: dict[str, "ModuleSummary"] = {}
-    raw_by_file: dict[str, list[Finding]] = {}
+    t0 = perf_counter()
+    rules = all_rules()
+    known_codes = frozenset(r.code for r in rules)
+    enabled = [r for r in rules if config.rule_enabled(r.code)]
+    file_rules = [r for r in enabled if not isinstance(r, ProjectRule)]
+    project_rules = [
+        r for r in enabled if isinstance(r, ProjectRule) and not r.audit
+    ]
+    audit_rules = [r for r in enabled if isinstance(r, ProjectRule) and r.audit]
+
+    files = discover_files(paths)
+    summaries: list[ModuleSummary] = []
+    raw: list[Finding] = []
     for path in files:
-        display = str(path)
-        parsed_file, errors = _parse(path, display)
-        if parsed_file is None:
-            summaries[display] = ModuleSummary.empty(
-                _derive_module_name(path), display
+        parsed, error = _parse(path)
+        if parsed is None:
+            summaries.append(
+                ModuleSummary.empty(_derive_module_name(path), str(path))
             )
-            raw_by_file[display] = errors
+            raw.append(error)
             continue
-        source, tree = parsed_file
-        ctx = FileContext(path, source, tree, config, display_path=display)
-        raw: list[Finding] = []
+        ctx = FileContext(path, *parsed, config)
         for rule in file_rules:
-            if config.rule_enabled(rule.code):
-                raw.extend(rule.check(ctx))
-        summaries[display] = extract_summary(ctx)
-        raw_by_file[display] = raw
+            raw.extend(rule.check(ctx))
+        summaries.append(extract_summary(ctx))
 
-    model = ProjectModel(summaries.values())
-
+    model = ProjectModel(summaries)
     pctx = ProjectContext(model, config, known_codes=known_codes)
-    project_raw: list[Finding] = []
-    for rule in sorted(project_rules, key=lambda r: r.code):
-        if config.rule_enabled(rule.code):
-            project_raw.extend(rule.check_project(pctx))
+    for rule in project_rules:
+        raw.extend(rule.check_project(pctx))
+    raw.sort(key=Finding.sort_key)
 
-    all_raw = sorted(
-        [f for raws in raw_by_file.values() for f in raws] + project_raw,
-        key=Finding.sort_key,
-    )
     audit_ctx = ProjectContext(
-        model,
-        config,
-        raw_findings=all_raw,
-        baseline_entries=baseline_entries,
-        baseline_path=baseline_path,
-        known_codes=known_codes,
+        model, config, raw_findings=raw, known_codes=known_codes
     )
     audit_raw: list[Finding] = []
-    for rule in sorted(audit_rules, key=lambda r: r.code):
-        if config.rule_enabled(rule.code):
-            audit_raw.extend(rule.check_project(audit_ctx))
+    for rule in audit_rules:
+        audit_raw.extend(rule.check_project(audit_ctx))
 
-    noqa_by_path: dict[str, dict[int, Optional[frozenset[str]]]] = {}
-    for display in sorted(summaries):
-        noqa_by_path[display] = {
-            line: None if codes is None else frozenset(codes)
-            for line, codes in summaries[display].noqa
-        }
+    noqa = {
+        (summary.path, line): None if codes is None else frozenset(codes)
+        for summary in summaries
+        for line, codes in summary.noqa
+    }
 
     def _suppressed(finding: Finding) -> bool:
         if finding.code == "RPR015":
             return False  # a suppression cannot vouch for itself
-        table = noqa_by_path.get(finding.path)
-        if table is None or finding.line not in table:
+        key = (finding.path, finding.line)
+        if key not in noqa:
             return False
-        codes = table[finding.line]
-        return codes is None or finding.code.upper() in codes
+        return noqa[key] is None or finding.code.upper() in noqa[key]
 
     findings = sorted(
-        (f for f in all_raw + audit_raw if not _suppressed(f)),
+        (f for f in raw + audit_raw if not _suppressed(f)),
         key=Finding.sort_key,
     )
-
     stats = AnalysisStats(
         files_total=len(files),
         rules_run=len(enabled),
         wall_time_s=perf_counter() - t0,
     )
     return AnalysisReport(findings=findings, stats=stats)
-
-
-def analyze_paths(
-    paths: Iterable[Path],
-    config,
-    rules: Optional[Iterable[Rule]] = None,
-) -> list[Finding]:
-    """Analyze every ``.py`` file under *paths*; returns sorted findings."""
-    return analyze_project(paths, config, rules=rules).findings

@@ -13,18 +13,21 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.engine import FileContext, _NOQA_RE
-from repro.analysis.rules.determinism import _BANNED_CALLS, _RANDOM_ALLOWED
+from repro.analysis.engine import FileContext
+from repro.analysis.rules.determinism import is_banned_call
+from repro.analysis.rules.hygiene import _is_engineish
 from repro.analysis.rules.units import _unit_leaves
 
 #: Engine scheduling entry points (see ``repro.core.engine.Engine``).
 SCHEDULE_METHODS = ("schedule", "schedule_at")
 
-#: Receiver name tails that conventionally hold the engine (mirrors the
-#: RPR008 heuristic in :mod:`repro.analysis.rules.hygiene`).
-_ENGINE_TAILS = ("engine", "_engine", "eng")
-
 _ORDER_COMMENT_RE = re.compile(r"#[^\n]*\border\b", re.IGNORECASE)
+
+#: Suppression comment: hash + ``repro: noqa``, bare (all codes) or
+#: with a code list like ``[RPR001]`` / ``[RPR001,RPR004]``.
+_NOQA_RE = re.compile(
+    r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?", re.IGNORECASE
+)
 
 
 @dataclass(frozen=True)
@@ -151,16 +154,6 @@ def _arg_display(node: ast.expr) -> str:
     if isinstance(node, ast.Constant):
         return repr(node.value)
     return "<expr>"
-
-
-def _is_banned(resolved: str) -> bool:
-    if resolved in _BANNED_CALLS:
-        return True
-    return (
-        resolved.startswith("random.")
-        and resolved not in _RANDOM_ALLOWED
-        and resolved.count(".") == 1
-    )
 
 
 def _mentions_now(node: ast.expr) -> bool:
@@ -385,7 +378,7 @@ class _Extractor:
             callee, is_self = self._resolve_callee(sub.func, self_name)
             if callee is None:
                 continue
-            if not is_self and _is_banned(callee):
+            if not is_self and is_banned_call(callee):
                 if callee not in banned:
                     banned.append(callee)
                 continue
@@ -464,9 +457,7 @@ class _Extractor:
             return
         if func.attr not in SCHEDULE_METHODS:
             return
-        receiver = self.ctx.dotted_name(func.value) or ""
-        tail = receiver.rsplit(".", 1)[-1]
-        if tail not in _ENGINE_TAILS:
+        if not _is_engineish(self.ctx, func.value):
             return
         if not call.args:
             return

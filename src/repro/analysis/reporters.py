@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 from repro.analysis.engine import Finding, Rule
 
 
-def render_text(findings: Iterable[Finding], suppressed_count: int = 0) -> str:
+def render_text(findings: Iterable[Finding]) -> str:
     """GCC-style ``path:line:col: CODE message`` lines plus a summary."""
     findings = sorted(findings, key=Finding.sort_key)
     lines = [str(f) for f in findings]
@@ -27,20 +27,14 @@ def render_text(findings: Iterable[Finding], suppressed_count: int = 0) -> str:
         lines.append(f"{len(findings)} finding(s): {summary}")
     else:
         lines.append("no findings")
-    if suppressed_count:
-        lines.append(f"({suppressed_count} baselined finding(s) suppressed)")
     return "\n".join(lines)
 
 
-def render_json(findings: Iterable[Finding], suppressed_count: int = 0) -> str:
-    """Stable JSON document: ``{"findings": [...], "count": N, ...}``."""
+def render_json(findings: Iterable[Finding]) -> str:
+    """Stable JSON document: ``{"findings": [...], "count": N}``."""
     findings = sorted(findings, key=Finding.sort_key)
     return json.dumps(
-        {
-            "findings": [asdict(f) for f in findings],
-            "count": len(findings),
-            "baselined": suppressed_count,
-        },
+        {"findings": [asdict(f) for f in findings], "count": len(findings)},
         indent=2,
         sort_keys=True,
     )
@@ -61,7 +55,6 @@ def _posix(path: str) -> str:
 def render_sarif(
     findings: Iterable[Finding],
     rules: Optional[Iterable[Rule]] = None,
-    suppressed_count: int = 0,
 ) -> str:
     """SARIF 2.1.0 log for code-scanning upload.
 
@@ -121,7 +114,6 @@ def render_sarif(
                 "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
                 "columnKind": "unicodeCodePoints",
                 "results": results,
-                "properties": {"baselinedFindings": suppressed_count},
             }
         ],
     }

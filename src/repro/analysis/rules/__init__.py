@@ -26,7 +26,7 @@ RPR011      runtime-mutated attributes are declared in the class's state table
 RPR012      same-cycle scheduling only from the documented order-exempt set
 RPR013      pure packages are *transitively* free of wall-clock/entropy calls
 RPR014      unit suffixes match across call boundaries (argument vs parameter)
-RPR015      every noqa comment and baseline entry still matches a live finding
+RPR015      every noqa comment still matches a live finding
 ==========  =====================================================================
 """
 

@@ -42,6 +42,18 @@ _BANNED_CALLS = {
 _RANDOM_ALLOWED = {"random.Random", "random.SystemRandom"}
 
 
+def is_banned_call(resolved: str) -> bool:
+    """True for a wall-clock/entropy call or a module-global ``random.*``
+    function: RPR001's findings and RPR013's taint seeds."""
+    if resolved in _BANNED_CALLS:
+        return True
+    return (
+        resolved.startswith("random.")
+        and resolved not in _RANDOM_ALLOWED
+        and resolved.count(".") == 1
+    )
+
+
 @register
 class UnseededRandomnessRule(Rule):
     code = "RPR001"
@@ -58,7 +70,7 @@ class UnseededRandomnessRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve(node.func)
-            if resolved is None:
+            if resolved is None or not is_banned_call(resolved):
                 continue
             if resolved in _BANNED_CALLS:
                 yield self.finding(
@@ -68,11 +80,7 @@ class UnseededRandomnessRule(Rule):
                     "RunSpec -> RunResult purity; derive values from the spec "
                     "or a seeded random.Random",
                 )
-            elif (
-                resolved.startswith("random.")
-                and resolved not in _RANDOM_ALLOWED
-                and resolved.count(".") == 1
-            ):
+            else:
                 yield self.finding(
                     ctx,
                     node,

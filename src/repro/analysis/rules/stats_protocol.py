@@ -16,17 +16,9 @@ from typing import Iterator
 
 from repro.analysis.engine import FileContext, Finding, Rule
 from repro.analysis.registry import register
+from repro.analysis.rules.serialization import _is_dataclass
 
-_DATACLASS_DECORATORS = {"dataclass", "dataclasses.dataclass"}
 _MIXIN = "StatsBase"
-
-
-def _is_dataclass(ctx: FileContext, node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if (ctx.resolve(target) or "") in _DATACLASS_DECORATORS:
-            return True
-    return False
 
 
 def _base_names(ctx: FileContext, node: ast.ClassDef) -> set[str]:

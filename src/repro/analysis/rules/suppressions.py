@@ -1,10 +1,9 @@
 """RPR015: suppressions must stay honest.
 
-A ``# repro: noqa[...]`` comment or a baseline fingerprint is a debt
-record: it says "this violation is known and accepted".  When the code
-it covered is fixed or deleted, the record outlives the debt — and a
-stale suppression is worse than none, because the next genuine
-violation on that line (or matching that fingerprint) is silently
+A ``# repro: noqa[...]`` comment is a debt record: it says "this
+violation is known and accepted".  When the code it covered is fixed or
+deleted, the record outlives the debt — and a stale suppression is worse
+than none, because the next genuine violation on that line is silently
 swallowed.  This audit runs after every other rule, against the *raw*
 (pre-suppression) finding set, and reports:
 
@@ -12,16 +11,13 @@ swallowed.  This audit runs after every other rule, against the *raw*
   (per stale code, so ``noqa[RPR004,RPR011]`` with only RPR004 firing
   names RPR011 as removable);
 * noqa codes that name no registered rule (typo'd suppressions never
-  suppress anything);
-* baseline entries whose fingerprint matches no current raw finding
-  (dead grandfather records), reported at the baseline file.
+  suppress anything).
 
 Scope guards keep the audit sound: per-code checks only run for rules
-actually enabled this run, blanket ``# repro: noqa`` comments are only
-audited on full-rule-set runs, and the baseline audit only runs when a
-baseline was loaded.  RPR015 findings are exempt from noqa suppression
-(a suppression cannot vouch for itself); accept one by deleting the
-stale record, or grandfather it in the baseline.
+actually enabled this run, and blanket ``# repro: noqa`` comments are
+only audited on full-rule-set runs.  RPR015 findings are exempt from
+noqa suppression (a suppression cannot vouch for itself); accept one by
+deleting the stale record.
 """
 
 from __future__ import annotations
@@ -37,16 +33,12 @@ class StaleSuppressionRule(ProjectRule):
     code = "RPR015"
     name = "stale-suppression-audit"
     description = (
-        "noqa comments and baseline entries must match a live finding; "
-        "stale suppressions hide the next real violation"
+        "noqa comments must match a live finding; stale suppressions "
+        "hide the next real violation"
     )
     audit = True
 
     def check_project(self, pctx: ProjectContext) -> Iterator[Finding]:
-        yield from self._audit_noqa(pctx)
-        yield from self._audit_baseline(pctx)
-
-    def _audit_noqa(self, pctx: ProjectContext) -> Iterator[Finding]:
         model, config = pctx.model, pctx.config
         fired: dict[tuple[str, int], set[str]] = {}
         for finding in pctx.raw_findings:
@@ -93,24 +85,3 @@ class StaleSuppressionRule(ProjectRule):
                             "finding on this line; remove the stale noqa "
                             "code",
                         )
-
-    def _audit_baseline(self, pctx: ProjectContext) -> Iterator[Finding]:
-        if pctx.baseline_entries is None or pctx.baseline_path is None:
-            return
-        from repro.analysis.baseline import fingerprint_findings
-
-        live = {fp for _, fp in fingerprint_findings(pctx.raw_findings)}
-        for fingerprint in sorted(pctx.baseline_entries):
-            if fingerprint in live:
-                continue
-            info = pctx.baseline_entries[fingerprint]
-            code = info.get("code", "?") if isinstance(info, dict) else "?"
-            path = info.get("path", "?") if isinstance(info, dict) else "?"
-            yield self.finding_at(
-                pctx.baseline_path,
-                1,
-                1,
-                f"baseline entry {fingerprint} ({code} in {path}) matches "
-                "no current finding; the violation is fixed — remove the "
-                "dead entry (re-run --write-baseline)",
-            )

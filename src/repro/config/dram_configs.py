@@ -180,10 +180,6 @@ class DramOrganization:
     def total_banks(self) -> int:
         return self.channels * self.ranks_per_channel * self.banks_per_rank
 
-    @property
-    def columns_per_row(self) -> int:
-        return self.row_size_bytes // self.cacheline_bytes
-
     def to_dict(self) -> dict:
         return dataclass_to_dict(self)
 

@@ -125,13 +125,15 @@ class SystemConfig:
     Scaling knobs (see DESIGN.md Section 3):
 
     ``refresh_scale``
-        Divides the retention window tREFW *and* rows-per-bank by the same
-        factor, keeping tREFI/tRFC/per-command timing at real values.  All
-        refresh overhead *fractions* are preserved; wall-clock simulation
-        cost drops by the same factor.  1 = paper-scale.
+        Divides the retention window tREFW, and so the refresh commands
+        per window, by the same factor, keeping tREFI/tRFC/per-command
+        timing at real values.  All refresh overhead *fractions* are
+        preserved; wall-clock simulation cost drops by the same factor.
+        1 = paper-scale.
     ``capacity_scale``
-        Divides bank capacity and task footprints by the same factor,
-        preserving footprint/capacity ratios for the allocator.
+        Divides bank capacity (and so the rows of the address map) and
+        task footprints by the same factor, preserving footprint/capacity
+        ratios for the allocator.
     """
 
     cores: CoreConfig = field(default_factory=CoreConfig)
@@ -163,16 +165,16 @@ class SystemConfig:
 
     @property
     def rows_per_bank_sim(self) -> int:
-        """Scaled number of rows per bank used by the simulation."""
-        return max(1, self.density_config.rows_per_bank // self.refresh_scale)
+        """Rows per bank in the simulated address map (512 at 32 Gb)."""
+        return max(1, self.bank_capacity_bytes // self.organization.row_size_bytes)
 
     @property
     def bank_capacity_bytes(self) -> int:
         """Simulated per-bank capacity after ``capacity_scale``.
 
-        Real capacity is rows_per_bank * row_size; both scaling knobs
-        shrink it (refresh_scale shrinks rows, capacity_scale shrinks the
-        modelled footprints to match).
+        Real capacity is rows_per_bank * row_size; ``capacity_scale``
+        shrinks it and the modelled footprints alike.  ``refresh_scale``
+        leaves it alone.
         """
         real = self.density_config.rows_per_bank * self.organization.row_size_bytes
         return max(self.os.page_bytes, real // self.capacity_scale)

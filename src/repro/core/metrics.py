@@ -33,17 +33,6 @@ def degradation(value: float, reference: float) -> float:
     return 1.0 - value / reference
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        return 0.0
-    product = 1.0
-    for v in values:
-        if v <= 0:
-            return 0.0
-        product *= v
-    return product ** (1.0 / len(values))
-
-
 def fairness_index(values: Sequence[float]) -> float:
     """Jain's fairness index over per-task allocations (1.0 = perfectly
     fair); used to check the eta_thresh fairness valve."""

@@ -219,9 +219,6 @@ class RunResult:
             return 0.0
         return self.refresh_stalled_reads / self.reads_completed
 
-    def task_ipc(self, name: str) -> list[float]:
-        return [t.ipc for t in self.tasks if t.name == name]
-
     def to_dict(self) -> dict:
         """Canonical JSON-able view (inverse of :meth:`from_dict`)."""
         data = {name: getattr(self, name) for name in _SCALAR_FIELDS}

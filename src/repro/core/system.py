@@ -132,11 +132,10 @@ class System:
         self.telemetry.bind_clock(self.engine)
         self.timing = DramTiming.from_config(config)
 
-        rows_for_mapping = max(
-            1, config.bank_capacity_bytes // config.organization.row_size_bytes
-        )
         self.mapping = AddressMapping(
-            config.organization, rows_for_mapping, layout=config.address_layout
+            config.organization,
+            config.rows_per_bank_sim,
+            layout=config.address_layout,
         )
         self.controller = MemoryController(
             self.engine,

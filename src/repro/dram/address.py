@@ -226,10 +226,6 @@ class AddressMapping:
             raise AddressMapError(f"bank index {index} out of range")
         return self._unflat[index]
 
-    def bank_of_flat_index(self, index: int) -> int:
-        """The per-rank bank number of a flat bank index."""
-        return index % self._banks
-
     def _check_coord(self, coord: DramCoordinate) -> None:
         if not (
             0 <= coord.channel < self._channels

@@ -37,11 +37,8 @@ def rows(capacity_scale: int = 1024) -> list[tuple[tuple, tuple]]:
         config = default_system_config(
             density_gbit=density, capacity_scale=capacity_scale
         )
-        rows_per_bank = max(
-            1, config.bank_capacity_bytes // config.organization.row_size_bytes
-        )
         for spec in _all_benchmarks():
-            mapping = AddressMapping(config.organization, rows_per_bank)
+            mapping = AddressMapping(config.organization, config.rows_per_bank_sim)
             memory = PhysicalMemory(mapping)
             allocator = PartitioningAllocator(memory, PartitionPolicy.SOFT)
             task = Task(

@@ -60,12 +60,6 @@ class CfsRunqueue(Stateful):
                 best = task
         return best
 
-    def min_vruntime(self) -> float:
-        """Smallest vruntime on the queue (0 when empty)."""
-        if not self._tasks:
-            return 0.0
-        return min(t.vruntime for t in self._tasks)
-
     def tasks(self) -> list[Task]:
         return list(self._tasks)
 

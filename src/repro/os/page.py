@@ -51,9 +51,6 @@ class PhysicalMemory(Stateful):
     def owner(self, frame: int) -> int:
         return self._owner[frame]
 
-    def frames_owned_by(self, task_id: int) -> list[int]:
-        return [f for f, o in enumerate(self._owner) if o == task_id]
-
     def used_frames(self) -> int:
         return sum(1 for o in self._owner if o != -1)
 

@@ -48,11 +48,6 @@ class MetricsRegistry:
             raise ConfigError(f"metric prefix {prefix!r} already registered")
         self._sources[prefix] = source
 
-    def unregister(self, prefix: str) -> None:
-        if prefix not in self._sources:
-            raise ConfigError(f"metric prefix {prefix!r} is not registered")
-        del self._sources[prefix]
-
     def prefixes(self) -> list[str]:
         return sorted(self._sources)
 

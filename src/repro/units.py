@@ -43,11 +43,6 @@ def ms(value: float) -> int:
     return round(value * MS)
 
 
-def picos_to_ns(picos: int) -> float:
-    """Convert picoseconds to nanoseconds (float, for reporting)."""
-    return picos / NS
-
-
 class ClockDomain:
     """Converts wall-clock durations into integer cycles of one clock.
 

@@ -70,11 +70,3 @@ def scaled_mix(name: str, num_tasks: int) -> list[BenchmarkSpec]:
     for i in range(num_tasks):
         scaled.append(base[(i * len(base)) // num_tasks])
     return scaled
-
-
-def mix_label(specs: list[BenchmarkSpec]) -> str:
-    """Compact human-readable label, e.g. ``mcf(4), povray(4)``."""
-    counts: dict[str, int] = {}
-    for spec in specs:
-        counts[spec.name] = counts.get(spec.name, 0) + 1
-    return ", ".join(f"{name}({n})" for name, n in counts.items())

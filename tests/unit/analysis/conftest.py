@@ -5,16 +5,18 @@ package (``<tmp>/repro/core/fixture.py``) so package-scoped rules bind,
 then runs the analyzer over just that file and returns the findings.
 
 ``lint_project`` writes several files into one tree and runs the
-whole-program driver, returning the full :class:`AnalysisReport` so
-tests can assert on findings, stats, and the incremental-analysis
-scope alike.
+analyzer over the tree, returning the full :class:`AnalysisReport` so
+tests can assert on findings and stats alike.
+
+Both call :func:`analyze_project`, the function the CLI and CI run, so
+every rule test also exercises CI's noqa matching.
 """
 
 import textwrap
 
 import pytest
 
-from repro.analysis import AnalysisConfig, analyze_file, analyze_project
+from repro.analysis import AnalysisConfig, analyze_project
 
 
 @pytest.fixture
@@ -26,14 +28,14 @@ def lint(tmp_path):
         config = AnalysisConfig(
             select=frozenset(select) if select is not None else None
         )
-        return analyze_file(path, config)
+        return analyze_project([path], config).findings
 
     return run
 
 
 @pytest.fixture
 def lint_project(tmp_path):
-    def run(files, select=None, **kwargs):
+    def run(files, select=None):
         for rel, source in files.items():
             path = tmp_path / rel
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -41,7 +43,7 @@ def lint_project(tmp_path):
         config = AnalysisConfig(
             select=frozenset(select) if select is not None else None
         )
-        return analyze_project([tmp_path], config, **kwargs)
+        return analyze_project([tmp_path], config)
 
     return run
 

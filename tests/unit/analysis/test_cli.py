@@ -1,11 +1,11 @@
-"""CLI behavior: exit codes, JSON output, baselines, blanket noqa."""
+"""CLI behavior: exit codes, JSON output, blanket noqa."""
 
 import json
 import textwrap
 
 from repro.analysis.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
-from repro.analysis.engine import PARSE_ERROR_CODE, analyze_file
-from repro.analysis import AnalysisConfig
+from repro.analysis.engine import PARSE_ERROR_CODE
+from repro.analysis import AnalysisConfig, analyze_project
 
 DIRTY = """
 import itertools
@@ -47,20 +47,6 @@ def test_json_report_is_machine_readable(tmp_path, capsys):
     assert finding["code"] == "RPR002"
     assert finding["path"].endswith("fixture.py")
     assert finding["line"] == 4
-
-
-def test_write_then_use_baseline(tmp_path, capsys):
-    path = write_fixture(tmp_path, DIRTY)
-    baseline = tmp_path / "baseline.json"
-    assert main([str(path), "--write-baseline", str(baseline)]) == EXIT_CLEAN
-    assert main([str(path), "--baseline", str(baseline)]) == EXIT_CLEAN
-    out = capsys.readouterr().out
-    assert "baselined" in out or "suppressed" in out
-
-
-def test_unreadable_baseline_is_usage_error(tmp_path, capsys):
-    path = write_fixture(tmp_path, CLEAN)
-    assert main([str(path), "--baseline", str(tmp_path / "no.json")]) == EXIT_ERROR
 
 
 def test_unknown_select_code_is_usage_error(tmp_path):
@@ -113,5 +99,5 @@ def test_directory_discovery_and_blanket_noqa(tmp_path, capsys):
 
 def test_syntax_error_reported_as_parse_finding(tmp_path):
     path = write_fixture(tmp_path, "def broken(:\n")
-    findings = analyze_file(path, AnalysisConfig())
+    findings = analyze_project([path], AnalysisConfig()).findings
     assert [f.code for f in findings] == [PARSE_ERROR_CODE]

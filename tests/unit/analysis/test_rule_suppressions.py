@@ -1,9 +1,4 @@
-"""RPR015: stale noqa comments and dead baseline entries are reported."""
-
-import textwrap
-
-from repro.analysis import AnalysisConfig, analyze_project
-from repro.analysis.baseline import load_baseline_entries, write_baseline
+"""RPR015: stale noqa comments are reported; only real comments suppress."""
 
 
 def _codes(report):
@@ -79,50 +74,11 @@ def test_rpr015_cannot_be_suppressed_by_noqa(lint_project):
     assert _codes(report) == ["RPR015"]
 
 
-def test_dead_baseline_entry_is_flagged(tmp_path):
-    dirty = tmp_path / "repro/core/a.py"
-    dirty.parent.mkdir(parents=True)
-    dirty.write_text(
-        textwrap.dedent(
-            """
-            import itertools
+def test_noqa_syntax_quoted_in_a_string_suppresses_nothing(lint):
+    source = """
+    import time
 
-            _ids = itertools.count()
-            """
-        )
-    )
-    baseline = tmp_path / "baseline.json"
-    config = AnalysisConfig()
-    report = analyze_project([tmp_path], config)
-    write_baseline(baseline, report.findings)
-
-    # Fix the violation; the grandfather record is now dead.
-    dirty.write_text("IDS = (1, 2, 3)\n")
-    entries = load_baseline_entries(baseline)
-    report = analyze_project(
-        [tmp_path],
-        config,
-        baseline_entries=entries,
-        baseline_path=str(baseline),
-    )
-    dead = [f for f in report.findings if f.code == "RPR015"]
-    assert len(dead) == 1
-    assert dead[0].path == str(baseline)
-    assert "RPR002" in dead[0].message
-
-
-def test_live_baseline_entry_is_not_flagged(tmp_path):
-    dirty = tmp_path / "repro/core/a.py"
-    dirty.parent.mkdir(parents=True)
-    dirty.write_text("import itertools\n\n_ids = itertools.count()\n")
-    baseline = tmp_path / "baseline.json"
-    config = AnalysisConfig()
-    write_baseline(baseline, analyze_project([tmp_path], config).findings)
-
-    report = analyze_project(
-        [tmp_path],
-        config,
-        baseline_entries=load_baseline_entries(baseline),
-        baseline_path=str(baseline),
-    )
-    assert [f.code for f in report.findings if f.code == "RPR015"] == []
+    def stamp():
+        return time.time(), "# repro: noqa[RPR001]"
+    """
+    assert [f.code for f in lint(source)] == ["RPR001"]

@@ -62,15 +62,6 @@ def test_duplicate_and_invalid_prefixes_rejected():
         registry.register("", 1)
 
 
-def test_unregister():
-    registry = MetricsRegistry()
-    registry.register("a", 1)
-    registry.unregister("a")
-    assert registry.prefixes() == []
-    with pytest.raises(ConfigError, match="not registered"):
-        registry.unregister("a")
-
-
 def test_json_export_round_trips(tmp_path):
     registry = build_registry()
     path = tmp_path / "metrics.json"

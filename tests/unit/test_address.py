@@ -70,11 +70,6 @@ def test_flat_bank_order_is_rank_major(mapping):
     assert mapping.unflatten_bank_index(15) == (0, 1, 7)
 
 
-def test_bank_of_flat_index(mapping):
-    assert mapping.bank_of_flat_index(3) == 3
-    assert mapping.bank_of_flat_index(11) == 3
-
-
 def test_frame_to_bank_index_consistency(mapping):
     for frame in range(0, mapping.total_frames, 7):
         coord = mapping.frame_to_coordinate(frame)

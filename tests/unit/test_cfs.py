@@ -80,11 +80,3 @@ def test_in_vruntime_order():
     ordered = list(rq.in_vruntime_order())
     values = [(t.vruntime, t.task_id) for t in ordered]
     assert values == sorted(values)
-
-
-def test_min_vruntime():
-    rq = CfsRunqueue(0)
-    assert rq.min_vruntime() == 0.0
-    rq.enqueue(make_task("a", 42))
-    rq.enqueue(make_task("b", 17))
-    assert rq.min_vruntime() == 17

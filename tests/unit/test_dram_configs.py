@@ -87,9 +87,6 @@ class TestDramOrganization:
         assert org.total_banks == 16
         assert org.row_size_bytes == 4096
 
-    def test_columns_per_row(self):
-        assert DramOrganization().columns_per_row == 64
-
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
             DramOrganization(banks_per_rank=6).validate()

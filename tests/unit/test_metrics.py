@@ -5,7 +5,6 @@ import pytest
 from repro.core.metrics import (
     degradation,
     fairness_index,
-    geometric_mean,
     harmonic_mean,
     speedup,
 )
@@ -36,12 +35,6 @@ def test_degradation():
     assert degradation(0.9, 1.0) == pytest.approx(0.10)
     assert degradation(1.0, 1.0) == 0.0
     assert degradation(1.0, 0.0) == 0.0
-
-
-def test_geometric_mean():
-    assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-    assert geometric_mean([]) == 0.0
-    assert geometric_mean([0.0, 2.0]) == 0.0
 
 
 def test_fairness_index():

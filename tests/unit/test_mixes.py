@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.workloads.benchmark import MpkiClass
 from repro.workloads.mixes import (
-    mix_label,
     mix_names,
     scaled_mix,
     workload_mix,
@@ -72,7 +71,3 @@ def test_scaled_mix_downscale():
 def test_scaled_mix_rejects_zero():
     with pytest.raises(ConfigError):
         scaled_mix("WL-1", 0)
-
-
-def test_mix_label():
-    assert mix_label(workload_mix("WL-6")) == "mcf(4), povray(4)"

@@ -40,13 +40,6 @@ def test_release_free_frame_raises(memory):
         memory.release(0)
 
 
-def test_frames_owned_by(memory):
-    for f in (1, 3, 5):
-        memory.claim(f, 9)
-    memory.claim(2, 7)
-    assert memory.frames_owned_by(9) == [1, 3, 5]
-
-
 def test_bank_of_frame_matches_mapping(memory):
     for frame in range(memory.total_frames):
         assert memory.bank_of_frame(frame) == memory.mapping.frame_to_bank_index(

@@ -57,16 +57,6 @@ def test_refresh_stall_fraction():
     assert empty.refresh_stall_fraction == 0.0
 
 
-def test_task_ipc_by_name():
-    result = RunResult(
-        scenario="s", workload="w", density_gbit=32, trefw_ms=64.0,
-        simulated_cycles=1,
-        tasks=[make_task_result("mcf"), make_task_result("povray")],
-    )
-    assert result.task_ipc("mcf") == [0.5]
-    assert result.task_ipc("nope") == []
-
-
 def test_summary_contains_key_fields():
     result = RunResult(
         scenario="codesign", workload="WL-6", density_gbit=32, trefw_ms=64.0,

@@ -28,7 +28,9 @@ def test_default_config_matches_table1():
 def test_refresh_scale_divides_window_and_rows():
     config = default_system_config(refresh_scale=64)
     assert config.trefw_sim_ps == ms(64) // 64
-    assert config.rows_per_bank_sim == (512 * 1024) // 64
+    # The address map's rows follow capacity_scale, not refresh_scale.
+    assert config.rows_per_bank_sim == 512
+    assert default_system_config(refresh_scale=1).rows_per_bank_sim == 512
 
 
 def test_quantum_is_window_over_total_banks():

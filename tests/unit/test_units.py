@@ -18,10 +18,6 @@ def test_time_conversions():
     assert units.ns(0.5) == 500
 
 
-def test_picos_to_ns_roundtrip():
-    assert units.picos_to_ns(units.ns(7.5)) == pytest.approx(7.5)
-
-
 def test_clock_domain_cycles():
     cpu = units.ClockDomain(freq_mhz=3200)
     assert cpu.cycles(units.ns(10)) == 32
