@@ -16,6 +16,7 @@ results, and no state mutates after construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional
 
 from repro.analysis.model.summary import (
@@ -30,9 +31,17 @@ class ProjectModel:
     """Immutable whole-program view over a set of module summaries."""
 
     def __init__(self, summaries: Iterable[ModuleSummary]):
+        summaries = sorted(summaries, key=lambda s: (s.module, s.path))
+        names = Counter(s.module for s in summaries)
+        #: module -> summary.  Files whose derived names collide (two
+        #: ``mod.py`` outside a ``repro`` tree) are each kept, under
+        #: ``<module>@<path>``.
         self.modules: dict[str, ModuleSummary] = {}
-        for summary in sorted(summaries, key=lambda s: (s.module, s.path)):
-            self.modules[summary.module] = summary
+        for summary in summaries:
+            name = summary.module
+            if names[name] > 1:
+                name = f"{name}@{summary.path}"
+            self.modules[name] = summary
 
         #: module -> display path, for finding locations.
         self.path_of: dict[str, str] = {

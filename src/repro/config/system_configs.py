@@ -219,7 +219,7 @@ class SystemConfig:
         except KeyError as exc:
             raise ConfigError(f"SystemConfig: missing field {exc}") from None
         config = dataclass_from_dict(cls, data)
-        config.validate()
+        serialize.validated(config)
         return config
 
     def canonical_json(self) -> serialize.CanonicalJSON:
@@ -262,5 +262,5 @@ def default_system_config(**overrides) -> SystemConfig:
         config = SystemConfig(**overrides)
     except TypeError as exc:
         raise ConfigError(f"invalid config override: {exc}") from None
-    config.validate()
+    serialize.validated(config)
     return config

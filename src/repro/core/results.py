@@ -243,7 +243,12 @@ class RunResult:
             )
         data = dict(data)
         try:
-            data["tasks"] = [TaskResult.from_dict(t) for t in data.pop("tasks", [])]
+            tasks = data.pop("tasks", [])
+            try:
+                data["tasks"] = [TaskResult(**t) for t in tasks]
+            except TypeError:
+                # Again through from_dict, which names what is wrong.
+                data["tasks"] = [TaskResult.from_dict(t) for t in tasks]
             energy = data.pop("energy", None)
             data["energy"] = (
                 EnergyBreakdown.from_dict(energy) if energy is not None else None

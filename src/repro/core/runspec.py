@@ -72,11 +72,14 @@ class RunSpec:
             object.__setattr__(self, "specs", tuple(self.specs))
 
     def validate(self) -> None:
+        """Check the spec.  Its task specs and config are checked once
+        per instance (:func:`~repro.serialize.validated`): a sweep's
+        cells share them."""
         if not self.specs:
             raise ConfigError("RunSpec: task spec list must not be empty")
         for spec in self.specs:
-            spec.validate()
-        self.config.validate()
+            serialize.validated(spec)
+        serialize.validated(self.config)
         if self.num_windows <= 0:
             raise ConfigError("RunSpec: num_windows must be positive")
         if self.warmup_windows < 0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro import serialize
 from repro.config.scenarios import SCENARIOS, Scenario, scenario as get_scenario
 from repro.config.system_configs import SystemConfig, default_system_config
 from repro.core.results import RunResult
@@ -53,7 +54,7 @@ def _resolve_config(
         return default_system_config(**overrides)
     if overrides:
         config = config.with_(**overrides)
-        config.validate()
+        serialize.validated(config)
     return config
 
 

@@ -161,12 +161,18 @@ class ResultCache:
     def __init__(self, root: str | os.PathLike | None = None):
         base = pathlib.Path(root) if root is not None else default_cache_dir()
         self.root = base / f"v{CACHE_SCHEMA}"
+        #: The root as a string ending in a separator, joined once: a
+        #: lookup builds its entry's path with no ``pathlib`` call.
+        self._prefix = os.path.join(self.root, "")
         self.hits = 0
         self.misses = 0
 
     def path(self, key: str) -> pathlib.Path:
         """On-disk location of the entry for content-hash *key*."""
-        return self.root / key[:2] / f"{key}.json"
+        return pathlib.Path(self._file(key))
+
+    def _file(self, key: str) -> str:
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
     def get(self, spec: RunSpec) -> CacheHit | None:
         """The cached result for *spec* and its stored text, or None
@@ -178,7 +184,7 @@ class ResultCache:
         for byte rather than parsed.  Any other entry under *spec*'s key
         is a miss, deleted and recomputed.
         """
-        path = self.path(spec.content_hash())
+        path = self._file(spec.content_hash())
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()

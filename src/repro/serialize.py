@@ -19,10 +19,11 @@ provides the shared machinery:
     The canonical encoder itself, which splices top-level values that
     are already :class:`CanonicalJSON` text instead of encoding them
     again, and the array of such texts.
-:func:`stored`
+:func:`stored` / :func:`validated`
     A value computed once per frozen instance and stored on it: the
     canonical text and content hash of a spec and of the components it
-    is spliced from.
+    is spliced from, and a passed ``validate()`` of the config and task
+    specs a sweep's cells share.
 :func:`text_hash` / :func:`content_hash`
     Stable hex digest of canonical JSON text (every content hash goes
     through :func:`text_hash`) and of a value's canonical JSON; used as
@@ -56,6 +57,8 @@ import hashlib
 import json
 import os
 import pathlib
+import threading
+from json.encoder import encode_basestring_ascii
 
 from repro.errors import ConfigError
 
@@ -74,6 +77,19 @@ class CanonicalJSON(str):
     """
 
     __slots__ = ()
+
+
+#: How :func:`encode_canonical`'s splice path writes a top-level value
+#: of each exact type without the encoder, as ``json.dumps`` would.  A
+#: float, a container or a subclass of ``str`` or ``int`` goes through
+#: the encoder.
+_WRITE = {
+    CanonicalJSON: lambda text: text,
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 @functools.cache
@@ -129,8 +145,11 @@ def encode_canonical(data) -> str:
     Byte-identical to ``json.dumps(data, sort_keys=True,
     separators=(",", ":"))``, except that a :class:`CanonicalJSON`
     value, given as *data* itself or as a top-level value of a dict, is
-    spliced in as the JSON it already is.  Raises :class:`ConfigError`
-    for a value ``json`` cannot encode.
+    spliced in as the JSON it already is.  The splice path writes the
+    keys and the string, whole-number, boolean and null values itself
+    (:data:`_WRITE`), so the encoder sees only floats and containers.
+    Raises :class:`ConfigError` for a value ``json`` cannot encode and,
+    on the splice path, for a key that is not a string.
     """
     if isinstance(data, CanonicalJSON):
         return data
@@ -142,8 +161,8 @@ def encode_canonical(data) -> str:
             # would copy a str subclass through str.__format__ first).
             parts = []
             for key, v in sorted(data.items()):
-                parts += (",", _encode(key), ":",
-                          v if isinstance(v, CanonicalJSON) else _encode(v))
+                parts += (",", encode_basestring_ascii(key), ":",
+                          _WRITE.get(type(v), _encode)(v))
             parts[0] = "{"
             parts.append("}")
             return "".join(parts)
@@ -178,6 +197,19 @@ def stored(obj, name: str, compute):
         value = compute(obj)
         object.__setattr__(obj, name, value)
     return value
+
+
+def validated(obj) -> None:
+    """``obj.validate()``, once per frozen, deeply immutable *obj*: a
+    pass is :func:`stored` on the instance, so the config and task specs
+    that a sweep's cells share are checked once, not once per cell.  A
+    failed check stores nothing and raises again on every call."""
+    stored(obj, "_validated", _passes)
+
+
+def _passes(obj) -> bool:
+    obj.validate()
+    return True
 
 
 def text_hash(text: str) -> str:
@@ -215,10 +247,13 @@ def dataclass_from_dict(cls, data: dict):
 def write_atomic(path: pathlib.Path, text: str) -> None:
     """Write *text* to *path*, creating its directory, through a temp
     file beside it and ``os.replace``: a reader sees the old file or the
-    whole new one, never a part.  On ``OSError`` the temp file is
-    removed and the error raised; each caller decides whether a failed
-    write matters."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    whole new one, never a part.  The temp file is named for the
+    process and the thread, so concurrent writers of one path never
+    share it.  On ``OSError`` the temp file is removed and the error
+    raised; each caller decides whether a failed write matters."""
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -229,10 +264,10 @@ def write_atomic(path: pathlib.Path, text: str) -> None:
         raise
 
 
-def discard_file(path: pathlib.Path) -> None:
+def discard_file(path: str | os.PathLike) -> None:
     """Remove *path* if it can be removed; a missing or undeletable file
     is no error."""
     try:
-        path.unlink()
+        os.remove(path)
     except OSError:
         pass

@@ -114,6 +114,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Closed spans kept in memory for ``metrics``/``obs top`` (newest last).
 RECENT_SPANS = 64
 
+#: :meth:`SweepService.resolve`'s default ``cached``: its disk tier
+#: reads the entry itself.
+_LOOKUP = object()
+
 
 class _MemoEntry(NamedTuple):
     """One completed job: its spec, its result, and the result's
@@ -252,6 +256,29 @@ class SweepService:
         encoded once where the job ran, or a disk hit's bytes as stored."""
         self._memo[key] = _MemoEntry(spec, result, text)
 
+    def lookup(self, job: str, spec: RunSpec, monitors: Optional[str] = None):
+        """Look *spec* (content hash *job*) up as :meth:`resolve` would,
+        in the tiers that answer at once, without waiting.
+
+        Returns ``(now, cached)``: ``now`` is whether ``resolve`` answers
+        from the memo or the disk cache, and ``cached`` is the argument
+        of that name to hand it, the entry read here (``None`` for a
+        miss) once the lookup reached the disk, so no entry is read
+        twice.  A job in flight or one that must run waits, and so does
+        one whose read raised: ``resolve`` meets the fault again and
+        answers it as that job's error.
+        """
+        key = self.job_key(job, monitors)
+        if key in self._memo:
+            return True, _LOOKUP
+        if key in self._jobs or self.cache is None or monitors is not None:
+            return False, _LOOKUP
+        try:
+            cached = self.cache.get(spec)
+        except Exception:
+            return False, _LOOKUP
+        return cached is not None, cached
+
     # -- resolution ------------------------------------------------------------
 
     async def resolve(
@@ -260,6 +287,8 @@ class SweepService:
         monitors: Optional[str] = None,
         event_cb: Optional[Callable[[dict], None]] = None,
         trace: Optional[JobTrace] = None,
+        *,
+        cached=_LOOKUP,
     ) -> tuple[RunResult, str]:
         """Answer one spec; returns ``(result, source)``.
 
@@ -267,7 +296,9 @@ class SweepService:
         ``event_cb`` (when set) receives one telemetry frame dict per
         event of a fresh live run, called on the event loop thread.
         ``trace`` (when set) opens per-tier spans and stamps the served
-        result copy with its trace id.
+        result copy with its trace id.  ``cached`` is the disk entry a
+        :meth:`lookup` already read (``None`` for a miss); by default the
+        disk tier reads it.
         """
         if monitors not in (None, "collect", "strict"):
             raise ServiceError(f"unknown monitor mode {monitors!r}")
@@ -276,7 +307,7 @@ class SweepService:
         root = trace.span("resolve") if trace is not None else None
         try:
             result, source = await self._resolve_tiers(
-                key, spec, monitors, event_cb, trace, root
+                key, spec, monitors, event_cb, trace, root, cached
             )
         except BaseException as exc:
             if root is not None:
@@ -321,6 +352,7 @@ class SweepService:
         event_cb: Optional[Callable[[dict], None]],
         trace: Optional[JobTrace],
         root,
+        cached,
     ) -> tuple[RunResult, str]:
         if event_cb is not None:
             # Streaming needs the complete event stream of a fresh run;
@@ -351,7 +383,8 @@ class SweepService:
             span.set(cycles=result.simulated_cycles, detail=key).close()
             return result, "dedup"
         if self.cache is not None and monitors is None:
-            cached = self.cache.get(spec)
+            if cached is _LOOKUP:
+                cached = self.cache.get(spec)
             if cached is not None:
                 self.metrics.count("cache")
                 self._remember(key, spec, cached.result, cached.text)
@@ -783,7 +816,7 @@ class ServiceServer:
             )
         sources: dict[str, str] = {}
 
-        async def one(spec: RunSpec) -> None:
+        async def one(spec: RunSpec, cached) -> None:
             job = spec.content_hash()
             try:
                 result, source = await self.service.resolve(
@@ -791,6 +824,7 @@ class ServiceServer:
                     monitors=monitors,
                     event_cb=event_cb if stream else None,
                     trace=make_trace(job),
+                    cached=cached,
                 )
                 reply = {
                     "type": "result",
@@ -823,12 +857,24 @@ class ServiceServer:
             sources[job] = source
             await send(reply)
 
-        if len(specs) == 1:
-            # In this task, not a gathered one: a memo answer's ``ack``,
-            # ``result`` and ``done`` then leave in one write.
-            await one(specs[0])
-        else:
-            await asyncio.gather(*(one(spec) for spec in specs))
+        # A memo or disk hit never waits, so it is resolved in this task,
+        # in submission order, and its frame posted before the next job
+        # is looked up (a memo answer's ``ack``, ``result`` and ``done``
+        # then leave in one write).  Only the jobs that wait, for a run
+        # in flight or one to start, get a task each.  A repeat of a
+        # waiting job is handed its lookup, so no entry is read twice.
+        waiting: dict[str, object] = {}
+        later: list[tuple[RunSpec, object]] = []
+        for spec, job in zip(specs, jobs):
+            if not stream and job not in waiting:
+                now, cached = self.service.lookup(job, spec, monitors)
+                if now:
+                    await one(spec, cached)
+                    continue
+                waiting[job] = cached
+            later.append((spec, waiting.get(job, _LOOKUP)))
+        if later:
+            await asyncio.gather(*(one(spec, cached) for spec, cached in later))
         done = {
             "type": "done",
             "id": rid,

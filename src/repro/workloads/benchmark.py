@@ -22,6 +22,7 @@ from repro.serialize import (
     dataclass_from_dict,
     dataclass_to_dict,
     stored,
+    validated,
 )
 
 
@@ -108,7 +109,7 @@ class BenchmarkSpec:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"BenchmarkSpec: bad access pattern ({exc})") from None
         spec = dataclass_from_dict(cls, data)
-        spec.validate()
+        validated(spec)
         return spec
 
     def __str__(self) -> str:

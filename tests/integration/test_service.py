@@ -28,7 +28,7 @@ from repro.errors import ServiceError
 from repro.experiments.cache import ResultCache
 from repro.service import ServiceClient, SweepService, serve_in_thread
 from repro.service import server as server_module
-from repro.telemetry.wire import encode_frame
+from repro.telemetry.wire import encode_frame, spec_payload
 
 FAST = dict(num_windows=0.25, warmup_windows=0.05, refresh_scale=1024)
 
@@ -665,3 +665,120 @@ def test_request_that_cannot_be_decomposed_is_a_service_error(tmp_path):
     finally:
         server.stop()
         thread.join(timeout=10)
+
+
+# -- hits answered in the request's own task -----------------------------------
+
+
+def _count_tasks(server) -> list:
+    """Every asyncio task created on *server*'s loop from now on."""
+    created = []
+
+    def factory(loop, coro, **kwargs):
+        created.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def install():
+        asyncio.get_running_loop().set_task_factory(factory)
+
+    asyncio.run_coroutine_threadsafe(install(), server._loop).result(10)
+    return created
+
+
+def test_disk_hits_are_answered_without_a_task_each(tmp_path):
+    """A restart sweep of one disk hit and one of six create as many
+    tasks: none per job."""
+    specs = sweep_specs(["WL-9", "WL-6"], ["all_bank", "per_bank", "codesign"],
+                        **FAST)
+    server, thread = _serve(tmp_path)
+    try:
+        with ServiceClient(port=server.port, timeout=60) as client:
+            assert client.sweep(specs=specs).ok
+    finally:
+        server.stop()
+        thread.join(timeout=10)
+    tasks = []
+    for subset in (specs[:1], specs):
+        server, thread = _serve(tmp_path)
+        try:
+            created = _count_tasks(server)
+            with ServiceClient(port=server.port, timeout=60) as client:
+                outcome = client.sweep(specs=subset)
+                tasks.append(len(created))
+        finally:
+            server.stop()
+            thread.join(timeout=10)
+        assert [outcome.sources[job] for job in outcome.jobs] == ["cache"] * len(subset)
+    assert tasks[0] == tasks[1]
+
+
+def test_hits_leave_in_submission_order_before_the_jobs_that_wait(
+    tmp_path, monkeypatch
+):
+    """One request mixing a memo hit, a disk hit, a job in flight for
+    another client, a miss and repeats: ``ack``, the hits in submission
+    order, the waiting jobs, ``done``.  Sources and counters are what
+    each job's tier makes them, and each job that reaches the disk costs
+    one lookup."""
+    memo, disk, held, miss = sweep_specs(
+        ["WL-9"], ["all_bank", "per_bank", "codesign", "elastic"], **FAST
+    )
+    filler = SweepService(cache_dir=tmp_path)
+    for spec in (memo, disk):
+        assert asyncio.run(filler.resolve(spec))[1] == "executed"
+    filler.close()
+    looked_up = []
+    get = ResultCache.get
+
+    def recording(cache, spec):
+        looked_up.append(spec.content_hash())
+        return get(cache, spec)
+
+    monkeypatch.setattr(ResultCache, "get", recording)
+    service = _HoldUntilReleased(cache_dir=tmp_path)
+    server, thread = serve_in_thread(service)
+    outcome = {}
+    try:
+        with ServiceClient(port=server.port, timeout=60) as first, \
+                ServiceClient(port=server.port, timeout=60) as other, \
+                ServiceClient(port=server.port, timeout=60) as client:
+            assert first.submit(memo)[1] == "cache"
+            submit = threading.Thread(
+                target=lambda: outcome.update(answer=other.submit(held))
+            )
+            submit.start()
+            assert service.entered.wait(60)
+            looked_up.clear()
+            order = [held, disk, memo, held, disk, miss]
+            rid = client._send({"op": "sweep", "specs": [
+                spec_payload(spec.canonical_json()) for spec in order
+            ]})
+            frames = [client._recv_for(rid) for _ in range(4)]
+            service.released.set()
+            while frames[-1]["type"] != "done":
+                frames.append(client._recv_for(rid))
+            submit.join(timeout=60)
+    finally:
+        service.released.set()
+        server.stop()
+        thread.join(timeout=10)
+    ids = {spec.content_hash(): name for name, spec in
+           [("memo", memo), ("disk", disk), ("held", held), ("miss", miss)]}
+    assert frames[0]["type"] == "ack"
+    assert [ids[j] for j in frames[0]["jobs"]] == [
+        "held", "disk", "memo", "held", "disk", "miss"
+    ]
+    answers = [(ids[f["job"]], f["source"]) for f in frames[1:-1]]
+    assert answers[:3] == [("disk", "cache"), ("memo", "memo"), ("disk", "memo")]
+    assert sorted(answers[3:]) == [
+        ("held", "dedup"), ("held", "dedup"), ("miss", "executed")
+    ]
+    done = frames[-1]
+    assert {ids[j]: s for j, s in done["sources"].items()} == {
+        "held": "dedup", "disk": "memo", "memo": "memo", "miss": "executed"
+    }
+    counters = done["counters"]
+    assert (counters["runs_executed"], counters["dedup_hits"],
+            counters["memo_hits"], counters["disk_hits"]) == (2, 2, 2, 2)
+    assert sorted(ids[j] for j in looked_up) == ["disk", "miss"]
+    assert outcome["answer"][1] == "executed"

@@ -82,3 +82,12 @@ def test_noqa_syntax_quoted_in_a_string_suppresses_nothing(lint):
         return time.time(), "# repro: noqa[RPR001]"
     """
     assert [f.code for f in lint(source)] == ["RPR001"]
+
+
+def test_files_sharing_a_module_name_are_each_audited(lint_project):
+    # Outside a repro tree a file's module name is its stem, so both
+    # files derive ``mod``; each keeps its place in the project model.
+    report = lint_project({"a/mod.py": STALE_NOQA, "b/mod.py": STALE_NOQA})
+    assert _codes(report) == ["RPR015", "RPR015"]
+    paths = sorted(f.path.replace("\\", "/") for f in report.findings)
+    assert [p.rsplit("/", 2)[-2:] for p in paths] == [["a", "mod.py"], ["b", "mod.py"]]

@@ -5,7 +5,9 @@ scenario and config; each of those is encoded once per instance and
 stored on it.  The generic walk, ``serialize.canonical_json`` of a
 ``to_dict``, stays the reference: every stored text must equal it byte
 for byte, over every scenario and Table-2 mix and over overrides that
-reach nested dataclasses and enums.
+reach nested dataclasses and enums.  The parts a sweep's cells share
+are validated once per instance, and an invalid part fails every spec
+built from it.
 """
 
 import dataclasses
@@ -14,9 +16,10 @@ import pickle
 import pytest
 
 from repro.config.dram_configs import FgrMode
-from repro.config.system_configs import OsConfig, default_system_config
+from repro.config.system_configs import OsConfig, SystemConfig, default_system_config
 from repro.core.simulator import make_run_spec, sweep_specs
 from repro.core.system import SCENARIOS
+from repro.errors import ConfigError
 from repro.serialize import CanonicalJSON, canonical_json, content_hash
 from repro.workloads.benchmark import AccessPattern, BenchmarkSpec
 from repro.workloads.mixes import mix_names
@@ -128,3 +131,31 @@ def test_sweep_specs_share_one_config_per_call():
     assert warm[0].config == base.with_(density_gbit=24)
     for spec in [*specs, *warm]:
         _assert_reference(spec)
+
+
+def test_a_sweep_validates_its_shared_config_once(monkeypatch):
+    calls = []
+    validate = SystemConfig.validate
+
+    def counting(config):
+        calls.append(config)
+        validate(config)
+
+    monkeypatch.setattr(SystemConfig, "validate", counting)
+    specs = sweep_specs(mix_names()[:10], ["all_bank", "per_bank", "codesign"],
+                        density_gbit=24, **FAST)
+    assert len(specs) == 30
+    assert len(calls) == 1
+
+
+def test_an_invalid_part_raises_on_every_construction():
+    task = BenchmarkSpec("bad", mpki=-1.0, footprint_bytes=1 << 20)
+    config = dataclasses.replace(default_system_config(), refresh_scale=0)
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="MPKI"):
+            make_run_spec([task], "all_bank", **FAST)
+        with pytest.raises(ConfigError, match="scale factors"):
+            make_run_spec("WL-9", "all_bank", config=config,
+                          num_windows=0.25, warmup_windows=0.05)
+    assert "_validated" not in vars(task)
+    assert "_validated" not in vars(config)
